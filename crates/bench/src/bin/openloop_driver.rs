@@ -1,5 +1,4 @@
-//! Open-loop load driver for the sharded `rts-serve` engine,
-//! standalone.
+//! Open-loop load driver for the `rts-serve` engine, standalone.
 //!
 //! ```text
 //! RTS_SCALE=0.03 RTS_OL_RATES=50,150 cargo run --release -p rts-bench --bin openloop_driver
@@ -7,9 +6,9 @@
 //!
 //! Trains the usual artefacts, then sweeps a seeded Poisson arrival
 //! schedule (Zipf user/database skew — see `rts_bench::openloop`)
-//! across the configured offered rates against a
-//! [`ShardedEngine`](rts_serve::ShardedEngine) and
-//! prints the open-loop record. Knobs:
+//! across the configured offered rates against a sharded
+//! [`ServeEngine`](rts_serve::ServeEngine) and prints the open-loop
+//! record. Knobs:
 //!
 //! * `RTS_OL_RATES` (default `400,1200,3600`) — comma-separated
 //!   offered rates, req/s ascending;
@@ -21,7 +20,7 @@
 //! * `RTS_OL_QUEUE` (default 32) / `RTS_OL_CACHE` (default 8) —
 //!   per-shard admission-queue and context-cache bounds;
 //! * `RTS_OL_COLLECTORS` (default 4) — completion-collector threads;
-//! * `RTS_THREADS` — total engine workers, split across shards;
+//! * `RTS_THREADS` — total engine workers;
 //! * `RTS_OL_PARITY=1` — rerun the first sweep point unsharded and
 //!   assert per-arrival outcome keys are byte-identical;
 //! * `RTS_OL_RECORD=1` — merge the record into `./BENCH_rts.json`.
@@ -100,7 +99,6 @@ fn main() {
     );
 
     let config = OpenLoopConfig {
-        shards: env_usize("RTS_OL_SHARDS", 2),
         users: env_usize("RTS_OL_USERS", 200) as u32,
         tenants: env_usize("RTS_OL_TENANTS", 4) as u32,
         zipf_s: env_f64("RTS_OL_ZIPF", 1.1),
@@ -108,6 +106,7 @@ fn main() {
         rates_rps: env_rates(),
         collectors: env_usize("RTS_OL_COLLECTORS", 4),
         serve: ServeConfig {
+            shards: env_usize("RTS_OL_SHARDS", 2),
             queue_capacity: env_usize("RTS_OL_QUEUE", 32),
             cache_capacity: env_usize("RTS_OL_CACHE", 8),
             rts: RtsConfig {
@@ -137,8 +136,11 @@ fn main() {
     // partitioning may move latency, never answers.
     if std::env::var("RTS_OL_PARITY").is_ok_and(|v| v == "1") {
         let single = OpenLoopConfig {
-            shards: 1,
             rates_rps: vec![config.rates_rps[0]],
+            serve: ServeConfig {
+                shards: 1,
+                ..config.serve.clone()
+            },
             ..config.clone()
         };
         let baseline = run_sweep(&linker, &mbpp_t, &mbpp_c, &bench.metas, instances, &single);
@@ -155,7 +157,7 @@ fn main() {
         }
         eprintln!(
             "[openloop_driver] parity: {} shards ≡ 1 shard on {} arrivals at {} req/s",
-            config.shards,
+            config.serve.shards,
             single_keys.len(),
             config.rates_rps[0]
         );

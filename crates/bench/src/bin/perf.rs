@@ -484,7 +484,6 @@ fn main() {
     // records whose shape differs from the committed baseline's.
     // Workers are explicit (not RTS_THREADS) for the same reason.
     let open_loop = rts_bench::openloop::OpenLoopConfig {
-        shards: 2,
         users: 200,
         tenants: 4,
         zipf_s: 1.1,
@@ -493,6 +492,7 @@ fn main() {
         collectors: 4,
         serve: rts_serve::ServeConfig {
             workers: 2,
+            shards: 2,
             queue_capacity: 32,
             cache_capacity: 8,
             rts: RtsConfig {

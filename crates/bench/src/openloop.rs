@@ -1,4 +1,4 @@
-//! Open-loop load harness for the sharded serving engine.
+//! Open-loop load harness for the serving engine.
 //!
 //! The closed-loop driver ([`crate::serving`]) couples offered load to
 //! service capacity: each client waits for its previous request before
@@ -45,7 +45,7 @@ use rts_core::bpp::Mbpp;
 use rts_core::human::HumanOracle;
 use rts_core::session::resolve_flag;
 use rts_serve::{
-    ClientEvent, Engine, LatencySummary, ServeConfig, ShardedEngine, SubmitError, TenantId,
+    ClientEvent, Engine, LatencySummary, ServeConfig, ServeEngine, SubmitError, TenantId, TicketId,
 };
 use simlm::SchemaLinker;
 use std::collections::VecDeque;
@@ -54,8 +54,6 @@ use std::time::{Duration, Instant};
 /// Shape of one open-loop sweep.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
-    /// Shards of the [`ShardedEngine`] under test.
-    pub shards: usize,
     /// Simulated-user population; each arrival is attributed to a
     /// Zipf-sampled user (user 0 hottest).
     pub users: u32,
@@ -72,8 +70,8 @@ pub struct OpenLoopConfig {
     /// of closed-loop clients: they answer feedback and time
     /// completions, but never gate submission).
     pub collectors: usize,
-    /// Engine configuration; `serve.workers` is the *total* worker
-    /// budget split across shards.
+    /// Engine configuration, including the shard count and the
+    /// total worker count.
     pub serve: ServeConfig,
     /// Oracle the collectors answer feedback queries with.
     pub oracle: HumanOracle,
@@ -84,7 +82,6 @@ pub struct OpenLoopConfig {
 impl Default for OpenLoopConfig {
     fn default() -> Self {
         Self {
-            shards: 2,
             users: 200,
             tenants: 4,
             zipf_s: 1.1,
@@ -93,6 +90,7 @@ impl Default for OpenLoopConfig {
             collectors: 4,
             serve: ServeConfig {
                 workers: 2,
+                shards: 2,
                 queue_capacity: 32,
                 cache_capacity: 8,
                 ..ServeConfig::default()
@@ -221,24 +219,23 @@ pub fn outcome_key(o: &rts_serve::ServeOutcome) -> String {
 }
 
 /// A completion job handed from the submitter to the collectors: the
-/// arrival index, the live ticket (generic over the engine surface —
-/// sharded tickets in-process, request ids over the wire), and the
-/// *scheduled* arrival instant latency is measured from.
-struct Job<T> {
+/// arrival index, the live ticket, and the *scheduled* arrival instant
+/// latency is measured from.
+struct Job {
     idx: usize,
-    ticket: T,
+    ticket: TicketId,
     sched: Instant,
 }
 
 /// Submitter → collector handoff: a bounded-by-workload queue plus a
 /// close flag, under one lock with a condvar.
-struct CollectQueue<T> {
-    jobs: VecDeque<Job<T>>,
+struct CollectQueue {
+    jobs: VecDeque<Job>,
     closed: bool,
 }
 
 /// Run one sweep point: pace `arrivals` against a fresh
-/// [`ShardedEngine`], drain every completion, and measure.
+/// [`ServeEngine`], drain every completion, and measure.
 #[allow(clippy::too_many_arguments)]
 fn run_point(
     model: &SchemaLinker,
@@ -250,17 +247,16 @@ fn run_point(
     arrivals: &[Arrival],
     offered_rps: f64,
 ) -> (OpenLoopPoint, Vec<String>, rts_serve::ServingStats, u64) {
-    let engine = ShardedEngine::new(
+    let engine = ServeEngine::new(
         model,
         mbpp_tables,
         mbpp_columns,
         metas,
-        config.shards,
         config.serve.clone(),
     );
     let n = arrivals.len();
     let shared = (
-        parking_lot::Mutex::new(CollectQueue::<rts_serve::ShardedTicket> {
+        parking_lot::Mutex::new(CollectQueue {
             jobs: VecDeque::new(),
             closed: false,
         }),
@@ -268,8 +264,8 @@ fn run_point(
     );
     let (results, wall) = crossbeam::thread::scope(|s| {
         let eng = &engine;
-        for i in 0..eng.workers_total() {
-            s.spawn(move |_| eng.worker_loop(i));
+        for _ in 0..eng.config().workers {
+            s.spawn(move |_| eng.worker_loop());
         }
         let collectors: Vec<_> = (0..config.collectors.max(1))
             .map(|_| {
@@ -348,21 +344,10 @@ fn run_point(
         stats.completed, n as u64,
         "open loop must complete every scheduled arrival (degrade, never drop)"
     );
-    for shard in 0..engine.n_shards() {
-        let s = engine.shard_stats(shard).expect("constructed shard");
-        assert_eq!(
-            s.parked_sessions_now, 0,
-            "shard {shard} strands parked sessions"
-        );
-        assert_eq!(
-            s.parked_bytes_now, 0,
-            "shard {shard} still bills parked bytes"
-        );
-        assert_eq!(
-            s.checkpoint_bytes_now, 0,
-            "shard {shard} holds checkpoint bytes"
-        );
-    }
+    // The gauges sum over shards, so zero here is zero on every shard.
+    assert_eq!(stats.parked_sessions_now, 0, "parked sessions stranded");
+    assert_eq!(stats.parked_bytes_now, 0, "parked bytes still billed");
+    assert_eq!(stats.checkpoint_bytes_now, 0, "checkpoint bytes held");
     let mut latencies = Vec::with_capacity(n);
     let mut keys = Vec::with_capacity(n);
     for (idx, slot) in results.into_iter().enumerate() {
@@ -399,10 +384,7 @@ fn collector_loop<E: Engine>(
     instances: &[benchgen::Instance],
     arrivals: &[Arrival],
     oracle: &HumanOracle,
-    shared: &(
-        parking_lot::Mutex<CollectQueue<E::Ticket>>,
-        parking_lot::Condvar,
-    ),
+    shared: &(parking_lot::Mutex<CollectQueue>, parking_lot::Condvar),
 ) -> Vec<(usize, f64, String)> {
     let policy = MitigationPolicy::Human(oracle);
     let mut out = Vec::new();
@@ -448,7 +430,7 @@ fn collector_loop<E: Engine>(
     }
 }
 
-/// Sweep the configured arrival rates against fresh sharded engines
+/// Sweep the configured arrival rates against fresh engines
 /// (one per point, so points never warm each other's caches) and
 /// assemble the [`OpenLoopRecord`]. Steals and cache counters
 /// accumulate across points; the knee is the highest offered rate
@@ -504,11 +486,11 @@ pub fn run_sweep(
         .or(points.first())
         .map(|p| (p.offered_rps, p.p99_ms))
         .expect("at least one sweep point");
-    let workers_per_shard = config.serve.workers.div_ceil(config.shards.max(1)).max(1);
+    let shards = config.serve.shards.max(1);
     SweepResult {
         record: OpenLoopRecord {
-            shards: config.shards.max(1),
-            workers_per_shard,
+            shards,
+            workers_per_shard: config.serve.workers.div_ceil(shards).max(1),
             users: config.users as usize,
             tenants: config.tenants as usize,
             zipf_s: config.zipf_s,

@@ -138,7 +138,7 @@ pub fn run_workload(
 }
 
 /// Spawn `config.clients` closed-loop client threads against any
-/// [`Engine`] — the in-process engines or the `rts-client` wire client
+/// [`Engine`] — the in-process engine or the `rts-client` wire client
 /// — and collect every served request. The caller owns the engine's
 /// lifecycle (workers, shutdown); this is only the client side, which
 /// is exactly what the wire driver reuses against a remote server.

@@ -2,7 +2,7 @@
 //!
 //! [`RtsClient`] speaks the framed wire protocol of
 //! [`rts_serve::wire`] (see `PROTOCOL.md`) and implements the same
-//! [`Engine`] trait as the in-process engines, so every generic driver
+//! [`Engine`] trait as the in-process engine, so every generic driver
 //! — [`rts_serve::drive_closed_loop`], the workload client pool, the
 //! parity tests — runs unchanged against a remote server. The ticket
 //! is the client-chosen request id (`u64`).
@@ -479,8 +479,6 @@ fn reader_loop(weak: &Weak<ClientInner>, mut stream: TcpStream, generation: u64)
 }
 
 impl Engine for RtsClient {
-    type Ticket = u64;
-
     fn submit(&self, tenant: TenantId, inst: &benchgen::Instance) -> Result<u64, SubmitError> {
         let req = self.fresh_req();
         let msg = ClientMsg::Submit {
@@ -537,7 +535,7 @@ impl Engine for RtsClient {
                 }
                 // Level-triggered re-poll: an unanswered flag is
                 // returned again without a round trip, like the
-                // in-process engines do.
+                // in-process engine does.
                 if let Some((target, query)) = st.pending_query.get(&ticket) {
                     return ClientEvent::NeedsFeedback {
                         target: *target,

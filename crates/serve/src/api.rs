@@ -1,20 +1,15 @@
-//! One engine API: the [`Engine`] trait every serving surface —
-//! [`ServeEngine`], [`ShardedEngine`], and the `rts-client` TCP client
-//! — implements, plus the shared closed-loop client the drivers and
-//! parity tests run against it.
+//! One engine API: the [`Engine`] trait both serving surfaces —
+//! the in-process [`ServeEngine`](crate::ServeEngine) and the
+//! `rts-client` TCP client — implement, plus the shared closed-loop
+//! client the drivers and parity tests run against it.
 //!
-//! Before this trait, every driver and test carried a
-//! `ServeEngine`-vs-`ShardedEngine` copy of the same submit/wait/
-//! resolve loop (and a third copy would have arrived with the wire
-//! client). The trait abstracts exactly the client-visible surface:
-//! submission, event waiting, feedback resolution, stats, schema
-//! invalidation, and shutdown. Engines stay free to expose richer
-//! inherent APIs (worker loops, shard introspection); generic callers
-//! see only this.
+//! The trait abstracts exactly the client-visible surface: submission,
+//! event waiting, feedback resolution, stats, schema invalidation, and
+//! shutdown. Engines stay free to expose richer inherent APIs (worker
+//! loops, shard introspection); generic callers see only this.
 
-use crate::engine::{ClientEvent, ServeEngine, ServeOutcome};
+use crate::engine::{ClientEvent, ServeOutcome};
 use crate::error::{ResolveError, SubmitError};
-use crate::shard::{ShardedEngine, ShardedTicket};
 use crate::stats::ServingStats;
 use crate::tenant::{TenantId, TicketId};
 use benchgen::Instance;
@@ -22,39 +17,31 @@ use rts_core::session::{FlagQuery, FlagResolution};
 use std::time::Duration;
 
 /// The client-visible serving surface. `Sync` because every
-/// implementation is driven by concurrent client threads; the ticket
-/// is an opaque, copyable handle (a `u64` for the single engine, a
-/// `(shard, id)` pair for the sharded one, a request id for the wire
-/// client).
+/// implementation is driven by concurrent client threads; a request is
+/// named by a [`TicketId`] (the in-process engine's id, which encodes
+/// its shard, or the wire client's request id).
 pub trait Engine: Sync {
-    /// Handle to one in-flight request.
-    type Ticket: Copy + Eq + std::fmt::Debug + std::fmt::Display + Send + Sync;
-
     /// Admit a request for joint (tables → columns) linking of `inst`.
-    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<Self::Ticket, SubmitError>;
+    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<TicketId, SubmitError>;
 
     /// Block until the ticket suspends on feedback or completes. The
     /// protocol is `submit → (wait_event → resolve)* → Done`;
     /// re-polling a suspended ticket returns the same query, and a
     /// collected or unknown ticket reads [`ClientEvent::Retired`].
-    fn wait_event(&self, ticket: Self::Ticket) -> ClientEvent;
+    fn wait_event(&self, ticket: TicketId) -> ClientEvent;
 
     /// Edge-triggered [`Engine::wait_event`]: block until the ticket's
     /// state differs from `last_seen` (the query the caller already
     /// holds). What a connection handler pushing events to a remote
     /// client waits on.
-    fn wait_event_changed(
-        &self,
-        ticket: Self::Ticket,
-        last_seen: Option<&FlagQuery>,
-    ) -> ClientEvent;
+    fn wait_event_changed(&self, ticket: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent;
 
     /// Apply feedback to a suspended ticket. `query` is the flag being
     /// answered — its identity guards against a stale answer landing
     /// on a different flag.
     fn resolve(
         &self,
-        ticket: Self::Ticket,
+        ticket: TicketId,
         query: &FlagQuery,
         resolution: FlagResolution,
     ) -> Result<(), ResolveError>;
@@ -73,92 +60,6 @@ pub trait Engine: Sync {
     /// completes (parked flags degrade to abstention), then workers
     /// exit.
     fn shutdown(&self);
-}
-
-impl Engine for ServeEngine {
-    type Ticket = TicketId;
-
-    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<TicketId, SubmitError> {
-        ServeEngine::submit(self, tenant, inst)
-    }
-
-    fn wait_event(&self, ticket: TicketId) -> ClientEvent {
-        ServeEngine::wait_event(self, ticket)
-    }
-
-    fn wait_event_changed(&self, ticket: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent {
-        ServeEngine::wait_event_changed(self, ticket, last_seen)
-    }
-
-    fn resolve(
-        &self,
-        ticket: TicketId,
-        query: &FlagQuery,
-        resolution: FlagResolution,
-    ) -> Result<(), ResolveError> {
-        ServeEngine::resolve(self, ticket, query, resolution)
-    }
-
-    fn stats(&self) -> ServingStats {
-        ServeEngine::stats(self)
-    }
-
-    fn invalidate_db(&self, db: &str) -> usize {
-        ServeEngine::invalidate_db(self, db)
-    }
-
-    fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
-        ServeEngine::set_tenant_weight(self, tenant, weight)
-    }
-
-    fn shutdown(&self) {
-        ServeEngine::shutdown(self)
-    }
-}
-
-impl Engine for ShardedEngine {
-    type Ticket = ShardedTicket;
-
-    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<ShardedTicket, SubmitError> {
-        ShardedEngine::submit(self, tenant, inst)
-    }
-
-    fn wait_event(&self, ticket: ShardedTicket) -> ClientEvent {
-        ShardedEngine::wait_event(self, ticket)
-    }
-
-    fn wait_event_changed(
-        &self,
-        ticket: ShardedTicket,
-        last_seen: Option<&FlagQuery>,
-    ) -> ClientEvent {
-        ShardedEngine::wait_event_changed(self, ticket, last_seen)
-    }
-
-    fn resolve(
-        &self,
-        ticket: ShardedTicket,
-        query: &FlagQuery,
-        resolution: FlagResolution,
-    ) -> Result<(), ResolveError> {
-        ShardedEngine::resolve(self, ticket, query, resolution)
-    }
-
-    fn stats(&self) -> ServingStats {
-        ShardedEngine::stats(self)
-    }
-
-    fn invalidate_db(&self, db: &str) -> usize {
-        ShardedEngine::invalidate_db(self, db)
-    }
-
-    fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
-        ShardedEngine::set_tenant_weight(self, tenant, weight)
-    }
-
-    fn shutdown(&self) {
-        ShardedEngine::shutdown(self)
-    }
 }
 
 /// How long a closed-loop client backs off after a `QueueFull`/

@@ -38,9 +38,8 @@ impl std::error::Error for DecodeError {}
 
 /// Rebuild a checkpoint from [`encode`]'s bytes. The buffer never
 /// leaves the engine, so a decode failure means corruption — the
-/// engine recovers by re-running the regeneration recipe from its
-/// in-memory salvage copy, or degrades the ticket to abstention
-/// (never a worker panic).
+/// engine recovers by re-running the regeneration recipe every
+/// evicted ticket keeps in memory (never a worker panic).
 pub fn try_decode(bytes: &[u8]) -> Result<SessionCheckpoint, DecodeError> {
     let text = std::str::from_utf8(bytes).map_err(|e| DecodeError(e.to_string()))?;
     serde_json::from_str(text).map_err(|e| DecodeError(format!("{e:?}")))

@@ -1,6 +1,8 @@
 //! The worker-pool engine driving concurrent resumable linking
-//! sessions. See the crate docs for the design overview.
+//! sessions over one or more database shards. See the crate docs for
+//! the design overview.
 
+use crate::api::Engine;
 use crate::checkpoint;
 use crate::error::{ResolveError, SubmitError};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
@@ -11,15 +13,16 @@ use benchgen::Instance;
 use parking_lot::{Condvar, Mutex};
 use rts_core::abstention::{LinkScratch, RtsConfig, RtsOutcome};
 use rts_core::bpp::Mbpp;
-use rts_core::context::ContextCache;
+use rts_core::context::{db_shard, ContextCache};
 use rts_core::pipeline::JointOutcome;
 use rts_core::session::{
     CtxHandle, FlagQuery, FlagResolution, Handle, LinkSession, SessionCheckpoint, SessionState,
 };
 use simlm::{LinkTarget, SchemaLinker};
 use std::collections::HashMap;
+use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,17 +31,20 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Worker threads the caller should spawn on
     /// [`ServeEngine::worker_loop`] (the engine itself never spawns —
-    /// scoped threads keep every borrow checked).
+    /// scoped threads keep every borrow checked). Each thread takes a
+    /// home shard round-robin.
     pub workers: usize,
-    /// Admission-queue bound across all tenants; submits beyond it are
-    /// rejected ([`SubmitError::QueueFull`]). `0` = unbounded. Resumed
-    /// sessions never count against admission — they were already
-    /// admitted.
+    /// Database shards (see [`ServeEngine`]). `0` is treated as 1.
+    pub shards: usize,
+    /// Admission-queue bound across all tenants of a shard; submits
+    /// beyond it are rejected ([`SubmitError::QueueFull`]). `0` =
+    /// unbounded. Resumed sessions never count against admission —
+    /// they were already admitted.
     pub queue_capacity: usize,
-    /// Per-tenant admission quota (max in-flight / max parked;
-    /// `0` = unbounded). Submissions beyond it are rejected with
-    /// [`SubmitError::QuotaExceeded`], so backpressure lands on the
-    /// tenant generating the load instead of on everyone.
+    /// Per-tenant admission quota per shard (max in-flight / max
+    /// parked; `0` = unbounded). Submissions beyond it are rejected
+    /// with [`SubmitError::QuotaExceeded`], so backpressure lands on
+    /// the tenant generating the load instead of on everyone.
     pub quota: TenantQuota,
     /// Per-request latency budget. A request past it is *shed*: its
     /// remaining linking stages degrade to abstention (the answer is
@@ -51,21 +57,21 @@ pub struct ServeConfig {
     /// (degrade, never drop; same philosophy as deadline shedding).
     /// `None` = park forever.
     pub feedback_timeout: Option<Duration>,
-    /// Budget for live generation state held by parked sessions. Past
-    /// it the engine serializes the largest parked sessions through the
-    /// serde shim (dropping their hidden-state stacks) and restores
-    /// them bit-identically when feedback arrives. `0` = never
-    /// checkpoint.
+    /// Per-shard budget for live generation state held by parked
+    /// sessions. Past it the engine serializes the largest parked
+    /// sessions through the serde shim (dropping their hidden-state
+    /// stacks) and restores them bit-identically when feedback
+    /// arrives. `0` = never checkpoint.
     pub parked_bytes_budget: usize,
-    /// Context-cache capacity per link target (databases); `0` =
-    /// unbounded.
+    /// Context-cache capacity per shard and link target (databases);
+    /// `0` = unbounded.
     pub cache_capacity: usize,
     /// Deterministic fault-injection schedule (see [`crate::fault`]).
     /// Disabled by default — one predictable branch per site.
     pub fault: FaultPlan,
-    /// How many times a panicked step is rebuilt from its salvage
-    /// checkpoint and retried before the ticket degrades to a
-    /// `faulted` abstention.
+    /// How many times a panicked step is rebuilt from its recovery
+    /// recipe and retried before the ticket degrades to a `faulted`
+    /// abstention.
     pub step_retry_budget: usize,
     /// Base backoff before a step retry; doubles per consecutive panic
     /// of the same ticket. `ZERO` retries immediately.
@@ -79,6 +85,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             workers: rts_core::par::thread_count(),
+            shards: 1,
             queue_capacity: 64,
             quota: TenantQuota::default(),
             deadline: None,
@@ -106,9 +113,9 @@ pub struct ServeOutcome {
     /// abstention?
     pub timed_out: bool,
     /// Did an unrecoverable fault (a step panicking past the retry
-    /// budget, an unsalvageable checkpoint) degrade this request to
-    /// abstention? Successfully *recovered* faults leave the outcome
-    /// byte-identical to a fault-free run and do not set this.
+    /// budget) degrade this request to abstention? Successfully
+    /// *recovered* faults leave the outcome byte-identical to a
+    /// fault-free run and do not set this.
     pub faulted: bool,
     /// Did a shutdown drain resolve a pending flag of this request to
     /// abstention (nothing would ever answer it)?
@@ -120,11 +127,11 @@ pub struct ServeOutcome {
     pub n_feedback: usize,
 }
 
-/// What [`ServeEngine::wait_event`] delivers to a client.
+/// What [`Engine::wait_event`] delivers to a client.
 #[derive(Debug, Clone)]
 pub enum ClientEvent {
     /// The request is suspended on a branching flag of `target`
-    /// linking; answer through [`ServeEngine::resolve`].
+    /// linking; answer through [`Engine::resolve`].
     NeedsFeedback {
         target: LinkTarget,
         query: FlagQuery,
@@ -148,6 +155,36 @@ enum Phase {
     Done(ServeOutcome),
 }
 
+/// How a stage's session is rebuilt should its live state be lost: the
+/// checkpoint captured when it parked, plus the resolution applied
+/// since. Generation is deterministic, so the rebuild is bit-identical
+/// — and a few hundred bytes, with no hidden-state stacks.
+#[derive(Debug)]
+struct Recipe {
+    checkpoint: SessionCheckpoint,
+    resolution: Option<FlagResolution>,
+}
+
+/// Where a ticket's current-stage session lives between dispatches.
+#[derive(Debug)]
+enum Parked {
+    /// No session yet: the next dispatch opens one (a fresh admission,
+    /// a freshly chained stage, or a ticket a worker is running).
+    Fresh,
+    /// A live session (boxed, so the other states stay small).
+    /// `billed` is what it holds against the parked-bytes gauge (0
+    /// once resumed).
+    Live {
+        session: Box<LinkSession<'static>>,
+        billed: usize,
+        recipe: Recipe,
+    },
+    /// Evicted past the parked-bytes budget to serialized checkpoint
+    /// `bytes`. Should they not decode, the recipe rebuilds the same
+    /// session from memory.
+    Evicted { bytes: Vec<u8>, recipe: Recipe },
+}
+
 #[derive(Debug)]
 struct Ticket {
     tenant: TenantId,
@@ -160,24 +197,7 @@ struct Ticket {
     /// Stage currently being linked (tables first, then columns —
     /// mirroring `run_joint_linking_in`'s joint process).
     stage: LinkTarget,
-    session: Option<LinkSession<'static>>,
-    /// Serialized session state when the parked-bytes budget evicted
-    /// the live session (mutually exclusive with `session`).
-    checkpoint: Option<Vec<u8>>,
-    /// A resolution that arrived while the session was checkpointed;
-    /// the worker applies it after restoring.
-    pending_resolution: Option<FlagResolution>,
-    /// Salvage recipe: the checkpoint captured at the last park. If a
-    /// later step *panics* (losing the live session), the worker
-    /// rebuilds from this — generation is deterministic, so the retry
-    /// is bit-identical. A few hundred bytes per parked ticket.
-    salvage: Option<SessionCheckpoint>,
-    /// The resolution applied to the live session at unpark, kept so a
-    /// salvage rebuild can re-apply it (the salvage checkpoint predates
-    /// it).
-    salvage_resolution: Option<FlagResolution>,
-    /// Live parked bytes billed for this ticket (0 once checkpointed).
-    parked_billed: usize,
+    parked: Parked,
     tables: Option<RtsOutcome>,
     n_feedback: usize,
     timed_out: bool,
@@ -188,39 +208,33 @@ struct Ticket {
 }
 
 #[derive(Debug)]
-struct EngineState {
+struct ShardState {
     /// Per-tenant sub-queues with deficit-round-robin dispatch;
     /// resumed sessions drain before admissions so feedback-ready work
     /// never starves behind fresh arrivals.
     queues: FairQueue,
     tickets: HashMap<TicketId, Ticket>,
+    /// The next id this shard issues. Ids step by the shard count, so
+    /// `id % shards` names the owning shard.
     next_id: TicketId,
     /// Lower bound on the earliest parked-feedback deadline (`None` =
-    /// no parked deadline). Tightened on every park, recomputed exactly
-    /// by the expiry sweep; may be stale-early after an unpark, which
-    /// only costs one harmless extra sweep — and spares every dispatch
-    /// the O(tickets) scan while nothing can have lapsed.
+    /// no parked deadline, always so without a feedback timeout).
+    /// Tightened on every park, recomputed exactly by the expiry
+    /// sweep; may be stale-early after an unpark, which only costs one
+    /// harmless extra sweep — and spares every dispatch the
+    /// O(tickets) scan while nothing can have lapsed.
     next_timeout: Option<Instant>,
 }
 
-/// The serving engine. Owns its model artefacts behind [`Arc`]s (so
-/// shards, servers, and detached worker threads can share one trained
-/// set without any scoped borrow); sessions, queues and caches live
-/// inside. Share it by reference across scoped worker + client
-/// threads, or behind an `Arc` across detached ones.
-pub struct ServeEngine {
-    model: Arc<SchemaLinker>,
-    mbpp_tables: Arc<Mbpp>,
-    mbpp_columns: Arc<Mbpp>,
-    metas: HashMap<String, Arc<DbMeta>>,
+/// One database shard: its queues, tickets, context cache and
+/// accounting. Everything immutable lives on the [`ServeEngine`].
+struct Shard {
+    state: Mutex<ShardState>,
     cache: ContextCache,
-    config: ServeConfig,
-    state: Mutex<EngineState>,
-    /// Wakes workers (new/resumed work, shutdown).
+    /// Wakes workers homed here (new/resumed work, shutdown).
     work_cv: Condvar,
     /// Wakes clients (ticket phase transitions).
     client_cv: Condvar,
-    shutdown: AtomicBool,
     counters: Counters,
     completed: AtomicU64,
     /// Bounded: percentiles are computed over the most recent
@@ -229,17 +243,60 @@ pub struct ServeEngine {
     latencies_ms: Mutex<LatencyWindow>,
 }
 
-/// Completed-request latency samples retained for percentile
-/// reporting (a sliding window, oldest overwritten first).
+/// The serving engine: a pool of one or more database shards
+/// ([`ServeConfig::shards`], default 1) behind the [`Engine`] surface.
+///
+/// Submits route by a revision-stable hash of the database name
+/// ([`rts_core::context::db_shard`], FNV-1a), so each shard owns a
+/// disjoint slice of the databases with its own fair queue, context
+/// cache, latency window and counters; lock contention and cache churn
+/// stay shard-local. Queue capacity, quotas, cache capacity and the
+/// parked-bytes budget apply per shard — a tenant's global in-flight
+/// bound is `max_in_flight × shards` at worst, the price of admission
+/// without a cross-shard lock. A ticket id encodes its shard
+/// (`id % shards`); with one shard, ids run 0, 1, 2, ….
+///
+/// **Work stealing.** Each worker serves a home shard and, when that
+/// is idle, scans the others for ready work, so a hot shard's backlog
+/// is drained by whatever capacity is free. Stealing moves only the
+/// executing thread, never a ticket's state. Outcomes are pure
+/// functions of the instance, the seeded config and the client's
+/// resolutions, so the shard count and worker placement move latency,
+/// never answers.
+///
+/// Owns its model artefacts behind [`Arc`]s, so servers and detached
+/// worker threads can share one trained set without any scoped borrow.
+/// Share it by reference across scoped worker + client threads, or
+/// behind an `Arc` across detached ones.
+pub struct ServeEngine {
+    model: Arc<SchemaLinker>,
+    mbpp_tables: Arc<Mbpp>,
+    mbpp_columns: Arc<Mbpp>,
+    metas: HashMap<String, Arc<DbMeta>>,
+    config: ServeConfig,
+    shards: Vec<Shard>,
+    shutdown: AtomicBool,
+    /// Home shard of the next thread entering [`ServeEngine::worker_loop`].
+    next_home: AtomicUsize,
+    steals: AtomicU64,
+}
+
+/// Completed-request latency samples retained per shard for
+/// percentile reporting (a sliding window, oldest overwritten first).
 const LATENCY_WINDOW: usize = 1 << 16;
+
+/// How long an idle worker of a multi-shard pool sleeps on its home
+/// shard before rescanning every shard. Bounds steal latency for work
+/// arriving on a foreign shard, whose condvar the worker does not wait
+/// on, and feedback-timeout latency there.
+const STEAL_POLL: Duration = Duration::from_micros(500);
 
 impl ServeEngine {
     /// Build an engine over trained artefacts and the databases in
     /// `metas`, cloning each into shared ownership. No contexts are
     /// compiled here — they materialize lazily, per database, on first
-    /// request. To share one trained set across several engines (a
-    /// sharded fleet), clone the `Arc`s and use
-    /// [`ServeEngine::with_artifacts`] instead.
+    /// request. To share one trained set with other owners, clone the
+    /// `Arc`s and use [`ServeEngine::with_artifacts`] instead.
     pub fn new(
         model: &SchemaLinker,
         mbpp_tables: &Mbpp,
@@ -257,8 +314,8 @@ impl ServeEngine {
     }
 
     /// Build an engine over already-shared artefacts — the zero-copy
-    /// constructor a sharded fleet or a standalone server uses so every
-    /// engine points at the same trained weights.
+    /// constructor a standalone server uses. Every shard answers any
+    /// database: routing partitions placement, not the metadata.
     pub fn with_artifacts(
         model: Arc<SchemaLinker>,
         mbpp_tables: Arc<Mbpp>,
@@ -266,25 +323,36 @@ impl ServeEngine {
         metas: Vec<Arc<DbMeta>>,
         config: ServeConfig,
     ) -> Self {
+        let config = ServeConfig {
+            shards: config.shards.max(1),
+            ..config
+        };
+        let shards = (0..config.shards)
+            .map(|i| Shard {
+                state: Mutex::new(ShardState {
+                    queues: FairQueue::new(1),
+                    tickets: HashMap::new(),
+                    next_id: i as TicketId,
+                    next_timeout: None,
+                }),
+                cache: ContextCache::new(config.cache_capacity),
+                work_cv: Condvar::new(),
+                client_cv: Condvar::new(),
+                counters: Counters::default(),
+                completed: AtomicU64::new(0),
+                latencies_ms: Mutex::new(LatencyWindow::new(LATENCY_WINDOW)),
+            })
+            .collect();
         Self {
             model,
             mbpp_tables,
             mbpp_columns,
             metas: metas.into_iter().map(|m| (m.name.clone(), m)).collect(),
-            cache: ContextCache::new(config.cache_capacity),
             config,
-            state: Mutex::new(EngineState {
-                queues: FairQueue::new(1),
-                tickets: HashMap::new(),
-                next_id: 0,
-                next_timeout: None,
-            }),
-            work_cv: Condvar::new(),
-            client_cv: Condvar::new(),
+            shards,
             shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-            completed: AtomicU64::new(0),
-            latencies_ms: Mutex::new(LatencyWindow::new(LATENCY_WINDOW)),
+            next_home: AtomicUsize::new(0),
+            steals: AtomicU64::new(0),
         }
     }
 
@@ -292,63 +360,549 @@ impl ServeEngine {
         self.metas.get(inst.db_name.as_str()).cloned()
     }
 
-    /// Override a tenant's fair-share weight (default 1): a tenant with
-    /// weight `w` is dispatched `w` admissions per scheduling cycle.
-    pub fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
-        self.state.lock().queues.set_weight(tenant, weight);
+    /// The shard `db` routes to — [`rts_core::context::db_shard`] over
+    /// this engine's shard count.
+    fn shard_of(&self, db: &str) -> usize {
+        db_shard(db, self.shards.len())
     }
 
-    /// Signal schema drift for `db`: drop its cached `LinkContext`s so
-    /// *new* sessions rebuild against the current metadata. Sessions
-    /// already in flight finish on their pinned `Arc<LinkContext>` —
-    /// invalidation never changes what a running request holds.
-    /// Returns the number of cached contexts dropped.
-    pub fn invalidate_db(&self, db: &str) -> usize {
-        self.counters
-            .db_invalidations
-            .fetch_add(1, Ordering::Relaxed);
-        self.cache.invalidate_db(db)
+    /// The shard that issued ticket `id`. Never `None` on a
+    /// constructed engine (ids are reduced modulo the shard count).
+    fn ticket_shard(&self, id: TicketId) -> Option<&Shard> {
+        self.shards
+            .get((id % self.shards.len() as TicketId) as usize)
     }
 
-    /// Admit a request by `tenant` for joint (tables → columns) linking
-    /// of `inst` (cloned into the ticket — the engine owns everything a
-    /// parked session may need past the caller's scope). Per-tenant
-    /// quotas are checked before the global queue bound, so an
-    /// over-quota tenant sees its own error, not everyone's.
-    pub fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<TicketId, SubmitError> {
+    /// Admissions a worker processed from a shard other than its home
+    /// shard (cumulative).
+    pub fn steals(&self) -> u64 {
+        self.steals.load(Ordering::Relaxed)
+    }
+
+    /// Ask workers to exit once the queues drain. In-queue tickets are
+    /// still processed, and *parked* tickets are drained: nothing will
+    /// answer their flags anymore, so workers resolve each one with
+    /// the abstention verdict (`drained_to_abstention` in the stats)
+    /// and run it to completion — every submitted ticket ends
+    /// [`ClientEvent::Done`], memory gauges drain to zero, and a
+    /// client still polling collects its outcome.
+    pub fn shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for shard in &self.shards {
+            // Take each shard's state lock once after the store: a
+            // worker that saw `shutdown == false` under that lock is
+            // then guaranteed to be inside `work_cv.wait` (which
+            // released it), so the notify below always lands.
+            // Notifying without this handshake could slot the store +
+            // notify between a worker's check and its wait — a lost
+            // wakeup that parks the worker forever.
+            drop(shard.state.lock());
+            shard.work_cv.notify_all();
+        }
+    }
+
+    /// The worker body: spawn `config.workers` threads on this. Each
+    /// takes the next home shard round-robin, serves it first, and
+    /// steals ready work from the other shards when it is idle.
+    /// Returns once [`ServeEngine::shutdown`] is called and no queued
+    /// or parked work remains on any shard.
+    pub fn worker_loop(&self) {
+        let n = self.shards.len();
+        let home = self.next_home.fetch_add(1, Ordering::Relaxed) % n;
+        let mut scratch = LinkScratch::default();
+        loop {
+            // Read before the scan: once it is up, every shard's sweep
+            // in the scan drains parked tickets, so an empty scan
+            // means nothing is left anywhere.
+            let down = self.shutdown.load(Ordering::SeqCst);
+            let served = (0..n).position(|k| {
+                self.shards
+                    .get((home + k) % n)
+                    .is_some_and(|shard| self.try_process_one(shard, &mut scratch))
+            });
+            match served {
+                Some(0) => {}
+                Some(_) => {
+                    self.steals.fetch_add(1, Ordering::Relaxed);
+                }
+                None if down => return,
+                None => {
+                    if let Some(shard) = self.shards.get(home) {
+                        self.wait_for_work(shard);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Non-blocking single dispatch on `shard`: run the timeout and
+    /// shutdown sweeps, pop one ready ticket if there is one, and
+    /// process it. Returns whether a ticket was processed.
+    fn try_process_one(&self, shard: &Shard, scratch: &mut LinkScratch) -> bool {
+        let id = {
+            let mut st = shard.state.lock();
+            shard.expire_lapsed_parks(&mut st);
+            if self.shutdown.load(Ordering::SeqCst) {
+                // Degrade-only shutdown: requeue parked tickets with
+                // the abstention verdict so they complete before
+                // workers exit.
+                shard.drain_parked_for_shutdown(&mut st);
+            }
+            st.queues.pop()
+        };
+        let Some(id) = id else {
+            return false;
+        };
+        self.process(shard, id, scratch);
+        true
+    }
+
+    /// Park the calling worker on its home shard until work may be
+    /// available. Returns at once when work is queued or shutdown was
+    /// requested. The sleep is bounded by the next parked-feedback
+    /// deadline — a stalled tenant must not park forever just because
+    /// no new work arrives — and, with other shards to steal from, by
+    /// [`STEAL_POLL`], since their condvars never reach this worker.
+    fn wait_for_work(&self, shard: &Shard) {
+        let mut st = shard.state.lock();
+        if st.queues.queued_len() > 0 || self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let park = st
+            .next_timeout
+            .map(|deadline| deadline.saturating_duration_since(Instant::now()));
+        let steal = (self.shards.len() > 1).then_some(STEAL_POLL);
+        match park.into_iter().chain(steal).min() {
+            Some(bound) => {
+                let _ = shard.work_cv.wait_for(&mut st, bound);
+            }
+            None => shard.work_cv.wait(&mut st),
+        }
+    }
+
+    /// Run one ticket forward until it parks on feedback, finishes,
+    /// sheds on its deadline, or degrades to abstention after an
+    /// unrecoverable fault.
+    fn process(&self, shard: &Shard, id: TicketId, scratch: &mut LinkScratch) {
+        let mut st = shard.state.lock();
+        let Some(ticket) = st.tickets.get_mut(&id) else {
+            // A dispatched id with no ticket record is an accounting
+            // bug; drop the dispatch, keep the worker.
+            debug_assert!(false, "dispatched ticket exists");
+            shard.counters.note_breach();
+            return;
+        };
+        ticket.phase = Phase::Running;
+        let inst = ticket.inst.clone();
+        let tenant = ticket.tenant;
+        let deadline = ticket.deadline;
+        let mut stage = ticket.stage;
+        let mut parked = mem::replace(&mut ticket.parked, Parked::Fresh);
+        drop(st);
+        let Some(meta) = self.meta_of(&inst) else {
+            // `submit` rejects unknown databases, so this cannot happen
+            // through the public API — but an engine bug must degrade
+            // the one ticket, not panic the worker pool.
+            shard.finalize(id, tenant, stage, None, false, true);
+            return;
+        };
+        loop {
+            // Abstention-as-backpressure: past the budget, the
+            // remaining stages answer with the paper's own hand-off
+            // verdict instead of dropping the request.
+            if deadline.is_some_and(|d| Instant::now() > d) {
+                if let Parked::Evicted { bytes, .. } = &parked {
+                    // The shed ticket's checkpoint is never restored —
+                    // return its bytes to the accounting or the gauge
+                    // would read non-zero forever.
+                    shard.counters.note_checkpoint_discarded(bytes.len());
+                }
+                shard.finalize(id, tenant, stage, None, true, false);
+                return;
+            }
+            // Take the session, keeping the recipe that rebuilds it
+            // should a step panic. `None` = freshly opened; it
+            // rebuilds from scratch.
+            let mut recovery = None;
+            let mut s = match mem::replace(&mut parked, Parked::Fresh) {
+                Parked::Fresh => self.open_session(shard, &inst, &meta, stage),
+                Parked::Live {
+                    session, recipe, ..
+                } => {
+                    recovery = Some(recipe);
+                    *session
+                }
+                Parked::Evicted { bytes, mut recipe } => {
+                    // The bytes leave the gauge either way — they are
+                    // consumed here, restorable or not.
+                    shard.counters.note_restored(bytes.len());
+                    match self.decode_checkpoint(&bytes, &inst, stage) {
+                        Some(cp) => recipe.checkpoint = cp,
+                        // Corrupt checkpoint: the recipe kept in memory
+                        // re-runs the same regeneration bit-identically.
+                        None => {
+                            shard
+                                .counters
+                                .corrupt_checkpoints_recovered
+                                .fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    let s = self.rebuild_session(shard, &inst, &meta, stage, &recipe, scratch);
+                    recovery = Some(recipe);
+                    s
+                }
+            };
+            // Step under `catch_unwind`: a panicking step (injected or
+            // genuine) must cost at most this ticket, never the worker
+            // pool. The session is rebuilt from its recovery recipe and
+            // retried with exponential backoff; past the budget the
+            // ticket degrades to a `faulted` abstention.
+            let mut panics = 0usize;
+            let state = loop {
+                let inject = self.config.fault.trip(FaultSite::StepPanic);
+                let stepped = catch_unwind(AssertUnwindSafe(|| {
+                    if inject {
+                        // rts-allow(panic): deterministic fault
+                        // injection — this panic exists to exercise
+                        // the catch_unwind recovery path right below.
+                        std::panic::panic_any(InjectedPanic);
+                    }
+                    s.step(scratch)
+                }));
+                match stepped {
+                    Ok(state) => break Some(state),
+                    Err(_) => {
+                        shard
+                            .counters
+                            .panics_recovered
+                            .fetch_add(1, Ordering::Relaxed);
+                        panics += 1;
+                        if panics > self.config.step_retry_budget {
+                            break None;
+                        }
+                        // The unwound step may have left the scratch
+                        // buffers mid-mutation; start clean.
+                        *scratch = LinkScratch::default();
+                        let backoff =
+                            self.config.step_retry_backoff * (1u32 << (panics - 1).min(16));
+                        if !backoff.is_zero() {
+                            std::thread::sleep(backoff);
+                        }
+                        s = match &recovery {
+                            Some(recipe) => {
+                                self.rebuild_session(shard, &inst, &meta, stage, recipe, scratch)
+                            }
+                            None => self.open_session(shard, &inst, &meta, stage),
+                        };
+                    }
+                }
+            };
+            let Some(state) = state else {
+                shard
+                    .counters
+                    .panics_to_abstention
+                    .fetch_add(1, Ordering::Relaxed);
+                shard.finalize(id, tenant, stage, None, false, true);
+                return;
+            };
+            match state {
+                SessionState::NeedsFeedback(_) if self.shutdown.load(Ordering::SeqCst) => {
+                    // Shutting down: nothing will answer this flag.
+                    // Resolve it to abstention right here instead of
+                    // parking — parking after the drain sweep would
+                    // strand the ticket forever.
+                    let verdict = FlagResolution::Abstain { consulted: false };
+                    let recipe = Recipe {
+                        checkpoint: s.checkpoint(),
+                        resolution: Some(verdict.clone()),
+                    };
+                    s.resolve(verdict);
+                    if let Some(ticket) = shard.state.lock().tickets.get_mut(&id) {
+                        ticket.drained = true;
+                    } else {
+                        debug_assert!(false, "running ticket exists");
+                        shard.counters.note_breach();
+                    }
+                    shard
+                        .counters
+                        .drained_to_abstention
+                        .fetch_add(1, Ordering::Relaxed);
+                    parked = Parked::Live {
+                        session: Box::new(s),
+                        billed: 0,
+                        recipe,
+                    };
+                }
+                SessionState::NeedsFeedback(query) => {
+                    let billed = s.held_bytes();
+                    // The recovery recipe: cheap (no hidden stacks), and
+                    // the only way back should a post-resolution step
+                    // panic lose the session.
+                    let recipe = Recipe {
+                        checkpoint: s.checkpoint(),
+                        resolution: None,
+                    };
+                    let park_deadline = self.config.feedback_timeout.map(|t| Instant::now() + t);
+                    let mut st = shard.state.lock();
+                    if let Some(deadline) = park_deadline {
+                        st.next_timeout = Some(match st.next_timeout {
+                            Some(cur) => cur.min(deadline),
+                            None => deadline,
+                        });
+                    }
+                    let Some(ticket) = st.tickets.get_mut(&id) else {
+                        // No ticket to park the session on: absorb the
+                        // accounting bug and drop this request's state
+                        // instead of poisoning the worker pool.
+                        debug_assert!(false, "running ticket exists");
+                        shard.counters.note_breach();
+                        return;
+                    };
+                    ticket.parked = Parked::Live {
+                        session: Box::new(s),
+                        billed,
+                        recipe,
+                    };
+                    ticket.stage = stage;
+                    ticket.park_deadline = park_deadline;
+                    ticket.phase = Phase::AwaitingFeedback(query);
+                    st.queues.note_parked(tenant);
+                    shard.counters.note_parked(billed);
+                    shard.enforce_parked_budget(&mut st, self.config.parked_bytes_budget);
+                    drop(st);
+                    shard.client_cv.notify_all();
+                    // A parked deadline may now be the earliest wake-up:
+                    // make sure some idle worker re-arms its sleep.
+                    if park_deadline.is_some() {
+                        shard.work_cv.notify_one();
+                    }
+                    return;
+                }
+                SessionState::Done(outcome) => match stage {
+                    LinkTarget::Tables => {
+                        let mut st = shard.state.lock();
+                        let Some(ticket) = st.tickets.get_mut(&id) else {
+                            debug_assert!(false, "running ticket exists");
+                            shard.counters.note_breach();
+                            return;
+                        };
+                        ticket.tables = Some(outcome);
+                        ticket.stage = LinkTarget::Columns;
+                        // The session drops; `parked` is `Fresh`, so the
+                        // next iteration opens the chained columns
+                        // session with a recovery recipe of its own.
+                        stage = LinkTarget::Columns;
+                    }
+                    LinkTarget::Columns => {
+                        shard.finalize(id, tenant, stage, Some(outcome), false, false);
+                        return;
+                    }
+                },
+            }
+        }
+    }
+
+    /// Decode an evicted session's checkpoint, or `None` when the
+    /// bytes are corrupt (or an injected decode fault fires). A
+    /// decoded checkpoint must belong to this (instance, stage) AND to
+    /// the model's synthesis corpus — restore re-synthesizes the
+    /// round, so a cross-corpus checkpoint would rebuild different
+    /// hidden states.
+    fn decode_checkpoint(
+        &self,
+        bytes: &[u8],
+        inst: &Instance,
+        stage: LinkTarget,
+    ) -> Option<SessionCheckpoint> {
+        if self.config.fault.trip(FaultSite::CheckpointDecode) {
+            return None;
+        }
+        checkpoint::try_decode(bytes)
+            .ok()
+            .filter(|cp| cp.matches(inst, stage) && cp.corpus == self.model.corpus())
+    }
+
+    fn session_ctx(
+        &self,
+        shard: &Shard,
+        meta: &DbMeta,
+        stage: LinkTarget,
+    ) -> Option<CtxHandle<'static>> {
+        // The reference-linking knob runs context-free (the session
+        // ignores a context under it anyway; skip the cache churn).
+        if self.config.rts.reference_linking {
+            return None;
+        }
+        if self.config.fault.trip(FaultSite::ContextBuild) {
+            // A failed context build degrades to the context-free
+            // reference path — outcome-identical (pinned by the
+            // cached≡reference parity proptests), just slower. Never
+            // an abstention, never a drop.
+            shard
+                .counters
+                .context_build_fallbacks
+                .fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(CtxHandle::Shared(shard.cache.get(meta, stage)))
+    }
+
+    fn mbpp(&self, stage: LinkTarget) -> &Arc<Mbpp> {
+        match stage {
+            LinkTarget::Tables => &self.mbpp_tables,
+            LinkTarget::Columns => &self.mbpp_columns,
+        }
+    }
+
+    fn open_session(
+        &self,
+        shard: &Shard,
+        inst: &Arc<Instance>,
+        meta: &Arc<DbMeta>,
+        stage: LinkTarget,
+    ) -> LinkSession<'static> {
+        LinkSession::new_in(
+            Handle::Shared(self.model.clone()),
+            Handle::Shared(self.mbpp(stage).clone()),
+            Handle::Shared(inst.clone()),
+            Handle::Shared(meta.clone()),
+            stage,
+            self.session_ctx(shard, meta, stage),
+            None,
+            &self.config.rts,
+        )
+    }
+
+    /// Rebuild a session from its recipe, re-synthesizing the parked
+    /// round bit-identically (generation is deterministic in instance +
+    /// overrides), and re-apply the recipe's resolution. Shared by the
+    /// checkpoint-restore and panic-recovery paths. When the resolution
+    /// discards the round anyway (an abstention finishes the session
+    /// without reading it; a pin marks the stream stale and
+    /// regenerates), the synthesis is skipped — only a `Continue`
+    /// actually re-reads the parked round.
+    fn rebuild_session(
+        &self,
+        shard: &Shard,
+        inst: &Arc<Instance>,
+        meta: &Arc<DbMeta>,
+        stage: LinkTarget,
+        recipe: &Recipe,
+        scratch: &mut LinkScratch,
+    ) -> LinkSession<'static> {
+        let mut cp = recipe.checkpoint.clone();
+        if matches!(
+            recipe.resolution,
+            Some(FlagResolution::Abstain { .. } | FlagResolution::Pin(_))
+        ) {
+            cp.has_round = false;
+        }
+        let mut session = LinkSession::restore_in(
+            Handle::Shared(self.model.clone()),
+            Handle::Shared(self.mbpp(stage).clone()),
+            Handle::Shared(inst.clone()),
+            Handle::Shared(meta.clone()),
+            stage,
+            self.session_ctx(shard, meta, stage),
+            &self.config.rts,
+            &cp,
+            &mut scratch.synth,
+        );
+        if let Some(res) = &recipe.resolution {
+            session.resolve(res.clone());
+        }
+        session
+    }
+
+    /// Counter snapshot over every shard: counters and gauges sum,
+    /// peaks and depth statistics take the per-shard maximum (the
+    /// parked-session peak sums, an upper bound), and the latency
+    /// percentiles are computed once over the union of every shard's
+    /// sample window. `tenants_seen` and `tenant_in_flight_peak` are
+    /// per-shard maxima (shard-local admission does not track a
+    /// tenant's cross-shard occupancy).
+    pub fn stats(&self) -> ServingStats {
+        let mut stats = ServingStats::default();
+        let mut samples = Vec::new();
+        for shard in &self.shards {
+            // Copy the samples out under the lock; sort outside it so
+            // workers finalizing requests are never stalled behind a
+            // percentile computation.
+            samples.extend_from_slice(shard.latencies_ms.lock().samples());
+            stats.absorb(shard.stats());
+        }
+        stats.latency = LatencySummary::from_samples(&samples);
+        stats
+    }
+
+    /// One shard's counter snapshot, its percentiles over that shard's
+    /// own window. `None` past the shard count.
+    pub fn shard_stats(&self, idx: usize) -> Option<ServingStats> {
+        let shard = self.shards.get(idx)?;
+        let samples = shard.latencies_ms.lock().samples().to_vec();
+        let mut stats = shard.stats();
+        stats.latency = LatencySummary::from_samples(&samples);
+        Some(stats)
+    }
+
+    /// The engine's configuration (`shards` normalized to at least 1).
+    pub fn config(&self) -> &ServeConfig {
+        &self.config
+    }
+}
+
+impl Engine for ServeEngine {
+    /// Admit a request by `tenant` on its database's shard (`inst` is
+    /// cloned into the ticket — the engine owns everything a parked
+    /// session may need past the caller's scope). Per-tenant quotas
+    /// are checked before the queue bound, so an over-quota tenant
+    /// sees its own error, not everyone's. Both describe the owning
+    /// shard, not engine-wide occupancy.
+    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<TicketId, SubmitError> {
         // Fail fast on unknown databases, before any queue state
         // changes — a typed rejection, never a worker panic later.
-        if self.meta_of(inst).is_none() {
+        // Routing is modulo the shard count, so the shard lookup
+        // cannot miss on a constructed engine.
+        let shard = self
+            .meta_of(inst)
+            .and_then(|_| self.shards.get(self.shard_of(&inst.db_name)));
+        let Some(shard) = shard else {
             return Err(SubmitError::UnknownDatabase {
                 database: inst.db_name.clone(),
             });
-        }
+        };
         let now = Instant::now();
-        let mut st = self.state.lock();
+        let mut st = shard.state.lock();
         let quota = self.config.quota;
         let load = st.queues.load(tenant);
         if quota.max_in_flight > 0 && load.in_flight >= quota.max_in_flight {
-            self.counters.rejected_quota.fetch_add(1, Ordering::Relaxed);
+            shard
+                .counters
+                .rejected_quota
+                .fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QuotaExceeded {
                 tenant,
                 limit: quota.max_in_flight,
             });
         }
         if quota.max_parked > 0 && load.parked >= quota.max_parked {
-            self.counters.rejected_quota.fetch_add(1, Ordering::Relaxed);
+            shard
+                .counters
+                .rejected_quota
+                .fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QuotaExceeded {
                 tenant,
                 limit: quota.max_parked,
             });
         }
         if self.config.queue_capacity > 0 && st.queues.n_admission() >= self.config.queue_capacity {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            shard.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QueueFull {
                 capacity: self.config.queue_capacity,
             });
         }
         let id = st.next_id;
-        st.next_id += 1;
+        st.next_id += self.shards.len() as TicketId;
         st.tickets.insert(
             id,
             Ticket {
@@ -358,12 +912,7 @@ impl ServeEngine {
                 deadline: self.config.deadline.map(|d| now + d),
                 park_deadline: None,
                 stage: LinkTarget::Tables,
-                session: None,
-                checkpoint: None,
-                pending_resolution: None,
-                salvage: None,
-                salvage_resolution: None,
-                parked_billed: 0,
+                parked: Parked::Fresh,
                 tables: None,
                 n_feedback: 0,
                 timed_out: false,
@@ -373,55 +922,29 @@ impl ServeEngine {
         );
         st.queues.push_admission(tenant, id);
         st.queues.note_admitted(tenant);
-        self.counters.note_depth(st.queues.queued_len());
+        shard.counters.note_depth(st.queues.queued_len());
         drop(st);
-        self.work_cv.notify_one();
+        shard.work_cv.notify_one();
         Ok(id)
     }
 
-    /// Block until the ticket suspends on feedback or completes. On
-    /// [`ClientEvent::Done`] the ticket is retired — a later call for
-    /// the same id returns [`ClientEvent::Retired`], as does an id
-    /// that was never issued. Re-polling a suspended ticket returns
-    /// the same query; the protocol is
-    /// `submit → (wait_event → resolve)* → Done`.
-    pub fn wait_event(&self, id: TicketId) -> ClientEvent {
-        let mut st = self.state.lock();
-        loop {
-            let Some(ticket) = st.tickets.get(&id) else {
-                return ClientEvent::Retired;
-            };
-            match &ticket.phase {
-                Phase::AwaitingFeedback(query) => {
-                    return ClientEvent::NeedsFeedback {
-                        target: ticket.stage,
-                        query: query.clone(),
-                    };
-                }
-                Phase::Done(_) => {
-                    return match st.tickets.remove(&id).map(|t| t.phase) {
-                        Some(Phase::Done(outcome)) => ClientEvent::Done(outcome),
-                        // Unreachable under the lock held since the
-                        // check above — but a client API degrades, it
-                        // never panics.
-                        _ => ClientEvent::Retired,
-                    };
-                }
-                Phase::Queued | Phase::Running => self.client_cv.wait(&mut st),
-            }
-        }
+    fn wait_event(&self, id: TicketId) -> ClientEvent {
+        self.wait_event_changed(id, None)
     }
 
-    /// Edge-triggered [`ServeEngine::wait_event`]: block until the
-    /// ticket's state *differs* from `last_seen` — the query the caller
-    /// already has in hand (or `None` when it has seen nothing yet).
-    /// A level-triggered poll loop over `wait_event` spins while a
-    /// known flag stays unanswered; a connection handler pushing events
-    /// to a remote client needs "wake me on the *next* transition"
-    /// instead. Round numbers make successive queries of one ticket
-    /// distinct, so equality on the query is a correct edge detector.
-    pub fn wait_event_changed(&self, id: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent {
-        let mut st = self.state.lock();
+    /// Block until the ticket's state *differs* from `last_seen` — the
+    /// query the caller already has in hand, or `None` when it has
+    /// seen nothing yet (which is plain [`Engine::wait_event`]). A
+    /// level-triggered poll loop spins while a known flag stays
+    /// unanswered; a connection handler pushing events to a remote
+    /// client needs "wake me on the *next* transition" instead. Round
+    /// numbers make successive queries of one ticket distinct, so
+    /// equality on the query is a correct edge detector.
+    fn wait_event_changed(&self, id: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent {
+        let Some(shard) = self.ticket_shard(id) else {
+            return ClientEvent::Retired;
+        };
+        let mut st = shard.state.lock();
         loop {
             let Some(ticket) = st.tickets.get(&id) else {
                 return ClientEvent::Retired;
@@ -442,16 +965,13 @@ impl ServeEngine {
                         _ => ClientEvent::Retired,
                     };
                 }
-                _ => self.client_cv.wait(&mut st),
+                _ => shard.client_cv.wait(&mut st),
             }
         }
     }
 
-    /// Apply feedback to a suspended ticket and re-queue it. `query` is
-    /// the [`FlagQuery`] the client is answering (from its last
-    /// [`ClientEvent::NeedsFeedback`]) — the flag's identity, so a
-    /// stale answer can never land on a different flag. Resumed work
-    /// bypasses admission bounds — it was already admitted.
+    /// Apply feedback to a suspended ticket and re-queue it. Resumed
+    /// work bypasses admission bounds — it was already admitted.
     ///
     /// `Err(ResolveError::Stale)` means the resolution lost a race:
     /// the flag was already answered (a feedback timeout, a duplicate
@@ -460,17 +980,21 @@ impl ServeEngine {
     /// saw. `Err(ResolveError::Retired)` means the ticket is gone.
     /// Either way the answer is dropped, never misapplied — and a
     /// protocol race is a typed error, never a panic.
-    pub fn resolve(
+    fn resolve(
         &self,
         id: TicketId,
         query: &FlagQuery,
         resolution: FlagResolution,
     ) -> Result<(), ResolveError> {
+        let Some(shard) = self.ticket_shard(id) else {
+            return Err(ResolveError::Retired);
+        };
         if self.config.fault.trip(FaultSite::FeedbackDelay) {
             // A slow network between client and engine: the resolution
             // arrives late, exercising the stale-answer races (taken
             // before the state lock — a delay must not stall workers).
-            self.counters
+            shard
+                .counters
                 .feedback_delayed
                 .fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(self.config.fault.feedback_delay);
@@ -481,10 +1005,10 @@ impl ServeEngine {
             // client's view the resolve succeeded; the park timeout
             // completes the request as an abstention hand-off. Only
             // injected when a timeout exists to rescue the park.
-            self.counters.feedback_lost.fetch_add(1, Ordering::Relaxed);
+            shard.counters.feedback_lost.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        let mut st = self.state.lock();
+        let mut st = shard.state.lock();
         let Some(ticket) = st.tickets.get_mut(&id) else {
             return Err(ResolveError::Retired);
         };
@@ -493,22 +1017,58 @@ impl ServeEngine {
             _ => return Err(ResolveError::Stale),
         }
         ticket.n_feedback += 1;
-        self.unpark(&mut st, id, resolution);
-        self.counters
+        shard.unpark(&mut st, id, resolution);
+        shard
+            .counters
             .feedback_rounds
             .fetch_add(1, Ordering::Relaxed);
         drop(st);
-        self.work_cv.notify_one();
+        shard.work_cv.notify_one();
         Ok(())
     }
 
-    /// The one unpark protocol, shared by client resolutions and
-    /// feedback-timeout expiry: release the parked billing, apply the
-    /// resolution to the live session (or stash it for the worker to
-    /// apply after restoring a checkpointed one), and re-queue the
-    /// ticket on its tenant's resume lane. Callers bill their own
-    /// counters (`feedback_rounds` vs `timed_out`) around it.
-    fn unpark(&self, st: &mut EngineState, id: TicketId, resolution: FlagResolution) {
+    fn stats(&self) -> ServingStats {
+        ServeEngine::stats(self)
+    }
+
+    /// Signal schema drift for `db`: drop its cached `LinkContext`s on
+    /// its shard (the only one that ever builds them) so *new*
+    /// sessions rebuild against the current metadata. Sessions already
+    /// in flight finish on their pinned `Arc<LinkContext>` —
+    /// invalidation never changes what a running request holds.
+    fn invalidate_db(&self, db: &str) -> usize {
+        let Some(shard) = self.shards.get(self.shard_of(db)) else {
+            return 0;
+        };
+        shard
+            .counters
+            .db_invalidations
+            .fetch_add(1, Ordering::Relaxed);
+        shard.cache.invalidate_db(db)
+    }
+
+    /// Override a tenant's fair-share weight (default 1) on every
+    /// shard — a tenant's databases may hash anywhere. A tenant with
+    /// weight `w` is dispatched `w` admissions per scheduling cycle.
+    fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
+        for shard in &self.shards {
+            shard.state.lock().queues.set_weight(tenant, weight);
+        }
+    }
+
+    fn shutdown(&self) {
+        ServeEngine::shutdown(self)
+    }
+}
+
+impl Shard {
+    /// The one unpark protocol, shared by client resolutions,
+    /// feedback-timeout expiry and the shutdown drain: release the
+    /// parked billing, apply the resolution to the live session (or
+    /// record it for the worker to apply after restoring an evicted
+    /// one), and re-queue the ticket on its tenant's resume lane.
+    /// Callers bill their own counters around it.
+    fn unpark(&self, st: &mut ShardState, id: TicketId, resolution: FlagResolution) {
         let Some(ticket) = st.tickets.get_mut(&id) else {
             // Unparking an id with no ticket is an accounting bug;
             // absorb it (nothing to resume) rather than panic a worker
@@ -517,46 +1077,43 @@ impl ServeEngine {
             self.counters.note_breach();
             return;
         };
-        self.counters.note_unparked(ticket.parked_billed);
-        ticket.parked_billed = 0;
         ticket.park_deadline = None;
-        match ticket.session.as_mut() {
-            Some(session) => {
-                // Remember what was applied: if a later step panics,
-                // the salvage checkpoint (captured *before* this
+        let mut billed = 0;
+        ticket.parked = match mem::replace(&mut ticket.parked, Parked::Fresh) {
+            Parked::Live {
+                mut session,
+                billed: live,
+                mut recipe,
+            } => {
+                billed = live;
+                // Remember what was applied: should a later step
+                // panic, the recipe (captured *before* this
                 // resolution) plus this replay rebuilds the session.
-                ticket.salvage_resolution = Some(resolution.clone());
+                recipe.resolution = Some(resolution.clone());
                 session.resolve(resolution);
+                Parked::Live {
+                    session,
+                    billed: 0,
+                    recipe,
+                }
             }
-            // Checkpointed while parked: the worker restores the
-            // session and applies this resolution before stepping.
-            None => ticket.pending_resolution = Some(resolution),
-        }
+            // Evicted while parked: the worker restores the session
+            // and applies this resolution before stepping.
+            Parked::Evicted { bytes, mut recipe } => {
+                recipe.resolution = Some(resolution);
+                Parked::Evicted { bytes, recipe }
+            }
+            Parked::Fresh => {
+                debug_assert!(false, "a parked ticket holds its session");
+                self.counters.note_breach();
+                Parked::Fresh
+            }
+        };
+        self.counters.note_unparked(billed);
         ticket.phase = Phase::Queued;
         let tenant = ticket.tenant;
         st.queues.push_resume(tenant, id);
         st.queues.note_unparked(tenant);
-    }
-
-    /// Ask workers to exit once the queues drain. In-queue tickets are
-    /// still processed, and *parked* tickets are drained: nothing will
-    /// answer their flags anymore, so workers resolve each one with
-    /// the abstention verdict (`drained_to_abstention` in the stats)
-    /// and run it to completion — every submitted ticket ends
-    /// [`ClientEvent::Done`], memory gauges drain to zero, and a
-    /// client still polling collects its outcome.
-    pub fn shutdown(&self) {
-        // Flip the flag *under the state lock*: a worker that just saw
-        // `shutdown == false` while holding the lock is guaranteed to
-        // reach `work_cv.wait` (atomically releasing it) before this
-        // store can happen, so the notify below always lands. Storing
-        // outside the lock could slot the store+notify between a
-        // worker's check and its wait — a lost wakeup that parks the
-        // worker forever.
-        let st = self.state.lock();
-        self.shutdown.store(true, Ordering::SeqCst);
-        drop(st);
-        self.work_cv.notify_all();
     }
 
     /// Resolve every parked ticket whose feedback deadline lapsed with
@@ -565,10 +1122,7 @@ impl ServeEngine {
     /// act on them. O(1) while nothing can have lapsed (the cached
     /// `next_timeout` bound); the full ticket scan runs only when a
     /// deadline actually passed, and re-tightens the bound.
-    fn expire_lapsed_parks(&self, st: &mut EngineState) {
-        if self.config.feedback_timeout.is_none() {
-            return;
-        }
+    fn expire_lapsed_parks(&self, st: &mut ShardState) {
         let now = Instant::now();
         match st.next_timeout {
             None => return,
@@ -613,7 +1167,7 @@ impl ServeEngine {
     /// exiting. Workers call this on every dispatch once the shutdown
     /// flag is up; `process` stops parking new flags at the same point,
     /// so no ticket can strand between the last sweep and worker exit.
-    fn drain_parked_for_shutdown(&self, st: &mut EngineState) {
+    fn drain_parked_for_shutdown(&self, st: &mut ShardState) {
         let parked: Vec<TicketId> = st
             .tickets
             .iter()
@@ -634,491 +1188,42 @@ impl ServeEngine {
         }
     }
 
-    /// Earliest possible parked-feedback deadline, bounding how long an
-    /// idle worker may sleep. The cached bound may be stale-early after
-    /// an unpark — the woken worker just sweeps, finds nothing, and
-    /// sleeps again with a corrected bound.
-    fn next_park_deadline(&self, st: &EngineState) -> Option<Instant> {
-        self.config.feedback_timeout?;
-        st.next_timeout
-    }
-
-    /// The worker body: spawn `config.workers` scoped threads on this.
-    /// Returns when [`ServeEngine::shutdown`] is called and no queued
-    /// work remains.
-    pub fn worker_loop(&self) {
-        let mut scratch = LinkScratch::default();
-        loop {
-            let id = {
-                let mut st = self.state.lock();
-                loop {
-                    self.expire_lapsed_parks(&mut st);
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // Degrade-only shutdown: requeue parked tickets
-                        // with the abstention verdict so they complete
-                        // (and are popped below) before workers exit.
-                        self.drain_parked_for_shutdown(&mut st);
-                    }
-                    if let Some(id) = st.queues.pop() {
-                        break id;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    match self.next_park_deadline(&st) {
-                        // Sleep only until the next timeout can fire; a
-                        // stalled tenant must not park forever just
-                        // because no new work arrives to wake us.
-                        Some(deadline) => {
-                            let wait = deadline.saturating_duration_since(Instant::now());
-                            let _ = self.work_cv.wait_for(&mut st, wait);
-                        }
-                        None => self.work_cv.wait(&mut st),
-                    }
-                }
-            };
-            self.process(id, &mut scratch);
-        }
-    }
-
-    /// Non-blocking single dispatch: run the timeout/shutdown sweeps,
-    /// pop one ready ticket if there is one, and process it. Returns
-    /// whether a ticket was processed. This is the building block a
-    /// sharded pool's workers use to serve their home shard and steal
-    /// from neighbours without committing to any engine's blocking
-    /// [`ServeEngine::worker_loop`].
-    pub fn try_process_one(&self, scratch: &mut LinkScratch) -> bool {
-        let id = {
-            let mut st = self.state.lock();
-            self.expire_lapsed_parks(&mut st);
-            if self.shutdown.load(Ordering::SeqCst) {
-                self.drain_parked_for_shutdown(&mut st);
-            }
-            st.queues.pop()
-        };
-        match id {
-            Some(id) => {
-                self.process(id, scratch);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Park the calling worker until work may be available on this
-    /// engine, bounded by `timeout` and by the next parked-feedback
-    /// deadline. Returns immediately when work is already queued or
-    /// shutdown was requested. A work-stealing worker sleeps here on
-    /// its *home* shard between scans — the bound keeps it rescanning
-    /// neighbours it holds no condvar on.
-    pub fn wait_for_work(&self, timeout: Duration) {
-        let mut st = self.state.lock();
-        if st.queues.queued_len() > 0 || self.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let bound = match self.next_park_deadline(&st) {
-            Some(deadline) => deadline
-                .saturating_duration_since(Instant::now())
-                .min(timeout),
-            None => timeout,
-        };
-        let _ = self.work_cv.wait_for(&mut st, bound);
-    }
-
-    /// Whether [`ServeEngine::shutdown`] has been requested.
-    pub fn is_shut_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Raw completed-request latency samples (the bounded window) —
-    /// what a sharded aggregate recomputes fleet percentiles from.
-    pub(crate) fn latency_samples_ms(&self) -> Vec<f64> {
-        self.latencies_ms.lock().snapshot()
-    }
-
-    /// Run one ticket forward until it parks on feedback, finishes,
-    /// sheds on its deadline, or degrades to abstention after an
-    /// unrecoverable fault.
-    fn process(&self, id: TicketId, scratch: &mut LinkScratch) {
-        let (
-            inst,
-            tenant,
-            mut stage,
-            mut session,
-            mut checkpointed,
-            mut resolution,
-            deadline,
-            mut salvage,
-            mut salvage_resolution,
-        ) = {
-            let mut st = self.state.lock();
-            let Some(ticket) = st.tickets.get_mut(&id) else {
-                // A dispatched id with no ticket record is an
-                // accounting bug; drop the dispatch, keep the worker.
-                debug_assert!(false, "dispatched ticket exists");
-                self.counters.note_breach();
-                return;
-            };
-            ticket.phase = Phase::Running;
-            (
-                ticket.inst.clone(),
-                ticket.tenant,
-                ticket.stage,
-                ticket.session.take(),
-                ticket.checkpoint.take(),
-                ticket.pending_resolution.take(),
-                ticket.deadline,
-                ticket.salvage.take(),
-                ticket.salvage_resolution.take(),
-            )
-        };
-        let Some(meta) = self.meta_of(&inst) else {
-            // `submit` rejects unknown databases, so this cannot happen
-            // through the public API — but an engine bug must degrade
-            // the one ticket, not panic the worker pool.
-            self.finalize(id, tenant, stage, None, false, true);
-            return;
-        };
-        loop {
-            // Abstention-as-backpressure: past the budget, the
-            // remaining stages answer with the paper's own hand-off
-            // verdict instead of dropping the request.
-            if deadline.is_some_and(|d| Instant::now() > d) {
-                if let Some(bytes) = checkpointed.take() {
-                    // The shed ticket's checkpoint is never restored —
-                    // return its bytes to the accounting or the gauge
-                    // would read non-zero forever.
-                    self.counters.note_checkpoint_discarded(bytes.len());
-                }
-                self.finalize(id, tenant, stage, None, true, false);
-                return;
-            }
-            // Build the session, remembering the recipe that rebuilds
-            // it should a step panic: the pre-resolution checkpoint
-            // plus the resolution to replay. `None` = the session was
-            // freshly opened and rebuilds from scratch.
-            let (mut s, recovery): (
-                LinkSession<'static>,
-                Option<(SessionCheckpoint, Option<FlagResolution>)>,
-            ) = match session.take() {
-                Some(s) => (s, salvage.take().map(|cp| (cp, salvage_resolution.take()))),
-                None => match checkpointed.take() {
-                    Some(bytes) => {
-                        let decoded = if self.config.fault.trip(FaultSite::CheckpointDecode) {
-                            None
-                        } else {
-                            // A decoded checkpoint must belong to this
-                            // (instance, stage) AND to the model's
-                            // synthesis corpus — restore re-synthesizes
-                            // the round, so a cross-corpus checkpoint
-                            // would rebuild different hidden states.
-                            // Mismatches fall through to the salvage
-                            // recipe (degrade, never panic).
-                            checkpoint::try_decode(&bytes).ok().filter(|cp| {
-                                cp.matches(&inst, stage) && cp.corpus == self.model.corpus()
-                            })
-                        };
-                        // The bytes leave the gauge either way — they
-                        // are consumed here, restorable or not.
-                        self.counters.note_restored(bytes.len());
-                        let cp = match decoded {
-                            Some(cp) => cp,
-                            // Corrupt checkpoint: the salvage copy kept
-                            // in memory at park time re-runs the same
-                            // regeneration recipe bit-identically.
-                            None => match salvage.take() {
-                                Some(cp) => {
-                                    self.counters
-                                        .corrupt_checkpoints_recovered
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    cp
-                                }
-                                None => {
-                                    self.finalize(id, tenant, stage, None, false, true);
-                                    return;
-                                }
-                            },
-                        };
-                        let res = resolution.take();
-                        let s = self.rebuild_session(&inst, &meta, stage, &cp, &res, scratch);
-                        (s, Some((cp, res)))
-                    }
-                    None => (self.open_session(&inst, &meta, stage), None),
-                },
-            };
-            // Step under `catch_unwind`: a panicking step (injected or
-            // genuine) must cost at most this ticket, never the worker
-            // pool. The session is rebuilt from its recovery recipe and
-            // retried with exponential backoff; past the budget the
-            // ticket degrades to a `faulted` abstention.
-            let mut panics = 0usize;
-            let state = loop {
-                let inject = self.config.fault.trip(FaultSite::StepPanic);
-                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    if inject {
-                        // rts-allow(panic): deterministic fault
-                        // injection — this panic exists to exercise
-                        // the catch_unwind recovery path right below.
-                        std::panic::panic_any(InjectedPanic);
-                    }
-                    s.step(scratch)
-                }));
-                match stepped {
-                    Ok(state) => break Some(state),
-                    Err(_) => {
-                        self.counters
-                            .panics_recovered
-                            .fetch_add(1, Ordering::Relaxed);
-                        panics += 1;
-                        if panics > self.config.step_retry_budget {
-                            break None;
-                        }
-                        // The unwound step may have left the scratch
-                        // buffers mid-mutation; start clean.
-                        *scratch = LinkScratch::default();
-                        let backoff =
-                            self.config.step_retry_backoff * (1u32 << (panics - 1).min(16));
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                        s = match &recovery {
-                            Some((cp, res)) => {
-                                self.rebuild_session(&inst, &meta, stage, cp, res, scratch)
-                            }
-                            None => self.open_session(&inst, &meta, stage),
-                        };
-                    }
-                }
-            };
-            let Some(state) = state else {
-                self.counters
-                    .panics_to_abstention
-                    .fetch_add(1, Ordering::Relaxed);
-                self.finalize(id, tenant, stage, None, false, true);
-                return;
-            };
-            match state {
-                SessionState::NeedsFeedback(query) => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // Shutting down: nothing will answer this flag.
-                        // Resolve it to abstention right here instead
-                        // of parking — parking after the drain sweep
-                        // would strand the ticket forever.
-                        let cp = s.checkpoint();
-                        let verdict = FlagResolution::Abstain { consulted: false };
-                        s.resolve(verdict.clone());
-                        {
-                            let mut st = self.state.lock();
-                            if let Some(ticket) = st.tickets.get_mut(&id) {
-                                ticket.drained = true;
-                            } else {
-                                debug_assert!(false, "running ticket exists");
-                                self.counters.note_breach();
-                            }
-                        }
-                        self.counters
-                            .drained_to_abstention
-                            .fetch_add(1, Ordering::Relaxed);
-                        session = Some(s);
-                        salvage = Some(cp);
-                        salvage_resolution = Some(verdict);
-                        let _ = query;
-                        continue;
-                    }
-                    let held = s.held_bytes();
-                    // The salvage recipe: cheap (recipe-sized, no
-                    // hidden stacks), and the only way back should a
-                    // post-resolution step panic lose the session.
-                    let cp = s.checkpoint();
-                    let park_deadline = self.config.feedback_timeout.map(|t| Instant::now() + t);
-                    let mut st = self.state.lock();
-                    if let Some(deadline) = park_deadline {
-                        st.next_timeout = Some(match st.next_timeout {
-                            Some(cur) => cur.min(deadline),
-                            None => deadline,
-                        });
-                    }
-                    let Some(ticket) = st.tickets.get_mut(&id) else {
-                        // No ticket to park the session on: absorb the
-                        // accounting bug and drop this request's state
-                        // instead of poisoning the worker pool.
-                        debug_assert!(false, "running ticket exists");
-                        self.counters.note_breach();
-                        return;
-                    };
-                    ticket.session = Some(s);
-                    ticket.stage = stage;
-                    ticket.salvage = Some(cp);
-                    ticket.salvage_resolution = None;
-                    ticket.parked_billed = held;
-                    ticket.park_deadline = park_deadline;
-                    ticket.phase = Phase::AwaitingFeedback(query);
-                    st.queues.note_parked(tenant);
-                    self.counters.note_parked(held);
-                    self.enforce_parked_budget(&mut st);
-                    drop(st);
-                    self.client_cv.notify_all();
-                    // A parked deadline may now be the earliest wake-up:
-                    // make sure some idle worker re-arms its sleep.
-                    if self.config.feedback_timeout.is_some() {
-                        self.work_cv.notify_one();
-                    }
-                    return;
-                }
-                SessionState::Done(outcome) => match stage {
-                    LinkTarget::Tables => {
-                        let mut st = self.state.lock();
-                        let Some(ticket) = st.tickets.get_mut(&id) else {
-                            debug_assert!(false, "running ticket exists");
-                            self.counters.note_breach();
-                            return;
-                        };
-                        ticket.tables = Some(outcome);
-                        ticket.stage = LinkTarget::Columns;
-                        stage = LinkTarget::Columns;
-                        // Session dropped; the next loop iteration
-                        // opens the chained columns session. The tables
-                        // salvage is stage-local — clear it.
-                        salvage = None;
-                        salvage_resolution = None;
-                    }
-                    LinkTarget::Columns => {
-                        self.finalize(id, tenant, stage, Some(outcome), false, false);
-                        return;
-                    }
-                },
-            }
-        }
-    }
-
     /// Evict live parked sessions (largest first) into serialized
-    /// checkpoints until the parked-bytes budget holds. Serialization
-    /// is cheap — the checkpoint stores the regeneration recipe, not
-    /// the hidden stacks — so running under the state lock is fine;
-    /// the expensive re-synthesis happens on the worker that resumes
-    /// the ticket.
-    fn enforce_parked_budget(&self, st: &mut EngineState) {
-        let budget = self.config.parked_bytes_budget;
+    /// checkpoints until the parked-bytes `budget` (`0` = none) holds.
+    /// Serialization is cheap — the checkpoint is the regeneration
+    /// recipe, not the hidden stacks — so running under the state lock
+    /// is fine; the expensive re-synthesis happens on the worker that
+    /// resumes the ticket.
+    fn enforce_parked_budget(&self, st: &mut ShardState, budget: usize) {
         if budget == 0 {
             return;
         }
         while self.counters.parked_bytes.load(Ordering::Relaxed) > budget {
             let victim = st
                 .tickets
-                .iter()
-                .filter(|(_, t)| {
-                    matches!(t.phase, Phase::AwaitingFeedback(_)) && t.session.is_some()
+                .values_mut()
+                .filter(|t| matches!(t.phase, Phase::AwaitingFeedback(_)))
+                .filter_map(|t| match t.parked {
+                    Parked::Live { billed, .. } => Some((billed, t)),
+                    _ => None,
                 })
-                .max_by_key(|(_, t)| t.parked_billed)
-                .map(|(&id, _)| id);
-            let Some(vid) = victim else { break };
-            // The victim was selected from this map under this lock;
-            // a miss here is an accounting bug — stop evicting (the
-            // budget check loops on a counter, so continuing could
-            // spin) and record the breach.
-            let Some(ticket) = st.tickets.get_mut(&vid) else {
-                debug_assert!(false, "victim exists");
+                .max_by_key(|(billed, _)| *billed);
+            let Some((_, ticket)) = victim else { break };
+            let Parked::Live { billed, recipe, .. } =
+                mem::replace(&mut ticket.parked, Parked::Fresh)
+            else {
+                // Selected as `Live` under this lock just above.
+                debug_assert!(false, "victim holds a live session");
                 self.counters.note_breach();
                 break;
             };
-            let Some(session) = ticket.session.take() else {
-                debug_assert!(false, "victim has a live session");
-                self.counters.note_breach();
-                break;
-            };
-            let bytes = checkpoint::encode(&session.checkpoint());
-            self.counters
-                .note_checkpointed(ticket.parked_billed, bytes.len());
-            ticket.parked_billed = 0;
-            ticket.checkpoint = Some(bytes);
-            // `session` drops here — its hidden stacks are freed.
+            // A parked session is untouched since it parked, so its
+            // recipe checkpoint is exactly the session's checkpoint.
+            let bytes = checkpoint::encode(&recipe.checkpoint);
+            self.counters.note_checkpointed(billed, bytes.len());
+            // The live session drops here — its hidden stacks are freed.
+            ticket.parked = Parked::Evicted { bytes, recipe };
         }
-    }
-
-    fn session_ctx(&self, meta: &DbMeta, stage: LinkTarget) -> Option<CtxHandle<'static>> {
-        // The reference-linking knob runs context-free (the session
-        // ignores a context under it anyway; skip the cache churn).
-        if self.config.rts.reference_linking {
-            return None;
-        }
-        if self.config.fault.trip(FaultSite::ContextBuild) {
-            // A failed context build degrades to the context-free
-            // reference path — outcome-identical (pinned by the
-            // cached≡reference parity proptests), just slower. Never
-            // an abstention, never a drop.
-            self.counters
-                .context_build_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(CtxHandle::Shared(self.cache.get(meta, stage)))
-    }
-
-    fn open_session(
-        &self,
-        inst: &Arc<Instance>,
-        meta: &Arc<DbMeta>,
-        stage: LinkTarget,
-    ) -> LinkSession<'static> {
-        let mbpp = match stage {
-            LinkTarget::Tables => &self.mbpp_tables,
-            LinkTarget::Columns => &self.mbpp_columns,
-        };
-        LinkSession::new_in(
-            Handle::Shared(self.model.clone()),
-            Handle::Shared(mbpp.clone()),
-            Handle::Shared(inst.clone()),
-            Handle::Shared(meta.clone()),
-            stage,
-            self.session_ctx(meta, stage),
-            None,
-            &self.config.rts,
-        )
-    }
-
-    /// Rebuild a session from a checkpoint recipe and re-apply
-    /// `resolution`, re-synthesizing the evicted round bit-identically
-    /// (generation is deterministic in instance + overrides). Shared by
-    /// the checkpoint-restore and panic-salvage paths. When the
-    /// resolution discards the round anyway (an abstention finishes the
-    /// session without reading it; a pin marks the stream stale and
-    /// regenerates), the synthesis is skipped — only a `Continue`
-    /// actually re-reads the parked round.
-    fn rebuild_session(
-        &self,
-        inst: &Arc<Instance>,
-        meta: &Arc<DbMeta>,
-        stage: LinkTarget,
-        cp: &SessionCheckpoint,
-        resolution: &Option<FlagResolution>,
-        scratch: &mut LinkScratch,
-    ) -> LinkSession<'static> {
-        let mut cp = cp.clone();
-        if matches!(
-            resolution,
-            Some(FlagResolution::Abstain { .. } | FlagResolution::Pin(_))
-        ) {
-            cp.has_round = false;
-        }
-        let mbpp = match stage {
-            LinkTarget::Tables => &self.mbpp_tables,
-            LinkTarget::Columns => &self.mbpp_columns,
-        };
-        let mut session = LinkSession::restore_in(
-            Handle::Shared(self.model.clone()),
-            Handle::Shared(mbpp.clone()),
-            Handle::Shared(inst.clone()),
-            Handle::Shared(meta.clone()),
-            stage,
-            self.session_ctx(meta, stage),
-            &self.config.rts,
-            &cp,
-            &mut scratch.synth,
-        );
-        if let Some(res) = resolution {
-            session.resolve(res.clone());
-        }
-        session
     }
 
     /// The abstention every shed stage degrades to.
@@ -1184,59 +1289,45 @@ impl ServeEngine {
         self.client_cv.notify_all();
     }
 
-    /// Counter snapshot (latency percentiles recomputed on each call).
-    pub fn stats(&self) -> ServingStats {
-        // Copy the samples out under the lock; sort/summarize outside
-        // it so workers finalizing requests are never stalled behind a
-        // percentile computation.
-        let samples = self.latencies_ms.lock().snapshot();
-        let latency = LatencySummary::from_samples(&samples);
+    /// This shard's counter snapshot, latency left zero (the engine
+    /// computes percentiles over the windows it merges).
+    fn stats(&self) -> ServingStats {
         let (tenants_seen, tenant_in_flight_peak) = {
             let st = self.state.lock();
             (st.queues.n_tenants(), st.queues.max_in_flight_peak())
         };
+        let c = &self.counters;
         ServingStats {
             completed: self.completed.load(Ordering::Relaxed),
-            shed: self.counters.shed.load(Ordering::Relaxed),
-            rejected: self.counters.rejected.load(Ordering::Relaxed),
-            rejected_quota: self.counters.rejected_quota.load(Ordering::Relaxed),
-            feedback_rounds: self.counters.feedback_rounds.load(Ordering::Relaxed),
-            timed_out_to_abstention: self.counters.timed_out.load(Ordering::Relaxed),
-            latency,
-            queue_depth_max: self.counters.depth_max.load(Ordering::Relaxed),
-            queue_depth_mean: self.counters.depth_mean(),
+            shed: c.shed.load(Ordering::Relaxed),
+            rejected: c.rejected.load(Ordering::Relaxed),
+            rejected_quota: c.rejected_quota.load(Ordering::Relaxed),
+            feedback_rounds: c.feedback_rounds.load(Ordering::Relaxed),
+            timed_out_to_abstention: c.timed_out.load(Ordering::Relaxed),
+            latency: LatencySummary::default(),
+            queue_depth_max: c.depth_max.load(Ordering::Relaxed),
+            queue_depth_mean: c.depth_mean(),
             cache: self.cache.stats(),
-            parked_bytes_peak: self.counters.parked_bytes_peak.load(Ordering::Relaxed),
-            parked_sessions_peak: self.counters.parked_sessions_peak.load(Ordering::Relaxed),
-            parked_bytes_now: self.counters.parked_bytes.load(Ordering::Relaxed),
-            parked_sessions_now: self.counters.parked_sessions.load(Ordering::Relaxed),
-            checkpoints: self.counters.checkpoints.load(Ordering::Relaxed),
-            restores: self.counters.restores.load(Ordering::Relaxed),
-            checkpoint_bytes_peak: self.counters.checkpoint_bytes_peak.load(Ordering::Relaxed),
-            checkpoint_bytes_now: self.counters.checkpoint_bytes.load(Ordering::Relaxed),
+            parked_bytes_peak: c.parked_bytes_peak.load(Ordering::Relaxed),
+            parked_sessions_peak: c.parked_sessions_peak.load(Ordering::Relaxed),
+            parked_bytes_now: c.parked_bytes.load(Ordering::Relaxed),
+            parked_sessions_now: c.parked_sessions.load(Ordering::Relaxed),
+            checkpoints: c.checkpoints.load(Ordering::Relaxed),
+            restores: c.restores.load(Ordering::Relaxed),
+            checkpoint_bytes_peak: c.checkpoint_bytes_peak.load(Ordering::Relaxed),
+            checkpoint_bytes_now: c.checkpoint_bytes.load(Ordering::Relaxed),
             tenants_seen,
             tenant_in_flight_peak,
-            panics_recovered: self.counters.panics_recovered.load(Ordering::Relaxed),
-            panics_to_abstention: self.counters.panics_to_abstention.load(Ordering::Relaxed),
-            corrupt_checkpoints_recovered: self
-                .counters
-                .corrupt_checkpoints_recovered
-                .load(Ordering::Relaxed),
-            context_build_fallbacks: self
-                .counters
-                .context_build_fallbacks
-                .load(Ordering::Relaxed),
-            feedback_lost: self.counters.feedback_lost.load(Ordering::Relaxed),
-            feedback_delayed: self.counters.feedback_delayed.load(Ordering::Relaxed),
-            drained_to_abstention: self.counters.drained_to_abstention.load(Ordering::Relaxed),
-            db_invalidations: self.counters.db_invalidations.load(Ordering::Relaxed),
-            invariant_breaches: self.counters.invariant_breaches.load(Ordering::Relaxed),
+            panics_recovered: c.panics_recovered.load(Ordering::Relaxed),
+            panics_to_abstention: c.panics_to_abstention.load(Ordering::Relaxed),
+            corrupt_checkpoints_recovered: c.corrupt_checkpoints_recovered.load(Ordering::Relaxed),
+            context_build_fallbacks: c.context_build_fallbacks.load(Ordering::Relaxed),
+            feedback_lost: c.feedback_lost.load(Ordering::Relaxed),
+            feedback_delayed: c.feedback_delayed.load(Ordering::Relaxed),
+            drained_to_abstention: c.drained_to_abstention.load(Ordering::Relaxed),
+            db_invalidations: c.db_invalidations.load(Ordering::Relaxed),
+            invariant_breaches: c.invariant_breaches.load(Ordering::Relaxed),
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 }
 
@@ -1524,6 +1615,56 @@ mod tests {
             stats.cache.misses, 0,
             "an instantly-shed request never builds a context"
         );
+    }
+
+    #[test]
+    fn evicted_session_shed_past_deadline_discards_its_checkpoint() {
+        let fx = fixture();
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        let policy = MitigationPolicy::Human(&oracle);
+        let deadline = Duration::from_millis(20);
+        let config = ServeConfig {
+            workers: 1,
+            deadline: Some(deadline),
+            // Every park is evicted to checkpoint bytes at once.
+            parked_bytes_budget: 1,
+            ..Default::default()
+        };
+        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let mut parked = 0u32;
+        crossbeam::thread::scope(|s| {
+            s.spawn(|_| engine.worker_loop());
+            for inst in fx.bench.split.dev.iter().take(8) {
+                let ticket = engine.submit(0, inst).expect("queue has room");
+                let ClientEvent::NeedsFeedback { query, .. } = engine.wait_event(ticket) else {
+                    continue;
+                };
+                // Answer only after the deadline: the resumed ticket is
+                // shed before its checkpoint is ever restored.
+                std::thread::sleep(deadline + Duration::from_millis(10));
+                engine
+                    .resolve(ticket, &query, resolve_flag(&policy, inst, &query))
+                    .expect("no timeout configured: the flag is still live");
+                let ClientEvent::Done(done) = engine.wait_event(ticket) else {
+                    panic!("a resolved ticket must complete");
+                };
+                assert!(done.shed, "resumed past its deadline");
+                assert!(done.outcome.abstained(), "shed degrades to abstention");
+                parked += 1;
+            }
+            engine.shutdown();
+        })
+        .expect("serve scope panicked");
+        assert!(parked > 0, "workload must park at least once");
+        let stats = engine.stats();
+        assert!(stats.checkpoints >= 1, "1-byte budget evicts every park");
+        assert_eq!(stats.restores, 0, "a shed checkpoint is discarded");
+        assert_eq!(
+            stats.checkpoint_bytes_now, 0,
+            "discarded bytes leave the gauge"
+        );
+        assert_eq!(stats.parked_bytes_now, 0);
+        assert_eq!(stats.parked_sessions_now, 0);
     }
 
     #[test]
@@ -1976,5 +2117,195 @@ mod tests {
         // `(instance, seed)`, so both passes match the batch runtime.
         assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes.0);
         assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes.1);
+    }
+
+    #[test]
+    fn routing_is_stable_and_matches_the_core_hash() {
+        let fx = fixture();
+        let engine = ServeEngine::new(
+            &fx.model,
+            &fx.mbpp_t,
+            &fx.mbpp_c,
+            &fx.bench.metas,
+            ServeConfig {
+                workers: 3,
+                shards: 3,
+                ..Default::default()
+            },
+        );
+        assert_eq!(engine.config().shards, 3);
+        for meta in &fx.bench.metas {
+            let s = engine.shard_of(&meta.name);
+            assert_eq!(s, db_shard(&meta.name, 3), "routing must be the core fn");
+            assert_eq!(
+                s,
+                engine.shard_of(&meta.name),
+                "routing must be a pure function of the name"
+            );
+            assert!(s < 3);
+        }
+        // A submitted ticket's id names the shard its database routes to.
+        let inst = &fx.bench.split.dev[0];
+        let t = engine.submit(0, inst).expect("empty engine admits");
+        assert_eq!((t % 3) as usize, engine.shard_of(&inst.db_name));
+        engine.shutdown();
+        // Drain the one admitted ticket so gauges settle.
+        crossbeam::thread::scope(|s| {
+            s.spawn(|_| engine.worker_loop());
+            let oracle = HumanOracle::new(Expertise::Expert, 5);
+            let policy = MitigationPolicy::Human(&oracle);
+            while let ClientEvent::NeedsFeedback { query, .. } = engine.wait_event(t) {
+                let _ = engine.resolve(t, &query, resolve_flag(&policy, inst, &query));
+            }
+        })
+        .expect("scope joins");
+    }
+
+    #[test]
+    fn ticket_ids_route_back_to_their_shard() {
+        let fx = fixture();
+        for shards in [1usize, 3] {
+            let engine = ServeEngine::new(
+                &fx.model,
+                &fx.mbpp_t,
+                &fx.mbpp_c,
+                &fx.bench.metas,
+                ServeConfig {
+                    shards,
+                    queue_capacity: 0,
+                    ..Default::default()
+                },
+            );
+            // No workers: every ticket stays queued on its shard.
+            let mut issued = Vec::new();
+            for inst in fx.bench.split.dev.iter().take(12) {
+                let id = engine.submit(0, inst).expect("unbounded queue admits");
+                let home = engine.shard_of(&inst.db_name);
+                assert_eq!((id % shards as u64) as usize, home, "{shards} shard(s)");
+                assert!(
+                    engine.shards[home].state.lock().tickets.contains_key(&id),
+                    "ticket {id} lives on shard {home}"
+                );
+                issued.push(id);
+            }
+            if shards == 1 {
+                let sequential: Vec<u64> = (0..issued.len() as u64).collect();
+                assert_eq!(issued, sequential, "one shard keeps ids 0, 1, 2, …");
+            }
+            // A never-issued id on every shard, and one far past them.
+            let never = (0..shards as u64)
+                .map(|k| 1_000 * shards as u64 + k)
+                .chain([u64::MAX]);
+            for id in never {
+                assert!(!issued.contains(&id));
+                assert!(matches!(engine.wait_event(id), ClientEvent::Retired));
+                assert_eq!(
+                    engine.resolve(id, &bogus_query(), FlagResolution::Continue),
+                    Err(ResolveError::Retired)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn work_stealing_drains_a_shard_with_no_home_workers() {
+        let fx = fixture();
+        let engine = ServeEngine::new(
+            &fx.model,
+            &fx.mbpp_t,
+            &fx.mbpp_c,
+            &fx.bench.metas,
+            ServeConfig {
+                workers: 1,
+                shards: 2,
+                queue_capacity: 8,
+                cache_capacity: 2,
+                ..Default::default()
+            },
+        );
+        // Homes are handed out round-robin from shard 0, so the only
+        // worker's home is shard 0. Submit only instances routing to
+        // shard 1: completions there can only come from stealing.
+        let starved: Vec<benchgen::Instance> = fx
+            .bench
+            .split
+            .dev
+            .iter()
+            .filter(|i| engine.shard_of(&i.db_name) == 1)
+            .take(6)
+            .cloned()
+            .collect();
+        assert!(!starved.is_empty());
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        let served = crossbeam::thread::scope(|s| {
+            let worker = s.spawn(|_| engine.worker_loop());
+            let served = client_run(&engine, 0, &starved, &oracle);
+            engine.shutdown();
+            worker.join().expect("worker joins");
+            served
+        })
+        .expect("scope joins");
+        assert_eq!(served.len(), starved.len(), "every request completes");
+        assert!(
+            engine.steals() >= starved.len() as u64,
+            "a home-less shard is served exclusively by steals: {} steals",
+            engine.steals()
+        );
+        let starved_stats = engine.shard_stats(1).expect("shard exists");
+        assert_eq!(starved_stats.completed, starved.len() as u64);
+        let idle_stats = engine.shard_stats(0).expect("shard exists");
+        assert_eq!(idle_stats.completed, 0, "no work ever routed there");
+    }
+
+    #[test]
+    fn per_shard_gauges_drain_to_zero_after_shutdown() {
+        let fx = fixture();
+        let engine = ServeEngine::new(
+            &fx.model,
+            &fx.mbpp_t,
+            &fx.mbpp_c,
+            &fx.bench.metas,
+            ServeConfig {
+                workers: 2,
+                shards: 2,
+                queue_capacity: 8,
+                cache_capacity: 2,
+                // A 1-byte budget forces every parked session through
+                // the checkpoint path, exercising both gauges.
+                parked_bytes_budget: 1,
+                ..Default::default()
+            },
+        );
+        let instances: Vec<benchgen::Instance> =
+            fx.bench.split.dev.iter().take(12).cloned().collect();
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        let served = crossbeam::thread::scope(|s| {
+            let workers: Vec<_> = (0..engine.config().workers)
+                .map(|_| s.spawn(|_| engine.worker_loop()))
+                .collect();
+            let served = client_run(&engine, 0, &instances, &oracle);
+            engine.shutdown();
+            for w in workers {
+                w.join().expect("worker joins");
+            }
+            served
+        })
+        .expect("scope joins");
+        assert_eq!(served.len(), instances.len());
+        let agg = engine.stats();
+        assert!(agg.feedback_rounds > 0, "fixture must exercise feedback");
+        for idx in 0..engine.config().shards {
+            let s = engine.shard_stats(idx).expect("shard exists");
+            assert_eq!(s.parked_bytes_now, 0, "shard {idx} parked bytes");
+            assert_eq!(s.parked_sessions_now, 0, "shard {idx} parked sessions");
+            assert_eq!(s.checkpoint_bytes_now, 0, "shard {idx} checkpoint bytes");
+            assert_eq!(s.invariant_breaches, 0, "shard {idx} breaches");
+        }
+        assert_eq!(
+            agg.completed,
+            instances.len() as u64,
+            "aggregate counts every shard's completions"
+        );
+        assert_eq!(agg.parked_bytes_now + agg.checkpoint_bytes_now, 0);
     }
 }

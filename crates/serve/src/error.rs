@@ -1,5 +1,5 @@
 //! The serving error hierarchy — one set of typed, serializable
-//! errors shared by the in-process engines and the wire protocol.
+//! errors shared by the in-process engine and the wire protocol.
 //!
 //! Clients see the *same* types whether they call a [`crate::engine::ServeEngine`]
 //! in-process or an `rts-served` process over TCP: the wire layer

@@ -11,12 +11,12 @@
 //! Five sites cover the failure modes the engine hardens against:
 //!
 //! * [`FaultSite::StepPanic`] — a worker panics mid-step. The engine
-//!   catches it, rebuilds the session from its salvage checkpoint, and
+//!   catches it, rebuilds the session from its recovery recipe, and
 //!   retries with backoff; past the retry budget the ticket degrades to
 //!   abstention (`faulted` in the outcome), never a dead pool.
 //! * [`FaultSite::CheckpointDecode`] — a parked-session checkpoint
-//!   fails to decode. The engine re-runs the regeneration recipe from
-//!   its in-memory salvage copy, or abstains.
+//!   fails to decode. The engine re-runs the regeneration recipe the
+//!   evicted ticket keeps in memory.
 //! * [`FaultSite::ContextBuild`] — building a shared `LinkContext`
 //!   fails. The session runs context-free instead; the reference
 //!   implicated-set path is outcome-identical (pinned by the parity

@@ -8,7 +8,16 @@
 //! [`ServeEngine`] is that runtime, built directly on the resumable
 //! [`rts_core::session::LinkSession`] state machine:
 //!
-//! * **Bounded admission** — [`ServeEngine::submit`] enqueues into a
+//! * **One engine, one or more shards** — [`ServeEngine`] is a pool of
+//!   [`ServeConfig::shards`] database shards (default 1) behind the
+//!   [`Engine`] surface. Submits route by a revision-stable FNV-1a
+//!   hash of the database name ([`rts_core::context::db_shard`]); each
+//!   shard owns its queue, context cache, latency window and counters,
+//!   and a ticket id encodes its shard (`id % shards`). Each of the
+//!   `config.workers` threads on [`ServeEngine::worker_loop`] takes a
+//!   home shard round-robin and steals ready work from the others
+//!   when its home is idle. Outcomes never depend on the shard count.
+//! * **Bounded admission** — [`Engine::submit`] enqueues into a
 //!   fixed-capacity queue and rejects beyond it, so overload surfaces
 //!   as backpressure at the edge instead of unbounded memory.
 //! * **Multi-tenant fairness** — every submission is tagged with a
@@ -33,7 +42,7 @@
 //!   (pinned by the checkpoint-roundtrip parity proptests).
 //! * **Non-blocking feedback** — when a session hits a branching flag
 //!   it is *parked* (worker moves on); the client answers through
-//!   [`ServeEngine::resolve`] and the session re-enters the work queue.
+//!   [`Engine::resolve`] and the session re-enters the work queue.
 //!   No worker is ever held hostage by a waiting human.
 //! * **Joint session chaining** — each request runs table linking then
 //!   column linking, mirroring `run_joint_linking_in`'s joint process,
@@ -46,10 +55,16 @@
 //!   not dropped: the remaining linking stages degrade to *abstention*,
 //!   the paper's own "hand this instance off" verdict. Load shedding
 //!   and reliability share one mechanism, unique to this design.
+//! * **One parked-session state** — a ticket's session is `Fresh`,
+//!   `Live` (with the recipe that rebuilds it: the park-time
+//!   checkpoint plus the resolution applied since), or `Evicted`
+//!   (checkpoint bytes plus that same recipe). An evicted session
+//!   always carries its recipe, so a corrupt checkpoint has a way
+//!   back by construction.
 //! * **Degrade-only fault tolerance** — a panicking session step is
-//!   caught (`catch_unwind`), rebuilt from its salvage checkpoint and
-//!   retried with backoff before degrading the one ticket to
-//!   abstention; corrupt checkpoints re-run their regeneration recipe;
+//!   caught (`catch_unwind`), rebuilt from its recipe and retried
+//!   with backoff before degrading the one ticket to abstention;
+//!   corrupt checkpoints re-run their regeneration recipe;
 //!   failed context builds fall back to the outcome-identical
 //!   context-free path; client API misuse (unknown tickets, double
 //!   resolves) returns typed errors ([`ClientEvent::Retired`],
@@ -57,15 +72,10 @@
 //!   deterministic [`fault::FaultPlan`] injects all of these
 //!   reproducibly; the chaos proptests pin the invariant that every
 //!   submitted ticket still terminates with zero drops.
-//! * **Schema-drift epochs** — [`ServeEngine::invalidate_db`] (or a
+//! * **Schema-drift epochs** — [`Engine::invalidate_db`] (or a
 //!   bumped `DbMeta::revision`) drops cached contexts so new sessions
 //!   rebuild, while in-flight sessions finish on their pinned
 //!   `Arc<LinkContext>`.
-//! * **Shard-level scale-out** — [`ShardedEngine`] partitions workers
-//!   and the context cache by database (revision-stable FNV-1a
-//!   routing, [`rts_core::context::db_shard`]) with work-stealing
-//!   across idle shards; outcomes stay byte-identical to the
-//!   single-shard engine (see the [`shard`] module docs).
 //! * **Accounting** — per-request latency (p50/p95/p99), queue depth,
 //!   context-cache hit rate and parked-session memory are recorded in
 //!   a [`ServingStats`] snapshot.
@@ -75,7 +85,7 @@
 //! run is a deterministic function of `(instance, seed)` and feedback
 //! resolutions are deterministic per oracle, so worker scheduling
 //! cannot change results (pinned by the `serve_engine_matches_batch…`
-//! parity tests).
+//! and `sharded_engine_matches_single_shard` parity tests).
 //!
 //! ```text
 //! crossbeam::thread::scope(|s| {
@@ -89,7 +99,6 @@ pub mod checkpoint;
 mod engine;
 pub mod error;
 pub mod fault;
-pub mod shard;
 mod stats;
 pub mod tenant;
 pub mod wire;
@@ -98,6 +107,5 @@ pub use api::{drive_closed_loop, Engine};
 pub use engine::{ClientEvent, ServeConfig, ServeEngine, ServeOutcome};
 pub use error::{EngineError, ResolveError, SubmitError};
 pub use fault::{FaultPlan, FaultSite};
-pub use shard::{ShardedEngine, ShardedTicket};
 pub use stats::{LatencySummary, ServingStats};
 pub use tenant::{TenantId, TenantQuota, TicketId};

@@ -100,7 +100,7 @@ pub struct ServingStats {
     /// degraded to a `faulted` abstention (never a drop).
     pub panics_to_abstention: u64,
     /// Checkpoints that failed to decode and were rebuilt from the
-    /// ticket's in-memory salvage recipe instead.
+    /// ticket's in-memory recipe instead.
     pub corrupt_checkpoints_recovered: u64,
     /// Context-cache builds that failed and fell back to the
     /// context-free reference path (outcome-identical, just slower).
@@ -114,7 +114,7 @@ pub struct ServingStats {
     /// shutdown completes every ticket, it never strands one.
     pub drained_to_abstention: u64,
     /// Explicit schema-drift invalidations
-    /// ([`crate::ServeEngine::invalidate_db`] calls).
+    /// ([`crate::Engine::invalidate_db`] calls).
     pub db_invalidations: u64,
     /// Internal-invariant violations the engine absorbed instead of
     /// panicking (e.g. a dispatched ticket id with no ticket record).
@@ -123,12 +123,51 @@ pub struct ServingStats {
     pub invariant_breaches: u64,
 }
 
+impl ServingStats {
+    /// Fold another shard's snapshot into this one: counters, gauges
+    /// and the parked-session peak sum (an upper bound on the global
+    /// peak); the other peaks and the depth statistics take the
+    /// maximum, all that shard-local accounting knows. `latency` is
+    /// left alone — percentiles do not merge; recompute them over the
+    /// union of the samples.
+    pub(crate) fn absorb(&mut self, s: ServingStats) {
+        self.completed += s.completed;
+        self.shed += s.shed;
+        self.rejected += s.rejected;
+        self.rejected_quota += s.rejected_quota;
+        self.feedback_rounds += s.feedback_rounds;
+        self.timed_out_to_abstention += s.timed_out_to_abstention;
+        self.queue_depth_max = self.queue_depth_max.max(s.queue_depth_max);
+        self.queue_depth_mean = self.queue_depth_mean.max(s.queue_depth_mean);
+        self.cache.absorb(s.cache);
+        self.parked_bytes_peak = self.parked_bytes_peak.max(s.parked_bytes_peak);
+        self.parked_sessions_peak += s.parked_sessions_peak;
+        self.parked_bytes_now += s.parked_bytes_now;
+        self.parked_sessions_now += s.parked_sessions_now;
+        self.checkpoints += s.checkpoints;
+        self.restores += s.restores;
+        self.checkpoint_bytes_peak = self.checkpoint_bytes_peak.max(s.checkpoint_bytes_peak);
+        self.checkpoint_bytes_now += s.checkpoint_bytes_now;
+        self.tenants_seen = self.tenants_seen.max(s.tenants_seen);
+        self.tenant_in_flight_peak = self.tenant_in_flight_peak.max(s.tenant_in_flight_peak);
+        self.panics_recovered += s.panics_recovered;
+        self.panics_to_abstention += s.panics_to_abstention;
+        self.corrupt_checkpoints_recovered += s.corrupt_checkpoints_recovered;
+        self.context_build_fallbacks += s.context_build_fallbacks;
+        self.feedback_lost += s.feedback_lost;
+        self.feedback_delayed += s.feedback_delayed;
+        self.drained_to_abstention += s.drained_to_abstention;
+        self.db_invalidations += s.db_invalidations;
+        self.invariant_breaches += s.invariant_breaches;
+    }
+}
+
 /// Bounded sliding window of latency samples: a long-lived engine must
 /// not grow a sample vector forever (8 bytes per request adds up at
 /// production rates), and percentiles over the most recent window are
 /// the operationally useful ones anyway. Overwrites oldest-first once
-/// full; `snapshot` copies the samples out so the caller can summarize
-/// them without holding the engine's lock.
+/// full; the caller copies [`LatencyWindow::samples`] out so it can
+/// summarize them without holding the engine's lock.
 #[derive(Debug)]
 pub(crate) struct LatencyWindow {
     samples: Vec<f64>,
@@ -157,8 +196,8 @@ impl LatencyWindow {
         }
     }
 
-    pub fn snapshot(&self) -> Vec<f64> {
-        self.samples.clone()
+    pub fn samples(&self) -> &[f64] {
+        &self.samples
     }
 }
 
@@ -282,10 +321,10 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
             w.push(v);
         }
-        let mut snap = w.snapshot();
+        let mut snap = w.samples().to_vec();
         snap.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(snap, vec![3.0, 4.0, 5.0], "oldest samples rotate out");
-        assert_eq!(w.snapshot().len(), 3);
+        assert_eq!(w.samples().len(), 3);
     }
 
     #[test]

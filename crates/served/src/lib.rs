@@ -1,5 +1,5 @@
 //! `rts-served` — the standalone serving daemon: a TCP listener that
-//! fronts any [`Engine`] with the framed wire protocol of
+//! fronts a [`ServeEngine`] with the framed wire protocol of
 //! [`rts_serve::wire`] (see `PROTOCOL.md`).
 //!
 //! # Architecture
@@ -37,7 +37,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use rts_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg, WIRE_VERSION};
-use rts_serve::{ClientEvent, Engine, EngineError};
+use rts_serve::{ClientEvent, Engine, EngineError, ServeEngine, TicketId};
 use simlm::LinkTarget;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -57,16 +57,16 @@ const FAULT_FLUSH: Duration = Duration::from_millis(500);
 
 /// One logical client session: the engine-side state that outlives any
 /// single TCP connection.
-struct Session<T> {
-    conn_state: Mutex<ConnState<T>>,
+struct Session {
+    conn_state: Mutex<ConnState>,
     bell: Condvar,
 }
 
-struct ConnState<T> {
+struct ConnState {
     /// Messages awaiting delivery, in push order. Survives disconnects.
     outbox: VecDeque<ServerMsg>,
     /// Live requests: submit request id → engine ticket.
-    reqs: HashMap<u64, T>,
+    reqs: HashMap<u64, TicketId>,
     /// The recorded ack (`Submitted` / `SubmitFailed`) for every
     /// request id ever submitted. A reconnecting client cannot know
     /// whether its first `Submit` arrived, so it re-sends — and the
@@ -84,7 +84,7 @@ struct ConnState<T> {
     retired: bool,
 }
 
-impl<T> Session<T> {
+impl Session {
     fn new() -> Self {
         Session {
             conn_state: Mutex::new(ConnState {
@@ -106,38 +106,29 @@ impl<T> Session<T> {
     }
 }
 
-struct Inner<E: Engine> {
-    engine: Arc<E>,
+struct Inner {
+    engine: Arc<ServeEngine>,
     fingerprint: String,
     /// Instance corpus by id — the wire submits ids, not ASTs.
     corpus: HashMap<u64, benchgen::Instance>,
-    sessions: Mutex<HashMap<u64, Arc<Session<E::Ticket>>>>,
+    sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_session: AtomicU64,
     draining: AtomicBool,
     conns: AtomicUsize,
 }
 
-/// The wire server: fronts one [`Engine`] (in practice a
-/// [`rts_serve::ShardedEngine`], but any implementation works — the
-/// daemon never sees past the trait).
-pub struct Server<E: Engine + Send + Sync + 'static> {
-    inner: Arc<Inner<E>>,
+/// The wire server: fronts one [`ServeEngine`] over TCP.
+#[derive(Clone)]
+pub struct Server {
+    inner: Arc<Inner>,
 }
 
-impl<E: Engine + Send + Sync + 'static> Clone for Server<E> {
-    fn clone(&self) -> Self {
-        Server {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<E: Engine + Send + Sync + 'static> Server<E> {
+impl Server {
     /// Build a server over `engine`. `fingerprint` is the corpus
     /// recipe string (see [`rts_serve::wire::corpus_fingerprint`]);
     /// `corpus` is every instance clients may submit by id.
     pub fn new(
-        engine: Arc<E>,
+        engine: Arc<ServeEngine>,
         fingerprint: String,
         corpus: impl IntoIterator<Item = benchgen::Instance>,
     ) -> Self {
@@ -156,7 +147,7 @@ impl<E: Engine + Send + Sync + 'static> Server<E> {
 
     /// The engine behind the wire — the caller still owns its worker
     /// threads and may inspect it directly (tests do).
-    pub fn engine(&self) -> &Arc<E> {
+    pub fn engine(&self) -> &Arc<ServeEngine> {
         &self.inner.engine
     }
 
@@ -208,7 +199,7 @@ fn best_effort<T: serde::Serialize>(stream: &mut TcpStream, msg: &T) {
     let _ = write_frame(stream, msg);
 }
 
-fn handle_conn<E: Engine + Send + Sync + 'static>(inner: &Arc<Inner<E>>, mut stream: TcpStream) {
+fn handle_conn(inner: &Arc<Inner>, mut stream: TcpStream) {
     // ---- Handshake -------------------------------------------------
     let hello = match read_frame::<_, ClientMsg>(&mut stream) {
         Ok(Some(msg)) => msg,
@@ -262,7 +253,7 @@ fn handle_conn<E: Engine + Send + Sync + 'static>(inner: &Arc<Inner<E>>, mut str
         }
         None => {
             let id = inner.next_session.fetch_add(1, Ordering::SeqCst);
-            let s: Arc<Session<E::Ticket>> = Arc::new(Session::new());
+            let s = Arc::new(Session::new());
             inner.sessions.lock().insert(id, Arc::clone(&s));
             (id, s)
         }
@@ -354,11 +345,7 @@ enum Flow {
     Close { retire: bool },
 }
 
-fn dispatch<E: Engine + Send + Sync + 'static>(
-    inner: &Arc<Inner<E>>,
-    session: &Arc<Session<E::Ticket>>,
-    msg: ClientMsg,
-) -> Flow {
+fn dispatch(inner: &Arc<Inner>, session: &Arc<Session>, msg: ClientMsg) -> Flow {
     match msg {
         ClientMsg::Hello { .. } => {
             session.push(ServerMsg::Fault {
@@ -476,7 +463,7 @@ fn dispatch<E: Engine + Send + Sync + 'static>(
 
 /// Wait (bounded) for the writer to drain the outbox — used to give a
 /// final `Fault` a chance to reach the peer before the socket closes.
-fn flush_then_close<T>(session: &Session<T>, my_epoch: u64) {
+fn flush_then_close(session: &Session, my_epoch: u64) {
     let deadline = std::time::Instant::now() + FAULT_FLUSH;
     loop {
         {
@@ -498,7 +485,7 @@ fn flush_then_close<T>(session: &Session<T>, my_epoch: u64) {
 /// only while this writer still owns the connection epoch, so a
 /// takeover mid-write re-sends rather than loses — delivery is
 /// at-least-once, and the client deduplicates.
-fn writer_loop<T>(session: &Session<T>, mut stream: TcpStream, my_epoch: u64) {
+fn writer_loop(session: &Session, mut stream: TcpStream, my_epoch: u64) {
     loop {
         let msg = {
             let mut st = session.conn_state.lock();
@@ -532,12 +519,7 @@ fn writer_loop<T>(session: &Session<T>, mut stream: TcpStream, my_epoch: u64) {
 /// the session outbox. Lives exactly as long as the request — across
 /// disconnects — which is what makes a parked session's feedback
 /// timeout deliverable after a resume.
-fn watcher_loop<E: Engine>(
-    inner: &Inner<E>,
-    session: &Session<E::Ticket>,
-    req: u64,
-    ticket: E::Ticket,
-) {
+fn watcher_loop(inner: &Inner, session: &Session, req: u64, ticket: TicketId) {
     let mut last: Option<FlagQuery> = None;
     loop {
         match inner.engine.wait_event_changed(ticket, last.as_ref()) {

@@ -8,7 +8,7 @@
 //! exactly like `serve_driver` (same `RTS_SCALE`/`RTS_SEED` recipe —
 //! the wire submits instance *ids*, so client and server must agree on
 //! what the ids mean; the `HelloAck` fingerprint guards that), then
-//! fronts a [`rts_serve::ShardedEngine`] with the framed TCP protocol
+//! fronts a [`rts_serve::ServeEngine`] with the framed TCP protocol
 //! of `PROTOCOL.md`.
 //!
 //! Knobs, beyond the `RTS_SERVE_*` engine set documented on
@@ -16,7 +16,7 @@
 //!
 //! * `RTS_SERVED_ADDR` (default `127.0.0.1:7878`) — listen address;
 //! * `RTS_SERVED_SHARDS` (default 1) — database shards;
-//! * `RTS_THREADS` — worker threads per shard (as everywhere).
+//! * `RTS_THREADS` — engine worker threads in total (as everywhere).
 //!
 //! The daemon exits 0 after a client sends `Shutdown` and every
 //! connection has drained.
@@ -25,7 +25,7 @@ use rts_core::abstention::RtsConfig;
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
 use rts_serve::wire::corpus_fingerprint;
-use rts_serve::{ServeConfig, ShardedEngine, TenantQuota};
+use rts_serve::{ServeConfig, ServeEngine, TenantQuota};
 use rts_served::Server;
 use simlm::{LinkTarget, SchemaLinker};
 use std::net::TcpListener;
@@ -54,7 +54,6 @@ fn main() -> ExitCode {
         .unwrap_or(0.03);
     let seed = rts_bench::env_seed();
     let addr = std::env::var("RTS_SERVED_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
-    let shards = env_usize("RTS_SERVED_SHARDS", 1);
 
     // Bind before the (slow) training so a launcher that polls the
     // port learns "starting" from connection-refused → accepted-but-
@@ -90,6 +89,7 @@ fn main() -> ExitCode {
     );
 
     let config = ServeConfig {
+        shards: env_usize("RTS_SERVED_SHARDS", 1),
         queue_capacity: env_usize("RTS_SERVE_QUEUE", 16),
         cache_capacity: env_usize("RTS_SERVE_CACHE", 8),
         quota: TenantQuota {
@@ -107,12 +107,11 @@ fn main() -> ExitCode {
     };
 
     let fingerprint = corpus_fingerprint("bird", scale, seed, linker.corpus());
-    let engine = Arc::new(ShardedEngine::with_artifacts(
+    let engine = Arc::new(ServeEngine::with_artifacts(
         Arc::new(linker),
         Arc::new(mbpp_t),
         Arc::new(mbpp_c),
         bench.metas.iter().cloned().map(Arc::new).collect(),
-        shards,
         config,
     ));
     // The whole corpus is addressable by id — which split a client
@@ -126,15 +125,14 @@ fn main() -> ExitCode {
         .cloned();
     let server = Server::new(Arc::clone(&engine), fingerprint, corpus);
 
+    let config = engine.config();
     eprintln!(
         "[rts-served] serving: {} shard(s), {} worker(s) total",
-        shards,
-        engine.workers_total()
+        config.shards, config.workers
     );
     let result = crossbeam::thread::scope(|s| {
-        for i in 0..engine.workers_total() {
-            let engine = &engine;
-            s.spawn(move |_| engine.worker_loop(i));
+        for _ in 0..config.workers {
+            s.spawn(|_| engine.worker_loop());
         }
         server.serve(listener)
     });

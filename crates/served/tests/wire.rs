@@ -58,7 +58,7 @@ const FP: &str = "wire-robustness-fixture";
 /// Stand up a server over a fresh engine on an ephemeral loopback
 /// port. Returns the server handle, its address, and the threads to
 /// join after [`stop`].
-fn start_server(config: ServeConfig) -> (Server<ServeEngine>, String, Vec<JoinHandle<()>>) {
+fn start_server(config: ServeConfig) -> (Server, String, Vec<JoinHandle<()>>) {
     let fx = fixture();
     let engine = Arc::new(ServeEngine::new(
         &fx.model,
@@ -88,7 +88,7 @@ fn start_server(config: ServeConfig) -> (Server<ServeEngine>, String, Vec<JoinHa
     (server, addr, threads)
 }
 
-fn stop(server: &Server<ServeEngine>, threads: Vec<JoinHandle<()>>) {
+fn stop(server: &Server, threads: Vec<JoinHandle<()>>) {
     server.begin_shutdown();
     for t in threads {
         t.join().expect("server thread panicked");

@@ -18,7 +18,7 @@ use rts::core::bpp::{Mbpp, MbppConfig};
 use rts::core::branching::BranchDataset;
 use rts::core::human::{Expertise, HumanOracle};
 use rts::core::session::resolve_flag;
-use rts::serve::{ClientEvent, ServeConfig, ServeEngine};
+use rts::serve::{ClientEvent, Engine, ServeConfig, ServeEngine};
 use rts::simlm::{LinkTarget, SchemaLinker};
 
 fn main() {

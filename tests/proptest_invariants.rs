@@ -147,9 +147,7 @@ mod parity {
     };
     use rts::core::sqlgen::SqlGenModel;
     use rts::core::traceback::{column_trie, table_trie, trace_back, trace_back_reference};
-    use rts::serve::{
-        drive_closed_loop, FaultPlan, ServeConfig, ServeEngine, ServeOutcome, ShardedEngine,
-    };
+    use rts::serve::{drive_closed_loop, FaultPlan, ServeConfig, ServeEngine, ServeOutcome};
     use rts::simlm::{
         CorpusVersion, GenMode, LayerSet, LinkTarget, SchemaLinker, SynthScratch, Vocab,
     };
@@ -970,19 +968,19 @@ mod parity {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// The sharded engine ≡ the single-shard engine, byte for byte
-        /// per request, across shard counts and worker budgets:
-        /// database partitioning, per-shard caches, and work-stealing
-        /// placement may move *when* answers arrive, never what they
-        /// are. Parity is pinned transitively against the batch
-        /// pipeline (the same baseline `serve_engine_matches_batch_…`
-        /// holds the one-shard engine to), and rides the CI
-        /// `RTS_THREADS × RTS_REFERENCE` matrix like every other
-        /// parity case. Zero drops and per-shard gauge drain are
-        /// asserted on every case.
+        /// The engine at any shard count ≡ the batch pipeline, byte for
+        /// byte per request, across shard counts (one shard included —
+        /// the shape every example and the benchmark run) and worker
+        /// counts: database partitioning, per-shard caches, and
+        /// work-stealing placement may move *when* answers arrive,
+        /// never what they are. Pinned against the same batch baseline
+        /// `serve_engine_matches_batch_…` holds the default engine to,
+        /// and rides the CI `RTS_THREADS × RTS_REFERENCE` matrix like
+        /// every other parity case. Zero drops and per-shard gauge
+        /// drain are asserted on every case.
         #[test]
         fn sharded_engine_matches_single_shard(
-            shards in 2usize..5,
+            shards in 1usize..5,
             workers in 1usize..5,
         ) {
             let fx = fixture();
@@ -992,24 +990,24 @@ mod parity {
                 fx.bench.split.dev.iter().take(SHARD_N).cloned().collect();
             let serve_cfg = ServeConfig {
                 workers,
+                shards,
                 queue_capacity: 6,
                 cache_capacity: 3,
                 rts: base_config(SHARD_RTS_SEED),
                 ..ServeConfig::default()
             };
-            let engine = ShardedEngine::new(
+            let engine = ServeEngine::new(
                 &fx.model,
                 &fx.mbpp_t,
                 &fx.mbpp_c,
                 &fx.bench.metas,
-                shards,
                 serve_cfg,
             );
             let n_clients = 3;
             let served: Vec<(u64, JointOutcome)> = crossbeam::thread::scope(|s| {
                 let eng = &engine;
-                for i in 0..eng.workers_total() {
-                    s.spawn(move |_| eng.worker_loop(i));
+                for _ in 0..workers {
+                    s.spawn(move |_| eng.worker_loop());
                 }
                 let handles: Vec<_> = (0..n_clients)
                     .map(|c| {
@@ -1056,7 +1054,7 @@ mod parity {
             }
             // Placement followed the pinned routing hash exactly, and
             // every per-shard gauge drained.
-            let mut expected = vec![0u64; engine.n_shards()];
+            let mut expected = vec![0u64; shards];
             for inst in &instances {
                 expected[rts::core::context::db_shard(&inst.db_name, shards)] += 1;
             }
