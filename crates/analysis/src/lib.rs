@@ -16,9 +16,9 @@
 //! `unsafe` block carries a `// SAFETY:` comment. A fifth (the corpus
 //! pass, scoped to the synthesis-owning `simlm/src/model.rs`) keeps
 //! the corpus-version contract honest: direct `next_gaussian` calls
-//! there are frozen v1 or corpus-shared streams and must carry
-//! `rts-allow(corpus-v1)` waivers — v2 synthesis draws via
-//! `fill_gaussian`.
+//! there are corpus-shared streams (decisions, s-signal, softmax,
+//! layer directions) and must carry `rts-allow(corpus-v1)` waivers —
+//! hidden-state synthesis draws via `fill_gaussian`.
 //!
 //! Violations are waived — never silenced — with
 //! `// rts-allow(<key>): <reason>`; an empty reason does not waive.
@@ -43,9 +43,9 @@ pub struct PassSet {
     pub panic: bool,
     pub determinism: bool,
     /// Corpus-version stream discipline: direct `next_gaussian` calls
-    /// on hidden-state synthesis paths must carry
-    /// `rts-allow(corpus-v1)` waivers (frozen v1 or corpus-shared
-    /// streams) — v2 streams draw via `fill_gaussian`.
+    /// in the synthesis-owning file must carry `rts-allow(corpus-v1)`
+    /// waivers (corpus-shared streams) — hidden-state streams draw via
+    /// `fill_gaussian`.
     pub corpus: bool,
     pub locks: bool,
     pub std_sync: bool,
@@ -161,9 +161,9 @@ pub fn workspace_passes(rel: &str) -> PassSet {
         p.determinism = true;
     }
     // The file that owns hidden-state synthesis: every direct
-    // `next_gaussian` call there is either a frozen v1 stream or a
-    // corpus-shared stream, and must say which via
-    // `rts-allow(corpus-v1)` — the v2 streams draw via fill_gaussian.
+    // `next_gaussian` call there must be a corpus-shared stream and say
+    // so via `rts-allow(corpus-v1)` — the hidden-state streams draw via
+    // fill_gaussian.
     if rel == "crates/simlm/src/model.rs" {
         p.corpus = true;
     }

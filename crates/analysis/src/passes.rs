@@ -456,12 +456,14 @@ pub fn determinism_pass(ctx: &FileCtx) -> Vec<Finding> {
 /// Flag every direct `next_gaussian` call in a synthesis-owning file.
 /// The v2 corpus draws its hidden-state streams through
 /// `fill_gaussian`/`next_gaussian_pair` (both Box–Muller variates
-/// kept); a lone `.next_gaussian()` on such a path is either a frozen
-/// v1 site or a corpus-shared stream — both legitimate, both required
-/// to say so with `// rts-allow(corpus-v1): <reason>`. An unwaived
-/// call is a new sequential-sampler dependency silently minting a
-/// third corpus. `next_gaussian_pair` lexes as a single identifier,
-/// so it never trips this pass. Waiver key: `corpus-v1`.
+/// kept); a lone `.next_gaussian()` on such a path is legitimate only
+/// for a corpus-shared stream (decisions, s-signal, softmax, layer
+/// directions) or where it mirrors `fill_gaussian`'s own odd-tail
+/// draw, and must say so with `// rts-allow(corpus-v1): <reason>`.
+/// An unwaived call is a new sequential-sampler dependency silently
+/// minting another corpus. `next_gaussian_pair` lexes as a single
+/// identifier, so it never trips this pass. Waiver key: `corpus-v1`
+/// (the sampler the original v1 corpus used throughout).
 pub fn corpus_pass(ctx: &FileCtx) -> Vec<Finding> {
     let toks = ctx.toks;
     let mut out = Vec::new();
@@ -476,8 +478,8 @@ pub fn corpus_pass(ctx: &FileCtx) -> Vec<Finding> {
                     t.line,
                     t.col,
                     "direct next_gaussian() call on a synthesis path: v2 streams draw via \
-                 fill_gaussian/next_gaussian_pair; waive frozen v1 or corpus-shared \
-                 streams with rts-allow(corpus-v1)"
+                 fill_gaussian/next_gaussian_pair; waive corpus-shared streams \
+                 with rts-allow(corpus-v1)"
                         .into(),
                 ),
             );

@@ -43,12 +43,11 @@ fn bench_generation(c: &mut Criterion) {
 
 /// The gaussian samplers under trace-generation-shaped load: the
 /// sequential `next_gaussian` (two uniforms per variate, `sin` twin
-/// discarded — the stream the frozen v1 corpus and the corpus-shared
-/// decision/softmax streams are pinned to) vs the paired
-/// `fill_gaussian` (both Box–Muller variates kept, half the uniform
-/// draws and `ln`/`sqrt` evaluations) the v2 synthesis streams were
-/// re-keyed onto. The gap is the per-row headroom the v2 corpus
-/// banked.
+/// discarded — the sampler the corpus-shared decision/softmax streams
+/// and probe training use) vs the paired `fill_gaussian` (both
+/// Box–Muller variates kept, half the uniform draws and `ln`/`sqrt`
+/// evaluations) the hidden-state synthesis streams draw through. The
+/// gap is the per-row headroom the v2 corpus banked.
 fn bench_gaussian_samplers(c: &mut Criterion) {
     const DIM: usize = 64; // two shared-content vectors of hidden_dim 32
     let mut group = c.benchmark_group("tinynn/gaussian_x64");
@@ -73,31 +72,22 @@ fn bench_gaussian_samplers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole A/B: identical free-running trace generation under the
-/// frozen v1 corpus (sequential per-layer sampling, two interleaved
-/// streams per layer) vs the v2 corpus (chunked `fill_gaussian` rows,
-/// one merged per-layer stream). Same instance, same lazily selected
-/// layers — only the synthesis corpus differs.
-fn bench_corpus_versions(c: &mut Criterion) {
-    let (bench, linker_v2) = setup();
-    let linker_v1 = SchemaLinker::new("bird", 3).with_corpus(simlm::CorpusVersion::V1);
+/// Identical free-running trace generation through the chunked
+/// synthesis path (`fill_gaussian` rows) vs the sequential parity
+/// reference. Same instance, same streams, same output — only the
+/// inner loop shape differs.
+fn bench_synthesis_paths(c: &mut Criterion) {
+    let (bench, linker) = setup();
     let inst = &bench.split.dev[0];
-    let mut group = c.benchmark_group("trace_gen/corpus_v1_vs_v2");
-    group.bench_function("v1_sequential", |b| {
-        b.iter(|| {
-            let mut vocab = Vocab::new();
-            black_box(linker_v1.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free))
-        })
-    });
+    let mut group = c.benchmark_group("trace_gen/synthesis_paths");
     group.bench_function("v2_chunked", |b| {
         b.iter(|| {
             let mut vocab = Vocab::new();
-            black_box(linker_v2.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free))
+            black_box(linker.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free))
         })
     });
-    // The v2 corpus drawn one scalar at a time (the parity reference
-    // path): isolates chunking/batched-trig gains from the stream
-    // re-key itself.
+    // The same streams drawn one scalar at a time (the parity
+    // reference path): isolates the chunking/batched-trig gains.
     let linker_v2_seq = SchemaLinker::new("bird", 3).with_v2_sequential_reference();
     group.bench_function("v2_sequential_reference", |b| {
         b.iter(|| {
@@ -166,7 +156,7 @@ criterion_group!(
     benches,
     bench_generation,
     bench_gaussian_samplers,
-    bench_corpus_versions,
+    bench_synthesis_paths,
     bench_branch_dataset,
     bench_probe_training,
     bench_flagging

@@ -8,9 +8,8 @@
 //!
 //! Scale defaults to 0.05 (a few hundred instances) — enough signal for
 //! a trajectory point without paper-scale runtime. `RTS_THREADS=1`
-//! forces the serial runtime for A/B comparisons, and `RTS_CORPUS=v1`
-//! measures under the frozen v1 synthesis corpus (the record stamps the
-//! corpus tag so the gate can refuse cross-corpus comparisons).
+//! forces the serial runtime for A/B comparisons. The record stamps the
+//! synthesis corpus tag so the gate can refuse cross-corpus comparisons.
 //!
 //! Stage semantics (PR 3): the monitored stream is generated **once**
 //! (`trace_gen`) and then *shared* — `linking` times
@@ -42,18 +41,17 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.05);
     let seed = rts_bench::env_seed();
-    let corpus = rts_bench::env_corpus();
     let effective = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut perf = PerfReport::new(scale, seed, thread_count(), effective);
-    perf.corpus = Some(corpus.tag().to_string());
 
     let t0 = Instant::now();
     let bench = benchgen::BenchmarkProfile::bird_like()
         .scaled(scale)
         .generate(seed);
-    let linker = SchemaLinker::new("bird", seed ^ 0x11CC).with_corpus(corpus);
+    let linker = SchemaLinker::new("bird", seed ^ 0x11CC);
+    perf.corpus = Some(linker.corpus().tag().to_string());
     let probe_cfg = MbppConfig {
         probe: ProbeConfig {
             epochs: 8,
@@ -74,12 +72,10 @@ fn main() {
     let n = instances.len();
     let config = RtsConfig {
         seed,
-        corpus,
         ..RtsConfig::default()
     };
     let reference_config = RtsConfig {
         seed,
-        corpus,
         reference_linking: true,
         ..RtsConfig::default()
     };
@@ -453,7 +449,6 @@ fn main() {
             cache_capacity: 8,
             rts: RtsConfig {
                 seed,
-                corpus,
                 ..RtsConfig::default()
             },
             ..rts_serve::ServeConfig::default()
@@ -497,7 +492,6 @@ fn main() {
             cache_capacity: 8,
             rts: RtsConfig {
                 seed,
-                corpus,
                 ..RtsConfig::default()
             },
             ..rts_serve::ServeConfig::default()

@@ -254,8 +254,7 @@ fn main() {
         eprintln!(
             "perf gate MISCONFIGURED: baseline (corpus {}) and fresh (corpus {}) \
              records were measured under different synthesis corpora and are not \
-             comparable — pin RTS_CORPUS to the committed baseline's corpus or \
-             regenerate the baseline under the new one",
+             comparable — regenerate the baseline under the current corpus",
             baseline.corpus_tag(),
             fresh.corpus_tag()
         );

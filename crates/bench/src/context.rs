@@ -32,7 +32,7 @@ pub struct BenchArtifacts {
 }
 
 impl BenchArtifacts {
-    fn build(profile: BenchmarkProfile, scale: f64, seed: u64, corpus: CorpusVersion) -> Self {
+    fn build(profile: BenchmarkProfile, scale: f64, seed: u64) -> Self {
         let profile = if scale < 1.0 {
             profile.scaled(scale)
         } else {
@@ -40,7 +40,7 @@ impl BenchArtifacts {
         };
         let name = profile.name.clone();
         let bench = profile.generate(seed);
-        let linker = SchemaLinker::new(&name, seed ^ 0x11CC).with_corpus(corpus);
+        let linker = SchemaLinker::new(&name, seed ^ 0x11CC);
         // The paper trains BPPs on ~10% of the training split; our
         // synthetic token streams are shorter than a real linker's, so
         // we trace a larger instance share to reach a comparable number
@@ -80,38 +80,27 @@ impl BenchArtifacts {
 pub struct Context {
     pub scale: f64,
     pub seed: u64,
-    /// Synthesis corpus every linker in the context generates.
-    pub corpus: CorpusVersion,
     pub bird: Option<BenchArtifacts>,
     pub spider: Option<BenchArtifacts>,
 }
 
 impl Context {
-    /// Build the context for the requested benchmarks under the
-    /// corpus the environment selects (`RTS_CORPUS`, default v2).
+    /// Build the context for the requested benchmarks.
     pub fn load(which: Which, scale: f64, seed: u64) -> Self {
-        Self::load_with_corpus(which, scale, seed, crate::env_corpus())
-    }
-
-    /// [`Context::load`] with the corpus pinned by the caller — the
-    /// entry point the v1 parity test uses to regenerate the archived
-    /// records regardless of environment.
-    pub fn load_with_corpus(which: Which, scale: f64, seed: u64, corpus: CorpusVersion) -> Self {
         assert!(scale > 0.0 && scale <= 1.0, "scale in (0,1]");
         let t0 = std::time::Instant::now();
         let bird = matches!(which, Which::Bird | Which::Both)
-            .then(|| BenchArtifacts::build(BenchmarkProfile::bird_like(), scale, seed, corpus));
+            .then(|| BenchArtifacts::build(BenchmarkProfile::bird_like(), scale, seed));
         let spider = matches!(which, Which::Spider | Which::Both)
-            .then(|| BenchArtifacts::build(BenchmarkProfile::spider_like(), scale, seed, corpus));
+            .then(|| BenchArtifacts::build(BenchmarkProfile::spider_like(), scale, seed));
         eprintln!(
             "[context] built (scale {scale}, seed {seed:#x}, corpus {}) in {:.1}s",
-            corpus.tag(),
+            CorpusVersion::default().tag(),
             t0.elapsed().as_secs_f64()
         );
         Self {
             scale,
             seed,
-            corpus,
             bird,
             spider,
         }

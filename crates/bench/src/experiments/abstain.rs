@@ -21,7 +21,6 @@ fn eval_policy(
 ) -> AbstentionMetrics {
     let config = RtsConfig {
         seed,
-        corpus: arts.linker.corpus(),
         ..RtsConfig::default()
     };
     let mbpp = match target {
@@ -138,7 +137,6 @@ pub fn joint_outcomes(
     let policy = MitigationPolicy::Human(oracle);
     let config = RtsConfig {
         seed,
-        corpus: arts.linker.corpus(),
         ..RtsConfig::default()
     };
     par_map_with(split, LinkScratch::default, |scratch, inst| {
@@ -245,7 +243,6 @@ pub fn outcomes_for(
 ) -> Vec<RtsOutcome> {
     let config = RtsConfig {
         seed,
-        corpus: arts.linker.corpus(),
         ..RtsConfig::default()
     };
     let mbpp = match target {

@@ -34,16 +34,3 @@ pub fn env_seed() -> u64 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xC0FFEE)
 }
-
-/// Read the synthesis corpus version from the environment
-/// (`RTS_CORPUS=v1|v2`, default v2). `v1` pins the frozen corpus the
-/// archived `results/v1/*.json` were generated under; anything else is
-/// rejected loudly — silently falling back would regenerate records
-/// under the wrong corpus and poison every comparison.
-pub fn env_corpus() -> simlm::CorpusVersion {
-    match std::env::var("RTS_CORPUS").as_deref() {
-        Ok("v1") => simlm::CorpusVersion::V1,
-        Ok("v2") | Err(_) => simlm::CorpusVersion::V2,
-        Ok(other) => panic!("RTS_CORPUS must be v1 or v2, got {other:?}"),
-    }
-}

@@ -66,14 +66,6 @@ pub struct RtsConfig {
     /// parity proptest); this knob exists for A/B benchmarking,
     /// mirroring `per_token_monitoring` and `eager_synthesis`.
     pub reference_linking: bool,
-    /// Which hidden-state synthesis corpus the run expects its
-    /// `SchemaLinker` to generate (see `simlm::CorpusVersion`). This
-    /// is the driver-level half of the corpus-version contract: the
-    /// model owns the truth (`SchemaLinker::corpus`), the config
-    /// records the expectation, and `LinkSession::new` debug-asserts
-    /// they agree so a v2 config can never silently consume a v1
-    /// stream (records from different corpora are incomparable).
-    pub corpus: simlm::CorpusVersion,
 }
 
 impl Default for RtsConfig {
@@ -84,7 +76,6 @@ impl Default for RtsConfig {
             per_token_monitoring: false,
             eager_synthesis: false,
             reference_linking: false,
-            corpus: simlm::CorpusVersion::default(),
         }
     }
 }

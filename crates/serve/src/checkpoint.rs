@@ -106,16 +106,13 @@ mod tests {
 
     #[test]
     fn corpus_version_roundtrips_in_checkpoints() {
-        // Both versions survive the codec, and the default stamps v2 —
-        // the serving half of the corpus-version serde contract.
+        // The default stamps v2 and survives the codec — the serving
+        // half of the corpus-version serde contract.
         let cp = sample();
         assert_eq!(decode(&encode(&cp)).corpus, simlm::CorpusVersion::V2);
-        let mut v1 = sample();
-        v1.corpus = simlm::CorpusVersion::V1;
-        assert_eq!(decode(&encode(&v1)).corpus, simlm::CorpusVersion::V1);
         // The tag lands in the JSON as a plain string, so a corpus
         // mismatch is visible in the raw bytes too.
-        assert!(String::from_utf8(encode(&v1)).unwrap().contains("\"V1\""));
+        assert!(String::from_utf8(encode(&cp)).unwrap().contains("\"V2\""));
     }
 
     #[test]

@@ -52,41 +52,37 @@ pub enum GenMode {
     TeacherForced,
 }
 
-/// Which hidden-state synthesis corpus a [`SchemaLinker`] generates.
+/// The hidden-state synthesis corpus a [`SchemaLinker`] generates.
 ///
 /// The corpus-version contract: hidden-state gaussian streams are
 /// versioned, and a version is *frozen* the moment records generated
-/// under it are committed. `V1` is the original corpus — every stream
-/// consumes the sequential [`SplitMix64::next_gaussian`] pattern and
-/// reproduces the archived `results/v1/*.json` byte-for-byte. `V2`
-/// (the default) re-keys the streams to the pair-consuming
-/// [`SplitMix64::fill_gaussian`] pattern and merges each base+noise
-/// stream pair (per token and per layer) into a single stream at the
-/// combined amplitude — half the uniform draws, half the
-/// `ln`/`sqrt`/trig, and half the streams for the same multivariate
-/// distribution — and backs the current `results/*.json` /
-/// `BENCH_rts.json`. Records
-/// from different corpora are never comparable (the perf gate refuses
-/// them); within a corpus, determinism is absolute.
+/// under it are committed. `V2` re-keyed the original corpus to the
+/// pair-consuming [`SplitMix64::fill_gaussian`] pattern and merged each
+/// base+noise stream pair (per token and per layer) into a single
+/// stream at the combined amplitude, and backs the current
+/// `results/*.json` / `BENCH_rts.json`. It is the only corpus the code
+/// generates; the original v1 corpus survives only as the static
+/// records in `results/v1/`. A change that would move a stream is a new
+/// variant, and records from different corpora are never comparable
+/// (the perf gate refuses them). The version is the identity stamp
+/// that perf records, session checkpoints and the wire fingerprint
+/// carry.
 ///
 /// Only the *hidden-state* streams are versioned: decisions, the
 /// latent risk signal, softmax observables and layer directions are
-/// corpus-shared, so Free/TeacherForced traces describe the same
-/// counterfactual generation under either version.
+/// corpus-shared and keep the sequential
+/// [`SplitMix64::next_gaussian`] sampler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum CorpusVersion {
-    /// Frozen original corpus (sequential sampler; `results/v1/`).
-    V1,
-    /// Current corpus (chunked pair sampler; `results/`).
+    /// Chunked pair sampler with merged streams (`results/`).
     #[default]
     V2,
 }
 
 impl CorpusVersion {
-    /// Short stable tag used in records and env vars (`RTS_CORPUS`).
+    /// Short stable tag used in records.
     pub fn tag(self) -> &'static str {
         match self {
-            CorpusVersion::V1 => "v1",
             CorpusVersion::V2 => "v2",
         }
     }
@@ -383,8 +379,6 @@ pub struct SchemaLinker {
     signal_amp: f64,
     base_amp: f64,
     noise_amp: f64,
-    /// Which synthesis corpus the hidden-state streams draw from.
-    corpus: CorpusVersion,
     /// Testing hook: synthesize the v2 corpus through the
     /// straightforward per-dimension sequential sampler instead of the
     /// chunked row fills. Output is bit-identical (pinned by the
@@ -428,7 +422,7 @@ impl SchemaLinker {
             let mut dir: Vec<f32> = (0..hidden_dim)
                 // rts-allow(corpus-v1): layer directions are corpus-shared
                 // model architecture, not a per-token synthesis stream —
-                // v1 and v2 project onto the same u_j by design.
+                // every corpus projects onto the same u_j by design.
                 .map(|_| rng.next_gaussian() as f32)
                 .collect();
             let norm = dir.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
@@ -445,22 +439,13 @@ impl SchemaLinker {
             signal_amp: 2.9,
             base_amp: 0.32,
             noise_amp: 0.18,
-            corpus: CorpusVersion::default(),
             v2_sequential_reference: false,
         }
     }
 
-    /// Pin the synthesis corpus version (builder style). The default is
-    /// [`CorpusVersion::V2`]; pass [`CorpusVersion::V1`] to reproduce
-    /// the archived `results/v1/*.json` byte-for-byte.
-    pub fn with_corpus(mut self, corpus: CorpusVersion) -> Self {
-        self.corpus = corpus;
-        self
-    }
-
     /// The synthesis corpus this linker generates.
     pub fn corpus(&self) -> CorpusVersion {
-        self.corpus
+        CorpusVersion::V2
     }
 
     /// Switch v2 synthesis to the straightforward sequential reference
@@ -917,9 +902,9 @@ impl SchemaLinker {
                 );
                 // The s-signal / softmax stream below is corpus-shared
                 // observable structure (decision topology), not
-                // hidden-state synthesis — v1 and v2 traces carry the
+                // hidden-state synthesis — every corpus carries the
                 // same s and softmax_prob by design, so these sites
-                // keep the sequential sampler under either corpus.
+                // keep the sequential sampler.
                 let s = if is_branch {
                     let strength = step_element
                         .map(|i| branch_strength[i])
@@ -994,17 +979,13 @@ impl SchemaLinker {
     /// independence).
     ///
     /// Only the layers in `layers` are synthesized. The gaussian
-    /// streams are versioned by [`CorpusVersion`]: under `V1` every
-    /// stream keeps the sequential [`SplitMix64::next_gaussian`]
-    /// consumption pattern the archived `results/v1/*.json` corpus is
-    /// pinned to; under `V2` (the default) the streams are re-keyed to
-    /// the pair-consuming [`SplitMix64::fill_gaussian`] pattern —
-    /// whole `hidden_dim` rows per call, half the uniform draws, and
-    /// one merged layer-specific stream instead of two (the sum of two
-    /// independent gaussians is a gaussian, so the multivariate
-    /// distribution is unchanged). Each version is frozen once records
-    /// generated under it are committed; speedups that would move a
-    /// stream belong in a *new* version.
+    /// streams are those of [`CorpusVersion::V2`]: the pair-consuming
+    /// [`SplitMix64::fill_gaussian`] pattern, whole `hidden_dim` rows
+    /// per call, and one merged stream per token and per layer. The
+    /// corpus is frozen, so speedups that would move a stream belong in
+    /// a *new* version. The only branch is the testing hook
+    /// [`SchemaLinker::with_v2_sequential_reference`], which draws the
+    /// same streams one value at a time.
     fn hidden_states_for(
         &self,
         inst: &Instance,
@@ -1026,85 +1007,10 @@ impl SchemaLinker {
                 return HiddenStack::from_selected(self.hidden_dim, Vec::new(), sel.clone());
             }
         }
-        match self.corpus {
-            CorpusVersion::V1 => self.hidden_states_v1(inst, pos, tok, s, layers, scratch),
-            CorpusVersion::V2 if self.v2_sequential_reference => {
-                self.hidden_states_v2_sequential(inst, pos, tok, s, layers, scratch)
-            }
-            CorpusVersion::V2 => self.hidden_states_v2(inst, pos, tok, s, layers, scratch),
-        }
-    }
-
-    /// The frozen v1 synthesis path, byte-for-byte as committed with
-    /// `results/v1/*.json`: sequential `next_gaussian` draws on two
-    /// shared and two per-layer streams. Never change these draws —
-    /// the v1 parity test compares the archived records byte-identically.
-    fn hidden_states_v1(
-        &self,
-        inst: &Instance,
-        pos: usize,
-        tok: TokenId,
-        s: f64,
-        layers: &LayerSet,
-        scratch: &mut SynthScratch,
-    ) -> HiddenStack {
-        let n_rows = layers.count(self.n_layers);
-        // Shared token content: one draw per dimension, reused by every
-        // layer.
-        let mut shared_rng = SplitMix64::new(stable_hash(&token_key(tok, inst.id, pos)));
-        let mut shared_noise_rng = SplitMix64::new(
-            self.seed ^ inst.id.rotate_left(23) ^ ((pos as u64) << 32) ^ 0xD6E8_FEB8_6659_FD93,
-        );
-        scratch.shared_base.clear();
-        scratch
-            .shared_base
-            // rts-allow(corpus-v1): frozen v1 shared-content stream
-            .extend((0..self.hidden_dim).map(|_| shared_rng.next_gaussian()));
-        scratch.shared_noise.clear();
-        scratch
-            .shared_noise
-            // rts-allow(corpus-v1): frozen v1 shared-noise stream
-            .extend((0..self.hidden_dim).map(|_| shared_noise_rng.next_gaussian()));
-        let shared_base = &scratch.shared_base;
-        let shared_noise = &scratch.shared_noise;
-
-        let mut out = Vec::with_capacity(n_rows * self.hidden_dim);
-        let synth_layer = |j: usize, h: &mut Vec<f32>| {
-            let mut base_rng = SplitMix64::new(stable_hash(&layer_key(tok, j, inst.id, pos)));
-            let mut noise_rng = SplitMix64::new(
-                self.seed
-                    ^ inst.id.rotate_left(23)
-                    ^ ((pos as u64) << 32)
-                    ^ ((j as u64) << 8)
-                    ^ 0xA5A5_1234_9ABC_DEF0,
-            );
-            let g = self.layer_gain[j];
-            let dir = &self.layer_dirs[j];
-            let mix = (1.0 - SHARE * SHARE).sqrt();
-            for d in 0..self.hidden_dim {
-                let base =
-                    // rts-allow(corpus-v1): frozen v1 per-layer base stream
-                    self.base_amp * (SHARE * shared_base[d] + mix * base_rng.next_gaussian());
-                let signal = self.signal_amp * g * s * dir[d] as f64;
-                let noise =
-                    // rts-allow(corpus-v1): frozen v1 per-layer noise stream
-                    self.noise_amp * (SHARE * shared_noise[d] + mix * noise_rng.next_gaussian());
-                h.push((base + signal + noise) as f32);
-            }
-        };
-        match &layers.sel {
-            None => {
-                for j in 0..self.n_layers {
-                    synth_layer(j, &mut out);
-                }
-                HiddenStack::from_flat(self.hidden_dim, out)
-            }
-            Some(sel) => {
-                for &j in sel.iter() {
-                    synth_layer(j, &mut out);
-                }
-                HiddenStack::from_selected(self.hidden_dim, out, sel.clone())
-            }
+        if self.v2_sequential_reference {
+            self.hidden_states_v2_sequential(inst, pos, tok, s, layers, scratch)
+        } else {
+            self.hidden_states_v2(inst, pos, tok, s, layers, scratch)
         }
     }
 
@@ -1165,7 +1071,7 @@ impl SchemaLinker {
     /// merged stream per layer *and* per token instead of two of each.
     /// The shared row is scaled to its final amplitude once per token,
     /// so the per-layer combine is a single fused add per stream.
-    /// Composes with the [`LayerSet`] lazy selection exactly like v1:
+    /// Composes with the [`LayerSet`] lazy selection:
     /// per-layer streams are independently seeded, so skipping a layer
     /// perturbs nothing.
     fn hidden_states_v2(
@@ -1183,7 +1089,6 @@ impl SchemaLinker {
         let SynthScratch {
             shared_base,
             layer_row,
-            ..
         } = scratch;
         shared_base.resize(dim, 0.0);
         shared_rng.fill_gaussian(shared_base);
@@ -1283,7 +1188,7 @@ impl SchemaLinker {
 }
 
 /// Shared/layer-specific content split: 0.55² ≈ 30% of the variance is
-/// layer-specific under both corpora.
+/// layer-specific.
 const SHARE: f64 = 0.55;
 
 /// Scalar one-at-a-time view of a `fill_gaussian` stream over a row of
@@ -1324,17 +1229,14 @@ impl SeqGaussian {
 }
 
 /// Reusable buffers for [`SchemaLinker`] hidden-state synthesis: the
-/// shared-content vectors redrawn per token (v2 merges base+noise into
-/// `shared_base` alone; `shared_noise` only serves the frozen v1
-/// path), plus the merged per-layer row the v2 chunked path fills
-/// through `fill_gaussian`. One instance
+/// shared-content row redrawn per token, plus the merged per-layer row
+/// the chunked path fills through `fill_gaussian`. One instance
 /// per trace (or per worker thread) keeps steady-state synthesis free
 /// of the per-token allocations the old path paid, mirroring how
 /// `BppScratch` amortises the monitoring path.
 #[derive(Debug, Default, Clone)]
 pub struct SynthScratch {
     shared_base: Vec<f64>,
-    shared_noise: Vec<f64>,
     layer_row: Vec<f64>,
 }
 
@@ -1524,57 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_selected_layers_are_bit_identical_to_eager_under_v1() {
-        // The frozen corpus keeps the lazy/eager contract too.
-        let b = bench();
-        let m = linker().with_corpus(CorpusVersion::V1);
-        let layers = LayerSet::select([3, 21]);
-        let mut scratch = SynthScratch::default();
-        for inst in b.split.dev.iter().take(8) {
-            let mut v1 = Vocab::new();
-            let eager = m.generate(inst, &mut v1, LinkTarget::Columns, GenMode::Free);
-            let mut v2 = Vocab::new();
-            let lazy = m.generate_with_layers(
-                inst,
-                &mut v2,
-                LinkTarget::Columns,
-                GenMode::Free,
-                &layers,
-                &mut scratch,
-            );
-            for (ls, es) in lazy.steps.iter().zip(&eager.steps) {
-                for j in [3usize, 21] {
-                    assert_eq!(ls.hidden.layer(j), es.hidden.layer(j), "layer {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corpus_versions_share_observables_but_not_hidden_states() {
-        let b = bench();
-        let m1 = linker().with_corpus(CorpusVersion::V1);
-        let m2 = linker(); // default V2
-        assert_eq!(m2.corpus(), CorpusVersion::V2);
-        let inst = &b.split.dev[0];
-        let mut va = Vocab::new();
-        let t1 = m1.generate(inst, &mut va, LinkTarget::Columns, GenMode::Free);
-        let mut vb = Vocab::new();
-        let t2 = m2.generate(inst, &mut vb, LinkTarget::Columns, GenMode::Free);
-        // Decisions, tokens, softmax and branch labels are corpus-shared…
-        assert_eq!(t1.tokens, t2.tokens);
-        assert_eq!(t1.decisions, t2.decisions);
-        let mut any_hidden_diff = false;
-        for (s1, s2) in t1.steps.iter().zip(&t2.steps) {
-            assert_eq!(s1.softmax_prob, s2.softmax_prob);
-            assert_eq!(s1.is_branch, s2.is_branch);
-            // …while the hidden-state streams are re-keyed.
-            any_hidden_diff |= s1.hidden != s2.hidden;
-        }
-        assert!(any_hidden_diff, "v2 must re-key the hidden-state corpus");
-    }
-
-    #[test]
     fn v2_chunked_matches_sequential_reference() {
         let b = bench();
         let chunked = linker();
@@ -1617,11 +1468,11 @@ mod tests {
     #[test]
     fn corpus_version_tags_and_default() {
         assert_eq!(CorpusVersion::default(), CorpusVersion::V2);
-        assert_eq!(CorpusVersion::V1.tag(), "v1");
+        assert_eq!(linker().corpus(), CorpusVersion::V2);
         assert_eq!(CorpusVersion::V2.tag(), "v2");
-        let json = serde_json::to_string(&CorpusVersion::V1).unwrap();
+        let json = serde_json::to_string(&CorpusVersion::V2).unwrap();
         let back: CorpusVersion = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, CorpusVersion::V1);
+        assert_eq!(back, CorpusVersion::V2);
     }
 
     #[test]

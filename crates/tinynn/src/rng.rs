@@ -68,13 +68,13 @@ impl SplitMix64 {
     /// variate is discarded. Kept byte-for-byte as-is because frozen
     /// streams are pinned to this consumption pattern under the
     /// workspace's corpus-version contract (`simlm::CorpusVersion`):
-    /// the archived v1 hidden-state corpus (`results/v1/*.json`),
-    /// probe training, and every corpus-shared stream (decisions,
-    /// s-signal, softmax) consume it sequentially. The v2 synthesis
-    /// streams were re-keyed onto [`SplitMix64::fill_gaussian`], which
-    /// keeps both variates and wastes nothing — new bulk streams
-    /// should start there; moving an existing stream means minting a
-    /// new corpus version, never editing this sampler.
+    /// probe training and every corpus-shared stream (decisions,
+    /// s-signal, softmax, layer directions) consume it sequentially.
+    /// The hidden-state synthesis streams draw through
+    /// [`SplitMix64::fill_gaussian`], which keeps both variates and
+    /// wastes nothing — new bulk streams should start there; moving an
+    /// existing stream means minting a new corpus version, never
+    /// editing this sampler.
     #[inline]
     pub fn next_gaussian(&mut self) -> f64 {
         // Avoid ln(0).

@@ -153,18 +153,6 @@ mod parity {
     };
     use std::sync::OnceLock;
 
-    /// The CI matrix's corpus leg (`RTS_CORPUS=v1|v2`, default v2):
-    /// the whole parity suite — lazy/eager, context/reference,
-    /// session/monolith, serve/batch, chaos — runs under both
-    /// synthesis corpora, with the fixture model and every `RtsConfig`
-    /// agreeing on the version.
-    fn env_corpus() -> CorpusVersion {
-        match std::env::var("RTS_CORPUS").as_deref() {
-            Ok("v1") => CorpusVersion::V1,
-            _ => CorpusVersion::V2,
-        }
-    }
-
     struct Fx {
         bench: Benchmark,
         model: SchemaLinker,
@@ -177,7 +165,7 @@ mod parity {
         static FX: OnceLock<Fx> = OnceLock::new();
         FX.get_or_init(|| {
             let bench = BenchmarkProfile::bird_like().scaled(0.04).generate(77);
-            let model = SchemaLinker::new("bird", 5).with_corpus(env_corpus());
+            let model = SchemaLinker::new("bird", 5);
             let cfg = MbppConfig {
                 probe: ProbeConfig {
                     epochs: 6,
@@ -208,7 +196,6 @@ mod parity {
     fn base_config(seed: u64) -> RtsConfig {
         let mut config = RtsConfig {
             seed,
-            corpus: env_corpus(),
             ..RtsConfig::default()
         };
         match std::env::var("RTS_REFERENCE").as_deref() {
@@ -220,16 +207,12 @@ mod parity {
         config
     }
 
-    /// The corpus default threads consistently: an unconfigured
-    /// `RtsConfig` expects the same corpus an unconfigured
-    /// `SchemaLinker` generates (v2), so the `LinkSession::new`
-    /// agreement debug-assert can never fire on defaults.
+    /// The corpus stamp is v2 everywhere: the default version, the
+    /// version a linker reports, and its tag.
     #[test]
     fn default_corpus_is_v2_everywhere() {
-        assert_eq!(RtsConfig::default().corpus, CorpusVersion::V2);
         assert_eq!(CorpusVersion::default(), CorpusVersion::V2);
         assert_eq!(SchemaLinker::new("bird", 5).corpus(), CorpusVersion::V2);
-        assert_eq!(CorpusVersion::V1.tag(), "v1");
         assert_eq!(CorpusVersion::V2.tag(), "v2");
     }
 
@@ -838,7 +821,7 @@ mod parity {
     /// `rts-client` crate — framing, request ids, feedback resolution,
     /// and stats all cross the socket, and every outcome must still be
     /// identical to the batch pipeline. Runs under the CI parity
-    /// matrix (`RTS_THREADS × RTS_REFERENCE × RTS_CORPUS`) like the
+    /// matrix (`RTS_THREADS × RTS_REFERENCE`) like the
     /// in-process case it mirrors.
     #[test]
     fn wire_serve_matches_batch_pipeline() {
