@@ -109,10 +109,7 @@ fn main() {
             shards: env_usize("RTS_OL_SHARDS", 2),
             queue_capacity: env_usize("RTS_OL_QUEUE", 32),
             cache_capacity: env_usize("RTS_OL_CACHE", 8),
-            rts: RtsConfig {
-                seed,
-                ..RtsConfig::default()
-            },
+            rts: RtsConfig { seed },
             ..ServeConfig::default()
         },
         oracle: HumanOracle::new(Expertise::Expert, seed ^ 0x0DDE),

@@ -11,20 +11,16 @@
 //! forces the serial runtime for A/B comparisons. The record stamps the
 //! synthesis corpus tag so the gate can refuse cross-corpus comparisons.
 //!
-//! Stage semantics (PR 3): the monitored stream is generated **once**
+//! Stage semantics: the monitored stream is generated **once**
 //! (`trace_gen`) and then *shared* — `linking` times
 //! `run_rts_linking_from` consuming that round-0 trace through the
 //! precompiled `LinkContext`s (the production dataflow). The cost of
 //! the runtime when it must regenerate internally is kept as
-//! `linking_regen_baseline`, and the pre-context reference path
-//! (explicit counterfactual generation + clone-per-flag trie rebuild,
-//! `RtsConfig::reference_linking`) as `linking_reference_baseline` —
-//! the latter is the row comparable to the PR 2 "linking" record.
+//! `linking_regen_baseline`.
 
 use rts_bench::report::PerfReport;
 use rts_core::abstention::{
-    run_rts_linking, run_rts_linking_from, run_rts_linking_in, LinkScratch, MitigationPolicy,
-    Round0, RtsConfig,
+    run_rts_linking_from, run_rts_linking_in, LinkScratch, MitigationPolicy, Round0, RtsConfig,
 };
 use rts_core::bpp::{BppScratch, Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
@@ -70,15 +66,7 @@ fn main() {
 
     let instances = &bench.split.dev;
     let n = instances.len();
-    let config = RtsConfig {
-        seed,
-        ..RtsConfig::default()
-    };
-    let reference_config = RtsConfig {
-        seed,
-        reference_linking: true,
-        ..RtsConfig::default()
-    };
+    let config = RtsConfig { seed };
 
     // Stage 0 — context_build: precompile every database's LinkContext
     // (pre-interned vocab + constrained-decoding trie, both targets).
@@ -178,7 +166,7 @@ fn main() {
     let abstained: usize = outcomes.iter().map(|&(t, c)| t as usize + c as usize).sum();
 
     // Diagnostic: the same runtime when it generates round 0 itself
-    // (context path, no pre-generated trace) …
+    // (context path, no pre-generated trace).
     let t0 = Instant::now();
     let outcomes_regen: Vec<(bool, bool)> =
         par_map_with(instances, LinkScratch::default, |scratch, inst| {
@@ -206,39 +194,7 @@ fn main() {
             (t.abstained, c.abstained)
         });
     perf.push_stage("linking_regen_baseline", t0.elapsed(), n);
-
-    // … and the pre-context reference path: explicit counterfactual
-    // generation, fresh vocab + trie rebuild per flag. This row is the
-    // one comparable to the PR 2 "linking" record.
-    let t0 = Instant::now();
-    let outcomes_reference: Vec<(bool, bool)> = par_map(instances, |inst| {
-        let meta = bench.meta(&inst.db_name).expect("meta");
-        let t = run_rts_linking(
-            &linker,
-            &mbpp_t,
-            inst,
-            meta,
-            LinkTarget::Tables,
-            &MitigationPolicy::AbstainOnly,
-            &reference_config,
-        );
-        let c = run_rts_linking(
-            &linker,
-            &mbpp_c,
-            inst,
-            meta,
-            LinkTarget::Columns,
-            &MitigationPolicy::AbstainOnly,
-            &reference_config,
-        );
-        (t.abstained, c.abstained)
-    });
-    perf.push_stage("linking_reference_baseline", t0.elapsed(), n);
     assert_eq!(outcomes, outcomes_regen, "from-trace vs regen disagreed");
-    assert_eq!(
-        outcomes, outcomes_reference,
-        "context vs reference linking disagreed"
-    );
 
     // Untimed warm-up pass over the freshly materialised traces so the
     // two timed monitoring variants both read warm memory (the first
@@ -384,15 +340,6 @@ fn main() {
         linker.n_layers,
         layers_c.count(linker.n_layers),
     ));
-    let linking_speedup = perf
-        .stage_ms("linking_reference_baseline")
-        .zip(perf.stage_ms("linking"))
-        .map(|(reference, shared)| reference / shared)
-        .unwrap_or(f64::NAN);
-    perf.note(format!(
-        "linking shared-trace-vs-reference speedup: {linking_speedup:.2}x \
-         (reference regenerates the stream and the counterfactual; outcomes identical)"
-    ));
     let traceback_speedup = perf
         .stage_ms("traceback_rebuild_baseline")
         .zip(perf.stage_ms("traceback"))
@@ -420,10 +367,10 @@ fn main() {
         2 * n
     ));
     perf.note(
-        "stage semantics changed in PR 3: 'linking' now times run_rts_linking_from \
-         consuming the trace_gen stream through shared LinkContexts (the production \
-         dataflow — the stream is generated once, the counterfactual is derived from \
-         it); the PR 2-comparable full-regeneration cost is 'linking_reference_baseline'"
+        "'linking' times run_rts_linking_from consuming the trace_gen stream through \
+         shared LinkContexts (the production dataflow — the stream is generated once, \
+         the counterfactual is derived from it); 'linking_regen_baseline' is the same \
+         runtime generating round 0 itself"
             .to_string(),
     );
 
@@ -447,10 +394,7 @@ fn main() {
         serve: rts_serve::ServeConfig {
             queue_capacity: 16,
             cache_capacity: 8,
-            rts: RtsConfig {
-                seed,
-                ..RtsConfig::default()
-            },
+            rts: RtsConfig { seed },
             ..rts_serve::ServeConfig::default()
         },
         oracle: rts_core::human::HumanOracle::new(
@@ -490,10 +434,7 @@ fn main() {
             shards: 2,
             queue_capacity: 32,
             cache_capacity: 8,
-            rts: RtsConfig {
-                seed,
-                ..RtsConfig::default()
-            },
+            rts: RtsConfig { seed },
             ..rts_serve::ServeConfig::default()
         },
         oracle: rts_core::human::HumanOracle::new(

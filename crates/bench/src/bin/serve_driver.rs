@@ -146,10 +146,7 @@ fn main() {
             feedback_timeout: env_ms("RTS_SERVE_FEEDBACK_TIMEOUT_MS"),
             parked_bytes_budget: env_usize("RTS_SERVE_PARKED_BUDGET", 0),
             fault,
-            rts: RtsConfig {
-                seed,
-                ..RtsConfig::default()
-            },
+            rts: RtsConfig { seed },
             ..ServeConfig::default()
         },
         oracle: HumanOracle::new(Expertise::Expert, seed ^ 0x0DDE),

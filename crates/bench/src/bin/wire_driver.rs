@@ -171,10 +171,7 @@ fn main() {
         let mbpp_c = Mbpp::train(&ds_c, &probe_cfg);
         let contexts = LinkContexts::build(&bench);
         let policy = MitigationPolicy::Human(&config.oracle);
-        let rts = RtsConfig {
-            seed,
-            ..RtsConfig::default()
-        };
+        let rts = RtsConfig { seed };
         let mut scratch = LinkScratch::default();
         let mut checked = 0usize;
         for r in &outcomes {

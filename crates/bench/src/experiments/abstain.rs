@@ -19,10 +19,7 @@ fn eval_policy(
     policy: &MitigationPolicy<'_>,
     seed: u64,
 ) -> AbstentionMetrics {
-    let config = RtsConfig {
-        seed,
-        ..RtsConfig::default()
-    };
+    let config = RtsConfig { seed };
     let mbpp = match target {
         LinkTarget::Tables => &arts.mbpp_tables,
         LinkTarget::Columns => &arts.mbpp_columns,
@@ -135,10 +132,7 @@ pub fn joint_outcomes(
     seed: u64,
 ) -> Vec<JointOutcome> {
     let policy = MitigationPolicy::Human(oracle);
-    let config = RtsConfig {
-        seed,
-        ..RtsConfig::default()
-    };
+    let config = RtsConfig { seed };
     par_map_with(split, LinkScratch::default, |scratch, inst| {
         run_joint_linking_in(
             &arts.linker,
@@ -241,10 +235,7 @@ pub fn outcomes_for(
     policy: &MitigationPolicy<'_>,
     seed: u64,
 ) -> Vec<RtsOutcome> {
-    let config = RtsConfig {
-        seed,
-        ..RtsConfig::default()
-    };
+    let config = RtsConfig { seed };
     let mbpp = match target {
         LinkTarget::Tables => &arts.mbpp_tables,
         LinkTarget::Columns => &arts.mbpp_columns,

@@ -41,42 +41,13 @@ pub enum MitigationPolicy<'a> {
 /// Runtime knobs.
 #[derive(Debug, Clone)]
 pub struct RtsConfig {
-    /// Safety cap on correction rounds (defaults to #elements + 2).
-    pub max_rounds: usize,
     /// Seed for the permutation-merge randomness.
     pub seed: u64,
-    /// Monitor with the per-token reference loop instead of the batched
-    /// scoring path. Flags are identical either way (see the parity
-    /// proptest); this knob exists for A/B benchmarking and debugging.
-    pub per_token_monitoring: bool,
-    /// Synthesize the full hidden stack for every generated trace
-    /// instead of only the layers the monitor reads (the pre-lazy
-    /// reference behaviour). Outcomes are identical either way — lazy
-    /// layers are bit-equal to their eager counterparts (see the
-    /// lazy/eager parity proptests); this knob exists for A/B
-    /// benchmarking and debugging, mirroring `per_token_monitoring`.
-    pub eager_synthesis: bool,
-    /// Run the pre-`LinkContext` reference path: generate the
-    /// unmonitored counterfactual explicitly, regenerate the stream on
-    /// every correction round even when no override changed it, rebuild
-    /// the candidate trie from a vocabulary clone on every flag, and
-    /// trace back by re-decoding the full prefix each step. Outcomes,
-    /// flags, implicated sets and the merge RNG stream are identical
-    /// either way (pinned by the `context_linking_matches_reference`
-    /// parity proptest); this knob exists for A/B benchmarking,
-    /// mirroring `per_token_monitoring` and `eager_synthesis`.
-    pub reference_linking: bool,
 }
 
 impl Default for RtsConfig {
     fn default() -> Self {
-        Self {
-            max_rounds: 0,
-            seed: 0xC0FFEE,
-            per_token_monitoring: false,
-            eager_synthesis: false,
-            reference_linking: false,
-        }
+        Self { seed: 0xC0FFEE }
     }
 }
 
@@ -150,25 +121,18 @@ pub fn run_rts_linking(
     policy: &MitigationPolicy<'_>,
     config: &RtsConfig,
 ) -> RtsOutcome {
-    let mut scratch = LinkScratch::default();
-    if config.reference_linking {
-        // The reference path never touches a context; don't build one.
-        let mut session = LinkSession::new(model, mbpp, inst, meta, target, None, None, config);
-        drive_session(&mut session, policy, &mut scratch)
-    } else {
-        let ctx = LinkContext::new(meta, target);
-        let mut session = LinkSession::new(
-            model,
-            mbpp,
-            inst,
-            meta,
-            target,
-            Some(CtxHandle::Borrowed(&ctx)),
-            None,
-            config,
-        );
-        drive_session(&mut session, policy, &mut scratch)
-    }
+    let ctx = LinkContext::new(meta, target);
+    let mut session = LinkSession::new(
+        model,
+        mbpp,
+        inst,
+        meta,
+        target,
+        Some(CtxHandle::Borrowed(&ctx)),
+        None,
+        config,
+    );
+    drive_session(&mut session, policy, &mut LinkScratch::default())
 }
 
 /// [`run_rts_linking`] against a shared precompiled [`LinkContext`]
@@ -176,7 +140,7 @@ pub fn run_rts_linking(
 /// rebuild disappears, the unmonitored counterfactual is derived from
 /// round 0's stream instead of generated, and clean correction rounds
 /// reuse the previous round's trace. Outcomes are bit-identical to the
-/// reference path either way.
+/// context-free fallback (a session opened without a context).
 #[allow(clippy::too_many_arguments)] // mirrors run_rts_linking + context
 pub fn run_rts_linking_in(
     model: &SchemaLinker,
@@ -253,7 +217,7 @@ impl Round<'_> {
     }
 }
 
-/// The pre-session monolithic mitigation loop, kept verbatim as the
+/// The pre-session monolithic mitigation loop, kept as the
 /// parity reference for the [`LinkSession`] refactor: one blocking
 /// function interleaving generation, monitoring and policy handling.
 /// Every driver above must reproduce it bit for bit — same flags, same
@@ -262,18 +226,10 @@ impl Round<'_> {
 /// the session module's unit tests).
 ///
 /// `ctx`/`round0` select the entry-point shape being mirrored:
-/// `run_rts_linking` (reference or per-call context),
-/// `run_rts_linking_in` (`ctx` supplied), `run_rts_linking_from`
-/// (`ctx` + `round0`).
-///
-/// Invariant: the loop runs context-backed exactly when
-/// `config.reference_linking` is false (the reference path reproduces
-/// the pre-context costs: explicit counterfactual generation,
-/// regeneration every round, and a clone-per-flag trie rebuild). Both
-/// paths produce bit-identical outcomes — generation never consumes
-/// the instance RNG (its streams are self-seeded from `(seed,
-/// instance, position)`), so skipping a redundant regeneration or the
-/// counterfactual leaves the merge RNG, flags and decisions untouched.
+/// `run_rts_linking` (per-call context), `run_rts_linking_in` (`ctx`
+/// supplied), `run_rts_linking_from` (`ctx` + `round0`), or the
+/// context-free fallback (`ctx` absent: implicated sets come from
+/// [`implicated_elements_reference`]).
 #[allow(clippy::too_many_arguments)] // the one fully-explicit reference
 pub fn run_rts_linking_monolithic(
     model: &SchemaLinker,
@@ -287,9 +243,6 @@ pub fn run_rts_linking_monolithic(
     config: &RtsConfig,
     scratch: &mut LinkScratch,
 ) -> RtsOutcome {
-    // The reference path must pay the clone-per-flag trie rebuild even
-    // if a caller handed us a context alongside the knob.
-    let ctx = if config.reference_linking { None } else { ctx };
     let gold = SchemaLinker::gold_elements(inst, target);
     let gold_set = {
         let mut g = gold.clone();
@@ -299,47 +252,19 @@ pub fn run_rts_linking_monolithic(
     let mut rng = crate::par::instance_rng(config.seed, inst.id);
 
     // Lazy hidden-state synthesis: monitored traces only materialise
-    // the layers the mBPP's selected probes read (~k of n_layers). Both
-    // are observably identical to eager full-stack generation
-    // (per-layer gaussian streams are independently seeded), so flags,
-    // outcomes and the experiment corpus are unchanged.
-    let monitor_layers = if config.eager_synthesis {
-        simlm::LayerSet::all()
-    } else {
-        mbpp.layer_set()
-    };
+    // the layers the mBPP's selected probes read (~k of n_layers). They
+    // are bit-equal to their eager counterparts (per-layer gaussian
+    // streams are independently seeded), so flags and outcomes match
+    // full-stack generation.
+    let monitor_layers = mbpp.layer_set();
 
     // TAR/FAR accounting needs the *unmonitored* run's predicted set.
     // Round 0 of the monitored loop runs with no overrides, so its
-    // stream IS the unmonitored counterfactual — deriving the answer
-    // from it below makes the extra generation redundant. The reference
-    // path keeps the explicit extra generation (materialising zero
-    // hidden layers, as before) for A/B comparisons.
-    let mut would_be_correct: Option<bool> = if config.reference_linking {
-        let baseline_layers = if config.eager_synthesis {
-            simlm::LayerSet::all()
-        } else {
-            simlm::LayerSet::none()
-        };
-        let mut vocab = Vocab::new();
-        let baseline = model.generate_with_layers(
-            inst,
-            &mut vocab,
-            target,
-            GenMode::Free,
-            &baseline_layers,
-            &mut scratch.synth,
-        );
-        Some(baseline.predicted_set() == gold_set)
-    } else {
-        None
-    };
+    // stream IS the unmonitored counterfactual; it is read off below.
+    let mut would_be_correct: Option<bool> = None;
 
-    let max_rounds = if config.max_rounds == 0 {
-        gold.len() + 2
-    } else {
-        config.max_rounds
-    };
+    // Safety cap on correction rounds: every round handles one element.
+    let max_rounds = gold.len() + 2;
     let mut overrides: HashMap<String, Decision> = HashMap::new();
     let mut handled: HashSet<usize> = HashSet::new();
     let mut n_interventions = 0usize;
@@ -354,11 +279,7 @@ pub fn run_rts_linking_monolithic(
     let mut stale = false;
 
     for _round in 0..max_rounds {
-        let regenerate = match &cur {
-            None => true,
-            Some(_) => stale || config.reference_linking,
-        };
-        if regenerate {
+        if cur.is_none() || stale {
             let mut vocab = Vocab::new();
             let trace = model.generate_with_overrides_and_layers(
                 inst,
@@ -379,11 +300,7 @@ pub fn run_rts_linking_monolithic(
             // Round 0, no overrides: this stream is the counterfactual.
             would_be_correct = Some(trace.predicted_set() == gold_set);
         }
-        let flags = if config.per_token_monitoring {
-            mbpp.flag_trace_per_token(trace, &mut rng)
-        } else {
-            mbpp.flag_trace_with_scratch(trace, &mut rng, &mut scratch.bpp)
-        };
+        let flags = mbpp.flag_trace_with_scratch(trace, &mut rng, &mut scratch.bpp);
 
         // First actionable flag: one raised on a not-yet-handled element.
         let mut actionable: Option<(usize, usize)> = None; // (position, element_idx)
@@ -513,10 +430,10 @@ pub fn run_rts_linking_monolithic(
 }
 
 /// Algorithm 2 wrapper: implicated elements through the shared
-/// context's cached trie, or — on the reference path, where no context
-/// exists — by cloning the generation vocabulary and rebuilding the
-/// trie in its id space (the pre-context per-flag cost). Shared by the
-/// monolithic reference loop and the [`LinkSession`] state machine.
+/// context's cached trie, or — on the context-free fallback, where no
+/// context exists — by cloning the generation vocabulary and rebuilding
+/// the trie in its id space. Shared by the monolithic reference loop
+/// and the [`LinkSession`] state machine.
 pub(crate) fn implicated(
     ctx: Option<&LinkContext>,
     vocab: &Vocab,
@@ -669,16 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn context_path_matches_reference_path_for_all_policies() {
+    fn context_path_matches_context_free_fallback_for_all_policies() {
         let fx = fixture();
         let surrogate = SurrogateModel::train(&fx.bench, 3);
         let oracle = HumanOracle::new(Expertise::Expert, 5);
         let contexts = crate::context::LinkContexts::build(&fx.bench);
-        let fast_cfg = RtsConfig::default();
-        let ref_cfg = RtsConfig {
-            reference_linking: true,
-            ..RtsConfig::default()
-        };
+        let config = RtsConfig::default();
         let mut scratch = LinkScratch::default();
         for policy in [
             MitigationPolicy::AbstainOnly,
@@ -688,28 +601,30 @@ mod tests {
             for inst in fx.bench.split.dev.iter().take(60) {
                 let meta = fx.bench.meta(&inst.db_name).unwrap();
                 let ctx = contexts.get(&inst.db_name, LinkTarget::Tables);
-                let fast = run_rts_linking_in(
+                let with_ctx = run_rts_linking_in(
                     &fx.model,
                     &fx.mbpp,
                     inst,
                     meta,
                     ctx,
                     &policy,
-                    &fast_cfg,
+                    &config,
                     &mut scratch,
                 );
-                let reference = run_rts_linking(
+                let mut session = LinkSession::new(
                     &fx.model,
                     &fx.mbpp,
                     inst,
                     meta,
                     LinkTarget::Tables,
-                    &policy,
-                    &ref_cfg,
+                    None,
+                    None,
+                    &config,
                 );
+                let fallback = drive_session(&mut session, &policy, &mut scratch);
                 assert_eq!(
-                    format!("{fast:?}"),
-                    format!("{reference:?}"),
+                    format!("{with_ctx:?}"),
+                    format!("{fallback:?}"),
                     "inst {}",
                     inst.id
                 );

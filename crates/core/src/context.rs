@@ -118,7 +118,10 @@ impl LinkContext {
 /// clone the generation vocabulary, rebuild the candidate trie in its id
 /// space, and trace back by re-decoding the full prefix each step —
 /// exactly what every flag paid before the shared context existed. Kept
-/// for `RtsConfig::reference_linking` A/B runs and the parity tests.
+/// as the test oracle for the context's cached trie
+/// (`context_implicated_sets_match_rebuild`) and as the implicated-set
+/// source of a session opened without a context — the serving engine's
+/// fallback when a context build fails.
 pub fn implicated_elements_reference(
     gen_vocab: &Vocab,
     meta: &DbMeta,

@@ -195,11 +195,8 @@ pub fn measure_ex(
 /// so this returns exactly what the serial loop would (pinned by the
 /// `parallel_pipeline_matches_serial` proptest). Within each instance,
 /// monitored linking synthesizes only the hidden layers the mBPPs read
-/// (`RtsConfig::eager_synthesis` restores the full-stack reference
-/// path; outcomes are identical either way) and borrows the benchmark's
-/// precompiled [`LinkContexts`] — built here once, shared read-only by
-/// every worker (`RtsConfig::reference_linking` restores the
-/// rebuild-per-flag reference path).
+/// and borrows the benchmark's precompiled [`LinkContexts`] — built
+/// here once, shared read-only by every worker.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's pipeline stages
 pub fn run_full_pipeline(
     bench: &Benchmark,

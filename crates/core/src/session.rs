@@ -252,9 +252,10 @@ impl SessionRound<'_> {
 ///
 /// Construction mirrors the entry points of
 /// [`crate::abstention::run_rts_linking`]: a context-backed session
-/// (optionally consuming a pre-generated [`Round0`]) or — when
-/// `config.reference_linking` is set — the pre-context reference path,
-/// which ignores any provided context exactly like the monolith does.
+/// (optionally consuming a pre-generated [`Round0`]) or, without a
+/// context, the context-free fallback the serving engine takes when a
+/// context build fails — outcome-identical, with implicated sets from
+/// [`crate::context::implicated_elements_reference`].
 ///
 /// The session owns everything the loop accumulated (current round's
 /// trace + vocabulary, overrides, handled set, merge RNG, flag/
@@ -269,7 +270,6 @@ pub struct LinkSession<'a> {
     meta: Handle<'a, DbMeta>,
     target: LinkTarget,
     ctx: Option<CtxHandle<'a>>,
-    config: RtsConfig,
     gold: Vec<String>,
     gold_set: Vec<String>,
     rng: tinynn::rng::SplitMix64,
@@ -288,11 +288,8 @@ pub struct LinkSession<'a> {
 }
 
 impl<'a> LinkSession<'a> {
-    /// Open a session. `ctx` is ignored when `config.reference_linking`
-    /// is set (the reference path must pay the clone-per-flag trie
-    /// rebuild even if a caller handed a context alongside the knob —
-    /// same rule as the blocking runtime). `round0` follows the
-    /// [`Round0`] contract.
+    /// Open a session. Without `ctx` it runs the context-free
+    /// fallback. `round0` follows the [`Round0`] contract.
     #[allow(clippy::too_many_arguments)] // mirrors the blocking entry points
     pub fn new(
         model: &'a SchemaLinker,
@@ -331,7 +328,6 @@ impl<'a> LinkSession<'a> {
         round0: Option<Round0<'a>>,
         config: &RtsConfig,
     ) -> Self {
-        let ctx = if config.reference_linking { None } else { ctx };
         let gold = SchemaLinker::gold_elements(&inst, target);
         let gold_set = {
             let mut g = gold.clone();
@@ -339,16 +335,10 @@ impl<'a> LinkSession<'a> {
             g
         };
         let rng = crate::par::instance_rng(config.seed, inst.id);
-        let monitor_layers = if config.eager_synthesis {
-            simlm::LayerSet::all()
-        } else {
-            mbpp.layer_set()
-        };
-        let max_rounds = if config.max_rounds == 0 {
-            gold.len() + 2
-        } else {
-            config.max_rounds
-        };
+        let monitor_layers = mbpp.layer_set();
+        // Safety cap on correction rounds: every round handles one
+        // element.
+        let max_rounds = gold.len() + 2;
         Self {
             model,
             mbpp,
@@ -356,7 +346,6 @@ impl<'a> LinkSession<'a> {
             meta,
             target,
             ctx,
-            config: config.clone(),
             gold,
             gold_set,
             rng,
@@ -580,26 +569,6 @@ impl<'a> LinkSession<'a> {
         if let Some(pending) = &self.pending {
             return SessionState::NeedsFeedback(pending.query.clone());
         }
-        // Reference path: TAR/FAR accounting generates the unmonitored
-        // counterfactual explicitly, before round 0 (the context path
-        // derives it from round 0's stream below instead).
-        if self.config.reference_linking && self.would_be_correct.is_none() {
-            let baseline_layers = if self.config.eager_synthesis {
-                simlm::LayerSet::all()
-            } else {
-                simlm::LayerSet::none()
-            };
-            let mut vocab = Vocab::new();
-            let baseline = self.model.generate_with_layers(
-                &self.inst,
-                &mut vocab,
-                self.target,
-                GenMode::Free,
-                &baseline_layers,
-                &mut scratch.synth,
-            );
-            self.would_be_correct = Some(baseline.predicted_set() == self.gold_set);
-        }
         // One monitor cycle per step: every cycle either completes the
         // run or suspends on a flag (the monolith's loop continued here
         // only after its inline policy handling — which now lives in
@@ -612,11 +581,7 @@ impl<'a> LinkSession<'a> {
             return self.finish(outcome);
         }
         self.rounds_done += 1;
-        let regenerate = match &self.cur {
-            None => true,
-            Some(_) => self.stale || self.config.reference_linking,
-        };
-        let round = if regenerate {
+        let round = if self.cur.is_none() || self.stale {
             // Free the superseded round before synthesizing its
             // replacement; otherwise both traces are live at once.
             self.cur = None;
@@ -640,12 +605,9 @@ impl<'a> LinkSession<'a> {
             // Round 0, no overrides: this stream is the counterfactual.
             self.would_be_correct = Some(trace.predicted_set() == self.gold_set);
         }
-        let flags = if self.config.per_token_monitoring {
-            self.mbpp.flag_trace_per_token(trace, &mut self.rng)
-        } else {
-            self.mbpp
-                .flag_trace_with_scratch(trace, &mut self.rng, &mut scratch.bpp)
-        };
+        let flags = self
+            .mbpp
+            .flag_trace_with_scratch(trace, &mut self.rng, &mut scratch.bpp);
 
         // First actionable flag: one raised on a not-yet-handled
         // element.

@@ -106,10 +106,10 @@ pub fn trace_back_with(
 
 /// The pre-incremental [`trace_back`]: re-runs [`decode_elements`] over
 /// the full prefix on every loop iteration (O(n²) in the stream
-/// length). Kept byte-for-byte as the reference the incremental decoder
-/// is pinned against (`traceback_incremental_matches_reference` in the
-/// parity proptests) and as the cost model behind
-/// `RtsConfig::reference_linking`.
+/// length). Kept byte-for-byte as the test oracle the incremental
+/// decoder is pinned against (`traceback_incremental_matches_reference`
+/// in the parity proptests) and as the `traceback_rebuild_baseline`
+/// stage of the `perf` bin.
 pub fn trace_back_reference(
     vocab: &Vocab,
     trie: &Trie,

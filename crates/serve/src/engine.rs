@@ -76,8 +76,7 @@ pub struct ServeConfig {
     /// Base backoff before a step retry; doubles per consecutive panic
     /// of the same ticket. `ZERO` retries immediately.
     pub step_retry_backoff: Duration,
-    /// Runtime knobs threaded into every session (seed, reference
-    /// paths, …).
+    /// Runtime knobs threaded into every session (the merge seed).
     pub rts: RtsConfig,
 }
 
@@ -728,16 +727,13 @@ impl ServeEngine {
         meta: &DbMeta,
         stage: LinkTarget,
     ) -> Option<CtxHandle<'static>> {
-        // The reference-linking knob runs context-free (the session
-        // ignores a context under it anyway; skip the cache churn).
-        if self.config.rts.reference_linking {
-            return None;
-        }
         if self.config.fault.trip(FaultSite::ContextBuild) {
             // A failed context build degrades to the context-free
-            // reference path — outcome-identical (pinned by the
-            // cached≡reference parity proptests), just slower. Never
-            // an abstention, never a drop.
+            // fallback — outcome-identical (pinned by the
+            // `context_linking_matches_context_free_fallback` and
+            // `context_path_matches_context_free_fallback_for_all_policies`
+            // parity tests), just slower. Never an abstention, never a
+            // drop.
             shard
                 .counters
                 .context_build_fallbacks

@@ -103,7 +103,7 @@ pub struct ServingStats {
     /// ticket's in-memory recipe instead.
     pub corrupt_checkpoints_recovered: u64,
     /// Context-cache builds that failed and fell back to the
-    /// context-free reference path (outcome-identical, just slower).
+    /// context-free fallback (outcome-identical, just slower).
     pub context_build_fallbacks: u64,
     /// Client resolutions lost in flight (injected); the park timeout
     /// completed those requests as abstention hand-offs.

@@ -99,10 +99,7 @@ fn main() -> ExitCode {
         deadline: env_ms("RTS_SERVE_DEADLINE_MS"),
         feedback_timeout: env_ms("RTS_SERVE_FEEDBACK_TIMEOUT_MS"),
         parked_bytes_budget: env_usize("RTS_SERVE_PARKED_BUDGET", 0),
-        rts: RtsConfig {
-            seed,
-            ..RtsConfig::default()
-        },
+        rts: RtsConfig { seed },
         ..ServeConfig::default()
     };
 

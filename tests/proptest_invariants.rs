@@ -134,8 +134,8 @@ mod parity {
     use super::*;
     use rts::benchgen::{Benchmark, BenchmarkProfile, Instance};
     use rts::core::abstention::{
-        run_rts_linking, run_rts_linking_from, run_rts_linking_in, run_rts_linking_monolithic,
-        LinkScratch, MitigationPolicy, Round0, RtsConfig,
+        run_rts_linking_from, run_rts_linking_in, run_rts_linking_monolithic, LinkScratch,
+        MitigationPolicy, Round0, RtsConfig,
     };
     use rts::core::bpp::{Mbpp, MbppConfig, ProbeConfig};
     use rts::core::branching::BranchDataset;
@@ -143,7 +143,7 @@ mod parity {
     use rts::core::human::{Expertise, HumanOracle};
     use rts::core::pipeline::{run_full_pipeline, run_joint_linking, JointOutcome};
     use rts::core::session::{
-        resolve_flag, CtxHandle, LinkSession, SessionCheckpoint, SessionState,
+        drive_session, resolve_flag, CtxHandle, LinkSession, SessionCheckpoint, SessionState,
     };
     use rts::core::sqlgen::SqlGenModel;
     use rts::core::traceback::{column_trie, table_trie, trace_back, trace_back_reference};
@@ -188,23 +188,11 @@ mod parity {
         })
     }
 
-    /// Base config for parity runs. The CI parity matrix sets
-    /// `RTS_REFERENCE` (`per-token`, `eager`, `reference`) so that
-    /// parallel ≡ serial is enforced on the reference paths too, not
-    /// just on the fast defaults — and crossed with `RTS_THREADS` so
-    /// the serial and parallel runtimes are both exercised.
+    /// Base config for parity runs. The CI parity matrix runs the
+    /// module under `RTS_THREADS ∈ {1, 4}`, so the serial and parallel
+    /// runtimes are both exercised.
     fn base_config(seed: u64) -> RtsConfig {
-        let mut config = RtsConfig {
-            seed,
-            ..RtsConfig::default()
-        };
-        match std::env::var("RTS_REFERENCE").as_deref() {
-            Ok("per-token") => config.per_token_monitoring = true,
-            Ok("eager") => config.eager_synthesis = true,
-            Ok("reference") => config.reference_linking = true,
-            _ => {}
-        }
-        config
+        RtsConfig { seed }
     }
 
     /// The corpus stamp is v2 everywhere: the default version, the
@@ -342,35 +330,6 @@ mod parity {
             );
         }
 
-        /// The monitored-linking runtime produces byte-identical
-        /// outcomes with lazy synthesis (the default) and with the
-        /// eager full-stack reference (`eager_synthesis: true`) — the
-        /// invariant that keeps every `results/*.json` experiment
-        /// output byte-identical to the pre-lazy corpus.
-        #[test]
-        fn lazy_linking_outcomes_match_eager(seed in any::<u64>(), n in 8usize..24) {
-            let fx = fixture();
-            let oracle = HumanOracle::new(Expertise::Expert, seed ^ 0x0DDE);
-            let lazy_cfg = base_config(seed);
-            let eager_cfg = RtsConfig { eager_synthesis: true, ..base_config(seed) };
-            for policy in [
-                MitigationPolicy::AbstainOnly,
-                MitigationPolicy::Human(&oracle),
-            ] {
-                let run = |cfg: &RtsConfig| -> Vec<String> {
-                    fx.bench.split.dev.iter().take(n).map(|inst| {
-                        let meta = fx.bench.meta(&inst.db_name).unwrap();
-                        let o = run_rts_linking(
-                            &fx.model, &fx.mbpp_t, inst, meta,
-                            LinkTarget::Tables, &policy, cfg,
-                        );
-                        format!("{o:?}")
-                    }).collect()
-                };
-                prop_assert_eq!(run(&lazy_cfg), run(&eager_cfg));
-            }
-        }
-
         /// `flag_trace` (batched) ≡ `flag_trace_per_token`, flag for
         /// flag, with the permutation-merge RNG stream in lock-step.
         #[test]
@@ -446,16 +405,14 @@ mod parity {
             prop_assert!(ex_par == ex_serial, "EX diverged: {} vs {}", ex_par, ex_serial);
         }
 
-        /// The shared-`LinkContext` runtime ≡ the pre-context reference
-        /// path (`reference_linking: true`: explicit counterfactual
-        /// generation, regeneration every round, clone-per-flag trie
+        /// The shared-`LinkContext` runtime ≡ the context-free fallback
+        /// (a session opened without a context, as the serving engine
+        /// does when a context build fails: clone-per-flag trie
         /// rebuild, full-prefix re-decode): outcomes field-for-field —
         /// flags, implicated-set-driven decisions, interventions,
-        /// predictions — across targets, policies and seeds. This is
-        /// the invariant that keeps every committed `results/*.json`
-        /// byte-identical under the context refactor.
+        /// predictions — across targets, policies and seeds.
         #[test]
-        fn context_linking_matches_reference(
+        fn context_linking_matches_context_free_fallback(
             seed in any::<u64>(),
             n in 8usize..24,
             columns in prop::bool::ANY,
@@ -464,8 +421,7 @@ mod parity {
             let oracle = HumanOracle::new(Expertise::Expert, seed ^ 0x0DDE);
             let target = if columns { LinkTarget::Columns } else { LinkTarget::Tables };
             let mbpp = if columns { &fx.mbpp_c } else { &fx.mbpp_t };
-            let fast_cfg = base_config(seed);
-            let ref_cfg = RtsConfig { reference_linking: true, ..base_config(seed) };
+            let config = base_config(seed);
             let mut scratch = LinkScratch::default();
             for policy in [
                 MitigationPolicy::AbstainOnly,
@@ -474,15 +430,16 @@ mod parity {
                 for inst in fx.bench.split.dev.iter().take(n) {
                     let meta = fx.bench.meta(&inst.db_name).unwrap();
                     let ctx = fx.contexts.get(&inst.db_name, target);
-                    let fast = run_rts_linking_in(
-                        &fx.model, mbpp, inst, meta, ctx, &policy, &fast_cfg, &mut scratch,
+                    let with_ctx = run_rts_linking_in(
+                        &fx.model, mbpp, inst, meta, ctx, &policy, &config, &mut scratch,
                     );
-                    let reference = run_rts_linking(
-                        &fx.model, mbpp, inst, meta, target, &policy, &ref_cfg,
+                    let mut session = LinkSession::new(
+                        &fx.model, mbpp, inst, meta, target, None, None, &config,
                     );
+                    let fallback = drive_session(&mut session, &policy, &mut scratch);
                     prop_assert_eq!(
-                        format!("{:?}", fast),
-                        format!("{:?}", reference),
+                        format!("{:?}", with_ctx),
+                        format!("{:?}", fallback),
                         "instance {} target {:?}", inst.id, target
                     );
                 }
@@ -539,8 +496,8 @@ mod parity {
         /// and the trace-consuming `run_rts_linking_from`). Multi-round
         /// Human runs only agree if the merge-RNG stream, flag counts
         /// and intervention accounting stay in lock-step, so outcome
-        /// equality pins the whole state machine — under every
-        /// `RTS_REFERENCE` knob and thread count of the CI matrix.
+        /// equality pins the whole state machine — under both thread
+        /// counts of the CI matrix.
         #[test]
         fn session_linking_matches_monolithic_loop(
             seed in any::<u64>(),
@@ -604,8 +561,8 @@ mod parity {
         /// from bytes (the evicted round re-synthesized from the
         /// override recipe), and only then resolved. Flags, the merge
         /// RNG stream, interventions and outcomes must be identical to
-        /// a run that never parked — under every `RTS_REFERENCE` knob
-        /// and thread count of the CI matrix, so `results/*.json`
+        /// a run that never parked — under both thread counts of the
+        /// CI matrix, so `results/*.json`
         /// cannot drift however often the serving engine checkpoints.
         #[test]
         fn checkpoint_roundtrip_matches_monolithic_loop(
@@ -725,8 +682,7 @@ mod parity {
     /// instance set: concurrent clients, parked sessions and the lazy
     /// context cache must change *when* answers arrive, never what
     /// they are. Runs under the CI parity matrix, so worker scheduling
-    /// (`RTS_THREADS`) and every `RTS_REFERENCE` knob are crossed with
-    /// the engine's concurrency.
+    /// (`RTS_THREADS`) is crossed with the engine's concurrency.
     #[test]
     fn serve_engine_matches_batch_pipeline() {
         let fx = fixture();
@@ -809,10 +765,7 @@ mod parity {
             stats.parked_sessions_peak >= 1,
             "suspensions must park sessions"
         );
-        if !config.reference_linking {
-            // The reference knob runs context-free, bypassing the cache.
-            assert!(stats.cache.hits > 0, "contexts must be reused");
-        }
+        assert!(stats.cache.hits > 0, "contexts must be reused");
     }
 
     /// The wire stack ≡ the in-process engine, byte for byte: the same
@@ -821,8 +774,7 @@ mod parity {
     /// `rts-client` crate — framing, request ids, feedback resolution,
     /// and stats all cross the socket, and every outcome must still be
     /// identical to the batch pipeline. Runs under the CI parity
-    /// matrix (`RTS_THREADS × RTS_REFERENCE`) like the
-    /// in-process case it mirrors.
+    /// matrix (`RTS_THREADS`) like the in-process case it mirrors.
     #[test]
     fn wire_serve_matches_batch_pipeline() {
         use rts::client::RtsClient;
@@ -958,8 +910,8 @@ mod parity {
         /// work-stealing placement may move *when* answers arrive,
         /// never what they are. Pinned against the same batch baseline
         /// `serve_engine_matches_batch_…` holds the default engine to,
-        /// and rides the CI `RTS_THREADS × RTS_REFERENCE` matrix like
-        /// every other parity case. Zero drops and per-shard gauge
+        /// and rides the CI `RTS_THREADS` matrix like every other parity
+        /// case. Zero drops and per-shard gauge
         /// drain are asserted on every case.
         #[test]
         fn sharded_engine_matches_single_shard(
@@ -1096,7 +1048,7 @@ mod parity {
         /// answer), and requests the faults did *not* degrade are
         /// byte-identical to the fault-free batch pipeline. Runs under
         /// the CI parity matrix, so the recovery machinery is crossed
-        /// with `RTS_THREADS` and every `RTS_REFERENCE` knob.
+        /// with `RTS_THREADS`.
         #[test]
         fn chaos_fault_schedules_degrade_only(fault_seed in any::<u64>()) {
             rts::serve::fault::silence_injected_panics();
