@@ -136,8 +136,7 @@ impl Sbpp {
         let train_rows: Vec<&[f32]> = (0..train.len()).map(|i| train.row(i)).collect();
         let scaler = StandardScaler::fit(&train_rows);
         let scale_ds = |d: &Dataset| {
-            let rows: Vec<Vec<f32>> = (0..d.len()).map(|i| scaler.transform(d.row(i))).collect();
-            Dataset::from_rows(&rows, d.targets())
+            Dataset::from_matrix(scaler.transform_batch(d.features()), d.targets().to_vec())
         };
         let train_s = scale_ds(&train);
         let cal_s = scale_ds(&cal);
@@ -161,25 +160,23 @@ impl Sbpp {
         } else {
             let copies = (neg_count / pos_idx.len()).clamp(1, 120);
             let mut jitter_rng = SplitMix64::new(cfg.seed ^ 0x7177 ^ ((layer as u64) << 3));
-            let mut rows: Vec<Vec<f32>> =
-                Vec::with_capacity(train_s.len() + (copies - 1) * pos_idx.len());
-            let mut labels: Vec<f32> = Vec::with_capacity(rows.capacity());
-            for i in 0..train_s.len() {
-                rows.push(train_s.row(i).to_vec());
-                labels.push(train_s.targets()[i]);
-            }
+            let n_rows = train_s.len() + (copies - 1) * pos_idx.len();
+            let mut data: Vec<f32> = Vec::with_capacity(n_rows * train_s.dim());
+            data.extend_from_slice(train_s.features().as_slice());
+            let mut labels: Vec<f32> = Vec::with_capacity(n_rows);
+            labels.extend_from_slice(train_s.targets());
             for _ in 1..copies {
                 for &i in &pos_idx {
-                    let jittered: Vec<f32> = train_s
-                        .row(i)
-                        .iter()
-                        .map(|&x| x + 0.60 * jitter_rng.next_gaussian() as f32)
-                        .collect();
-                    rows.push(jittered);
+                    data.extend(
+                        train_s
+                            .row(i)
+                            .iter()
+                            .map(|&x| x + 0.60 * jitter_rng.next_gaussian() as f32),
+                    );
                     labels.push(1.0);
                 }
             }
-            Dataset::from_rows(&rows, &labels)
+            Dataset::from_matrix(Matrix::from_vec(n_rows, train_s.dim(), data), labels)
         };
         let pos_rate = train_s.positive_rate().max(1e-4);
         let pos_weight = (((1.0 - pos_rate) / pos_rate) as f32).min(4.0);
@@ -387,7 +384,12 @@ impl Mbpp {
     /// select the top `k`.
     pub fn train(ds: &BranchDataset, cfg: &MbppConfig) -> Mbpp {
         assert!(cfg.k >= 1 && cfg.k <= ds.n_layers, "k out of range");
-        // Per-layer probes are independent; train them in parallel.
+        // Per-layer probes are independent; train them in parallel on
+        // every available core. This deliberately ignores
+        // `RTS_THREADS` (see `par::thread_count`): each probe is a pure
+        // function of its layer's data and seed, so the thread count
+        // cannot change a weight, and honouring `RTS_THREADS=1` would
+        // only make every set-up slower.
         let n_workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);

@@ -22,9 +22,15 @@ pub fn instance_rng(seed: u64, inst_id: u64) -> tinynn::rng::SplitMix64 {
     tinynn::rng::SplitMix64::new(seed ^ inst_id.wrapping_mul(0x2545_F491_4F6C_DD1D))
 }
 
-/// Worker-thread count: `RTS_THREADS` if set (clamped to ≥ 1;
-/// `RTS_THREADS=1` forces serial execution, which the parity tests use
-/// as the reference), otherwise the machine's available parallelism.
+/// Worker-thread count for [`par_map`]: `RTS_THREADS` if set (clamped
+/// to ≥ 1; `RTS_THREADS=1` makes the per-instance fan-outs serial, which
+/// the parity tests use as the reference), otherwise the machine's
+/// available parallelism.
+///
+/// `RTS_THREADS` does not reach probe training: `Mbpp::train` always
+/// uses `available_parallelism`, on purpose. Each layer's probe is a
+/// pure function of its seed and data, so the thread count cannot
+/// change a weight, and a serial set-up would only be slower.
 pub fn thread_count() -> usize {
     if let Some(n) = std::env::var("RTS_THREADS")
         .ok()

@@ -71,43 +71,40 @@ impl Dataset {
     /// class-mixed; the shuffle order depends only on `seed`.
     pub fn split(&self, frac: f64, seed: u64) -> (Dataset, Dataset) {
         assert!((0.0..1.0).contains(&frac), "frac must be in [0,1)");
-        let n = self.len();
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut rng = SplitMix64::new(seed);
-        shuffle(&mut idx, &mut rng);
-        let n_held = ((n as f64) * frac).round() as usize;
+        let mut idx = Vec::new();
+        self.shuffled_indices_into(seed, &mut idx);
+        let n_held = ((self.len() as f64) * frac).round() as usize;
         let (held_idx, train_idx) = idx.split_at(n_held);
         (self.subset(train_idx), self.subset(held_idx))
     }
 
     /// Materialise a subset of rows.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let cols = self.dim();
-        let mut data = Vec::with_capacity(indices.len() * cols);
-        let mut targets = Vec::with_capacity(indices.len());
-        for &i in indices {
-            data.extend_from_slice(self.features.row(i));
-            targets.push(self.targets[i]);
-        }
-        Dataset {
-            features: Matrix::from_vec(indices.len(), cols, data),
-            targets,
-        }
+        let mut features = Matrix::default();
+        let mut targets = Vec::new();
+        self.gather_into(indices, &mut features, &mut targets);
+        Dataset { features, targets }
     }
 
-    /// Iterate over mini-batches in a deterministic shuffled order.
-    /// Yields `(features, targets)` pairs; the final batch may be short.
-    pub fn batches(&self, batch_size: usize, seed: u64) -> Vec<(Matrix, Vec<f32>)> {
-        assert!(batch_size > 0, "batch_size must be positive");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = SplitMix64::new(seed);
-        shuffle(&mut idx, &mut rng);
-        idx.chunks(batch_size)
-            .map(|chunk| {
-                let sub = self.subset(chunk);
-                (sub.features, sub.targets)
-            })
-            .collect()
+    /// The row indices `0..len` in a deterministic shuffled order that
+    /// depends only on `seed`, written into `order` (allocation reused).
+    /// Training walks one such order per epoch in mini-batch chunks.
+    pub fn shuffled_indices_into(&self, seed: u64, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..self.len());
+        shuffle(order, &mut SplitMix64::new(seed));
+    }
+
+    /// Copy the rows `indices` (features and targets, in that order)
+    /// into `features` / `targets`, reusing their allocations — how a
+    /// mini-batch is gathered without materialising a [`Dataset`].
+    pub fn gather_into(&self, indices: &[usize], features: &mut Matrix, targets: &mut Vec<f32>) {
+        features.resize_for_overwrite(indices.len(), self.dim());
+        for (r, &i) in indices.iter().enumerate() {
+            features.row_mut(r).copy_from_slice(self.features.row(i));
+        }
+        targets.clear();
+        targets.extend(indices.iter().map(|&i| self.targets[i]));
     }
 }
 
@@ -150,18 +147,31 @@ mod tests {
     #[test]
     fn batches_cover_dataset_once() {
         let ds = toy(23);
-        let batches = ds.batches(5, 3);
-        assert_eq!(batches.len(), 5); // 4 full + 1 short
-        let total: usize = batches.iter().map(|(_, t)| t.len()).sum();
-        assert_eq!(total, 23);
+        let mut order = Vec::new();
+        ds.shuffled_indices_into(3, &mut order);
+        let (mut features, mut targets) = (Matrix::default(), Vec::new());
+        let mut batches = 0;
+        let mut firsts = Vec::new();
+        for chunk in order.chunks(5) {
+            ds.gather_into(chunk, &mut features, &mut targets);
+            assert_eq!(features.rows(), targets.len());
+            batches += 1;
+            for (r, &i) in chunk.iter().enumerate() {
+                assert_eq!(features.row(r), ds.row(i));
+                assert_eq!(targets[r], ds.targets()[i]);
+                firsts.push(features.get(r, 0));
+            }
+        }
+        assert_eq!(batches, 5); // 4 full + 1 short
+        assert_eq!(targets.len(), 3);
         // Every feature row must appear exactly once.
-        let mut firsts: Vec<f32> = batches
-            .iter()
-            .flat_map(|(f, _)| (0..f.rows()).map(|r| f.get(r, 0)).collect::<Vec<_>>())
-            .collect();
         firsts.sort_by(f32::total_cmp);
         let expect: Vec<f32> = (0..23).map(|i| i as f32).collect();
         assert_eq!(firsts, expect);
+        // The order depends only on the seed.
+        let mut again = Vec::new();
+        ds.shuffled_indices_into(3, &mut again);
+        assert_eq!(order, again);
     }
 
     #[test]

@@ -34,10 +34,10 @@ impl Activation {
     pub fn backward(self, grad: &mut Matrix, out: &Matrix) {
         match self {
             Activation::Relu => {
+                // A select, not a branch: about half the lanes are dead
+                // in no predictable pattern.
                 for (g, &o) in grad.as_mut_slice().iter_mut().zip(out.as_slice()) {
-                    if o <= 0.0 {
-                        *g = 0.0;
-                    }
+                    *g = if o <= 0.0 { 0.0 } else { *g };
                 }
             }
             Activation::Sigmoid => {
@@ -68,10 +68,11 @@ pub fn sigmoid(x: f32) -> f32 {
 
 /// A fully connected layer `y = act(x W + b)`.
 ///
-/// Stores its last input and output so that [`Dense::backward`] can be
-/// called immediately after [`Dense::forward`] (the usual training loop
-/// shape). Weight gradients are accumulated into `grad_w` / `grad_b` and
-/// consumed by an optimiser.
+/// The layer holds no activations: [`Dense::forward_into`] writes into a
+/// caller-owned buffer, and [`Dense::backward`] takes the forward pass's
+/// input and output back, so one training scratch serves every step.
+/// Weight gradients are written into `grad_w` / `grad_b` and consumed by
+/// an optimiser.
 #[derive(Debug, Clone)]
 pub struct Dense {
     pub w: Matrix,
@@ -79,8 +80,6 @@ pub struct Dense {
     pub act: Activation,
     pub grad_w: Matrix,
     pub grad_b: Vec<f32>,
-    last_input: Option<Matrix>,
-    last_output: Option<Matrix>,
 }
 
 impl Dense {
@@ -92,8 +91,6 @@ impl Dense {
             act,
             grad_w: Matrix::zeros(input_dim, output_dim),
             grad_b: vec![0.0; output_dim],
-            last_input: None,
-            last_output: None,
         }
     }
 
@@ -105,44 +102,27 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass for a batch (rows = samples). Caches activations when
-    /// `train` is set so a subsequent backward pass can use them.
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut out = x.matmul(&self.w);
+    /// Forward pass for a batch (rows = samples) into `out` (resized,
+    /// allocation reused).
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.w, out);
         out.add_row_broadcast(&self.b);
-        self.act.forward(&mut out);
-        if train {
-            self.last_input = Some(x.clone());
-            self.last_output = Some(out.clone());
-        }
-        out
+        self.act.forward(out);
     }
 
-    /// Backward pass. `grad_out` is ∂L/∂y for this layer's output; returns
-    /// ∂L/∂x for the layer below. Accumulates weight/bias gradients.
-    pub fn backward(&mut self, mut grad_out: Matrix) -> Matrix {
-        let out = self
-            .last_output
-            .as_ref()
-            .expect("backward called without a cached forward pass");
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward called without a cached forward pass");
-        self.act.backward(&mut grad_out, out);
+    /// Backward pass for the batch whose forward pass read `x` and wrote
+    /// `y`. On entry `grad` holds ∂L/∂y; it is turned into ∂L/∂z in
+    /// place. `grad_w` / `grad_b` are overwritten with this batch's
+    /// gradients, and ∂L/∂x is written into `dx` when one is given —
+    /// the input layer passes `None`, since nothing consumes it.
+    pub fn backward(&mut self, x: &Matrix, y: &Matrix, grad: &mut Matrix, dx: Option<&mut Matrix>) {
+        self.act.backward(grad, y);
         // dW = xᵀ (dL/dz); db = column sums of dL/dz; dx = (dL/dz) Wᵀ
-        let gw = input.matmul_at(&grad_out);
-        self.grad_w.add_scaled(&gw, 1.0);
-        for (gb, s) in self.grad_b.iter_mut().zip(grad_out.col_sums()) {
-            *gb += s;
+        x.matmul_at_into(grad, &mut self.grad_w);
+        grad.col_sums_into(&mut self.grad_b);
+        if let Some(dx) = dx {
+            grad.matmul_bt_into(&self.w, dx);
         }
-        grad_out.matmul_bt(&self.w)
-    }
-
-    /// Clear accumulated gradients (call once per optimiser step).
-    pub fn zero_grad(&mut self) {
-        self.grad_w.fill_zero();
-        self.grad_b.iter_mut().for_each(|g| *g = 0.0);
     }
 
     /// Number of trainable parameters.
@@ -173,51 +153,60 @@ mod tests {
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 1.0]);
     }
 
-    /// Finite-difference check of the dense-layer gradient: the analytic
-    /// gradient from backprop must match (L(w+h) − L(w−h)) / 2h for a
-    /// scalar loss L = Σ y².
+    /// Finite-difference check of the dense-layer gradients: the
+    /// analytic ∂L/∂W and ∂L/∂x from backprop must match
+    /// (L(v+h) − L(v−h)) / 2h for a scalar loss L = Σ y².
     #[test]
     fn dense_gradient_matches_finite_difference() {
         let mut rng = SplitMix64::new(42);
         let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
-        let x = Matrix::from_vec(2, 3, vec![0.3, -0.2, 0.5, 0.1, 0.8, -0.4]);
+        let mut x = Matrix::from_vec(2, 3, vec![0.3, -0.2, 0.5, 0.1, 0.8, -0.4]);
+        let loss = |layer: &Dense, x: &Matrix| {
+            let mut y = Matrix::default();
+            layer.forward_into(x, &mut y);
+            y.as_slice().iter().map(|v| v * v).sum::<f32>()
+        };
 
         // Analytic gradient of L = sum(y^2): dL/dy = 2y.
-        let y = layer.forward(&x, true);
-        let grad_out = Matrix::from_fn(2, 2, |r, c| 2.0 * y.get(r, c));
-        layer.zero_grad();
-        let _ = layer.backward(grad_out);
+        let mut y = Matrix::default();
+        layer.forward_into(&x, &mut y);
+        let mut grad = Matrix::from_fn(2, 2, |r, c| 2.0 * y.get(r, c));
+        let mut dx = Matrix::default();
+        layer.backward(&x, &y, &mut grad, Some(&mut dx));
 
         let h = 1e-3_f32;
         for r in 0..3 {
             for c in 0..2 {
                 let orig = layer.w.get(r, c);
                 layer.w.set(r, c, orig + h);
-                let yp = layer.forward(&x, false);
-                let lp: f32 = yp.as_slice().iter().map(|v| v * v).sum();
+                let lp = loss(&layer, &x);
                 layer.w.set(r, c, orig - h);
-                let ym = layer.forward(&x, false);
-                let lm: f32 = ym.as_slice().iter().map(|v| v * v).sum();
+                let lm = loss(&layer, &x);
                 layer.w.set(r, c, orig);
                 let numeric = (lp - lm) / (2.0 * h);
                 let analytic = layer.grad_w.get(r, c);
                 assert!(
                     (numeric - analytic).abs() < 2e-2,
-                    "grad mismatch at ({r},{c}): numeric {numeric}, analytic {analytic}"
+                    "grad_w mismatch at ({r},{c}): numeric {numeric}, analytic {analytic}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn backward_panics_without_forward() {
-        let mut rng = SplitMix64::new(1);
-        let mut layer = Dense::new(2, 2, Activation::Relu, &mut rng);
-        let g = Matrix::zeros(1, 2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            layer.backward(g);
-        }));
-        assert!(result.is_err());
+        for r in 0..2 {
+            for c in 0..3 {
+                let orig = x.get(r, c);
+                x.set(r, c, orig + h);
+                let lp = loss(&layer, &x);
+                x.set(r, c, orig - h);
+                let lm = loss(&layer, &x);
+                x.set(r, c, orig);
+                let numeric = (lp - lm) / (2.0 * h);
+                let analytic = dx.get(r, c);
+                assert!(
+                    (numeric - analytic).abs() < 2e-2,
+                    "dx mismatch at ({r},{c}): numeric {numeric}, analytic {analytic}"
+                );
+            }
+        }
     }
 
     #[test]

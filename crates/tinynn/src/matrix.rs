@@ -3,20 +3,11 @@
 //! `tinynn` deliberately avoids a general tensor abstraction: the RTS
 //! probes are 2-layer MLPs over hidden-state vectors of dimension ≤ 256,
 //! so a plain contiguous `Vec<f32>` with `(rows, cols)` bookkeeping plus a
-//! handful of fused kernels (`matmul`, `matmul_at`, `matmul_bt`) is both
-//! the simplest and the fastest thing that works.
+//! handful of fused kernels that write into reused buffers
+//! (`matmul_into`, `matmul_at_into`, `matmul_bt_into`) is both the
+//! simplest and the fastest thing that works.
 
 use crate::rng::SplitMix64;
-
-/// Kernel selection for [`Matrix::matmul_into_hinted`]. `Auto` probes
-/// the input's sparsity at runtime; `Dense`/`Sparse` skip the probe
-/// when the caller knows the input regime statically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulHint {
-    Auto,
-    Dense,
-    Sparse,
-}
 
 /// Dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -107,11 +98,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Reset to zero without reallocating — used for gradient buffers.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Reshape in place to `rows × cols`, zero-filled, reusing the
     /// existing allocation when it is large enough. This is what makes
     /// the `*_into` kernels allocation-free across calls with varying
@@ -134,41 +120,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Become a copy of `other`, reusing the existing allocation.
-    pub fn copy_from(&mut self, other: &Matrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&other.data);
-    }
-
-    /// Estimate the zero fraction of the buffer from an evenly strided
-    /// sample. Cheap (≤ 128 probes) and good enough to pick a kernel.
-    fn sparsity_probe(&self) -> f64 {
-        let n = self.data.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let samples = n.min(128);
-        let stride = n.div_ceil(samples);
-        let mut zeros = 0usize;
-        let mut seen = 0usize;
-        let mut i = 0;
-        while i < n && seen < samples {
-            if self.data[i] == 0.0 {
-                zeros += 1;
-            }
-            seen += 1;
-            i += stride;
-        }
-        zeros as f64 / seen as f64
-    }
-
-    /// Zero fraction above which the dead-lane-skipping kernel wins.
-    /// Below it the `a_ik == 0.0` test is a mispredicted branch per
-    /// element on dense (e.g. standardised-input) matrices.
-    const SPARSE_KERNEL_THRESHOLD: f64 = 0.25;
-
     /// `self @ other` → (self.rows × other.cols). Allocates the output;
     /// see [`Matrix::matmul_into`] for the allocation-free form.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
@@ -178,59 +129,20 @@ impl Matrix {
     }
 
     /// `self @ other` written into `out` (resized as needed, allocation
-    /// reused). The kernel is chosen by a sparsity probe of `self`: a
-    /// dead-lane-skipping loop when inputs look post-ReLU, a branchless
-    /// column-blocked loop when they look dense. Both kernels accumulate
-    /// every output element over `k` in ascending order, so results are
-    /// identical (up to the sign of exact zeros) whichever is picked.
+    /// reused). Every output element is summed over `k` in ascending
+    /// order from `+0.0`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_into_hinted(other, out, MatmulHint::Auto);
-    }
-
-    /// [`Matrix::matmul_into`] with a caller-supplied kernel choice for
-    /// call sites that know their input statically (an MLP knows which
-    /// layer inputs are post-ReLU), skipping the runtime probe. The
-    /// hint affects speed only — both kernels produce the same result.
-    pub fn matmul_into_hinted(&self, other: &Matrix, out: &mut Matrix, hint: MatmulHint) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let sparse = match hint {
-            MatmulHint::Dense => false,
-            MatmulHint::Sparse => true,
-            MatmulHint::Auto => self.sparsity_probe() >= Self::SPARSE_KERNEL_THRESHOLD,
-        };
-        // The dense fixed-width kernels overwrite every output element
+        // The fixed-width kernels overwrite every output element
         // (register accumulators copied out whole), so they skip the
-        // zero-fill; the sparse and generic tiled kernels accumulate
-        // into `out` and need zeroed storage.
-        let dense_overwrites = !sparse && matches!(other.cols, 1 | 8 | 16 | 32 | 64);
-        if dense_overwrites {
+        // zero-fill; the generic tiled kernel accumulates its ragged
+        // tail into `out` and needs zeroed storage.
+        if matches!(other.cols, 1 | 8 | 16 | 32 | 64) {
             out.resize_for_overwrite(self.rows, other.cols);
         } else {
             out.resize_zeroed(self.rows, other.cols);
         }
-        if sparse {
-            self.matmul_sparse_kernel(other, out);
-        } else {
-            self.matmul_dense_kernel(other, out);
-        }
-    }
-
-    /// ikj loop with the `a_ik == 0.0` skip — wins on post-ReLU inputs
-    /// where a large fraction of lanes is dead.
-    fn matmul_sparse_kernel(&self, other: &Matrix, out: &mut Matrix) {
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue; // ReLU zeros are common; skip dead lanes.
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_ik * b;
-                }
-            }
-        }
+        self.matmul_dense_kernel(other, out);
     }
 
     /// Branchless ikj kernel. The common probe widths get fully
@@ -310,56 +222,79 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ @ other` without materialising the transpose. The
-    /// dead-lane skip is kept only when `self` actually looks sparse
-    /// (it is the backward pass's post-ReLU activation matrix there);
-    /// on dense inputs the branch is pure overhead.
-    pub fn matmul_at(&self, other: &Matrix) -> Matrix {
+    /// `selfᵀ @ other` written into `out` (resized as needed,
+    /// allocation reused) without materialising the transpose — the
+    /// weight gradient `xᵀ · ∂L/∂z` of a dense layer. Every element sums
+    /// over the rows of `self` in ascending order from `+0.0`, so the
+    /// fixed-width register tiles and the generic loop agree bit for
+    /// bit.
+    pub fn matmul_at_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_at shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let skip_zeros = self.sparsity_probe() >= Self::SPARSE_KERNEL_THRESHOLD;
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if skip_zeros && a == 0.0 {
-                    continue;
+        // Tiled at the widths training meets: the width-1 head, the
+        // 16-wide probe hidden layer and the 32-wide ablation layer.
+        match other.cols {
+            1 => self.matmul_at_fixed::<1>(other, out),
+            16 => self.matmul_at_fixed::<16>(other, out),
+            32 => self.matmul_at_fixed::<32>(other, out),
+            _ => self.matmul_at_generic(other, out),
+        }
+    }
+
+    /// Fixed width `W`: output-row outer, batch-row inner. Output row
+    /// `i` lives in a register accumulator while the batch rows stream
+    /// past — the transpose of [`Matrix::matmul_dense_fixed`].
+    fn matmul_at_fixed<const W: usize>(&self, other: &Matrix, out: &mut Matrix) {
+        out.resize_for_overwrite(self.cols, W);
+        for i in 0..self.cols {
+            let mut acc = [0.0f32; W];
+            let a_rows = self.data.chunks_exact(self.cols);
+            for (a_row, b_row) in a_rows.zip(other.data.chunks_exact(W)) {
+                let a = a_row[i];
+                let b_row: &[f32; W] = b_row.try_into().expect("chunk width");
+                for (o, &b) in acc.iter_mut().zip(b_row.iter()) {
+                    *o += a * b;
                 }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
+            }
+            out.row_mut(i).copy_from_slice(&acc);
+        }
+    }
+
+    /// Generic-width fallback: an axpy of each batch row into the
+    /// output rows, batch rows in ascending order.
+    fn matmul_at_generic(&self, other: &Matrix, out: &mut Matrix) {
+        out.resize_zeroed(self.cols, other.cols);
+        for r in 0..self.rows {
+            let b_row = other.row(r);
+            for (i, &a) in self.row(r).iter().enumerate() {
+                for (o, &b) in out.row_mut(i).iter_mut().zip(b_row.iter()) {
                     *o += a * b;
                 }
             }
         }
-        out
     }
 
-    /// `self @ otherᵀ` without materialising the transpose.
-    pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
+    /// `self @ otherᵀ` written into `out` (resized as needed, allocation
+    /// reused) without materialising the transpose — the input gradient
+    /// `∂L/∂z · Wᵀ` of a dense layer. Each element is one dot product
+    /// over `k` in ascending order from `+0.0`.
+    pub fn matmul_bt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_bt shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
+        out.resize_for_overwrite(self.rows, other.rows);
         for i in 0..self.rows {
             let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let dot: f32 = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
-                out.set(i, j, dot);
+            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for (&a, &b) in a_row.iter().zip(other.row(j)) {
+                    acc += a * b;
+                }
+                *o = acc;
             }
         }
-        out
     }
 
     /// Element-wise in-place map.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         self.data.iter_mut().for_each(|x| *x = f(*x));
-    }
-
-    /// `self += alpha * other` (axpy).
-    pub fn add_scaled(&mut self, other: &Matrix, alpha: f32) {
-        assert_eq!(self.data.len(), other.data.len(), "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
     }
 
     /// Add a row vector (bias) to every row.
@@ -372,20 +307,16 @@ impl Matrix {
         }
     }
 
-    /// Column sums — used for bias gradients.
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0; self.cols];
+    /// Column sums written into `sums` (one per column), rows in
+    /// ascending order from `+0.0` — the bias gradient of a dense layer.
+    pub fn col_sums_into(&self, sums: &mut [f32]) {
+        assert_eq!(sums.len(), self.cols, "col_sums length mismatch");
+        sums.fill(0.0);
         for r in 0..self.rows {
             for (s, &x) in sums.iter_mut().zip(self.row(r).iter()) {
                 *s += x;
             }
         }
-        sums
-    }
-
-    /// Frobenius norm; handy for gradient-explosion assertions in tests.
-    pub fn frob_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 }
 
@@ -417,7 +348,9 @@ mod tests {
         let a = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
         let b = m(3, 2, &[1., 1., 2., 2., 3., 3.]);
         let at = Matrix::from_fn(2, 3, |r, c| a.get(c, r));
-        assert_eq!(a.matmul_at(&b).as_slice(), at.matmul(&b).as_slice());
+        let mut out = Matrix::default();
+        a.matmul_at_into(&b, &mut out);
+        assert_eq!(out.as_slice(), at.matmul(&b).as_slice());
     }
 
     #[test]
@@ -425,14 +358,18 @@ mod tests {
         let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let b = m(2, 3, &[1., 0., 1., 0., 1., 0.]);
         let bt = Matrix::from_fn(3, 2, |r, c| b.get(c, r));
-        assert_eq!(a.matmul_bt(&b).as_slice(), a.matmul(&bt).as_slice());
+        let mut out = Matrix::default();
+        a.matmul_bt_into(&b, &mut out);
+        assert_eq!(out.as_slice(), a.matmul(&bt).as_slice());
     }
 
     #[test]
     fn broadcast_and_col_sums() {
         let mut a = Matrix::zeros(3, 2);
         a.add_row_broadcast(&[1.0, 2.0]);
-        assert_eq!(a.col_sums(), vec![3.0, 6.0]);
+        let mut sums = [f32::NAN; 2];
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums, [3.0, 6.0]);
     }
 
     #[test]
@@ -454,30 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_kernels_agree() {
-        let mut rng = SplitMix64::new(9);
-        // Mixed sparsity: roughly half the lanes are ReLU-dead.
-        for (rows, inner, cols) in [(1, 32, 16), (7, 19, 8), (33, 32, 1), (5, 64, 24)] {
-            let a = Matrix::from_fn(rows, inner, |_, _| {
-                let v = rng.next_gaussian() as f32;
-                if v < 0.0 {
-                    0.0
-                } else {
-                    v
-                }
-            });
-            let b = Matrix::from_fn(inner, cols, |_, _| rng.next_gaussian() as f32);
-            let mut dense = Matrix::zeros(rows, cols);
-            let mut sparse = Matrix::zeros(rows, cols);
-            a.matmul_dense_kernel(&b, &mut dense);
-            a.matmul_sparse_kernel(&b, &mut sparse);
-            for (d, s) in dense.as_slice().iter().zip(sparse.as_slice()) {
-                assert_eq!(d, s, "kernel mismatch at {rows}x{inner}x{cols}");
-            }
-        }
-    }
-
-    #[test]
     fn matmul_into_reuses_buffer_across_shapes() {
         let a1 = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let b1 = m(3, 2, &[7., 8., 9., 10., 11., 12.]);
@@ -493,11 +406,81 @@ mod tests {
         assert_eq!(out.as_slice(), &[5.]);
     }
 
+    /// A random `rows × cols` matrix; `relu` zeroes the negative half,
+    /// like a post-ReLU activation.
+    fn random(rows: usize, cols: usize, relu: bool, rng: &mut SplitMix64) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| {
+            let v = rng.next_gaussian() as f32;
+            if relu && v < 0.0 {
+                0.0
+            } else {
+                v
+            }
+        })
+    }
+
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: {g} vs {w}");
+        }
+    }
+
+    /// Every kernel equals a naive loop that sums each element in
+    /// ascending order from `+0.0` — bit for bit, on dense and on
+    /// post-ReLU (half exactly-zero) inputs, written into a reused
+    /// buffer holding stale values. Widths 1/8/16/32/64 take the
+    /// fixed-width forward tiles (1/16/32 also the `matmul_at_into`
+    /// tiles); 8, 64 and the ragged 24 take the generic loops.
     #[test]
-    fn sparsity_probe_distinguishes_regimes() {
-        let dense = Matrix::from_fn(10, 10, |r, c| (r * 10 + c) as f32 + 1.0);
-        assert!(dense.sparsity_probe() < Matrix::SPARSE_KERNEL_THRESHOLD);
-        let sparse = Matrix::from_fn(10, 10, |r, _| if r % 2 == 0 { 0.0 } else { 1.0 });
-        assert!(sparse.sparsity_probe() >= Matrix::SPARSE_KERNEL_THRESHOLD);
+    fn kernels_match_naive_loops_bitwise() {
+        let mut rng = SplitMix64::new(0xA7);
+        let mut out = Matrix::from_vec(3, 3, vec![f32::NAN; 9]);
+        for width in [1usize, 8, 16, 32, 64, 24] {
+            for relu in [false, true] {
+                // `a` is a batch of activations (rows = samples), `w` a
+                // weight matrix, `g` the gradient with respect to the
+                // layer output.
+                let (rows, inner) = (37, 19);
+                let a = random(rows, inner, relu, &mut rng);
+                let w = random(inner, width, relu, &mut rng);
+                let g = random(rows, width, false, &mut rng);
+                let what = format!("width {width}, relu {relu}");
+
+                let aw = Matrix::from_fn(rows, width, |r, j| {
+                    let mut acc = 0.0f32;
+                    for k in 0..inner {
+                        acc += a.get(r, k) * w.get(k, j);
+                    }
+                    acc
+                });
+                a.matmul_into(&w, &mut out);
+                assert_bits_eq(&out, &aw, &format!("matmul, {what}"));
+
+                let at = Matrix::from_fn(inner, width, |i, j| {
+                    let mut acc = 0.0f32;
+                    for r in 0..rows {
+                        acc += a.get(r, i) * g.get(r, j);
+                    }
+                    acc
+                });
+                a.matmul_at_into(&g, &mut out);
+                assert_bits_eq(&out, &at, &format!("matmul_at, {what}"));
+
+                let bt = Matrix::from_fn(rows, inner, |r, i| {
+                    let mut acc = 0.0f32;
+                    for k in 0..width {
+                        acc += g.get(r, k) * w.get(i, k);
+                    }
+                    acc
+                });
+                g.matmul_bt_into(&w, &mut out);
+                assert_bits_eq(&out, &bt, &format!("matmul_bt, {what}"));
+            }
+        }
     }
 }

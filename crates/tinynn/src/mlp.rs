@@ -9,7 +9,7 @@
 use crate::data::Dataset;
 use crate::layer::{Activation, Dense};
 use crate::loss::bce_with_grad;
-use crate::matrix::{MatmulHint, Matrix};
+use crate::matrix::Matrix;
 use crate::optim::{OptimKind, Optimizer};
 use crate::rng::SplitMix64;
 
@@ -87,19 +87,17 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Forward pass for a batch.
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, train);
-        }
-        cur
-    }
-
     /// Train on `data` with mini-batch gradient descent. Returns the final
     /// epoch's mean loss. Calling `fit` again continues training.
+    ///
+    /// Each epoch walks the rows in a seeded shuffled order, in chunks
+    /// of `batch_size` (the last may be short). One set of buffers —
+    /// the gathered batch, one activation matrix per layer and a
+    /// gradient ping-pong pair — is reused by every step, so the loop
+    /// allocates nothing after the first batch.
     pub fn fit(&mut self, data: &Dataset) -> f32 {
         assert_eq!(data.dim(), self.config.input_dim, "dataset dim mismatch");
+        assert!(self.config.batch_size > 0, "batch_size must be positive");
         let mut optims: Vec<(Optimizer, Optimizer)> = self
             .layers
             .iter()
@@ -116,6 +114,11 @@ impl Mlp {
             })
             .collect();
 
+        let mut order = Vec::with_capacity(data.len());
+        let mut bx = Matrix::default();
+        let mut by = Vec::new();
+        let mut acts = vec![Matrix::default(); self.layers.len()];
+        let (mut grad, mut grad_next) = (Matrix::default(), Matrix::default());
         let mut last_loss = f32::INFINITY;
         for epoch in 0..self.config.epochs {
             let mut epoch_loss = 0.0;
@@ -125,17 +128,23 @@ impl Mlp {
                 .seed
                 .wrapping_add(epoch as u64)
                 .wrapping_mul(0x9E37);
-            for (bx, by) in data.batches(self.config.batch_size, batch_seed) {
-                let probs = self.forward(&bx, true);
-                let mut grad = Matrix::zeros(probs.rows(), 1);
-                epoch_loss += bce_with_grad(&probs, &by, self.config.pos_weight, &mut grad);
-                n_batches += 1;
-                for layer in &mut self.layers {
-                    layer.zero_grad();
+            data.shuffled_indices_into(batch_seed, &mut order);
+            for chunk in order.chunks(self.config.batch_size) {
+                data.gather_into(chunk, &mut bx, &mut by);
+                for l in 0..self.layers.len() {
+                    let (done, rest) = acts.split_at_mut(l);
+                    let input = done.last().unwrap_or(&bx);
+                    self.layers[l].forward_into(input, &mut rest[0]);
                 }
-                let mut g = grad;
-                for layer in self.layers.iter_mut().rev() {
-                    g = layer.backward(g);
+                let probs = acts.last().expect("the output layer");
+                grad.resize_for_overwrite(probs.rows(), 1);
+                epoch_loss += bce_with_grad(probs, &by, self.config.pos_weight, &mut grad);
+                n_batches += 1;
+                for l in (0..self.layers.len()).rev() {
+                    let input = if l == 0 { &bx } else { &acts[l - 1] };
+                    let dx = (l > 0).then_some(&mut grad_next);
+                    self.layers[l].backward(input, &acts[l], &mut grad, dx);
+                    std::mem::swap(&mut grad, &mut grad_next);
                 }
                 for (layer, (ow, ob)) in self.layers.iter_mut().zip(optims.iter_mut()) {
                     ow.step(layer.w.as_mut_slice(), layer.grad_w.as_slice());
@@ -151,16 +160,10 @@ impl Mlp {
     /// Probability that `x` belongs to the positive class.
     pub fn predict_proba(&self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.config.input_dim, "input dim mismatch");
-        // Inference avoids the training-path caching by doing a manual
-        // forward over immutable layers.
-        let mut cur = Matrix::from_vec(1, x.len(), x.to_vec());
-        for layer in &self.layers {
-            let mut out = cur.matmul(&layer.w);
-            out.add_row_broadcast(&layer.b);
-            layer.act.forward(&mut out);
-            cur = out;
-        }
-        cur.get(0, 0)
+        let xs = Matrix::from_vec(1, x.len(), x.to_vec());
+        let mut scratch = MlpScratch::default();
+        self.forward_scratch(&xs, &mut scratch);
+        scratch.a.get(0, 0)
     }
 
     /// Batched probabilities.
@@ -183,27 +186,20 @@ impl Mlp {
         out: &mut Vec<f32>,
     ) {
         assert_eq!(xs.cols(), self.config.input_dim, "input dim mismatch");
-        // Ping-pong between the two scratch buffers: `a` always holds
-        // the current activation, each layer writes into `b`, then the
-        // buffers swap (a pointer swap — no copy, no allocation).
-        scratch.a.copy_from(xs);
-        let mut prev_act: Option<Activation> = None;
-        for layer in &self.layers {
-            // The input regime is known statically here: the raw batch
-            // is dense (standardised features), post-ReLU activations
-            // are sparse — no runtime sparsity probe needed.
-            let hint = match prev_act {
-                Some(Activation::Relu) => MatmulHint::Sparse,
-                _ => MatmulHint::Dense,
-            };
-            scratch.a.matmul_into_hinted(&layer.w, &mut scratch.b, hint);
-            scratch.b.add_row_broadcast(&layer.b);
-            layer.act.forward(&mut scratch.b);
-            prev_act = Some(layer.act);
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
-        }
+        self.forward_scratch(xs, scratch);
         out.clear();
         out.extend((0..scratch.a.rows()).map(|r| scratch.a.get(r, 0)));
+    }
+
+    /// Inference forward pass leaving the output in `scratch.a`. Each
+    /// layer writes into `b`, then the buffers swap (a pointer swap —
+    /// no copy, no allocation).
+    fn forward_scratch(&self, xs: &Matrix, scratch: &mut MlpScratch) {
+        for (l, layer) in self.layers.iter().enumerate() {
+            let input = if l == 0 { xs } else { &scratch.a };
+            layer.forward_into(input, &mut scratch.b);
+            std::mem::swap(&mut scratch.a, &mut scratch.b);
+        }
     }
 
     /// Hard 0/1 prediction at threshold 0.5.
@@ -347,6 +343,55 @@ mod tests {
                 assert_eq!(p, mlp.predict_proba(sub.row(i)), "row {i} of batch {take}");
             }
         }
+    }
+
+    /// Golden pin of the training arithmetic: a probe-shaped 32→16→1
+    /// MLP trained with Adam, a positive-class weight, weight decay and
+    /// a short final batch (300 = 4·64 + 44 rows). Every weight, bias
+    /// and per-epoch loss is hashed bit for bit, so any change to the
+    /// order of floating-point operations on the training path fails
+    /// here, long before it moves a committed result.
+    #[test]
+    fn training_is_bit_identical_to_golden() {
+        let mut rng = SplitMix64::new(0x601D);
+        let mut rows = Vec::with_capacity(300);
+        let mut ys = Vec::with_capacity(300);
+        for _ in 0..300 {
+            let row: Vec<f32> = (0..32).map(|_| rng.next_gaussian() as f32).collect();
+            let signal = row[0] + 0.5 * row[3] - 0.8 * row[17];
+            ys.push(if signal > 0.9 { 1.0 } else { 0.0 });
+            rows.push(row);
+        }
+        let ds = Dataset::from_rows(&rows, &ys);
+        let mut mlp = Mlp::new(MlpConfig {
+            input_dim: 32,
+            hidden_dims: vec![16],
+            lr: 5e-3,
+            epochs: 7,
+            batch_size: 64,
+            pos_weight: 3.5,
+            weight_decay: 1e-4,
+            seed: 0xBB90,
+            ..MlpConfig::default()
+        });
+        mlp.fit(&ds);
+        // FNV-1a over the bit patterns.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: f32| {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for layer in &mlp.layers {
+            layer.w.as_slice().iter().for_each(|&v| eat(v));
+            layer.b.iter().for_each(|&v| eat(v));
+        }
+        mlp.loss_history.iter().for_each(|&v| eat(v));
+        assert_eq!(
+            h, 0x4fb1_973f_838d_7224,
+            "training arithmetic changed: hash {h:#018x}"
+        );
     }
 
     #[test]
