@@ -22,8 +22,7 @@
 //! * `RTS_OL_COLLECTORS` (default 4) — completion-collector threads;
 //! * `RTS_THREADS` — total engine workers;
 //! * `RTS_OL_PARITY=1` — rerun the first sweep point unsharded and
-//!   assert per-arrival outcome keys are byte-identical;
-//! * `RTS_OL_RECORD=1` — merge the record into `./BENCH_rts.json`.
+//!   assert per-arrival outcome keys are byte-identical.
 //!
 //! The harness itself asserts zero drops and drained gauges after
 //! every point (see `openloop::run_point`); the driver adds the
@@ -31,7 +30,6 @@
 //! `open-loop` CI smoke leg runs.
 
 use rts_bench::openloop::{run_sweep, OpenLoopConfig};
-use rts_bench::report::PerfReport;
 use rts_core::abstention::RtsConfig;
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
@@ -158,15 +156,5 @@ fn main() {
             single_keys.len(),
             config.rates_rps[0]
         );
-    }
-
-    if std::env::var("RTS_OL_RECORD").is_ok_and(|v| v == "1") {
-        let path = std::path::Path::new("BENCH_rts.json");
-        let text = std::fs::read_to_string(path).expect("BENCH_rts.json exists — run perf first");
-        let mut perf: PerfReport = serde_json::from_str(&text).expect("parse BENCH_rts.json");
-        perf.open_loop = Some(sweep.record);
-        perf.save_bench_json(std::path::Path::new("."))
-            .expect("write BENCH_rts.json");
-        eprintln!("[openloop_driver] merged open_loop section into BENCH_rts.json");
     }
 }

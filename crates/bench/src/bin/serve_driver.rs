@@ -31,8 +31,7 @@
 //!   lost/delayed feedback — see `rts_serve::fault`);
 //! * `RTS_SERVE_FAULT_RATE` (default 0.05) — per-site trip
 //!   probability when the plan is armed;
-//! * `RTS_THREADS` — engine worker threads (as everywhere);
-//! * `RTS_SERVE_RECORD=1` — merge the record into `./BENCH_rts.json`.
+//! * `RTS_THREADS` — engine worker threads (as everywhere).
 //!
 //! The driver is self-verifying before it exits:
 //! * zero drops — every submitted request completes, however it was
@@ -53,7 +52,6 @@
 //!   fault plan the check covers every *unfaulted* request — recovery
 //!   must be invisible in the answers.
 
-use rts_bench::report::PerfReport;
 use rts_bench::serving::{run_workload, serving_record, WorkloadConfig};
 use rts_core::abstention::{LinkScratch, MitigationPolicy, RtsConfig};
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
@@ -336,15 +334,5 @@ fn main() {
             "[serve_driver] outcome parity: {checked}/{} served requests ≡ batch runtime",
             result.outcomes.len()
         );
-    }
-
-    if std::env::var("RTS_SERVE_RECORD").is_ok_and(|v| v == "1") {
-        let path = std::path::Path::new("BENCH_rts.json");
-        let text = std::fs::read_to_string(path).expect("BENCH_rts.json exists — run perf first");
-        let mut perf: PerfReport = serde_json::from_str(&text).expect("parse BENCH_rts.json");
-        perf.serving = Some(record);
-        perf.save_bench_json(std::path::Path::new("."))
-            .expect("write BENCH_rts.json");
-        eprintln!("[serve_driver] merged serving section into BENCH_rts.json");
     }
 }

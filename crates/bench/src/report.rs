@@ -158,24 +158,9 @@ impl Report {
     }
 }
 
-/// Wall-time of one pipeline stage, measured by the `perf` binary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageTiming {
-    /// Stage tag: "trace_gen", "linking", "monitoring", "sqlgen",
-    /// "execution", plus diagnostic variants (e.g.
-    /// "trace_gen_eager_baseline", "monitoring_per_token_baseline").
-    pub stage: String,
-    pub wall_ms: f64,
-    pub per_instance_us: f64,
-    pub n_instances: usize,
-}
-
 /// Multi-tenant serving counters: the knobs and outcomes of the
-/// fairness/quota/timeout/checkpoint machinery. Grouped in an
-/// `Option` sub-record so serving sections written before tenancy
-/// existed (PR 4 snapshots) still parse — the serde shim reads an
-/// absent `Option` field as `None`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// fairness/quota/timeout/checkpoint machinery.
+#[derive(Debug, Clone)]
 pub struct TenancyRecord {
     /// Distinct tenants the workload submitted as.
     pub tenants: usize,
@@ -200,11 +185,9 @@ pub struct TenancyRecord {
 }
 
 /// Fault-injection configuration and recovery counters of a chaos
-/// serving run. Grouped in an `Option` sub-record: absent means the
-/// run was fault-free (every snapshot before this record existed, and
-/// every run with the plan disabled — the two are equivalent, which is
-/// exactly what the perf gate's shape check assumes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// serving run (absent on a [`ServingRecord`] whose fault plan was
+/// disabled).
+#[derive(Debug, Clone)]
 pub struct FaultRecord {
     /// The deterministic fault-schedule seed.
     pub seed: u64,
@@ -228,11 +211,9 @@ pub struct FaultRecord {
     pub drained_to_abstention: u64,
 }
 
-/// One closed-loop serving measurement of the `rts-serve` engine: the
-/// optional `serving` section of `BENCH_rts.json`. Optional because
-/// older snapshots predate it — the perf gate must keep parsing them
-/// (the serde shim reads an absent `Option` field as `None`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One closed-loop serving measurement of the `rts-serve` engine, as
+/// `serve_driver` prints it.
+#[derive(Debug, Clone)]
 pub struct ServingRecord {
     /// Engine workers / closed-loop clients the workload ran with.
     pub workers: usize,
@@ -270,15 +251,14 @@ pub struct ServingRecord {
     pub parked_bytes_peak: u64,
     pub parked_sessions_peak: u64,
     pub wall_ms: f64,
-    /// Multi-tenant counters (absent on pre-tenancy snapshots).
-    pub tenancy: Option<TenancyRecord>,
+    pub tenancy: TenancyRecord,
     /// Fault-injection knobs and recovery counters (absent ≡ the run
     /// was fault-free).
     pub fault: Option<FaultRecord>,
 }
 
 impl ServingRecord {
-    /// Console rendering (shared by the perf and driver binaries).
+    /// Console rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -314,26 +294,25 @@ impl ServingRecord {
             self.parked_sessions_peak,
             self.parked_bytes_peak,
         );
-        if let Some(t) = &self.tenancy {
-            let _ = writeln!(
-                out,
-                "   tenancy: {} tenants (quota {}/{} in-flight/parked, peak in-flight {}), \
-                 {} quota bounces, feedback timeout {} → {} timed out to abstention",
-                t.tenants,
-                t.quota_max_in_flight,
-                t.quota_max_parked,
-                t.tenant_in_flight_peak,
-                t.rejected_quota,
-                t.feedback_timeout_ms
-                    .map_or("off".to_string(), |ms| format!("{ms:.0} ms")),
-                t.timed_out_to_abstention,
-            );
-            let _ = writeln!(
-                out,
-                "   checkpointing: budget {} B → {} evicted / {} restored, checkpoint peak {} B",
-                t.parked_bytes_budget, t.checkpoints, t.restores, t.checkpoint_bytes_peak,
-            );
-        }
+        let t = &self.tenancy;
+        let _ = writeln!(
+            out,
+            "   tenancy: {} tenants (quota {}/{} in-flight/parked, peak in-flight {}), \
+             {} quota bounces, feedback timeout {} → {} timed out to abstention",
+            t.tenants,
+            t.quota_max_in_flight,
+            t.quota_max_parked,
+            t.tenant_in_flight_peak,
+            t.rejected_quota,
+            t.feedback_timeout_ms
+                .map_or("off".to_string(), |ms| format!("{ms:.0} ms")),
+            t.timed_out_to_abstention,
+        );
+        let _ = writeln!(
+            out,
+            "   checkpointing: budget {} B → {} evicted / {} restored, checkpoint peak {} B",
+            t.parked_bytes_budget, t.checkpoints, t.restores, t.checkpoint_bytes_peak,
+        );
         if let Some(f) = &self.fault {
             let _ = writeln!(
                 out,
@@ -359,7 +338,7 @@ impl ServingRecord {
 /// fixed Poisson arrival rate, latency measured from the *scheduled*
 /// arrival (so schedule lag past saturation shows up in the tail, the
 /// defining property of an open-loop measurement).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenLoopPoint {
     /// Poisson arrival rate the schedule was generated at, req/s.
     pub offered_rps: f64,
@@ -382,14 +361,11 @@ pub struct OpenLoopPoint {
     pub wall_ms: f64,
 }
 
-/// The open-loop load harness measurement: the optional `open_loop`
-/// section of `BENCH_rts.json`. A deterministic seeded schedule
-/// (Poisson arrivals on a virtual clock, Zipf tenant/database skew
-/// over simulated users) swept across arrival rates against the
-/// sharded engine; the perf gate holds the peak throughput and the
-/// knee latency. Optional for the same reason as [`TenancyRecord`]:
-/// snapshots from before the harness existed must keep parsing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The open-loop load harness measurement, as `openloop_driver`
+/// prints it: a deterministic seeded schedule (Poisson arrivals on a
+/// virtual clock, Zipf tenant/database skew over simulated users)
+/// swept across arrival rates against the sharded engine.
+#[derive(Debug, Clone)]
 pub struct OpenLoopRecord {
     /// Sharded-engine geometry the sweep ran against.
     pub shards: usize,
@@ -423,7 +399,7 @@ pub struct OpenLoopRecord {
 }
 
 impl OpenLoopRecord {
-    /// Console rendering (shared by the perf and driver binaries).
+    /// Console rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -466,179 +442,6 @@ impl OpenLoopRecord {
         );
         out
     }
-}
-
-/// The cross-PR performance record, persisted as `BENCH_rts.json` so
-/// future changes have a trajectory to compare against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PerfReport {
-    pub scale: f64,
-    pub seed: u64,
-    /// The *configured* worker count (`RTS_THREADS` or detected cores).
-    pub threads: usize,
-    /// What `std::thread::available_parallelism` actually reported on
-    /// the measuring machine. The configured count can silently exceed
-    /// this (e.g. `"threads": 8` recorded on a 1-core CI container), so
-    /// the record keeps both to make timings comparable across hosts.
-    pub effective_parallelism: usize,
-    /// Synthesis corpus tag (`"v1"`/`"v2"`, see `simlm::CorpusVersion`)
-    /// the record was measured under. `None` on snapshots predating
-    /// corpus versioning, which were all v1 — read it through
-    /// [`PerfReport::corpus_tag`]. Stage times are incomparable across
-    /// corpora (v2 exists precisely to make `trace_gen` faster), so
-    /// the perf gate refuses cross-corpus comparisons.
-    pub corpus: Option<String>,
-    pub stages: Vec<StageTiming>,
-    pub notes: Vec<String>,
-    /// Online-serving measurement (absent on records from before the
-    /// `rts-serve` engine existed; never gated — latencies are
-    /// wall-clock under concurrency, not per-instance stage times).
-    pub serving: Option<ServingRecord>,
-    /// Open-loop throughput-vs-latency sweep against the sharded
-    /// engine (absent on records from before the load harness
-    /// existed; gated on peak throughput and knee latency).
-    pub open_loop: Option<OpenLoopRecord>,
-}
-
-impl PerfReport {
-    pub fn new(scale: f64, seed: u64, threads: usize, effective_parallelism: usize) -> Self {
-        Self {
-            scale,
-            seed,
-            threads,
-            effective_parallelism,
-            corpus: None,
-            stages: Vec::new(),
-            notes: Vec::new(),
-            serving: None,
-            open_loop: None,
-        }
-    }
-
-    /// The synthesis corpus tag this record was measured under.
-    /// Snapshots from before corpus versioning carry no field; every
-    /// one of them was generated under the original streams, so the
-    /// absent value reads as `"v1"`.
-    pub fn corpus_tag(&self) -> &str {
-        self.corpus.as_deref().unwrap_or("v1")
-    }
-
-    /// Record a stage measured over `n_instances` instances.
-    pub fn push_stage(
-        &mut self,
-        stage: impl Into<String>,
-        wall: std::time::Duration,
-        n_instances: usize,
-    ) {
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        self.stages.push(StageTiming {
-            stage: stage.into(),
-            wall_ms,
-            per_instance_us: wall_ms * 1e3 / n_instances.max(1) as f64,
-            n_instances,
-        });
-    }
-
-    pub fn note(&mut self, text: impl Into<String>) {
-        self.notes.push(text.into());
-    }
-
-    /// Wall-time of a stage by tag, if recorded.
-    pub fn stage_ms(&self, stage: &str) -> Option<f64> {
-        self.stages
-            .iter()
-            .find(|s| s.stage == stage)
-            .map(|s| s.wall_ms)
-    }
-
-    /// Write `BENCH_rts.json` into `dir`.
-    pub fn save_bench_json(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        let json = serde_json::to_string_pretty(self).expect("perf report serialises");
-        std::fs::write(dir.join("BENCH_rts.json"), json)
-    }
-
-    /// Console rendering.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== BENCH_rts (scale {}, seed {:#x}, {} threads configured, {} effective, corpus {})",
-            self.scale,
-            self.seed,
-            self.threads,
-            self.effective_parallelism,
-            self.corpus_tag()
-        );
-        let _ = writeln!(
-            out,
-            "{:<36} {:>12} {:>16}  n",
-            "stage", "wall ms", "µs/instance"
-        );
-        for s in &self.stages {
-            let _ = writeln!(
-                out,
-                "{:<36} {:>12.2} {:>16.1}  {}",
-                s.stage, s.wall_ms, s.per_instance_us, s.n_instances
-            );
-        }
-        if let Some(serving) = &self.serving {
-            out.push_str(&serving.render());
-        }
-        if let Some(open_loop) = &self.open_loop {
-            out.push_str(&open_loop.render());
-        }
-        for n in &self.notes {
-            let _ = writeln!(out, "  note: {n}");
-        }
-        out
-    }
-}
-
-/// One stage's baseline-vs-fresh comparison (see [`compare_perf`]).
-#[derive(Debug, Clone)]
-pub struct StageComparison {
-    pub stage: String,
-    pub baseline_us: f64,
-    pub fresh_us: f64,
-    /// `fresh / baseline` per-instance time (> 1 = slower than the
-    /// committed record).
-    pub ratio: f64,
-    /// Did this stage blow the gate's tolerance?
-    pub regressed: bool,
-}
-
-/// Compare a freshly measured [`PerfReport`] against the committed
-/// baseline, stage by stage: a stage regresses when its
-/// `per_instance_us` exceeds `tolerance ×` the baseline's. Stages
-/// present in only one record are skipped (renames and new stages must
-/// not fail the gate — the fresh snapshot replaces the baseline when
-/// the PR lands). This is the CI `perf-gate` job's comparison; the
-/// tolerance is deliberately generous so shared runners don't flake.
-pub fn compare_perf(
-    baseline: &PerfReport,
-    fresh: &PerfReport,
-    tolerance: f64,
-) -> Vec<StageComparison> {
-    assert!(tolerance > 0.0, "tolerance must be positive");
-    baseline
-        .stages
-        .iter()
-        .filter_map(|b| {
-            let f = fresh.stages.iter().find(|f| f.stage == b.stage)?;
-            // Sub-microsecond stages are noise-dominated; never gate them.
-            if b.per_instance_us <= 1.0 {
-                return None;
-            }
-            let ratio = f.per_instance_us / b.per_instance_us;
-            Some(StageComparison {
-                stage: b.stage.clone(),
-                baseline_us: b.per_instance_us,
-                fresh_us: f.per_instance_us,
-                ratio,
-                regressed: ratio > tolerance,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -685,52 +488,6 @@ mod tests {
         assert_eq!(back.id, r.id);
     }
 
-    fn perf_with(stages: &[(&str, f64)]) -> PerfReport {
-        let mut p = PerfReport::new(0.02, 7, 1, 1);
-        for &(stage, us) in stages {
-            p.stages.push(StageTiming {
-                stage: stage.into(),
-                wall_ms: us * 46.0 / 1e3,
-                per_instance_us: us,
-                n_instances: 46,
-            });
-        }
-        p
-    }
-
-    #[test]
-    fn compare_perf_flags_only_regressions_beyond_tolerance() {
-        let base = perf_with(&[
-            ("trace_gen", 300.0),
-            ("linking", 50.0),
-            ("monitoring", 40.0),
-        ]);
-        let fresh = perf_with(&[
-            ("trace_gen", 450.0), // 1.5x: within a 2x gate
-            ("linking", 140.0),   // 2.8x: regression
-            ("monitoring", 20.0), // faster: fine
-        ]);
-        let cmp = compare_perf(&base, &fresh, 2.0);
-        assert_eq!(cmp.len(), 3);
-        let by_stage = |s: &str| cmp.iter().find(|c| c.stage == s).unwrap();
-        assert!(!by_stage("trace_gen").regressed);
-        assert!(by_stage("linking").regressed);
-        assert!((by_stage("linking").ratio - 2.8).abs() < 1e-9);
-        assert!(!by_stage("monitoring").regressed);
-    }
-
-    #[test]
-    fn compare_perf_skips_unmatched_and_noise_stages() {
-        let base = perf_with(&[("linking", 50.0), ("renamed_away", 10.0), ("tiny", 0.5)]);
-        let fresh = perf_with(&[("linking", 49.0), ("brand_new", 10.0), ("tiny", 400.0)]);
-        let cmp = compare_perf(&base, &fresh, 2.0);
-        // Only "linking" is comparable: renames/new stages are skipped,
-        // and sub-microsecond stages are noise.
-        assert_eq!(cmp.len(), 1);
-        assert_eq!(cmp[0].stage, "linking");
-        assert!(!cmp[0].regressed);
-    }
-
     fn demo_serving() -> ServingRecord {
         ServingRecord {
             workers: 2,
@@ -758,7 +515,7 @@ mod tests {
             parked_bytes_peak: 65536,
             parked_sessions_peak: 6,
             wall_ms: 115.0,
-            tenancy: Some(TenancyRecord {
+            tenancy: TenancyRecord {
                 tenants: 3,
                 quota_max_in_flight: 2,
                 quota_max_parked: 0,
@@ -770,7 +527,7 @@ mod tests {
                 restores: 4,
                 checkpoint_bytes_peak: 900,
                 tenant_in_flight_peak: 2,
-            }),
+            },
             fault: Some(FaultRecord {
                 seed: 11,
                 step_panic_rate: 0.05,
@@ -786,92 +543,20 @@ mod tests {
     }
 
     #[test]
-    fn serving_section_roundtrips() {
-        let mut p = PerfReport::new(0.03, 7, 1, 1);
-        p.serving = Some(demo_serving());
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        let s = back.serving.expect("serving section survives");
-        assert_eq!(s.n_requests, 92);
-        assert_eq!(s.deadline_ms, None);
-        assert!((s.p99_ms - 5.6).abs() < 1e-12);
-        let t = s.tenancy.expect("tenancy sub-record survives");
-        assert_eq!(t.tenants, 3);
-        assert_eq!(t.feedback_timeout_ms, Some(40.0));
-        assert_eq!(t.timed_out_to_abstention, 2);
-        assert_eq!(t.checkpoints, 4);
-        let f = s.fault.expect("fault sub-record survives");
-        assert_eq!(f.seed, 11);
-        assert_eq!(f.panics_recovered, 7);
-        let text = p.render();
+    fn serving_record_renders() {
+        let mut s = demo_serving();
+        let text = s.render();
         assert!(text.contains("serving: 92 requests"));
         assert!(text.contains("p99 5.600"));
         assert!(text.contains("tenancy: 3 tenants"));
         assert!(text.contains("2 timed out to abstention"));
         assert!(text.contains("faults (seed 11, rate 0.05)"));
         assert!(text.contains("7 step panics recovered (1 to abstention)"));
-    }
-
-    #[test]
-    fn pre_tenancy_serving_sections_still_parse() {
-        // A PR 4-era serving section has no "tenancy" key at all; the
-        // gate must keep loading such baselines (tenancy reads as None).
-        let json = r#"{
-          "workers": 1, "clients": 4, "queue_capacity": 16,
-          "cache_capacity": 8, "deadline_ms": null,
-          "n_requests": 92, "completed": 92, "shed": 0,
-          "rejected_submits": 0, "feedback_rounds": 84,
-          "p50_ms": 1.9, "p95_ms": 3.3, "p99_ms": 4.4,
-          "mean_ms": 2.0, "max_ms": 4.4, "throughput_rps": 1933.0,
-          "queue_depth_max": 4, "queue_depth_mean": 3.9,
-          "cache_hits": 182, "cache_misses": 2, "cache_evictions": 0,
-          "cache_hit_rate": 0.989, "parked_bytes_peak": 23184,
-          "parked_sessions_peak": 1, "wall_ms": 47.6
-        }"#;
-        let s: ServingRecord = serde_json::from_str(json).expect("old section parses");
-        assert!(s.tenancy.is_none());
-        assert!(s.fault.is_none(), "pre-chaos sections read as fault-free");
-        assert_eq!(s.n_requests, 92);
-        let text = s.render();
-        assert!(!text.contains("tenancy:"), "no tenancy line to render");
-        assert!(!text.contains("faults ("), "no fault line to render");
-    }
-
-    #[test]
-    fn records_without_serving_section_still_parse() {
-        // A BENCH_rts.json predating the serve engine has no "serving"
-        // key at all; the perf gate must keep loading such snapshots.
-        let json = r#"{
-          "scale": 0.03,
-          "seed": 7,
-          "threads": 1,
-          "effective_parallelism": 1,
-          "stages": [
-            { "stage": "linking", "wall_ms": 2.0,
-              "per_instance_us": 43.5, "n_instances": 46 }
-          ],
-          "notes": ["pre-serving snapshot"]
-        }"#;
-        let back: PerfReport = serde_json::from_str(json).expect("old snapshot parses");
-        assert!(back.serving.is_none());
-        assert_eq!(back.stages.len(), 1);
-        assert_eq!(back.stages[0].stage, "linking");
-        // No "corpus" key either — such snapshots were all measured
-        // under the original streams, so the tag reads v1.
-        assert!(back.corpus.is_none());
-        assert_eq!(back.corpus_tag(), "v1");
-    }
-
-    #[test]
-    fn corpus_tag_roundtrips_and_renders() {
-        let mut p = PerfReport::new(0.03, 7, 1, 1);
-        assert_eq!(p.corpus_tag(), "v1", "unstamped record reads as v1");
-        p.corpus = Some("v2".into());
-        p.push_stage("linking", std::time::Duration::from_millis(2), 46);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.corpus_tag(), "v2");
-        assert!(back.render().contains("corpus v2"));
+        s.fault = None;
+        assert!(
+            !s.render().contains("faults ("),
+            "fault-free runs print no fault line"
+        );
     }
 
     fn demo_open_loop() -> OpenLoopRecord {
@@ -924,75 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_section_roundtrips_and_renders() {
-        let mut p = PerfReport::new(0.03, 7, 1, 1);
-        p.open_loop = Some(demo_open_loop());
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        let o = back.open_loop.expect("open_loop section survives");
-        assert_eq!(o.shards, 2);
-        assert_eq!(o.points.len(), 2);
-        assert!((o.points[1].offered_rps - 3600.0).abs() < 1e-12);
-        assert!((o.knee_p99_ms - 5.0).abs() < 1e-12);
-        assert_eq!(o.steals, 12);
-        let text = p.render();
+    fn open_loop_record_renders() {
+        let text = demo_open_loop().render();
         assert!(text.contains("open loop: 2 shards x 1 workers"));
         assert!(text.contains("peak 1500 req/s; knee at 400 offered"));
-    }
-
-    #[test]
-    fn pre_open_loop_records_still_parse() {
-        // A PR 5-7-era BENCH_rts.json has a serving section but no
-        // "open_loop" key; the perf gate must keep loading such
-        // baselines (open_loop reads as None) — same pattern as the
-        // tenancy/fault sub-records.
-        let json = r#"{
-          "scale": 0.03,
-          "seed": 7,
-          "threads": 1,
-          "effective_parallelism": 1,
-          "stages": [
-            { "stage": "linking", "wall_ms": 2.0,
-              "per_instance_us": 43.5, "n_instances": 46 }
-          ],
-          "notes": [],
-          "serving": {
-            "workers": 1, "clients": 4, "queue_capacity": 16,
-            "cache_capacity": 8, "deadline_ms": null,
-            "n_requests": 92, "completed": 92, "shed": 0,
-            "rejected_submits": 0, "feedback_rounds": 84,
-            "p50_ms": 1.9, "p95_ms": 3.3, "p99_ms": 4.4,
-            "mean_ms": 2.0, "max_ms": 4.4, "throughput_rps": 1933.0,
-            "queue_depth_max": 4, "queue_depth_mean": 3.9,
-            "cache_hits": 182, "cache_misses": 2, "cache_evictions": 0,
-            "cache_hit_rate": 0.989, "parked_bytes_peak": 23184,
-            "parked_sessions_peak": 1, "wall_ms": 47.6
-          }
-        }"#;
-        let back: PerfReport = serde_json::from_str(json).expect("old snapshot parses");
-        assert!(back.open_loop.is_none());
-        assert!(back.serving.is_some(), "serving section untouched");
-        let text = back.render();
-        assert!(!text.contains("open loop:"), "no open-loop block to render");
-    }
-
-    #[test]
-    fn perf_report_roundtrips_and_renders() {
-        let mut p = PerfReport::new(0.05, 7, 4, 1);
-        p.push_stage("trace_gen", std::time::Duration::from_millis(120), 60);
-        p.push_stage("monitoring", std::time::Duration::from_micros(900), 60);
-        p.note("smoke");
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.stages.len(), 2);
-        assert_eq!(back.stages[0].stage, "trace_gen");
-        assert!((back.stages[0].wall_ms - 120.0).abs() < 1e-9);
-        assert_eq!(back.stage_ms("monitoring"), Some(p.stages[1].wall_ms));
-        assert!((back.stages[0].per_instance_us - 2000.0).abs() < 1e-6);
-        assert_eq!(back.effective_parallelism, 1);
-        let text = p.render();
-        assert!(text.contains("trace_gen"));
-        assert!(text.contains("4 threads configured, 1 effective"));
-        assert!(text.contains("BENCH_rts"));
     }
 }

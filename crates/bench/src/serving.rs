@@ -16,8 +16,8 @@
 //! requests only complete through the engine's feedback timeout
 //! (park → abstain), which is exactly what the CI smoke leg asserts.
 //!
-//! The driver is what the `perf` binary and the `serve_driver` smoke
-//! binary run to produce the `serving` section of `BENCH_rts.json`.
+//! The `serve_driver` binary runs it and prints the resulting
+//! [`ServingRecord`] as its self-checking CI smoke leg.
 
 use crate::report::{FaultRecord, ServingRecord, TenancyRecord};
 use rts_core::abstention::MitigationPolicy;
@@ -217,7 +217,7 @@ fn client_loop<E: Engine>(
     out
 }
 
-/// Flatten a workload run into the `BENCH_rts.json` `serving` section.
+/// Flatten a workload run into the printable [`ServingRecord`].
 pub fn serving_record(result: &WorkloadResult, config: &WorkloadConfig) -> ServingRecord {
     let s = &result.stats;
     let wall_ms = result.wall.as_secs_f64() * 1e3;
@@ -251,7 +251,7 @@ pub fn serving_record(result: &WorkloadResult, config: &WorkloadConfig) -> Servi
         parked_bytes_peak: s.parked_bytes_peak as u64,
         parked_sessions_peak: s.parked_sessions_peak as u64,
         wall_ms,
-        tenancy: Some(TenancyRecord {
+        tenancy: TenancyRecord {
             tenants: config.tenants,
             quota_max_in_flight: config.serve.quota.max_in_flight,
             quota_max_parked: config.serve.quota.max_parked,
@@ -263,7 +263,7 @@ pub fn serving_record(result: &WorkloadResult, config: &WorkloadConfig) -> Servi
             restores: s.restores,
             checkpoint_bytes_peak: s.checkpoint_bytes_peak as u64,
             tenant_in_flight_peak: s.tenant_in_flight_peak,
-        }),
+        },
         fault: config.serve.fault.is_enabled().then(|| FaultRecord {
             seed: config.serve.fault.seed,
             step_panic_rate: config.serve.fault.rate_of(rts_serve::FaultSite::StepPanic),

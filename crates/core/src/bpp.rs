@@ -568,8 +568,7 @@ impl Mbpp {
 
     /// The reference per-token monitoring loop: one scaler transform and
     /// one MLP forward per (token, probe). Kept as the test oracle the
-    /// batched path is pinned against (`batched_flag_trace_matches_per_token`)
-    /// and as the `monitoring_per_token_baseline` stage of the `perf` bin.
+    /// batched path is pinned against (`batched_flag_trace_matches_per_token`).
     pub fn flag_trace_per_token(&self, trace: &GenerationTrace, rng: &mut SplitMix64) -> Vec<bool> {
         trace
             .steps

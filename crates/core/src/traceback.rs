@@ -108,8 +108,7 @@ pub fn trace_back_with(
 /// the full prefix on every loop iteration (O(n²) in the stream
 /// length). Kept byte-for-byte as the test oracle the incremental
 /// decoder is pinned against (`traceback_incremental_matches_reference`
-/// in the parity proptests) and as the `traceback_rebuild_baseline`
-/// stage of the `perf` bin.
+/// in the parity proptests).
 pub fn trace_back_reference(
     vocab: &Vocab,
     trie: &Trie,

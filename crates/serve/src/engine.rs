@@ -1480,6 +1480,45 @@ mod tests {
         assert_batch_parity(&fx, &engine, &oracle, &instances, &all);
     }
 
+    /// The context cache's hit floor as a logic check: with room for
+    /// every database, each (database, target) context is built at most
+    /// once, and a second pass over the same requests builds none.
+    #[test]
+    fn roomy_cache_builds_each_context_once() {
+        let fx = fixture();
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        let instances: Vec<benchgen::Instance> =
+            fx.bench.split.dev.iter().take(30).cloned().collect();
+        let databases: std::collections::HashSet<&str> =
+            instances.iter().map(|i| i.db_name.as_str()).collect();
+        let config = ServeConfig {
+            workers: 1,
+            cache_capacity: databases.len(),
+            ..Default::default()
+        };
+        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let (first, second) = crossbeam::thread::scope(|s| {
+            s.spawn(|_| engine.worker_loop());
+            client_run(&engine, 0, &instances, &oracle);
+            let first = engine.stats().cache;
+            client_run(&engine, 0, &instances, &oracle);
+            let second = engine.stats().cache;
+            engine.shutdown();
+            (first, second)
+        })
+        .expect("serve scope panicked");
+        assert!(first.misses > 0);
+        assert!(
+            first.misses <= 2 * databases.len() as u64,
+            "{} builds for {} databases × 2 targets",
+            first.misses,
+            databases.len()
+        );
+        assert_eq!(first.evictions, 0);
+        assert_eq!(second.misses, first.misses, "a warm pass builds nothing");
+        assert!(second.hits >= first.hits + instances.len() as u64);
+    }
+
     #[test]
     fn checkpointed_parked_sessions_restore_bit_identically() {
         let fx = fixture();

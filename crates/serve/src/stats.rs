@@ -1,6 +1,6 @@
 //! Serving-side accounting: latency percentiles, queue depth, parked
-//! memory — the numbers the workload driver records into
-//! `BENCH_rts.json`.
+//! memory — the numbers the workload drivers print and the wire
+//! `Stats` reply carries.
 
 use rts_core::context::ContextCacheStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -410,6 +410,78 @@ mod tests {
         assert!(matches!(r, Err(WireError::Malformed { .. })), "{r:?}");
     }
 
+    /// Drain `r` frame by frame until a clean end or a typed error;
+    /// return the decoded messages. A panic anywhere fails the caller.
+    fn drain(r: &mut Cursor<&[u8]>) -> (Vec<ClientMsg>, Option<WireError>) {
+        let mut msgs = Vec::new();
+        loop {
+            match read_frame::<_, ClientMsg>(r) {
+                Ok(Some(msg)) => msgs.push(msg),
+                Ok(None) => return (msgs, None),
+                Err(e) => return (msgs, Some(e)),
+            }
+        }
+    }
+
+    /// One valid message per seed, covering numeric and string fields.
+    fn message(seed: u64, text: &[u8]) -> ClientMsg {
+        match seed % 4 {
+            0 => ClientMsg::Submit {
+                req: seed,
+                tenant: (seed >> 8) as TenantId,
+                instance: seed.rotate_left(17),
+            },
+            1 => ClientMsg::InvalidateDb {
+                req: seed,
+                database: String::from_utf8_lossy(text).into_owned(),
+            },
+            2 => ClientMsg::Stats { req: seed },
+            _ => ClientMsg::Bye,
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, raw or behind a length prefix that admits
+        /// them to the JSON decoder, decode to messages, a clean end
+        /// or a typed error: never a panic, and never an `Io` error
+        /// from an in-memory reader.
+        #[test]
+        fn arbitrary_bytes_read_typed_never_panic(
+            bytes in proptest::prop::collection::vec(proptest::any::<u8>(), 0..4096),
+        ) {
+            let mut framed = (bytes.len() as u32).to_le_bytes().to_vec();
+            framed.extend_from_slice(&bytes);
+            for stream in [&bytes, &framed] {
+                let (_, err) = drain(&mut Cursor::new(stream.as_slice()));
+                proptest::prop_assert!(
+                    !matches!(err, Some(WireError::Io { .. })),
+                    "{err:?}"
+                );
+            }
+        }
+
+        /// N valid frames followed by arbitrary tail bytes decode those
+        /// N messages first, in order, whatever the tail holds.
+        #[test]
+        fn valid_frames_then_garbage_decode_in_order(
+            seeds in proptest::prop::collection::vec(proptest::any::<u64>(), 0..6),
+            text in proptest::prop::collection::vec(proptest::any::<u8>(), 0..64),
+            tail in proptest::prop::collection::vec(proptest::any::<u8>(), 0..4096),
+        ) {
+            let sent: Vec<ClientMsg> = seeds.iter().map(|&s| message(s, &text)).collect();
+            let mut buf = Vec::new();
+            for msg in &sent {
+                write_frame(&mut buf, msg).expect("frame writes");
+            }
+            buf.extend_from_slice(&tail);
+            let (got, _) = drain(&mut Cursor::new(buf.as_slice()));
+            proptest::prop_assert!(got.len() >= sent.len(), "{} of {} frames", got.len(), sent.len());
+            for (a, b) in sent.iter().zip(&got) {
+                proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+        }
+    }
+
     #[test]
     fn wire_outcome_mirrors_serve_outcome() {
         let serve = ServeOutcome {

@@ -9,7 +9,7 @@ use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
 use rts_core::human::{Expertise, HumanOracle};
 use rts_core::session::resolve_flag;
-use rts_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg, WIRE_VERSION};
+use rts_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg, MAX_FRAME, WIRE_VERSION};
 use rts_serve::{ClientEvent, Engine, EngineError, ServeConfig, ServeEngine};
 use rts_served::Server;
 use simlm::{LinkTarget, SchemaLinker};
@@ -239,6 +239,38 @@ fn malformed_frames_fault_typed_never_panic() {
         Some(resolve_flag(&policy, inst, query))
     });
     assert_eq!(served.len(), slice.len(), "abuse must not wedge serving");
+    client.bye();
+    stop(&server, threads);
+}
+
+/// A first frame nested past the JSON parser's depth bound (here one
+/// `MAX_FRAME`-byte run of `[`) is refused on the connection's own
+/// reader thread as a typed fault, instead of overflowing that
+/// thread's stack and aborting the whole server before any handshake.
+/// The same server then still serves a normal Hello → Submit → Done.
+#[test]
+fn deeply_nested_first_frame_faults_and_server_survives() {
+    let (server, addr, threads) = start_server(ServeConfig::default());
+    {
+        let mut s = TcpStream::connect(&addr).expect("connect");
+        match send_raw(&mut s, &vec![b'['; MAX_FRAME]) {
+            Some(ServerMsg::Fault {
+                error: EngineError::Protocol { .. },
+            })
+            | None => {}
+            other => panic!("expected a Protocol fault or a close, got {other:?}"),
+        }
+    }
+
+    let fx = fixture();
+    let oracle = HumanOracle::new(Expertise::Expert, 9);
+    let policy = MitigationPolicy::Human(&oracle);
+    let client = RtsClient::connect(&addr, Some(FP)).expect("handshake after the nested frame");
+    let slice: Vec<benchgen::Instance> = fx.bench.split.dev.iter().take(1).cloned().collect();
+    let served = rts_serve::drive_closed_loop(&client, 0, &slice, |inst, query| {
+        Some(resolve_flag(&policy, inst, query))
+    });
+    assert_eq!(served.len(), 1, "the server must still complete a request");
     client.bye();
     stop(&server, threads);
 }

@@ -105,10 +105,9 @@ pub fn __get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, Err
 }
 
 /// Missing-tolerant lookup the derive expansion uses for `Option<…>`
-/// fields: an absent key reads as [`Value::Null`], so optional fields
-/// added after a snapshot was written deserialize to `None` instead of
-/// failing the whole record (the real serde's `Option` + default
-/// behaviour this workspace relies on for `BENCH_rts.json`).
+/// fields: an absent key reads as [`Value::Null`], so an omitted
+/// optional field deserializes to `None` instead of failing the whole
+/// record (the real serde derive's behaviour for `Option` fields).
 pub fn __get_opt<'a>(obj: &'a [(String, Value)], key: &str) -> &'a Value {
     static NULL: Value = Value::Null;
     obj.iter()

@@ -18,14 +18,22 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (the real
+/// serde_json's recursion limit is 128 too). The parser recurses once
+/// per level, so input nested past this bound is refused with an error
+/// instead of overflowing the thread's stack; nothing this workspace
+/// writes nests more than a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON string into any `Deserialize` type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.parse_value()?;
+    let v = p.parse_value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(Error::custom("trailing characters after JSON value"));
@@ -119,6 +127,7 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -159,8 +168,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// Parse one value enclosed by `depth` arrays/objects.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_ws();
+        if matches!(self.peek(), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
@@ -175,7 +191,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Array(items));
                 }
                 loop {
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => {
@@ -202,7 +218,7 @@ impl<'a> Parser<'a> {
                     let key = self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let val = self.parse_value()?;
+                    let val = self.parse_value(depth + 1)?;
                     entries.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -229,56 +245,52 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
+            let rest = self
+                .src
+                .get(self.pos..)
+                .ok_or_else(|| Error::custom("invalid UTF-8"))?;
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one slice. Both are ASCII, so the run ends on
+            // a char boundary, and the input is already valid UTF-8.
+            let Some(run) = rest.bytes().position(|b| b == b'"' || b == b'\\') else {
                 return Err(Error::custom("unterminated string"));
             };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
+            out.push_str(rest.get(..run).unwrap_or_default());
+            let closing = rest.as_bytes().get(run) == Some(&b'"');
+            self.pos += run + 1;
+            if closing {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or_else(|| Error::custom("bad escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    // Exactly four hex digits: `from_str_radix` alone
+                    // would also take a sign.
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                        .ok_or_else(|| Error::custom("bad \\u escape"))?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| Error::custom("bad \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| Error::custom("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed for this
+                    // workspace's identifiers; map lone surrogates to
+                    // the replacement character.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                b'\\' => {
-                    let esc = rest
-                        .get(1)
-                        .copied()
-                        .ok_or_else(|| Error::custom("bad escape"))?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("bad \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::custom("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::custom("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for this
-                            // workspace's identifiers; map lone
-                            // surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(Error::custom("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(Error::custom("unknown escape")),
             }
         }
     }
@@ -342,6 +354,51 @@ mod tests {
             let json = to_string(&x).unwrap();
             assert_eq!(from_str::<u64>(&json).unwrap(), x);
         }
+    }
+
+    #[test]
+    fn strings_roundtrip_non_ascii_escapes_and_controls() {
+        let cases = [
+            "",
+            "plain ascii",
+            "café — naïve 日本語 🦀",
+            "quote \" backslash \\ slash /",
+            "tab\tnewline\nreturn\r",
+            "controls \u{0}\u{1}\u{8}\u{c}\u{1f} end",
+            "🦀\"🦀\\é\n",
+        ];
+        for s in cases {
+            let json = to_string(&s).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), s, "{json}");
+        }
+        // Escapes the writer never emits still decode.
+        let parsed: String = from_str(r#""\u00e9\u0041\/\b\f""#).unwrap();
+        assert_eq!(parsed, "éA/\u{8}\u{c}");
+        let keyed: Vec<(String, u32)> = from_str(r#"[["ключ", 1], ["\u00fcber", 2]]"#).unwrap();
+        assert_eq!(
+            keyed,
+            vec![("ключ".to_string(), 1), ("über".to_string(), 2)]
+        );
+        for bad in [
+            r#""unterminated"#,
+            r#""bad \q escape""#,
+            r#""\u12""#,
+            r#""\u+041""#,
+            r#""\é""#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        // Far past any stack: refused at the bound, never recursed into.
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

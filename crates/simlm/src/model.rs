@@ -60,13 +60,12 @@ pub enum GenMode {
 /// pair-consuming [`SplitMix64::fill_gaussian`] pattern and merged each
 /// base+noise stream pair (per token and per layer) into a single
 /// stream at the combined amplitude, and backs the current
-/// `results/*.json` / `BENCH_rts.json`. It is the only corpus the code
-/// generates; the original v1 corpus survives only as the static
-/// records in `results/v1/`. A change that would move a stream is a new
-/// variant, and records from different corpora are never comparable
-/// (the perf gate refuses them). The version is the identity stamp
-/// that perf records, session checkpoints and the wire fingerprint
-/// carry.
+/// `results/*.json`. It is the only corpus the code generates; the
+/// original v1 corpus survives only as the static records in
+/// `results/v1/`. A change that would move a stream is a new variant,
+/// and records from different corpora are never comparable. The
+/// version is the identity stamp that perfbench run records, session
+/// checkpoints and the wire fingerprint carry.
 ///
 /// Only the *hidden-state* streams are versioned: decisions, the
 /// latent risk signal, softmax observables and layer directions are

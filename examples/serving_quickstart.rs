@@ -114,8 +114,8 @@ fn main() {
     })
     .expect("serving scope panicked");
 
-    // 5. The engine's accounting — what BENCH_rts.json's `serving`
-    //    section records at benchmark scale.
+    // 5. The engine's accounting — what `serve_driver` prints at
+    //    benchmark scale.
     let stats = engine.stats();
     println!(
         "latency p50/p95/p99: {:.2}/{:.2}/{:.2} ms, cache hit rate {:.0}%, \
