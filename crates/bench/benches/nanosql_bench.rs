@@ -1,11 +1,17 @@
 //! Criterion benches for the SQL engine: parsing, planning, execution
 //! and EX comparison on generated workloads.
+//!
+//! `nanosql/execution_accuracy_dev` is shaped like evaluation traffic:
+//! every dev instance's gold SQL against a simulated generator's SQL
+//! for it (the gold query or a corruption of it), each pair parsed,
+//! bound, executed and compared as one EX check.
 
 use benchgen::BenchmarkProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
 use nanosql::exec::{execute, execute_sql};
 use nanosql::plan::bind;
-use nanosql::result::execution_accuracy;
+use nanosql::result::{execution_accuracy, ExecOutcome};
+use rts_core::sqlgen::{ProvidedSchema, SqlGenModel};
 use std::hint::black_box;
 
 fn setup() -> benchgen::Benchmark {
@@ -78,11 +84,42 @@ fn bench_execution_accuracy(c: &mut Criterion) {
     assert!(execute_sql(db, &gold).is_ok());
 }
 
+fn bench_execution_accuracy_dev(c: &mut Criterion) {
+    let bench = setup();
+    let generator = SqlGenModel::deepseek_7b("bird", 9);
+    let work: Vec<_> = bench
+        .split
+        .dev
+        .iter()
+        .map(|inst| {
+            let meta = bench.meta(&inst.db_name).unwrap();
+            let predicted = generator.generate(inst, &ProvidedSchema::full(meta), meta);
+            (
+                bench.database(&inst.db_name).unwrap(),
+                inst.gold_sql.to_string(),
+                predicted.to_string(),
+            )
+        })
+        .collect();
+    // Sanity outside the timing loop: the gold side always executes.
+    for (db, gold, pred) in &work {
+        assert_ne!(execution_accuracy(db, gold, pred), ExecOutcome::GoldError);
+    }
+    c.bench_function("nanosql/execution_accuracy_dev", |b| {
+        b.iter(|| {
+            for (db, gold, pred) in &work {
+                black_box(execution_accuracy(db, gold, pred));
+            }
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_parse,
     bench_bind,
     bench_execute,
-    bench_execution_accuracy
+    bench_execution_accuracy,
+    bench_execution_accuracy_dev
 );
 criterion_main!(benches);

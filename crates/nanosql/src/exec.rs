@@ -1,43 +1,117 @@
 //! Query execution.
 //!
-//! The executor is a straight-line materialising pipeline over the bound
-//! plan: scan → hash-join* → filter → (group/aggregate → having) →
-//! project → distinct → sort → limit. Joins build a hash table on the
-//! newly joined table and probe with the accumulated rows; NULL join
-//! keys never match (SQL semantics), and LEFT JOIN pads non-matching
-//! probe rows with NULLs.
+//! The executor runs the bound plan as a pipeline that borrows from the
+//! stored rows until projection: scan → hash-join* → filter →
+//! (group/aggregate → having) → project → distinct → sort → limit.
+//!
+//! * Scan and join produce row-index tuples, one index per plan table
+//!   (the FROM table, then each joined table), in one flat `Vec`, so a
+//!   query without joins allocates nothing per row. LEFT JOIN pads a
+//!   probe row that matches nothing with `NULL_ROW`, which reads as
+//!   NULL in every column. Joins build a hash table on the newly joined
+//!   table, keyed by [`Value::group_key`] with the text borrowed, and
+//!   probe it with the accumulated tuples; NULL join keys never match
+//!   (SQL semantics).
+//! * Expressions evaluate to `Cow<Value>`: literals, columns, group keys
+//!   and aggregates are borrowed, computed values are owned.
+//! * Grouping and DISTINCT hash borrowed rows under the same key;
+//!   groups keep first-seen order.
+//! * Output cells are copied once, when the result rows are built after
+//!   DISTINCT, ORDER BY and LIMIT.
+//!
+//! Predicates run after all joins, so exactly the rows of the joined
+//! input are evaluated: a predicate pushed below a join could raise a
+//! type error on a row the join would have dropped.
 
-use crate::ast::SelectStmt;
+use crate::ast::{JoinKind, SelectStmt};
 use crate::error::{Error, Result};
 use crate::parser::parse;
 use crate::plan::{bind, AggregatePlan, BoundAgg, BoundExpr, JoinStep, Plan};
 use crate::result::QueryResult;
 use crate::schema::Database;
-use crate::value::{GroupKey, Value};
+use crate::value::{GroupKey, RowKey, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-/// Evaluation context: the joined input row, and (in the output phase)
+/// Row index of LEFT JOIN's NULL pad in a tuple.
+const NULL_ROW: usize = usize::MAX;
+
+/// End of a build-row chain in [`hash_join`].
+const CHAIN_END: usize = usize::MAX;
+
+/// The cell every column of a [`NULL_ROW`] reads as.
+static NULL: Value = Value::Null;
+
+/// The plan's tables, and where each column of the joined row lives.
+struct Input<'a> {
+    /// Rows of each plan table: the FROM table, then one per join.
+    tables: Vec<&'a [Vec<Value>]>,
+    /// Joined-row column → (plan table, column within that table's rows).
+    columns: Vec<(usize, usize)>,
+}
+
+impl<'a> Input<'a> {
+    fn new(db: &'a Database, plan: &Plan) -> Result<Self> {
+        let catalog_idxs =
+            std::iter::once(plan.base_table_idx).chain(plan.joins.iter().map(|j| j.table_idx));
+        let mut input = Input {
+            tables: Vec::with_capacity(plan.joins.len() + 1),
+            columns: Vec::new(),
+        };
+        for (table, idx) in catalog_idxs.enumerate() {
+            let name = &db.tables()[idx].name;
+            let data = db
+                .table_data(name)
+                .ok_or_else(|| Error::Execution(format!("missing data for {name}")))?;
+            input.tables.push(data.rows());
+            input.columns.extend((0..data.arity()).map(|c| (table, c)));
+        }
+        Ok(input)
+    }
+
+    /// The cell at joined-row column `col` of `tuple`.
+    fn cell(&self, tuple: &[usize], col: usize) -> &'a Value {
+        let (table, c) = self.columns[col];
+        let rows: &'a [Vec<Value>] = self.tables[table];
+        match tuple[table] {
+            NULL_ROW => &NULL,
+            row => &rows[row][c],
+        }
+    }
+}
+
+/// The joined input: `width` row indices per tuple, one per plan table.
+struct Tuples {
+    width: usize,
+    idx: Vec<usize>,
+}
+
+impl Tuples {
+    fn len(&self) -> usize {
+        self.idx.len() / self.width
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
+        self.idx.chunks_exact(self.width)
+    }
+}
+
+/// Evaluation context: the joined input tuple, and (in the output phase)
 /// the group keys and aggregate results.
 struct EvalCtx<'a> {
-    row: &'a [Value],
-    group_keys: &'a [Value],
-    agg_values: &'a [Value],
+    input: &'a Input<'a>,
+    tuple: &'a [usize],
+    group_keys: &'a [Cow<'a, Value>],
+    agg_values: &'a [Cow<'a, Value>],
 }
 
 impl<'a> EvalCtx<'a> {
-    fn row(row: &'a [Value]) -> Self {
+    fn row(input: &'a Input<'a>, tuple: &'a [usize]) -> Self {
         EvalCtx {
-            row,
+            input,
+            tuple,
             group_keys: &[],
             agg_values: &[],
-        }
-    }
-
-    fn group(group_keys: &'a [Value], agg_values: &'a [Value]) -> Self {
-        EvalCtx {
-            row: &[],
-            group_keys,
-            agg_values,
         }
     }
 }
@@ -98,30 +172,61 @@ impl Truth {
     }
 }
 
-/// SQL LIKE with `%` (any run) and `_` (any single char), case sensitive.
+/// SQL LIKE with `%` (any run) and `_` (any single byte), case sensitive.
+///
+/// Iterative: on a mismatch it retries only from the most recent `%`,
+/// one text byte further on, so it takes O(|text|·|pattern|) steps and
+/// constant stack however many `%` the pattern has.
 fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[u8], p: &[u8]) -> bool {
-        match p.first() {
-            None => t.is_empty(),
+    let (t, p) = (text.as_bytes(), pattern.as_bytes());
+    let (mut ti, mut pi) = (0, 0);
+    // Pattern position after the last `%`, and the text position that
+    // `%` currently stops at.
+    let mut retry: Option<(usize, usize)> = None;
+    while ti < t.len() {
+        match p.get(pi) {
             Some(b'%') => {
-                // Try every split point, including the empty one.
-                (0..=t.len()).any(|i| rec(&t[i..], &p[1..]))
+                pi += 1;
+                retry = Some((pi, ti));
             }
-            Some(b'_') => !t.is_empty() && rec(&t[1..], &p[1..]),
-            Some(&c) => t.first() == Some(&c) && rec(&t[1..], &p[1..]),
+            Some(&c) if c == b'_' || c == t[ti] => {
+                pi += 1;
+                ti += 1;
+            }
+            _ => match retry {
+                Some((after, stop)) => {
+                    pi = after;
+                    ti = stop + 1;
+                    retry = Some((after, ti));
+                }
+                None => return false,
+            },
         }
     }
-    rec(text.as_bytes(), pattern.as_bytes())
+    p[pi..].iter().all(|&c| c == b'%')
 }
 
-fn eval(expr: &BoundExpr, ctx: &EvalCtx) -> Result<Value> {
+/// Evaluate an expression, borrowing literals, columns, group keys and
+/// aggregates; only computed values are owned.
+fn eval<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'a>) -> Result<Cow<'a, Value>> {
+    Ok(match expr {
+        BoundExpr::Literal(v) => Cow::Borrowed(v),
+        BoundExpr::ColumnIdx(i) => Cow::Borrowed(ctx.input.cell(ctx.tuple, *i)),
+        BoundExpr::GroupKeyRef(i) => Cow::Borrowed(&*ctx.group_keys[*i]),
+        BoundExpr::AggRef(i) => Cow::Borrowed(&*ctx.agg_values[*i]),
+        computed => Cow::Owned(compute(computed, ctx)?),
+    })
+}
+
+/// The operators of [`eval`], which build new values.
+fn compute<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'a>) -> Result<Value> {
     use crate::ast::BinOp::*;
     Ok(match expr {
-        BoundExpr::Literal(v) => v.clone(),
-        BoundExpr::ColumnIdx(i) => ctx.row[*i].clone(),
-        BoundExpr::GroupKeyRef(i) => ctx.group_keys[*i].clone(),
-        BoundExpr::AggRef(i) => ctx.agg_values[*i].clone(),
-        BoundExpr::Not(inner) => Truth::from_value(&eval(inner, ctx)?)?.not().to_value(),
+        BoundExpr::Literal(_)
+        | BoundExpr::ColumnIdx(_)
+        | BoundExpr::GroupKeyRef(_)
+        | BoundExpr::AggRef(_) => eval(expr, ctx)?.into_owned(),
+        BoundExpr::Not(inner) => Truth::from_value(&*eval(inner, ctx)?)?.not().to_value(),
         BoundExpr::IsNull { expr, negated } => {
             let v = eval(expr, ctx)?;
             Value::Bool(v.is_null() != *negated)
@@ -132,9 +237,9 @@ fn eval(expr: &BoundExpr, ctx: &EvalCtx) -> Result<Value> {
             negated,
         } => {
             let v = eval(expr, ctx)?;
-            match v {
+            match &*v {
                 Value::Null => Value::Null,
-                Value::Text(s) => Value::Bool(like_match(&s, pattern) != *negated),
+                Value::Text(s) => Value::Bool(like_match(s, pattern) != *negated),
                 other => return Err(Error::Type(format!("LIKE on non-text value {other}"))),
             }
         }
@@ -171,19 +276,19 @@ fn eval(expr: &BoundExpr, ctx: &EvalCtx) -> Result<Value> {
             match op {
                 And => {
                     // Short-circuit-aware three-valued AND/OR.
-                    let l = Truth::from_value(&eval(left, ctx)?)?;
+                    let l = Truth::from_value(&*eval(left, ctx)?)?;
                     if l == Truth::False {
                         return Ok(Value::Bool(false));
                     }
-                    let r = Truth::from_value(&eval(right, ctx)?)?;
+                    let r = Truth::from_value(&*eval(right, ctx)?)?;
                     return Ok(l.and(r).to_value());
                 }
                 Or => {
-                    let l = Truth::from_value(&eval(left, ctx)?)?;
+                    let l = Truth::from_value(&*eval(left, ctx)?)?;
                     if l == Truth::True {
                         return Ok(Value::Bool(true));
                     }
-                    let r = Truth::from_value(&eval(right, ctx)?)?;
+                    let r = Truth::from_value(&*eval(right, ctx)?)?;
                     return Ok(l.or(r).to_value());
                 }
                 _ => {}
@@ -211,7 +316,7 @@ fn eval(expr: &BoundExpr, ctx: &EvalCtx) -> Result<Value> {
                         return Ok(Value::Null);
                     }
                     // Integer arithmetic stays integral except division.
-                    if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+                    if let (Value::Int(a), Value::Int(b)) = (&*l, &*r) {
                         return Ok(match op {
                             Add => Value::Int(a.wrapping_add(*b)),
                             Sub => Value::Int(a.wrapping_sub(*b)),
@@ -251,78 +356,98 @@ fn eval(expr: &BoundExpr, ctx: &EvalCtx) -> Result<Value> {
 }
 
 /// Evaluate a predicate; NULL/unknown filters the row out (SQL WHERE).
-fn eval_predicate(expr: &BoundExpr, ctx: &EvalCtx) -> Result<bool> {
-    Ok(Truth::from_value(&eval(expr, ctx)?)? == Truth::True)
+fn eval_predicate<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'a>) -> Result<bool> {
+    Ok(Truth::from_value(&*eval(expr, ctx)?)? == Truth::True)
 }
 
-/// Materialise the FROM table and fold in each join.
-fn scan_and_join(db: &Database, plan: &Plan) -> Result<Vec<Vec<Value>>> {
-    let base = &db.tables()[plan.base_table_idx];
-    let data = db
-        .table_data(&base.name)
-        .ok_or_else(|| Error::Execution(format!("missing data for {}", base.name)))?;
-    let mut rows: Vec<Vec<Value>> = data.rows().to_vec();
-
-    for step in &plan.joins {
-        rows = hash_join(db, rows, step)?;
+/// Tuples of the FROM table, with each join folded in.
+fn scan_and_join(input: &Input, plan: &Plan) -> Tuples {
+    let mut tuples = Tuples {
+        width: 1,
+        idx: (0..input.tables[0].len()).collect(),
+    };
+    for (j, step) in plan.joins.iter().enumerate() {
+        tuples = hash_join(input, &tuples, step, j + 1);
     }
+    tuples
+}
+
+/// Join plan table `table` onto `probe`: each probe tuple, in order,
+/// extended by each matching build row, in row order.
+fn hash_join(input: &Input, probe: &Tuples, step: &JoinStep, table: usize) -> Tuples {
+    let build = input.tables[table];
+    // Build side: key → (first, last) row of a chain through `next`.
+    // NULL keys excluded (never match).
+    let mut chains: HashMap<GroupKey<&str>, (usize, usize)> = HashMap::with_capacity(build.len());
+    let mut next = vec![CHAIN_END; build.len()];
+    for (i, row) in build.iter().enumerate() {
+        let key = &row[step.build_key];
+        if !key.is_null() {
+            chains
+                .entry(key.key())
+                .and_modify(|(_, last)| {
+                    next[*last] = i;
+                    *last = i;
+                })
+                .or_insert((i, i));
+        }
+    }
+
+    let width = probe.width + 1;
+    let mut out = Vec::with_capacity(probe.idx.len() + probe.len());
+    for tuple in probe.iter() {
+        let key = input.cell(tuple, step.probe_key);
+        let first = if key.is_null() {
+            None
+        } else {
+            chains.get(&key.key()).map(|&(first, _)| first)
+        };
+        match first {
+            Some(mut i) => {
+                while i != CHAIN_END {
+                    out.extend_from_slice(tuple);
+                    out.push(i);
+                    i = next[i];
+                }
+            }
+            None if step.kind == JoinKind::Left => {
+                out.extend_from_slice(tuple);
+                out.push(NULL_ROW);
+            }
+            None => {}
+        }
+    }
+    Tuples { width, idx: out }
+}
+
+/// Keep the tuples `pred` holds for, in order, compacting in place.
+fn filter(input: &Input, mut rows: Tuples, pred: &BoundExpr) -> Result<Tuples> {
+    let width = rows.width;
+    let mut kept = 0;
+    for r in 0..rows.len() {
+        let tuple = &rows.idx[r * width..(r + 1) * width];
+        if eval_predicate(pred, &EvalCtx::row(input, tuple))? {
+            rows.idx
+                .copy_within(r * width..(r + 1) * width, kept * width);
+            kept += 1;
+        }
+    }
+    rows.idx.truncate(kept * width);
     Ok(rows)
 }
 
-fn hash_join(db: &Database, probe: Vec<Vec<Value>>, step: &JoinStep) -> Result<Vec<Vec<Value>>> {
-    let build_schema = &db.tables()[step.table_idx];
-    let build_data = db
-        .table_data(&build_schema.name)
-        .ok_or_else(|| Error::Execution(format!("missing data for {}", build_schema.name)))?;
-
-    // Build side: key → row indices. NULL keys excluded (never match).
-    let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::with_capacity(build_data.len());
-    for (i, row) in build_data.iter().enumerate() {
-        let key = &row[step.build_key];
-        if !key.is_null() {
-            table.entry(key.group_key()).or_default().push(i);
-        }
-    }
-
-    let mut out = Vec::with_capacity(probe.len());
-    for row in probe {
-        let key = &row[step.probe_key];
-        let matches = if key.is_null() {
-            None
-        } else {
-            table.get(&key.group_key())
-        };
-        match matches {
-            Some(idxs) => {
-                for &i in idxs {
-                    let mut joined = row.clone();
-                    joined.extend_from_slice(&build_data.rows()[i]);
-                    out.push(joined);
-                }
-            }
-            None => {
-                if step.kind == crate::ast::JoinKind::Left {
-                    let mut joined = row.clone();
-                    joined.extend(std::iter::repeat_with(|| Value::Null).take(step.table_arity));
-                    out.push(joined);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Aggregate accumulator for one (group, aggregate) pair.
-struct AggState {
+/// Aggregate accumulator for one (group, aggregate) pair; MIN and MAX
+/// borrow the argument cell they hold.
+struct AggState<'c> {
     count: u64,
     sum: f64,
     saw_float: bool,
-    min: Option<Value>,
-    max: Option<Value>,
-    distinct_seen: Option<HashSet<GroupKey>>,
+    min: Option<&'c Value>,
+    max: Option<&'c Value>,
+    distinct_seen: Option<HashSet<GroupKey<&'c str>>>,
 }
 
-impl AggState {
+impl<'c> AggState<'c> {
     fn new(distinct: bool) -> Self {
         AggState {
             count: 0,
@@ -334,12 +459,12 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: &Value) {
+    fn update(&mut self, v: &'c Value) {
         if v.is_null() {
             return; // aggregates skip NULLs
         }
         if let Some(seen) = &mut self.distinct_seen {
-            if !seen.insert(v.group_key()) {
+            if !seen.insert(v.key()) {
                 return;
             }
         }
@@ -352,23 +477,22 @@ impl AggState {
         }
         let replace_min = self
             .min
-            .as_ref()
             .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less));
         if replace_min {
-            self.min = Some(v.clone());
+            self.min = Some(v);
         }
         let replace_max = self
             .max
-            .as_ref()
             .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater));
         if replace_max {
-            self.max = Some(v.clone());
+            self.max = Some(v);
         }
     }
 
-    fn finish(&self, agg: &BoundAgg) -> Value {
+    fn finish(&self, agg: &BoundAgg) -> Cow<'c, Value> {
         use crate::ast::AggFunc::*;
-        match agg.func {
+        let extreme = |v: Option<&'c Value>| v.map_or(Cow::Owned(Value::Null), Cow::Borrowed);
+        Cow::Owned(match agg.func {
             Count => Value::Int(self.count as i64),
             Sum => {
                 if self.count == 0 {
@@ -386,169 +510,202 @@ impl AggState {
                     Value::Float(self.sum / self.count as f64)
                 }
             }
-            Min => self.min.clone().unwrap_or(Value::Null),
-            Max => self.max.clone().unwrap_or(Value::Null),
-        }
+            Min => return extreme(self.min),
+            Max => return extreme(self.max),
+        })
     }
 }
 
-fn run_aggregation(
-    rows: &[Vec<Value>],
-    agg_plan: &AggregatePlan,
-) -> Result<Vec<(Vec<Value>, Vec<Value>)>> {
-    // Group rows. Key = evaluated GROUP BY expressions.
-    let mut groups: HashMap<Vec<GroupKey>, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-    let mut order: Vec<Vec<GroupKey>> = Vec::new(); // first-seen order, deterministic
+/// Evaluate, row by row, the GROUP BY expressions and then the aggregate
+/// arguments: `group_by.len()` key cells and `aggs.len()` argument cells
+/// per row (NULL for `COUNT(*)`, which reads none).
+type RowCells<'a> = (Vec<Cow<'a, Value>>, Vec<Cow<'a, Value>>);
 
-    for row in rows {
-        let ctx = EvalCtx::row(row);
-        let mut key_vals = Vec::with_capacity(agg_plan.group_by.len());
+fn eval_row_cells<'a>(
+    input: &'a Input<'a>,
+    rows: &'a Tuples,
+    agg_plan: &'a AggregatePlan,
+) -> Result<RowCells<'a>> {
+    let mut keys = Vec::with_capacity(rows.len() * agg_plan.group_by.len());
+    let mut args = Vec::with_capacity(rows.len() * agg_plan.aggs.len());
+    for tuple in rows.iter() {
+        let ctx = EvalCtx::row(input, tuple);
         for g in &agg_plan.group_by {
-            key_vals.push(eval(g, &ctx)?);
+            keys.push(eval(g, &ctx)?);
         }
-        let key: Vec<GroupKey> = key_vals.iter().map(Value::group_key).collect();
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            (
-                key_vals.clone(),
-                agg_plan
-                    .aggs
-                    .iter()
-                    .map(|a| AggState::new(a.distinct))
-                    .collect(),
-            )
+        for agg in &agg_plan.aggs {
+            args.push(match &agg.arg {
+                Some(arg) => eval(arg, &ctx)?,
+                None => Cow::Borrowed(&NULL),
+            });
+        }
+    }
+    Ok((keys, args))
+}
+
+/// Groups in first-seen order: the input row that opened each, and its
+/// finished aggregates, `aggs.len()` per group.
+struct Groups<'c> {
+    first_rows: Vec<usize>,
+    agg_values: Vec<Cow<'c, Value>>,
+}
+
+fn group<'c>(
+    keys: &'c [Cow<'c, Value>],
+    args: &'c [Cow<'c, Value>],
+    n_rows: usize,
+    agg_plan: &AggregatePlan,
+) -> Groups<'c> {
+    let (n_keys, n_aggs) = (agg_plan.group_by.len(), agg_plan.aggs.len());
+    let fresh = || agg_plan.aggs.iter().map(|a| AggState::new(a.distinct));
+    let mut index: HashMap<RowKey<'c, Cow<'c, Value>>, usize> = HashMap::new();
+    let mut first_rows = Vec::new();
+    let mut states: Vec<AggState<'c>> = Vec::new();
+    for r in 0..n_rows {
+        let key = RowKey(&keys[r * n_keys..(r + 1) * n_keys]);
+        let g = *index.entry(key).or_insert_with(|| {
+            first_rows.push(r);
+            states.extend(fresh());
+            first_rows.len() - 1
         });
-        for (agg, state) in agg_plan.aggs.iter().zip(entry.1.iter_mut()) {
-            match &agg.arg {
-                None => {
-                    // COUNT(*): every row counts, including NULL-heavy ones.
-                    state.count += 1;
-                }
-                Some(arg) => {
-                    let v = eval(arg, &ctx)?;
-                    state.update(&v);
-                }
+        let row_args = &args[r * n_aggs..(r + 1) * n_aggs];
+        let group_states = &mut states[g * n_aggs..(g + 1) * n_aggs];
+        for ((agg, state), arg) in agg_plan.aggs.iter().zip(group_states).zip(row_args) {
+            match agg.arg {
+                // COUNT(*): every row counts, including NULL-heavy ones.
+                None => state.count += 1,
+                Some(_) => state.update(arg),
             }
         }
     }
-
     // Global aggregate over an empty input still yields one group.
-    if groups.is_empty() && agg_plan.group_by.is_empty() {
-        let states: Vec<AggState> = agg_plan
-            .aggs
-            .iter()
-            .map(|a| AggState::new(a.distinct))
-            .collect();
-        let agg_values: Vec<Value> = agg_plan
-            .aggs
-            .iter()
-            .zip(&states)
-            .map(|(a, s)| s.finish(a))
-            .collect();
-        return Ok(vec![(Vec::new(), agg_values)]);
+    if n_rows == 0 && n_keys == 0 {
+        first_rows.push(0);
+        states.extend(fresh());
+    }
+    let agg_values = states
+        .iter()
+        .zip(agg_plan.aggs.iter().cycle())
+        .map(|(s, a)| s.finish(a))
+        .collect();
+    Groups {
+        first_rows,
+        agg_values,
+    }
+}
+
+/// The projected cells and ORDER BY keys of the result rows, borrowed
+/// where the expressions allow; only [`Output::into_rows`] copies.
+#[derive(Default)]
+struct Output<'a> {
+    n_rows: usize,
+    cells: Vec<Cow<'a, Value>>,
+    sort_keys: Vec<Cow<'a, Value>>,
+}
+
+impl<'a> Output<'a> {
+    fn push(&mut self, plan: &'a Plan, ctx: &EvalCtx<'a>) -> Result<()> {
+        for p in &plan.projections {
+            self.cells.push(eval(p, ctx)?);
+        }
+        for (o, _) in &plan.order_by {
+            self.sort_keys.push(eval(o, ctx)?);
+        }
+        self.n_rows += 1;
+        Ok(())
     }
 
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let (key_vals, states) = groups.remove(&key).expect("group vanished");
-        let agg_values: Vec<Value> = agg_plan
-            .aggs
-            .iter()
-            .zip(&states)
-            .map(|(a, s)| s.finish(a))
-            .collect();
-        out.push((key_vals, agg_values));
+    /// DISTINCT, ORDER BY and LIMIT over row ordinals, then one copy of
+    /// each surviving cell.
+    fn into_rows(self, plan: &Plan) -> Vec<Vec<Value>> {
+        let width = plan.projections.len();
+        let n_keys = plan.order_by.len();
+        let row = |i: usize| &self.cells[i * width..(i + 1) * width];
+        let sort_key = |i: usize| &self.sort_keys[i * n_keys..(i + 1) * n_keys];
+        let mut order: Vec<usize> = (0..self.n_rows).collect();
+
+        // DISTINCT on the projected row.
+        if plan.distinct {
+            let mut seen = HashSet::with_capacity(order.len());
+            order.retain(|&i| seen.insert(RowKey(row(i))));
+        }
+
+        // ORDER BY: stable sort on the evaluated keys, NULLs first.
+        if n_keys > 0 {
+            order.sort_by(|&a, &b| {
+                for ((x, y), (_, desc)) in sort_key(a).iter().zip(sort_key(b)).zip(&plan.order_by) {
+                    let ord = x.total_cmp(y);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+
+        // LIMIT.
+        if let Some(limit) = plan.limit {
+            order.truncate(limit as usize);
+        }
+
+        order
+            .into_iter()
+            .map(|i| row(i).iter().map(|cell| Value::clone(cell)).collect())
+            .collect()
     }
-    Ok(out)
 }
 
 /// Execute a bound plan.
 pub fn execute_plan(db: &Database, plan: &Plan) -> Result<QueryResult> {
-    let rows = scan_and_join(db, plan)?;
-
-    // Filter.
-    let mut filtered: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-    match &plan.filter {
-        Some(f) => {
-            for row in rows {
-                if eval_predicate(f, &EvalCtx::row(&row))? {
-                    filtered.push(row);
-                }
-            }
-        }
-        None => filtered = rows,
+    let input = Input::new(db, plan)?;
+    let mut rows = scan_and_join(&input, plan);
+    if let Some(f) = &plan.filter {
+        rows = filter(&input, rows, f)?;
     }
 
-    // Project (+aggregate) into (output row, sort key) pairs.
-    let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-    match &plan.aggregate {
+    let result_rows = match &plan.aggregate {
         Some(agg_plan) => {
-            for (key_vals, agg_values) in run_aggregation(&filtered, agg_plan)? {
-                let ctx = EvalCtx::group(&key_vals, &agg_values);
+            let mut out = Output::default();
+            let (keys, args) = eval_row_cells(&input, &rows, agg_plan)?;
+            let groups = group(&keys, &args, rows.len(), agg_plan);
+            let (n_keys, n_aggs) = (agg_plan.group_by.len(), agg_plan.aggs.len());
+            for (g, &first) in groups.first_rows.iter().enumerate() {
+                let ctx = EvalCtx {
+                    input: &input,
+                    tuple: &[],
+                    group_keys: &keys[first * n_keys..(first + 1) * n_keys],
+                    agg_values: &groups.agg_values[g * n_aggs..(g + 1) * n_aggs],
+                };
                 if let Some(h) = &agg_plan.having {
                     if !eval_predicate(h, &ctx)? {
                         continue;
                     }
                 }
-                let mut out_row = Vec::with_capacity(plan.projections.len());
-                for p in &plan.projections {
-                    out_row.push(eval(p, &ctx)?);
-                }
-                let mut sort_key = Vec::with_capacity(plan.order_by.len());
-                for (o, _) in &plan.order_by {
-                    sort_key.push(eval(o, &ctx)?);
-                }
-                produced.push((out_row, sort_key));
+                out.push(plan, &ctx)?;
             }
+            out.into_rows(plan)
         }
         None => {
-            for row in &filtered {
-                let ctx = EvalCtx::row(row);
-                let mut out_row = Vec::with_capacity(plan.projections.len());
-                for p in &plan.projections {
-                    out_row.push(eval(p, &ctx)?);
-                }
-                let mut sort_key = Vec::with_capacity(plan.order_by.len());
-                for (o, _) in &plan.order_by {
-                    sort_key.push(eval(o, &ctx)?);
-                }
-                produced.push((out_row, sort_key));
+            let mut out = Output::default();
+            for tuple in rows.iter() {
+                out.push(plan, &EvalCtx::row(&input, tuple))?;
             }
+            out.into_rows(plan)
         }
-    }
-
-    // DISTINCT on the projected row.
-    if plan.distinct {
-        let mut seen: HashSet<Vec<GroupKey>> = HashSet::with_capacity(produced.len());
-        produced.retain(|(row, _)| seen.insert(row.iter().map(Value::group_key).collect()));
-    }
-
-    // ORDER BY: stable sort on the evaluated keys, NULLs first.
-    if !plan.order_by.is_empty() {
-        let descs: Vec<bool> = plan.order_by.iter().map(|(_, d)| *d).collect();
-        produced.sort_by(|(_, ka), (_, kb)| {
-            for ((a, b), desc) in ka.iter().zip(kb.iter()).zip(&descs) {
-                let ord = a.total_cmp(b);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    // LIMIT.
-    if let Some(limit) = plan.limit {
-        produced.truncate(limit as usize);
-    }
+    };
 
     Ok(QueryResult {
         columns: plan.output_names.clone(),
-        rows: produced.into_iter().map(|(row, _)| row).collect(),
+        rows: result_rows,
         ordered: !plan.order_by.is_empty(),
     })
 }
+
+#[cfg(test)]
+mod parity;
+#[cfg(test)]
+mod reference;
 
 /// Bind and execute a parsed statement.
 pub fn execute(db: &Database, stmt: &SelectStmt) -> Result<QueryResult> {
@@ -845,5 +1002,33 @@ mod tests {
         assert!(like_match("", "%"));
         assert!(!like_match("", "_"));
         assert!(like_match("x%y", "x%y"));
+        assert!(like_match("abcbc", "a%bc"));
+        assert!(!like_match("abcbd", "a%bc"));
+        assert!(like_match("aXbYc", "a%b%c"));
+        assert!(like_match("ab", "%%_%"));
+    }
+
+    #[test]
+    fn like_does_not_backtrack_exponentially() {
+        // A recursive backtracker tries ~C(200, 7) splits here.
+        let text = "a".repeat(200);
+        assert!(!like_match(&text, "%a%a%a%a%a%a%a%b"));
+        assert!(like_match(&text, "%a%a%a%a%a%a%a%"));
+    }
+
+    #[test]
+    fn multibyte_literals_match_stored_text() {
+        let mut db = f1_db();
+        db.insert(
+            "races",
+            vec![Value::Int(4), Value::text("Café GP ☕"), Value::Int(2024)],
+        )
+        .unwrap();
+        let r = run(&db, "SELECT raceId FROM races WHERE name = 'Café GP ☕'");
+        assert_eq!(r.rows, vec![vec![Value::Int(4)]]);
+        let r = run(&db, "SELECT raceId FROM races WHERE name LIKE 'Caf% ☕'");
+        assert_eq!(r.rows, vec![vec![Value::Int(4)]]);
+        let r = run(&db, "SELECT raceId FROM races WHERE name LIKE '%é%'");
+        assert_eq!(r.rows, vec![vec![Value::Int(4)]]);
     }
 }

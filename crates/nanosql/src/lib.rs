@@ -14,8 +14,8 @@
 //! * a recursive-descent parser ([`parser`]) for the emitted dialect
 //!   (`SELECT [DISTINCT] … FROM … [JOIN … ON …] [WHERE …] [GROUP BY …]
 //!   [HAVING …] [ORDER BY …] [LIMIT n]`),
-//! * a name-resolving planner ([`plan`]) and a materialising executor
-//!   ([`exec`]),
+//! * a name-resolving planner ([`plan`]) and an executor that borrows
+//!   the stored rows and copies only the output cells ([`exec`]),
 //! * multiset result comparison for EX ([`result`]).
 //!
 //! ```

@@ -29,31 +29,39 @@ use crate::ast::*;
 use crate::error::{Error, Result};
 use crate::value::Value;
 
-/// Lexical token.
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// Lexical token. Identifiers and string literals borrow their text
+/// from the input, so tokens are `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f64),
-    Str(String),
+    /// A string literal's body as written, `''` escapes still doubled
+    /// (see [`unquote`]).
+    Str(&'a str),
     Symbol(&'static str),
     Eof,
 }
 
-impl Tok {
+/// The value of a string literal body: each `''` becomes `'`.
+fn unquote(body: &str) -> String {
+    body.replace("''", "'")
+}
+
+impl Tok<'_> {
     fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("identifier `{s}`"),
             Tok::Int(i) => format!("integer {i}"),
             Tok::Float(f) => format!("float {f}"),
-            Tok::Str(s) => format!("string '{s}'"),
+            Tok::Str(s) => format!("string '{}'", unquote(s)),
             Tok::Symbol(s) => format!("`{s}`"),
             Tok::Eof => "end of input".to_string(),
         }
     }
 }
 
-fn lex(input: &str) -> Result<Vec<Tok>> {
+fn lex(input: &str) -> Result<Vec<Tok<'_>>> {
     let bytes = input.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -115,27 +123,27 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                 }
             }
             '\'' => {
-                // String literal with '' escaping.
-                let mut s = String::new();
+                // String literal with '' escaping. Quotes are ASCII, so
+                // the body slices on character boundaries and multi-byte
+                // UTF-8 passes through whole.
                 i += 1;
+                let start = i;
                 loop {
                     if i >= bytes.len() {
                         return Err(Error::Parse("unterminated string literal".into()));
                     }
                     if bytes[i] == b'\'' {
                         if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
                             i += 2;
                         } else {
-                            i += 1;
                             break;
                         }
                     } else {
-                        s.push(bytes[i] as char);
                         i += 1;
                     }
                 }
-                toks.push(Tok::Str(s));
+                toks.push(Tok::Str(&input[start..i]));
+                i += 1;
             }
             '0'..='9' => {
                 let start = i;
@@ -174,9 +182,12 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                 {
                     i += 1;
                 }
-                toks.push(Tok::Ident(input[start..i].to_string()));
+                toks.push(Tok::Ident(&input[start..i]));
             }
-            other => return Err(Error::Parse(format!("unexpected character `{other}`"))),
+            _ => {
+                let other = input[i..].chars().next().unwrap_or('\u{fffd}');
+                return Err(Error::Parse(format!("unexpected character `{other}`")));
+            }
         }
     }
     toks.push(Tok::Eof);
@@ -184,18 +195,18 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
 }
 
 /// Parser state: token stream + cursor.
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos]
     }
 
-    fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].clone();
+    fn next(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -249,7 +260,7 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<String> {
         match self.next() {
-            Tok::Ident(s) => Ok(s),
+            Tok::Ident(s) => Ok(s.to_string()),
             other => Err(Error::Parse(format!(
                 "expected identifier, found {}",
                 other.describe()
@@ -425,7 +436,7 @@ impl Parser {
                 Tok::Str(pattern) => {
                     return Ok(Expr::Like {
                         expr: Box::new(left),
-                        pattern,
+                        pattern: unquote(pattern),
                         negated,
                     })
                 }
@@ -499,7 +510,7 @@ impl Parser {
         match self.next() {
             Tok::Int(n) => Ok(Value::Int(n)),
             Tok::Float(f) => Ok(Value::Float(f)),
-            Tok::Str(s) => Ok(Value::Text(s)),
+            Tok::Str(s) => Ok(Value::Text(unquote(s))),
             Tok::Ident(s) if s.eq_ignore_ascii_case("NULL") => Ok(Value::Null),
             Tok::Ident(s) if s.eq_ignore_ascii_case("TRUE") => Ok(Value::Bool(true)),
             Tok::Ident(s) if s.eq_ignore_ascii_case("FALSE") => Ok(Value::Bool(false)),
@@ -522,7 +533,7 @@ impl Parser {
                 ))),
             };
         }
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Int(_) | Tok::Float(_) | Tok::Str(_) => Ok(Expr::lit(self.parse_literal()?)),
             Tok::Symbol("(") => {
                 self.pos += 1;
@@ -532,14 +543,15 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 // Aggregate call?
-                let func = match name.to_ascii_uppercase().as_str() {
-                    "COUNT" => Some(AggFunc::Count),
-                    "SUM" => Some(AggFunc::Sum),
-                    "AVG" => Some(AggFunc::Avg),
-                    "MIN" => Some(AggFunc::Min),
-                    "MAX" => Some(AggFunc::Max),
-                    _ => None,
-                };
+                let func = [
+                    ("COUNT", AggFunc::Count),
+                    ("SUM", AggFunc::Sum),
+                    ("AVG", AggFunc::Avg),
+                    ("MIN", AggFunc::Min),
+                    ("MAX", AggFunc::Max),
+                ]
+                .into_iter()
+                .find_map(|(kw, f)| name.eq_ignore_ascii_case(kw).then_some(f));
                 if let Some(func) = func {
                     // Only a call if followed by `(` — MIN/MAX are common
                     // column names otherwise.
@@ -662,6 +674,20 @@ mod tests {
             Expr::Binary { right, .. } => assert_eq!(*right, Expr::lit(Value::text("it's"))),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn string_literals_keep_multibyte_utf8() {
+        let stmt = parse("SELECT x FROM t WHERE name = 'café ''☕'' 🦀'").unwrap();
+        match stmt.where_clause.unwrap() {
+            Expr::Binary { right, .. } => {
+                assert_eq!(*right, Expr::lit(Value::text("café '☕' 🦀")))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        roundtrip("SELECT x FROM t WHERE name LIKE 'caf%é' AND y = 'naïve'");
+        let err = parse("SELECT x FROM t WHERE x = é").unwrap_err();
+        assert!(err.to_string().contains("`é`"), "{err}");
     }
 
     #[test]

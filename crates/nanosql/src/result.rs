@@ -8,10 +8,9 @@
 //! values are compared with tolerance. [`results_match`] implements
 //! exactly that.
 
-use crate::error::Result;
 use crate::exec::execute_sql;
 use crate::schema::Database;
-use crate::value::{GroupKey, Value};
+use crate::value::{RowKey, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -41,24 +40,14 @@ impl QueryResult {
         self.columns.len()
     }
 
-    /// Canonical multiset fingerprint of the rows (group-key projection
-    /// of every value, rows sorted), used for unordered comparison.
-    fn multiset(&self) -> HashMap<Vec<GroupKey>, usize> {
-        let mut counts: HashMap<Vec<GroupKey>, usize> = HashMap::with_capacity(self.rows.len());
+    /// Multiset of the rows under group-key equality, used for unordered
+    /// comparison. The keys borrow the rows.
+    fn multiset(&self) -> HashMap<RowKey<'_, Value>, usize> {
+        let mut counts = HashMap::with_capacity(self.rows.len());
         for row in &self.rows {
-            *counts
-                .entry(row.iter().map(Value::group_key).collect())
-                .or_insert(0) += 1;
+            *counts.entry(RowKey(row.as_slice())).or_insert(0) += 1;
         }
         counts
-    }
-
-    /// Ordered row-sequence fingerprint.
-    fn sequence(&self) -> Vec<Vec<GroupKey>> {
-        self.rows
-            .iter()
-            .map(|r| r.iter().map(Value::group_key).collect())
-            .collect()
     }
 }
 
@@ -79,7 +68,10 @@ pub fn results_match(gold: &QueryResult, pred: &QueryResult) -> bool {
         return false;
     }
     if gold.ordered {
-        gold.sequence() == pred.sequence()
+        gold.rows
+            .iter()
+            .zip(&pred.rows)
+            .all(|(g, p)| RowKey(g.as_slice()) == RowKey(p.as_slice()))
     } else {
         gold.multiset() == pred.multiset()
     }
@@ -119,17 +111,6 @@ pub fn execution_accuracy(db: &Database, gold_sql: &str, pred_sql: &str) -> Exec
     } else {
         ExecOutcome::WrongResult
     }
-}
-
-/// Convenience: strict-result variant returning `Result` for callers that
-/// treat gold failure as fatal.
-pub fn execution_accuracy_strict(db: &Database, gold_sql: &str, pred_sql: &str) -> Result<bool> {
-    let gold = execute_sql(db, gold_sql)?;
-    let pred = match execute_sql(db, pred_sql) {
-        Ok(r) => r,
-        Err(_) => return Ok(false),
-    };
-    Ok(results_match(&gold, &pred))
 }
 
 #[cfg(test)]
@@ -197,6 +178,15 @@ mod tests {
     }
 
     #[test]
+    fn large_floats_do_not_collide() {
+        // Scaled by 1e9 both overflow i64; they must still differ.
+        let a = qr(vec![vec![Value::Float(1e10 + 0.5)]], false);
+        let b = qr(vec![vec![Value::Float(2e10 + 0.5)]], false);
+        assert!(!results_match(&a, &b));
+        assert!(results_match(&a, &a.clone()));
+    }
+
+    #[test]
     fn int_float_unification() {
         let a = qr(vec![vec![Value::Int(3)]], false);
         let b = qr(vec![vec![Value::Float(3.0)]], false);
@@ -227,23 +217,27 @@ mod tests {
     #[test]
     fn equivalent_queries_match_despite_aliasing() {
         let db = db();
-        assert!(execution_accuracy_strict(
-            &db,
-            "SELECT grp, SUM(x) FROM t GROUP BY grp",
-            "SELECT grp, SUM(x) AS total FROM t GROUP BY grp"
-        )
-        .unwrap());
+        assert_eq!(
+            execution_accuracy(
+                &db,
+                "SELECT grp, SUM(x) FROM t GROUP BY grp",
+                "SELECT grp, SUM(x) AS total FROM t GROUP BY grp"
+            ),
+            ExecOutcome::Correct
+        );
     }
 
     #[test]
     fn ordered_gold_vs_reordered_prediction() {
         let db = db();
         // Gold orders ascending; predicted orders descending → EX fails.
-        assert!(!execution_accuracy_strict(
-            &db,
-            "SELECT id FROM t ORDER BY x",
-            "SELECT id FROM t ORDER BY x DESC"
-        )
-        .unwrap());
+        assert_eq!(
+            execution_accuracy(
+                &db,
+                "SELECT id FROM t ORDER BY x",
+                "SELECT id FROM t ORDER BY x DESC"
+            ),
+            ExecOutcome::WrongResult
+        );
     }
 }

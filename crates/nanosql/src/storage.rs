@@ -1,9 +1,11 @@
 //! Row storage.
 //!
-//! A table's data is a flat `Vec` of rows. The engine materialises
-//! intermediate results anyway (datasets here are thousands of rows, not
-//! billions), so simple beats clever: contiguous rows, no pages, no
-//! indexes — a full scan *is* the access path.
+//! A table's data is a flat `Vec` of rows. The executor never copies
+//! them while it runs: scans and joins carry row indices into these
+//! vectors, and only the result's output cells are cloned. Datasets here
+//! are thousands of rows, not billions, so simple beats clever:
+//! contiguous rows, no pages, no indexes — a full scan *is* the access
+//! path.
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};

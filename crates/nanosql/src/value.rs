@@ -6,8 +6,10 @@
 //! filter predicates (matching SQLite/standard behaviour for WHERE).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A single SQL value.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -91,32 +93,85 @@ impl Value {
     /// equal up to accumulation error in aggregates compare equal (the
     /// tolerance BIRD's EX comparison effectively applies).
     pub fn group_key(&self) -> GroupKey {
+        match self.key() {
+            GroupKey::Null => GroupKey::Null,
+            GroupKey::Int(i) => GroupKey::Int(i),
+            GroupKey::FloatBits(b) => GroupKey::FloatBits(b),
+            GroupKey::FloatExact(b) => GroupKey::FloatExact(b),
+            GroupKey::Text(s) => GroupKey::Text(s.to_owned()),
+        }
+    }
+
+    /// [`Value::group_key`] with the text borrowed: the same equality,
+    /// without copying the string. Joins, grouping, DISTINCT and EX
+    /// comparison hash this form.
+    pub(crate) fn key(&self) -> GroupKey<&str> {
+        /// 2^63: the scaled floats in `[-2^63, 2^63)` convert to `i64`
+        /// exactly; beyond it `as` would saturate and merge them.
+        const I64_SPAN: f64 = 9_223_372_036_854_775_808.0;
         match self {
             Value::Null => GroupKey::Null,
             Value::Int(i) => GroupKey::Int(*i),
             Value::Float(f) => {
+                let scaled = (*f * 1e9).round();
                 if f.fract() == 0.0 && f.abs() < 9e15 {
                     // Integral floats group with their integer twins, so
                     // SUM(int) and equivalent float expressions agree.
                     GroupKey::Int(*f as i64)
+                } else if (-I64_SPAN..I64_SPAN).contains(&scaled) {
+                    GroupKey::FloatBits(scaled as i64)
                 } else {
-                    GroupKey::FloatBits(((*f) * 1e9).round() as i64)
+                    // Too large to bucket (|f| ≳ 9.2e9), infinite or NaN.
+                    GroupKey::FloatExact(f.to_bits())
                 }
             }
-            Value::Text(s) => GroupKey::Text(s.clone()),
+            Value::Text(s) => GroupKey::Text(s),
             Value::Bool(b) => GroupKey::Int(*b as i64),
         }
     }
 }
 
 /// Hashable, `Eq` projection of a [`Value`] (see [`Value::group_key`]).
+/// The text is owned by default; inside the engine, joins, grouping and
+/// EX comparison hash `GroupKey<&str>`, which borrows it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum GroupKey {
+pub enum GroupKey<S = String> {
     Null,
     Int(i64),
+    /// A non-integral float scaled by 1e9 and rounded.
     FloatBits(i64),
-    Text(String),
+    /// The bits of a float that [`GroupKey::FloatBits`] cannot hold.
+    FloatExact(u64),
+    Text(S),
 }
+
+/// A row hashed and compared cell by cell through [`Value::key`]: the
+/// borrowed twin of `Vec<GroupKey>`, built without copying any text.
+/// Cells may be values or anything that borrows as one (`Cow<Value>`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowKey<'r, T>(pub &'r [T]);
+
+impl<T: Borrow<Value>> Hash for RowKey<'_, T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.len());
+        for cell in self.0 {
+            cell.borrow().key().hash(state);
+        }
+    }
+}
+
+impl<T: Borrow<Value>> PartialEq for RowKey<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self
+                .0
+                .iter()
+                .zip(other.0)
+                .all(|(a, b)| a.borrow().key() == b.borrow().key())
+    }
+}
+
+impl<T: Borrow<Value>> Eq for RowKey<'_, T> {}
 
 impl PartialEq for Value {
     /// Structural equality (NULL == NULL here): used by tests and result
@@ -199,6 +254,61 @@ mod tests {
         let a = Value::Float(0.333_333_333_1);
         let b = Value::Float(0.333_333_333_4);
         assert_eq!(a.group_key(), b.group_key());
+    }
+
+    #[test]
+    fn group_keys_keep_large_floats_apart() {
+        // Scaled by 1e9 these overflow i64; they used to saturate to one key.
+        let a = Value::Float(1e10 + 0.5);
+        let b = Value::Float(2e10 + 0.5);
+        assert_ne!(a.group_key(), b.group_key());
+        assert_eq!(a.group_key(), Value::Float(1e10 + 0.5).group_key());
+        assert_eq!(
+            a.group_key(),
+            GroupKey::FloatExact((1e10f64 + 0.5).to_bits())
+        );
+        assert_ne!(
+            Value::Float(f64::INFINITY).group_key(),
+            Value::Float(f64::NEG_INFINITY).group_key()
+        );
+        // The largest scaled floats that still fit keep their buckets.
+        assert!(matches!(
+            Value::Float(9.2e9 + 0.5).group_key(),
+            GroupKey::FloatBits(_)
+        ));
+    }
+
+    #[test]
+    fn borrowed_keys_have_group_key_equality() {
+        let vals = [
+            Value::Null,
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Bool(true),
+            Value::Int(1),
+            Value::Float(0.1 + 0.2),
+            Value::Float(0.3),
+            Value::Float(1e10 + 0.5),
+            Value::text("café"),
+            Value::text("cafe"),
+        ];
+        for a in &vals {
+            for b in &vals {
+                assert_eq!(
+                    a.key() == b.key(),
+                    a.group_key() == b.group_key(),
+                    "{a} vs {b}"
+                );
+            }
+        }
+        assert_eq!(
+            RowKey(&[Value::Int(3), Value::text("x")]),
+            RowKey(&[Value::Float(3.0), Value::text("x")])
+        );
+        assert_ne!(
+            RowKey(&[Value::Int(3)]),
+            RowKey(&[Value::Int(3), Value::Null])
+        );
     }
 
     #[test]

@@ -273,25 +273,52 @@ impl<'a> Parser<'a> {
                 b'b' => out.push('\u{8}'),
                 b'f' => out.push('\u{c}'),
                 b'u' => {
-                    // Exactly four hex digits: `from_str_radix` alone
-                    // would also take a sign.
-                    let hex = self
-                        .bytes
-                        .get(self.pos..self.pos + 4)
-                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                        .ok_or_else(|| Error::custom("bad \\u escape"))?;
-                    let hex =
-                        std::str::from_utf8(hex).map_err(|_| Error::custom("bad \\u escape"))?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| Error::custom("bad \\u escape"))?;
-                    self.pos += 4;
-                    // Surrogate pairs are not needed for this
-                    // workspace's identifiers; map lone surrogates to
-                    // the replacement character.
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    let code = self.hex4()?;
+                    // A high surrogate followed by an escaped low one is
+                    // one UTF-16 pair; a lone surrogate of either kind
+                    // becomes the replacement character.
+                    let code = if (0xD800..0xDC00).contains(&code) {
+                        self.low_surrogate()?
+                            .map(|lo| 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00))
+                    } else {
+                        Some(code)
+                    };
+                    out.push(code.and_then(char::from_u32).unwrap_or('\u{fffd}'));
                 }
                 _ => return Err(Error::custom("unknown escape")),
             }
+        }
+    }
+
+    /// The four hex digits of a `\u` escape, after the `u`. Exactly
+    /// four: `from_str_radix` alone would also take a sign.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| Error::custom("bad \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| Error::custom("bad \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| Error::custom("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// After a high surrogate: take a following `\uDC00`–`\uDFFF`
+    /// escape and return its code; leave anything else to the string
+    /// loop.
+    fn low_surrogate(&mut self) -> Result<Option<u32>, Error> {
+        if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+            return Ok(None);
+        }
+        let save = self.pos;
+        self.pos += 2;
+        let lo = self.hex4()?;
+        if (0xDC00..0xE000).contains(&lo) {
+            Ok(Some(lo))
+        } else {
+            self.pos = save;
+            Ok(None)
         }
     }
 
@@ -388,6 +415,36 @@ mod tests {
         ] {
             assert!(from_str::<String>(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_char() {
+        let crab: String = from_str(r#""\ud83e\udd80 \uD83E\uDD80""#).unwrap();
+        assert_eq!(crab, "🦀 🦀");
+        assert_eq!(
+            from_str::<String>(&to_string(&crab).unwrap()).unwrap(),
+            crab
+        );
+    }
+
+    #[test]
+    fn lone_surrogates_decode_to_replacement_chars() {
+        for (json, want) in [
+            (r#""\ud83e""#, "\u{fffd}"),
+            (r#""\udd80""#, "\u{fffd}"),
+            (r#""\ud83e\u0041""#, "\u{fffd}A"),
+            (r#""\ud83e\ud83e\udd80""#, "\u{fffd}🦀"),
+            (r#""\udd80\ud83e""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83ex""#, "\u{fffd}x"),
+        ] {
+            let parsed: String = from_str(json).unwrap();
+            assert_eq!(parsed, want, "{json}");
+            assert_eq!(
+                from_str::<String>(&to_string(&parsed).unwrap()).unwrap(),
+                want
+            );
+        }
+        assert!(from_str::<String>(r#""\ud83e\udd8""#).is_err());
     }
 
     #[test]
