@@ -54,6 +54,18 @@ impl SchemaElementRef {
     pub fn is_table(&self) -> bool {
         self.column.is_none()
     }
+
+    /// `self.to_string() == s`, without formatting: `table` for a
+    /// table, `table.column` for a column.
+    pub fn display_eq(&self, s: &str) -> bool {
+        match &self.column {
+            None => self.table == s,
+            Some(c) => s
+                .strip_prefix(self.table.as_str())
+                .and_then(|rest| rest.strip_prefix('.'))
+                .is_some_and(|rest| rest == c),
+        }
+    }
 }
 
 impl std::fmt::Display for SchemaElementRef {

@@ -387,6 +387,8 @@ impl<'a> LinkSession<'a> {
     /// Bytes of generation state the session holds while parked —
     /// dominated by the current round's synthesized hidden-state
     /// stacks. What a serving engine bills a suspended request for.
+    /// Between a `Pin` and the next step this is the superseded round,
+    /// kept as that step's reuse source.
     pub fn held_bytes(&self) -> usize {
         self.cur
             .as_ref()
@@ -525,6 +527,7 @@ impl<'a> LinkSession<'a> {
                 GenMode::Free,
                 &session.overrides,
                 &session.monitor_layers,
+                None,
                 synth,
             );
             session.cur = Some(SessionRound::Owned(trace, vocab));
@@ -582,9 +585,14 @@ impl<'a> LinkSession<'a> {
         }
         self.rounds_done += 1;
         let round = if self.cur.is_none() || self.stale {
-            // Free the superseded round before synthesizing its
-            // replacement; otherwise both traces are live at once.
-            self.cur = None;
+            // A stale round is the one a `Pin` superseded. The tokens it
+            // emitted before the pinned element are the prefix the new
+            // round continues from, so its hidden stacks seed the
+            // regeneration (every step that matches in token, position
+            // and latent signal is taken over, not re-synthesized) and
+            // it drops right after. Both traces are live only for this
+            // one call.
+            let superseded = self.cur.take();
             let mut vocab = Vocab::new();
             let trace = self.model.generate_with_overrides_and_layers(
                 &self.inst,
@@ -593,6 +601,7 @@ impl<'a> LinkSession<'a> {
                 GenMode::Free,
                 &self.overrides,
                 &self.monitor_layers,
+                superseded.as_ref().map(SessionRound::trace),
                 &mut scratch.synth,
             );
             self.stale = false;
@@ -703,13 +712,17 @@ impl<'a> LinkSession<'a> {
                 self.n_interventions += 1;
                 self.handled.insert(pending.query.element_idx);
                 self.overrides.insert(pending.query.gold_element, decision);
-                // The pinned decision changes the stream: regenerate.
-                // The now-stale round is dead weight — free its hidden
-                // stacks here rather than carrying them to the next
-                // `step` (a resolved-but-not-yet-scheduled serving
-                // ticket would otherwise park megabytes for nothing).
+                // The pinned decision changes the stream: the next
+                // `step` regenerates. The now-stale round stays as that
+                // regeneration's reuse source — its stacks up to the
+                // pinned element are exactly the ones the new stream
+                // needs — and is dropped by that step. The bound: a
+                // resolved, queued ticket holds at most this one
+                // superseded trace until a worker steps it, and the
+                // serving engine neither bills it (billing ends at
+                // unpark) nor evicts it (only tickets awaiting
+                // feedback are).
                 self.stale = true;
-                self.cur = None;
             }
         }
     }
@@ -1013,6 +1026,76 @@ mod tests {
             );
         }
         assert!(exercised > 0, "no session ever suspended at this scale");
+    }
+
+    #[test]
+    fn regeneration_after_a_pin_reuses_the_superseded_round() {
+        let fx = fixture();
+        let config = RtsConfig::default();
+        let mut scratch = LinkScratch::default();
+        let oracle = HumanOracle::new(Expertise::Expert, 5);
+        let policy = MitigationPolicy::Human(&oracle);
+        let mut longest_on_last = 0usize;
+        for inst in fx.bench.split.dev.iter().take(60) {
+            let meta = fx.bench.meta(&inst.db_name).unwrap();
+            let ctx = fx.contexts.get(&inst.db_name, LinkTarget::Tables);
+            let mut session = LinkSession::new(
+                &fx.model,
+                &fx.mbpp,
+                inst,
+                meta,
+                LinkTarget::Tables,
+                Some(CtxHandle::Borrowed(ctx)),
+                None,
+                &config,
+            );
+            // `step` is idempotent while suspended, so the measuring
+            // step below may be followed by the loop's own.
+            while let SessionState::NeedsFeedback(q) = session.step(&mut scratch) {
+                session.resolve(resolve_flag(&policy, inst, &q));
+                if !session.stale {
+                    continue;
+                }
+                // The superseded round stays until the next step.
+                let superseded = session.cur.as_ref().expect("kept").trace().clone();
+                let fresh = fx.model.generate_with_overrides_and_layers(
+                    inst,
+                    &mut Vocab::new(),
+                    LinkTarget::Tables,
+                    GenMode::Free,
+                    &session.overrides,
+                    &session.monitor_layers,
+                    None,
+                    &mut simlm::SynthScratch::default(),
+                );
+                let before = scratch.synth.stacks_synthesized();
+                let _ = session.step(&mut scratch);
+                let synthesized = scratch.synth.stacks_synthesized() - before;
+                // Every token the new stream shares with the superseded
+                // one from the start is taken over, not synthesized.
+                let shared = superseded
+                    .steps
+                    .iter()
+                    .zip(&fresh.steps)
+                    .take_while(|(a, b)| a.token == b.token && a.hidden == b.hidden)
+                    .count();
+                assert!(shared >= 2, "the header is always shared");
+                assert!(
+                    synthesized + shared <= fresh.steps.len(),
+                    "instance {}: {synthesized} synthesized, {shared} of {} shared",
+                    inst.id,
+                    fresh.steps.len()
+                );
+                if q.element_idx + 1 == session.gold.len() {
+                    longest_on_last = longest_on_last.max(shared);
+                }
+            }
+        }
+        // A pin on the last gold element keeps earlier elements' tokens.
+        assert!(
+            longest_on_last > 2,
+            "no pin on a last gold element reused an element"
+        );
     }
 
     #[test]

@@ -172,12 +172,18 @@ impl Truth {
     }
 }
 
-/// SQL LIKE with `%` (any run) and `_` (any single byte), case sensitive.
+/// SQL LIKE with `%` (any run) and `_` (any single character), case
+/// sensitive.
 ///
 /// Iterative: on a mismatch it retries only from the most recent `%`,
-/// one text byte further on, so it takes O(|text|·|pattern|) steps and
-/// constant stack however many `%` the pattern has.
+/// one text character further on, so it takes O(|text|·|pattern|)
+/// steps and constant stack however many `%` the pattern has. Literal
+/// pattern characters compare byte by byte; `_`, `%` and the retry
+/// move the text position a whole UTF-8 character, so it only ever
+/// meets `_` and `%` on a character boundary.
 fn like_match(text: &str, pattern: &str) -> bool {
+    // Byte length of the UTF-8 character a lead byte starts.
+    let char_len = |lead: u8| (lead.leading_ones() as usize).max(1);
     let (t, p) = (text.as_bytes(), pattern.as_bytes());
     let (mut ti, mut pi) = (0, 0);
     // Pattern position after the last `%`, and the text position that
@@ -189,14 +195,18 @@ fn like_match(text: &str, pattern: &str) -> bool {
                 pi += 1;
                 retry = Some((pi, ti));
             }
-            Some(&c) if c == b'_' || c == t[ti] => {
+            Some(b'_') => {
+                pi += 1;
+                ti += char_len(t[ti]);
+            }
+            Some(&c) if c == t[ti] => {
                 pi += 1;
                 ti += 1;
             }
             _ => match retry {
                 Some((after, stop)) => {
                     pi = after;
-                    ti = stop + 1;
+                    ti = stop + char_len(t[stop]);
                     retry = Some((after, ti));
                 }
                 None => return false,
@@ -1006,6 +1016,13 @@ mod tests {
         assert!(!like_match("abcbd", "a%bc"));
         assert!(like_match("aXbYc", "a%b%c"));
         assert!(like_match("ab", "%%_%"));
+        // `_` is one character, however many bytes encode it.
+        assert!(like_match("café", "caf_"));
+        assert!(like_match("é", "_"));
+        assert!(!like_match("é", "__"));
+        assert!(like_match("a☕b🦀", "a_b_"));
+        assert!(like_match("☕☕x", "%_x"));
+        assert!(!like_match("☕", "%__"));
     }
 
     #[test]

@@ -127,9 +127,11 @@ impl StmtGen<'_> {
                 format!("{} {not}LIKE '{pattern}'", self.col())
             }
             2 => {
-                // The grammar's IN list takes no unary minus.
                 let list: Vec<String> = (0..1 + self.rng.below(3))
-                    .map(|_| pick(self.rng, &["1", "2", "1.5", "'a'", "'é'", "NULL"]).to_string())
+                    .map(|_| {
+                        let items = ["1", "2", "-1", "1.5", "-2.5", "'a'", "'é'", "NULL"];
+                        pick(self.rng, &items).to_string()
+                    })
                     .collect();
                 format!("{} {not}IN ({})", self.col(), list.join(", "))
             }

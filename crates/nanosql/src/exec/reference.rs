@@ -242,7 +242,7 @@ fn hash_join(db: &Database, probe: Vec<Vec<Value>>, step: &JoinStep) -> Result<V
             None => {
                 if step.kind == crate::ast::JoinKind::Left {
                     let mut joined = row.clone();
-                    joined.extend(std::iter::repeat_with(|| Value::Null).take(step.table_arity));
+                    joined.extend(std::iter::repeat_with(|| Value::Null).take(build_data.arity()));
                     out.push(joined);
                 }
             }

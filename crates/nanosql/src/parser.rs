@@ -507,6 +507,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_literal(&mut self) -> Result<Value> {
+        if self.eat_sym("-") {
+            return self.parse_negated_number();
+        }
         match self.next() {
             Tok::Int(n) => Ok(Value::Int(n)),
             Tok::Float(f) => Ok(Value::Float(f)),
@@ -521,17 +524,22 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The number after a unary minus, negated.
+    fn parse_negated_number(&mut self) -> Result<Value> {
+        match self.next() {
+            Tok::Int(n) => Ok(Value::Int(-n)),
+            Tok::Float(f) => Ok(Value::Float(-f)),
+            other => Err(Error::Parse(format!(
+                "expected number after `-`, found {}",
+                other.describe()
+            ))),
+        }
+    }
+
     fn parse_primary(&mut self) -> Result<Expr> {
         // Unary minus on numeric literal.
         if self.eat_sym("-") {
-            return match self.next() {
-                Tok::Int(n) => Ok(Expr::lit(Value::Int(-n))),
-                Tok::Float(f) => Ok(Expr::lit(Value::Float(-f))),
-                other => Err(Error::Parse(format!(
-                    "expected number after `-`, found {}",
-                    other.describe()
-                ))),
-            };
+            return self.parse_negated_number().map(Expr::lit);
         }
         match *self.peek() {
             Tok::Int(_) | Tok::Float(_) | Tok::Str(_) => Ok(Expr::lit(self.parse_literal()?)),
@@ -700,6 +708,21 @@ mod tests {
     fn negative_literals() {
         let stmt = parse("SELECT x FROM t WHERE x > -5").unwrap();
         assert!(stmt.to_string().contains("> -5"));
+    }
+
+    #[test]
+    fn negative_in_list_items_roundtrip() {
+        roundtrip("SELECT x FROM t WHERE x IN (-1, 2, -3)");
+        roundtrip("SELECT x FROM t WHERE x NOT IN (-1.5, 0.25)");
+        // The printer's output for a list built in code parses back.
+        let e = Expr::InList {
+            expr: Box::new(Expr::bare_col("x")),
+            list: vec![Value::Int(-7), Value::Float(-2.5), Value::Int(4)],
+            negated: false,
+        };
+        assert_eq!(parse_expr(&e.to_string()).unwrap(), e);
+        let err = parse("SELECT x FROM t WHERE x IN (-'a')").unwrap_err();
+        assert!(err.to_string().contains("after `-`"), "{err}");
     }
 
     #[test]

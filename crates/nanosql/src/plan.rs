@@ -65,7 +65,6 @@ pub struct BoundAgg {
 pub struct JoinStep {
     pub kind: JoinKind,
     pub table_idx: usize,
-    pub table_arity: usize,
     /// Key index into the accumulated (left) row.
     pub probe_key: usize,
     /// Key index local to the build (right) table's row.
@@ -332,12 +331,10 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<Plan> {
                 j.table
             )));
         };
-        let table_arity = db.tables()[new_idx].columns.len();
         scope.add_table(&j.table)?;
         joins.push(JoinStep {
             kind: j.kind,
             table_idx: new_idx,
-            table_arity,
             probe_key,
             build_key,
         });

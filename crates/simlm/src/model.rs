@@ -321,6 +321,11 @@ pub struct StepTrace {
     /// Index of the gold element this token belongs to (None for
     /// header/separator tokens).
     pub element_idx: Option<usize>,
+    /// Bits of the latent risk signal `s` the stack was synthesized
+    /// from. With the token, the position and the trace's
+    /// [`SynthOrigin`] it is the whole input of the synthesis, so a
+    /// later generation may take the stack over when they all match.
+    s_bits: u64,
 }
 
 /// A full generation.
@@ -334,6 +339,24 @@ pub struct GenerationTrace {
     /// Per-gold-element decisions (parallel to the gold element list).
     pub decisions: Vec<Decision>,
     pub n_branches: usize,
+    /// Boxed to keep the trace small: sessions hold one inline in an
+    /// enum beside a borrowed round, and the origin is read only once
+    /// per generation.
+    origin: Box<SynthOrigin>,
+}
+
+/// Everything a trace's hidden stacks depend on besides each step's
+/// own token, position and `s`: the model's synthesis identity, the
+/// instance, the target and the layer set. A reuse source must match
+/// it as a whole.
+#[derive(Debug, Clone, PartialEq)]
+struct SynthOrigin {
+    model_seed: u64,
+    n_layers: usize,
+    hidden_dim: usize,
+    instance: u64,
+    target: LinkTarget,
+    layers: LayerSet,
 }
 
 impl GenerationTrace {
@@ -475,16 +498,10 @@ impl SchemaLinker {
 
     /// The gold link annotation for an element string.
     fn link_for<'a>(inst: &'a Instance, element: &str, target: LinkTarget) -> Option<&'a GoldLink> {
-        match target {
-            LinkTarget::Tables => inst
-                .links
-                .iter()
-                .find(|l| l.element.is_table() && l.element.table == element),
-            LinkTarget::Columns => inst
-                .links
-                .iter()
-                .find(|l| !l.element.is_table() && format!("{}", l.element) == element),
-        }
+        let is_table = target == LinkTarget::Tables;
+        inst.links
+            .iter()
+            .find(|l| l.element.is_table() == is_table && l.element.display_eq(element))
     }
 
     /// The model's deterministic counterfactual decision for one gold
@@ -524,7 +541,7 @@ impl SchemaLinker {
         let candidates: Vec<&benchgen::Confusable> = link
             .confusables
             .iter()
-            .filter(|c| c.alt.is_table() == is_table && !gold.contains(&c.alt.to_string()))
+            .filter(|c| c.alt.is_table() == is_table && !gold.iter().any(|g| c.alt.display_eq(g)))
             .collect();
         let kind = rng.next_f64();
         if kind < self.competence.p_substitute && !candidates.is_empty() {
@@ -584,6 +601,7 @@ impl SchemaLinker {
             mode,
             overrides,
             &LayerSet::all(),
+            None,
             &mut SynthScratch::default(),
         )
     }
@@ -610,12 +628,28 @@ impl SchemaLinker {
             mode,
             &HashMap::new(),
             layers,
+            None,
             scratch,
         )
     }
 
-    /// The full-control generation entry point: decision overrides plus
-    /// a [`LayerSet`] selecting which hidden layers to synthesize.
+    /// The full-control generation entry point: decision overrides, a
+    /// [`LayerSet`] selecting which hidden layers to synthesize, and an
+    /// optional earlier trace to reuse hidden stacks from.
+    ///
+    /// `reuse` is the "continue after a correction" path: when a pinned
+    /// decision changes the stream, the tokens before the change (and
+    /// any later token that lines up again) are the ones the model has
+    /// already emitted, so their stacks are taken over from `reuse`
+    /// instead of re-synthesized — what a transformer reads from its KV
+    /// cache. A step's stack is reused only when `reuse` was generated
+    /// by a linker with this one's seed and shape, for the same
+    /// instance, target and layer set, and its step at the same
+    /// position has the same token id and the same bits of the latent
+    /// signal `s`. Synthesis is a pure function of exactly those
+    /// inputs, so the result is bit-identical to `reuse = None`; any
+    /// other trace is simply not reused. Tokens, decisions, softmax
+    /// probabilities and branch marks are always computed afresh.
     #[allow(clippy::too_many_arguments)] // the one fully-explicit entry point
     pub fn generate_with_overrides_and_layers(
         &self,
@@ -625,6 +659,7 @@ impl SchemaLinker {
         mode: GenMode,
         overrides: &HashMap<String, Decision>,
         layers: &LayerSet,
+        reuse: Option<&GenerationTrace>,
         scratch: &mut SynthScratch,
     ) -> GenerationTrace {
         let gold = Self::gold_elements(inst, target);
@@ -857,7 +892,7 @@ impl SchemaLinker {
                         .and_then(|l| {
                             l.confusables
                                 .iter()
-                                .find(|c| c.alt.to_string() == *alt)
+                                .find(|c| c.alt.display_eq(alt))
                                 .map(|c| (c.weight / 0.65).min(1.0))
                         })
                         .unwrap_or(0.5);
@@ -867,6 +902,19 @@ impl SchemaLinker {
                 Decision::AddExtra(_) => 0.85,
             })
             .collect();
+
+        let origin = Box::new(SynthOrigin {
+            model_seed: self.seed,
+            n_layers: self.n_layers,
+            hidden_dim: self.hidden_dim,
+            instance: inst.id,
+            target,
+            layers: layers.clone(),
+        });
+        let reusable: &[StepTrace] = match reuse {
+            Some(prev) if prev.origin == origin => &prev.steps,
+            _ => &[],
+        };
 
         // Materialise steps with hidden states and probabilities.
         let mut tokens = Vec::new();
@@ -944,7 +992,11 @@ impl SchemaLinker {
                     (1.0 - 0.008 * srng.next_gaussian().abs()).clamp(0.9, 0.99995)
                 };
 
-                let hidden = self.hidden_states_for(inst, pos, tok, s, layers, scratch);
+                let s_bits = s.to_bits();
+                let hidden = match reusable.get(pos) {
+                    Some(prev) if prev.token == tok && prev.s_bits == s_bits => prev.hidden.clone(),
+                    _ => self.hidden_states_for(inst, pos, tok, s, layers, scratch),
+                };
                 tokens.push(tok);
                 steps.push(StepTrace {
                     token: tok,
@@ -952,6 +1004,7 @@ impl SchemaLinker {
                     hidden,
                     is_branch,
                     element_idx: step_element,
+                    s_bits,
                 });
                 pos += 1;
             }
@@ -963,6 +1016,7 @@ impl SchemaLinker {
             predicted,
             decisions,
             n_branches,
+            origin,
         }
     }
 
@@ -994,6 +1048,7 @@ impl SchemaLinker {
         layers: &LayerSet,
         scratch: &mut SynthScratch,
     ) -> HiddenStack {
+        scratch.stacks_synthesized += 1;
         if let Some(sel) = &layers.sel {
             if let Some(&max) = sel.last() {
                 assert!(max < self.n_layers, "layer {max} out of range");
@@ -1088,6 +1143,7 @@ impl SchemaLinker {
         let SynthScratch {
             shared_base,
             layer_row,
+            ..
         } = scratch;
         shared_base.resize(dim, 0.0);
         shared_rng.fill_gaussian(shared_base);
@@ -1237,6 +1293,15 @@ impl SeqGaussian {
 pub struct SynthScratch {
     shared_base: Vec<f64>,
     layer_row: Vec<f64>,
+    stacks_synthesized: usize,
+}
+
+impl SynthScratch {
+    /// Token stacks synthesized through this scratch so far; stacks
+    /// reused from an earlier trace are not counted.
+    pub fn stacks_synthesized(&self) -> usize {
+        self.stacks_synthesized
+    }
 }
 
 /// Seed bytes for the per-token shared-content stream — the same byte
@@ -1462,6 +1527,150 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Bit-level equality of two traces: every observable and every
+    /// synthesized hidden value.
+    fn assert_same_trace(a: &GenerationTrace, b: &GenerationTrace) {
+        assert_eq!(a.tokens, b.tokens);
+        assert_eq!(a.decisions, b.decisions);
+        assert_eq!(a.predicted, b.predicted);
+        assert_eq!(a.n_branches, b.n_branches);
+        assert_eq!(a.steps.len(), b.steps.len());
+        for (sa, sb) in a.steps.iter().zip(&b.steps) {
+            assert_eq!(sa.softmax_prob.to_bits(), sb.softmax_prob.to_bits());
+            assert_eq!(sa.is_branch, sb.is_branch);
+            assert_eq!(sa.element_idx, sb.element_idx);
+            assert_eq!(sa.s_bits, sb.s_bits);
+            assert_eq!(
+                sa.hidden.layer_indices().collect::<Vec<_>>(),
+                sb.hidden.layer_indices().collect::<Vec<_>>()
+            );
+            let bits = |h: &HiddenStack| h.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sa.hidden), bits(&sb.hidden));
+        }
+    }
+
+    #[test]
+    fn reuse_is_bit_identical_to_fresh_generation() {
+        let b = bench();
+        let m = linker();
+        let layer_sets = [
+            LayerSet::all(),
+            LayerSet::select([0, 7, 19, 21, 29]),
+            LayerSet::none(),
+        ];
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut scratch = SynthScratch::default();
+        // Generate with and without a reuse source; return the result
+        // and how many stacks the reusing call synthesized.
+        let mut both = |inst: &Instance,
+                        target: LinkTarget,
+                        overrides: &HashMap<String, Decision>,
+                        layers: &LayerSet,
+                        prev: &GenerationTrace| {
+            let fresh = m.generate_with_overrides_and_layers(
+                inst,
+                &mut Vocab::new(),
+                target,
+                GenMode::Free,
+                overrides,
+                layers,
+                None,
+                &mut SynthScratch::default(),
+            );
+            let before = scratch.stacks_synthesized();
+            let reused = m.generate_with_overrides_and_layers(
+                inst,
+                &mut Vocab::new(),
+                target,
+                GenMode::Free,
+                overrides,
+                layers,
+                Some(prev),
+                &mut scratch,
+            );
+            assert_same_trace(&reused, &fresh);
+            (reused, scratch.stacks_synthesized() - before)
+        };
+        let (mut tokens, mut synthesized) = (0usize, 0usize);
+        let insts = &b.split.dev[..b.split.dev.len().min(30)];
+        for (n, inst) in insts.iter().enumerate() {
+            let other = &insts[(n + 1) % insts.len()];
+            for target in [LinkTarget::Tables, LinkTarget::Columns] {
+                let other_target = match target {
+                    LinkTarget::Tables => LinkTarget::Columns,
+                    LinkTarget::Columns => LinkTarget::Tables,
+                };
+                let gold = SchemaLinker::gold_elements(inst, target);
+                for (l, layers) in layer_sets.iter().enumerate() {
+                    let other_layers = &layer_sets[(l + 1) % layer_sets.len()];
+                    let mut overrides = HashMap::new();
+                    let mut prev = m.generate_with_layers(
+                        inst,
+                        &mut Vocab::new(),
+                        target,
+                        GenMode::Free,
+                        layers,
+                        &mut SynthScratch::default(),
+                    );
+                    // A random sequence of pins, each continuing from
+                    // the round it supersedes, as a session does.
+                    for _ in 0..3 {
+                        let e = &gold[rng.next_below(gold.len())];
+                        let pin = match rng.next_below(4) {
+                            0 => Decision::Correct,
+                            1 => Decision::Omit,
+                            2 => Decision::AddExtra(gold[rng.next_below(gold.len())].clone()),
+                            _ => Decision::Substitute(format!("{e}_alt")),
+                        };
+                        overrides.insert(e.clone(), pin);
+                        let (next, synth) = both(inst, target, &overrides, layers, &prev);
+                        tokens += next.steps.len();
+                        synthesized += synth;
+                        prev = next;
+                    }
+                    // Sources that must never be reused: another
+                    // instance, the other target, another layer set.
+                    let foreign = [
+                        m.generate_with_layers(
+                            other,
+                            &mut Vocab::new(),
+                            target,
+                            GenMode::Free,
+                            layers,
+                            &mut SynthScratch::default(),
+                        ),
+                        m.generate_with_layers(
+                            inst,
+                            &mut Vocab::new(),
+                            other_target,
+                            GenMode::Free,
+                            layers,
+                            &mut SynthScratch::default(),
+                        ),
+                        m.generate_with_layers(
+                            inst,
+                            &mut Vocab::new(),
+                            target,
+                            GenMode::Free,
+                            other_layers,
+                            &mut SynthScratch::default(),
+                        ),
+                    ];
+                    for src in &foreign {
+                        let (next, synth) = both(inst, target, &overrides, layers, src);
+                        assert_eq!(synth, next.steps.len(), "a foreign stack was reused");
+                    }
+                }
+            }
+        }
+        // Reuse must actually fire: every stream opens with the same
+        // header, so at least that prefix is taken over.
+        assert!(
+            synthesized < tokens,
+            "{synthesized} of {tokens} stacks synthesized"
+        );
     }
 
     #[test]
