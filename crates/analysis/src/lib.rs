@@ -18,7 +18,7 @@
 //! the corpus-version contract honest: direct `next_gaussian` calls
 //! there are corpus-shared streams (decisions, s-signal, softmax,
 //! layer directions) and must carry `rts-allow(corpus-v1)` waivers —
-//! hidden-state synthesis draws via `fill_gaussian`.
+//! hidden-state synthesis draws the `fill_gaussian` streams.
 //!
 //! Violations are waived — never silenced — with
 //! `// rts-allow(<key>): <reason>`; an empty reason does not waive.
@@ -44,8 +44,8 @@ pub struct PassSet {
     pub determinism: bool,
     /// Corpus-version stream discipline: direct `next_gaussian` calls
     /// in the synthesis-owning file must carry `rts-allow(corpus-v1)`
-    /// waivers (corpus-shared streams) — hidden-state streams draw via
-    /// `fill_gaussian`.
+    /// waivers (corpus-shared streams) — hidden-state streams are the
+    /// `fill_gaussian` ones.
     pub corpus: bool,
     pub locks: bool,
     pub std_sync: bool,
@@ -162,8 +162,8 @@ pub fn workspace_passes(rel: &str) -> PassSet {
     }
     // The file that owns hidden-state synthesis: every direct
     // `next_gaussian` call there must be a corpus-shared stream and say
-    // so via `rts-allow(corpus-v1)` — the hidden-state streams draw via
-    // fill_gaussian.
+    // so via `rts-allow(corpus-v1)` — the hidden-state streams are the
+    // fill_gaussian ones.
     if rel == "crates/simlm/src/model.rs" {
         p.corpus = true;
     }

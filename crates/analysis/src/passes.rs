@@ -456,10 +456,11 @@ pub fn determinism_pass(ctx: &FileCtx) -> Vec<Finding> {
 /// Flag every direct `next_gaussian` call in a synthesis-owning file.
 /// The v2 corpus draws its hidden-state streams through
 /// `fill_gaussian`/`next_gaussian_pair` (both Box–Muller variates
-/// kept); a lone `.next_gaussian()` on such a path is legitimate only
-/// for a corpus-shared stream (decisions, s-signal, softmax, layer
-/// directions) or where it mirrors `fill_gaussian`'s own odd-tail
-/// draw, and must say so with `// rts-allow(corpus-v1): <reason>`.
+/// kept; synthesis runs `fill_gaussian_fast` and recomputes through
+/// `fill_gaussian_at`); a lone `.next_gaussian()` on such a path is
+/// legitimate only for a corpus-shared stream (decisions, s-signal,
+/// softmax, layer directions), and must say so with
+/// `// rts-allow(corpus-v1): <reason>`.
 /// An unwaived call is a new sequential-sampler dependency silently
 /// minting another corpus. `next_gaussian_pair` lexes as a single
 /// identifier, so it never trips this pass. Waiver key: `corpus-v1`

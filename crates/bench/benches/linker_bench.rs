@@ -7,7 +7,7 @@ use benchgen::BenchmarkProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
-use simlm::{GenMode, LinkTarget, SchemaLinker, Vocab};
+use simlm::{GenMode, LayerSet, LinkTarget, SchemaLinker, Vocab};
 use std::hint::black_box;
 use tinynn::rng::SplitMix64;
 
@@ -44,10 +44,11 @@ fn bench_generation(c: &mut Criterion) {
 /// The gaussian samplers under trace-generation-shaped load: the
 /// sequential `next_gaussian` (two uniforms per variate, `sin` twin
 /// discarded — the sampler the corpus-shared decision/softmax streams
-/// and probe training use) vs the paired `fill_gaussian` (both
+/// and probe training use), the paired libm `fill_gaussian` (both
 /// Box–Muller variates kept, half the uniform draws and `ln`/`sqrt`
-/// evaluations) the hidden-state synthesis streams draw through. The
-/// gap is the per-row headroom the v2 corpus banked.
+/// evaluations) that defines the hidden-state streams, and
+/// `fill_gaussian_fast`, the same draws through in-tree `ln`/`sincos`
+/// that synthesis runs (within `GAUSS_ERR` of `fill_gaussian`).
 fn bench_gaussian_samplers(c: &mut Criterion) {
     const DIM: usize = 64; // two shared-content vectors of hidden_dim 32
     let mut group = c.benchmark_group("tinynn/gaussian_x64");
@@ -69,30 +70,39 @@ fn bench_gaussian_samplers(c: &mut Criterion) {
             black_box(buf[DIM - 1])
         })
     });
+    group.bench_function("fast_fill_gaussian", |b| {
+        let mut rng = SplitMix64::new(7);
+        let mut buf = [0.0f64; DIM];
+        b.iter(|| {
+            rng.fill_gaussian_fast(&mut buf);
+            black_box(buf[DIM - 1])
+        })
+    });
     group.finish();
 }
 
-/// Identical free-running trace generation through the chunked
-/// synthesis path (`fill_gaussian` rows) vs the sequential parity
-/// reference. Same instance, same streams, same output — only the
-/// inner loop shape differs.
+/// Full-stack synthesis for one free-running trace: `generate` (which
+/// synthesizes through the fast guarded path, plus decisions, tokens
+/// and observables) vs the libm oracle `hidden_states_reference` for
+/// the same steps alone. Same stacks, bit for bit; `generate`'s extra
+/// work makes the ratio understate the synthesis gain.
 fn bench_synthesis_paths(c: &mut Criterion) {
     let (bench, linker) = setup();
     let inst = &bench.split.dev[0];
     let mut group = c.benchmark_group("trace_gen/synthesis_paths");
-    group.bench_function("v2_chunked", |b| {
+    group.bench_function("generate_fast", |b| {
         b.iter(|| {
             let mut vocab = Vocab::new();
             black_box(linker.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free))
         })
     });
-    // The same streams drawn one scalar at a time (the parity
-    // reference path): isolates the chunking/batched-trig gains.
-    let linker_v2_seq = SchemaLinker::new("bird", 3).with_v2_sequential_reference();
-    group.bench_function("v2_sequential_reference", |b| {
+    let trace = linker.generate(inst, &mut Vocab::new(), LinkTarget::Tables, GenMode::Free);
+    let all = LayerSet::all();
+    group.bench_function("libm_reference_stacks", |b| {
         b.iter(|| {
-            let mut vocab = Vocab::new();
-            black_box(linker_v2_seq.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free))
+            for (pos, step) in trace.steps.iter().enumerate() {
+                black_box(linker.hidden_states_reference(inst, pos, step.token, step.s(), &all));
+            }
         })
     });
     group.finish();

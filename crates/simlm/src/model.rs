@@ -35,7 +35,7 @@ use crate::vocab::{TokenId, Vocab, TOK_COLON, TOK_COLUMNS, TOK_COMMA, TOK_END, T
 use benchgen::{GoldLink, Instance};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tinynn::rng::{stable_hash, SplitMix64};
+use tinynn::rng::{round_f32_within, stable_hash, SplitMix64, GAUSS_ERR};
 
 /// What is being linked. (`Hash` so per-`(database, target)` caches —
 /// the serving engine's context cache — can key on it directly.)
@@ -62,10 +62,16 @@ pub enum GenMode {
 /// stream at the combined amplitude, and backs the current
 /// `results/*.json`. It is the only corpus the code generates; the
 /// original v1 corpus survives only as the static records in
-/// `results/v1/`. A change that would move a stream is a new variant,
-/// and records from different corpora are never comparable. The
-/// version is the identity stamp that perfbench run records, session
-/// checkpoints and the wire fingerprint carry.
+/// `results/v1/`. The corpus is the stored `f32` hidden values, not the
+/// code that computes them: synthesis may run a faster sampler as long
+/// as every stored `f32` stays the same, as the guarded in-tree
+/// Box–Muller of `hidden_states_for` does (its error bound cannot move
+/// a value across an `f32` rounding boundary unnoticed, and a value it
+/// cannot decide is recomputed through libm). A change that would move
+/// a stored value is a new variant, and records from different corpora
+/// are never comparable. The version is the identity stamp that
+/// perfbench run records, session checkpoints and the wire fingerprint
+/// carry.
 ///
 /// Only the *hidden-state* streams are versioned: decisions, the
 /// latent risk signal, softmax observables and layer directions are
@@ -359,6 +365,15 @@ struct SynthOrigin {
     layers: LayerSet,
 }
 
+impl StepTrace {
+    /// The latent risk signal `s` the stack was synthesized from — with
+    /// the token and the position, the input of
+    /// [`SchemaLinker::hidden_states_reference`].
+    pub fn s(&self) -> f64 {
+        f64::from_bits(self.s_bits)
+    }
+}
+
 impl GenerationTrace {
     /// Deduplicated predicted element set.
     pub fn predicted_set(&self) -> Vec<String> {
@@ -401,12 +416,6 @@ pub struct SchemaLinker {
     signal_amp: f64,
     base_amp: f64,
     noise_amp: f64,
-    /// Testing hook: synthesize the v2 corpus through the
-    /// straightforward per-dimension sequential sampler instead of the
-    /// chunked row fills. Output is bit-identical (pinned by the
-    /// chunked≡sequential parity proptest); only the inner loop shape
-    /// differs.
-    v2_sequential_reference: bool,
 }
 
 impl SchemaLinker {
@@ -461,22 +470,12 @@ impl SchemaLinker {
             signal_amp: 2.9,
             base_amp: 0.32,
             noise_amp: 0.18,
-            v2_sequential_reference: false,
         }
     }
 
     /// The synthesis corpus this linker generates.
     pub fn corpus(&self) -> CorpusVersion {
         CorpusVersion::V2
-    }
-
-    /// Switch v2 synthesis to the straightforward sequential reference
-    /// sampler (scalar pair draws per dimension, no row buffers). Used
-    /// by the chunked≡sequential parity proptest; answers are
-    /// bit-identical either way.
-    pub fn with_v2_sequential_reference(mut self) -> Self {
-        self.v2_sequential_reference = true;
-        self
     }
 
     /// Layer depth profile (exposed for the layer-selection ablation).
@@ -504,15 +503,19 @@ impl SchemaLinker {
             .find(|l| l.element.is_table() == is_table && l.element.display_eq(element))
     }
 
-    /// The model's deterministic counterfactual decision for one gold
-    /// element. Draws depend only on (model seed, instance id, element).
+    /// The model's deterministic counterfactual decision for gold
+    /// element `i` of `gold` (the instance's
+    /// [`SchemaLinker::gold_elements`] for `target`). Draws depend only
+    /// on (model seed, instance id, element).
     pub fn decision_for(
         &self,
         inst: &Instance,
-        element: &str,
+        gold: &[String],
+        i: usize,
         target: LinkTarget,
-        is_last: bool,
     ) -> Decision {
+        let element = gold[i].as_str();
+        let is_last = i + 1 == gold.len();
         let mut rng = SplitMix64::new(
             self.seed
                 ^ stable_hash(element.as_bytes())
@@ -537,7 +540,6 @@ impl SchemaLinker {
         // Matching-kind confusables that are not themselves part of the
         // gold answer (substituting an already-linked element is just an
         // omission wearing a costume — the answer is a set).
-        let gold = Self::gold_elements(inst, target);
         let candidates: Vec<&benchgen::Confusable> = link
             .confusables
             .iter()
@@ -663,7 +665,6 @@ impl SchemaLinker {
         scratch: &mut SynthScratch,
     ) -> GenerationTrace {
         let gold = Self::gold_elements(inst, target);
-        let n = gold.len();
         let decisions: Vec<Decision> = gold
             .iter()
             .enumerate()
@@ -671,7 +672,7 @@ impl SchemaLinker {
                 overrides
                     .get(e)
                     .cloned()
-                    .unwrap_or_else(|| self.decision_for(inst, e, target, i + 1 == n))
+                    .unwrap_or_else(|| self.decision_for(inst, &gold, i, target))
             })
             .collect();
 
@@ -1031,14 +1032,20 @@ impl SchemaLinker {
     /// theorems are designed for (they assume nothing about
     /// independence).
     ///
-    /// Only the layers in `layers` are synthesized. The gaussian
-    /// streams are those of [`CorpusVersion::V2`]: the pair-consuming
-    /// [`SplitMix64::fill_gaussian`] pattern, whole `hidden_dim` rows
-    /// per call, and one merged stream per token and per layer. The
-    /// corpus is frozen, so speedups that would move a stream belong in
-    /// a *new* version. The only branch is the testing hook
-    /// [`SchemaLinker::with_v2_sequential_reference`], which draws the
-    /// same streams one value at a time.
+    /// Only the layers in `layers` are synthesized. The stack is
+    /// [`SchemaLinker::hidden_states_reference`]'s, bit for bit — the
+    /// [`CorpusVersion::V2`] streams through libm Box–Muller — computed
+    /// without libm. Rows come from [`SplitMix64::fill_gaussian_fast`],
+    /// whose variates are within [`GAUSS_ERR`] of the reference ones, so
+    /// each combined `f64` value `v'` is within a known `E` of the
+    /// reference's `v`. The stack stores `f32`, and `as f32` rounds
+    /// monotonically: when `v' − E` and `v' + E` round to the same `f32`
+    /// ([`round_f32_within`]), so does `v`. The rare value whose
+    /// interval straddles an `f32` rounding boundary (about 3 in 10⁴) is
+    /// recomputed from the reference draws
+    /// ([`SplitMix64::fill_gaussian_at`]). A faster sampler therefore
+    /// needs no new corpus as long as it keeps every `f32`; only one that
+    /// moves a stored value does.
     fn hidden_states_for(
         &self,
         inst: &Instance,
@@ -1061,10 +1068,128 @@ impl SchemaLinker {
                 return HiddenStack::from_selected(self.hidden_dim, Vec::new(), sel.clone());
             }
         }
-        if self.v2_sequential_reference {
-            self.hidden_states_v2_sequential(inst, pos, tok, s, layers, scratch)
-        } else {
-            self.hidden_states_v2(inst, pos, tok, s, layers, scratch)
+        let dim = self.hidden_dim;
+        let SynthScratch {
+            shared_base,
+            layer_row,
+            values_recomputed,
+            ..
+        } = scratch;
+        let shared_rng = SplitMix64::new(self.v2_shared_seed(tok, inst.id, pos));
+        let shared_amp = self.v2_shared_amp();
+        shared_base.resize(dim, 0.0);
+        let mut draws = shared_rng;
+        draws.fill_gaussian_fast(shared_base);
+        for v in shared_base.iter_mut() {
+            *v *= shared_amp;
+        }
+        let merged_amp = self.v2_merged_amp();
+        // Variate error scaled by the amplitudes; the rounding slack is
+        // added per value in `guard_bound`.
+        let draw_err = GAUSS_ERR * (shared_amp + merged_amp);
+        let shared: &[f64] = shared_base;
+        let mut out = vec![0.0f32; layers.count(self.n_layers) * dim];
+        let mut synth_layer = |j: usize, row: &mut [f32]| {
+            let layer_rng = SplitMix64::new(self.v2_layer_seed(tok, j, inst.id, pos));
+            layer_row.resize(dim, 0.0);
+            let mut draws = layer_rng;
+            draws.fill_gaussian_fast(layer_row);
+            let layer: &[f64] = layer_row;
+            let dir = &self.layer_dirs[j][..dim];
+            let signal_gain = self.signal_amp * self.layer_gain[j] * s;
+            let terms = |shared: f64, layer: f64, u: f32| {
+                [shared, merged_amp * layer, signal_gain * u as f64]
+            };
+            // Branch-free first pass (it vectorizes); rows with an
+            // undecided value take a second pass.
+            let mut undecided = false;
+            for (x, ((&a, &g), &u)) in row.iter_mut().zip(shared.iter().zip(layer).zip(dir)) {
+                let t = terms(a, g, u);
+                let rounded = round_f32_within(combine(t), guard_bound(t, draw_err));
+                *x = rounded.unwrap_or(0.0);
+                undecided |= rounded.is_none();
+            }
+            if !undecided {
+                return;
+            }
+            for (d, x) in row.iter_mut().enumerate() {
+                let t = terms(shared[d], layer[d], dir[d]);
+                if round_f32_within(combine(t), guard_bound(t, draw_err)).is_none() {
+                    *values_recomputed += 1;
+                    let a = shared_rng.fill_gaussian_at(d) * shared_amp;
+                    *x = combine(terms(a, layer_rng.fill_gaussian_at(d), dir[d])) as f32;
+                }
+            }
+        };
+        match &layers.sel {
+            None => {
+                for (j, row) in out.chunks_exact_mut(dim).enumerate() {
+                    synth_layer(j, row);
+                }
+                HiddenStack::from_flat(dim, out)
+            }
+            Some(sel) => {
+                for (&j, row) in sel.iter().zip(out.chunks_exact_mut(dim)) {
+                    synth_layer(j, row);
+                }
+                HiddenStack::from_selected(dim, out, sel.clone())
+            }
+        }
+    }
+
+    /// The reference hidden-state synthesis, and the oracle the
+    /// synthesis parity tests compare against: the stack of token `tok`
+    /// at position `pos` of `inst` with latent signal `s` (a step's
+    /// [`StepTrace::s`]), drawn through libm Box–Muller
+    /// ([`SplitMix64::fill_gaussian`]) and combined in `f64`. Generation
+    /// returns exactly these bits through a faster path (see
+    /// `hidden_states_for`).
+    ///
+    /// Every stream is a whole `hidden_dim` row: one merged stream per
+    /// token, scaled to its amplitude once and shared by every layer,
+    /// and one merged stream per layer. Per-layer streams are
+    /// independently seeded, so skipping a layer under a [`LayerSet`]
+    /// perturbs nothing.
+    pub fn hidden_states_reference(
+        &self,
+        inst: &Instance,
+        pos: usize,
+        tok: TokenId,
+        s: f64,
+        layers: &LayerSet,
+    ) -> HiddenStack {
+        let dim = self.hidden_dim;
+        let mut shared_base = vec![0.0f64; dim];
+        SplitMix64::new(self.v2_shared_seed(tok, inst.id, pos)).fill_gaussian(&mut shared_base);
+        let shared_amp = self.v2_shared_amp();
+        for v in shared_base.iter_mut() {
+            *v *= shared_amp;
+        }
+        let merged_amp = self.v2_merged_amp();
+        let mut layer_row = vec![0.0f64; dim];
+        let mut out = Vec::with_capacity(layers.count(self.n_layers) * dim);
+        let mut synth_layer = |j: usize| {
+            SplitMix64::new(self.v2_layer_seed(tok, j, inst.id, pos)).fill_gaussian(&mut layer_row);
+            let dir = &self.layer_dirs[j];
+            let signal_gain = self.signal_amp * self.layer_gain[j] * s;
+            for d in 0..dim {
+                let t = [
+                    shared_base[d],
+                    merged_amp * layer_row[d],
+                    signal_gain * dir[d] as f64,
+                ];
+                out.push(combine(t) as f32);
+            }
+        };
+        match &layers.sel {
+            None => {
+                (0..self.n_layers).for_each(&mut synth_layer);
+                HiddenStack::from_flat(dim, out)
+            }
+            Some(sel) => {
+                sel.iter().for_each(|&j| synth_layer(j));
+                HiddenStack::from_selected(dim, out, sel.clone())
+            }
         }
     }
 
@@ -1116,184 +1241,45 @@ impl SchemaLinker {
     fn v2_shared_amp(&self) -> f64 {
         SHARE * (self.base_amp * self.base_amp + self.noise_amp * self.noise_amp).sqrt()
     }
-
-    /// The v2 chunked synthesis path: every stream is materialised a
-    /// whole `hidden_dim` row at a time through
-    /// [`SplitMix64::fill_gaussian`] — both Box–Muller variates kept
-    /// (half the uniform draws and half the `ln`/`sqrt`/trig of the v1
-    /// sequential sampler), contiguous cache-friendly writes, and one
-    /// merged stream per layer *and* per token instead of two of each.
-    /// The shared row is scaled to its final amplitude once per token,
-    /// so the per-layer combine is a single fused add per stream.
-    /// Composes with the [`LayerSet`] lazy selection:
-    /// per-layer streams are independently seeded, so skipping a layer
-    /// perturbs nothing.
-    fn hidden_states_v2(
-        &self,
-        inst: &Instance,
-        pos: usize,
-        tok: TokenId,
-        s: f64,
-        layers: &LayerSet,
-        scratch: &mut SynthScratch,
-    ) -> HiddenStack {
-        let n_rows = layers.count(self.n_layers);
-        let dim = self.hidden_dim;
-        let mut shared_rng = SplitMix64::new(self.v2_shared_seed(tok, inst.id, pos));
-        let SynthScratch {
-            shared_base,
-            layer_row,
-            ..
-        } = scratch;
-        shared_base.resize(dim, 0.0);
-        shared_rng.fill_gaussian(shared_base);
-        let shared_amp = self.v2_shared_amp();
-        for v in shared_base.iter_mut() {
-            *v *= shared_amp;
-        }
-
-        let merged_amp = self.v2_merged_amp();
-        let mut out = Vec::with_capacity(n_rows * dim);
-        let mut synth_layer = |j: usize, h: &mut Vec<f32>| {
-            let mut layer_rng = SplitMix64::new(self.v2_layer_seed(tok, j, inst.id, pos));
-            layer_row.resize(dim, 0.0);
-            layer_rng.fill_gaussian(layer_row);
-            let g = self.layer_gain[j];
-            let dir = &self.layer_dirs[j];
-            let signal_gain = self.signal_amp * g * s;
-            for d in 0..dim {
-                let v = shared_base[d] + merged_amp * layer_row[d] + signal_gain * dir[d] as f64;
-                h.push(v as f32);
-            }
-        };
-        match &layers.sel {
-            None => {
-                for j in 0..self.n_layers {
-                    synth_layer(j, &mut out);
-                }
-                HiddenStack::from_flat(dim, out)
-            }
-            Some(sel) => {
-                for &j in sel.iter() {
-                    synth_layer(j, &mut out);
-                }
-                HiddenStack::from_selected(dim, out, sel.clone())
-            }
-        }
-    }
-
-    /// Straightforward per-dimension reference for the v2 corpus: the
-    /// same streams as [`SchemaLinker::hidden_states_v2`], drawn one
-    /// value at a time through [`SeqGaussian`] (which mirrors
-    /// `fill_gaussian`'s pair consumption exactly) and combined in a
-    /// scalar per-dimension loop with no row buffers. Bit-identical to
-    /// the chunked path at every [`LayerSet`] — pinned by the
-    /// chunked≡sequential parity proptest.
-    fn hidden_states_v2_sequential(
-        &self,
-        inst: &Instance,
-        pos: usize,
-        tok: TokenId,
-        s: f64,
-        layers: &LayerSet,
-        scratch: &mut SynthScratch,
-    ) -> HiddenStack {
-        let n_rows = layers.count(self.n_layers);
-        let dim = self.hidden_dim;
-        let mut shared_rng =
-            SeqGaussian::new(SplitMix64::new(self.v2_shared_seed(tok, inst.id, pos)), dim);
-        let shared_amp = self.v2_shared_amp();
-        scratch.shared_base.clear();
-        scratch
-            .shared_base
-            .extend((0..dim).map(|_| shared_amp * shared_rng.next()));
-        let shared_base = &scratch.shared_base;
-
-        let merged_amp = self.v2_merged_amp();
-        let mut out = Vec::with_capacity(n_rows * dim);
-        let synth_layer = |j: usize, h: &mut Vec<f32>| {
-            let mut layer_rng = SeqGaussian::new(
-                SplitMix64::new(self.v2_layer_seed(tok, j, inst.id, pos)),
-                dim,
-            );
-            let g = self.layer_gain[j];
-            let dir = &self.layer_dirs[j];
-            let signal_gain = self.signal_amp * g * s;
-            for d in 0..dim {
-                let v =
-                    shared_base[d] + merged_amp * layer_rng.next() + signal_gain * dir[d] as f64;
-                h.push(v as f32);
-            }
-        };
-        match &layers.sel {
-            None => {
-                for j in 0..self.n_layers {
-                    synth_layer(j, &mut out);
-                }
-                HiddenStack::from_flat(dim, out)
-            }
-            Some(sel) => {
-                for &j in sel.iter() {
-                    synth_layer(j, &mut out);
-                }
-                HiddenStack::from_selected(dim, out, sel.clone())
-            }
-        }
-    }
 }
 
 /// Shared/layer-specific content split: 0.55² ≈ 30% of the variance is
 /// layer-specific.
 const SHARE: f64 = 0.55;
 
-/// Scalar one-at-a-time view of a `fill_gaussian` stream over a row of
-/// known length: pairs of variates per two values, with the lone
-/// sequential draw `fill_gaussian` uses for an odd final element. Lets
-/// the v2 sequential reference consume *exactly* the chunked stream
-/// without materialising rows.
-struct SeqGaussian {
-    rng: SplitMix64,
-    pending: Option<f64>,
-    remaining: usize,
+/// One hidden-state value from its three terms — the shared draw at its
+/// amplitude, the layer draw at its amplitude, and the signal
+/// `signal_gain·u_j[d]` — in the one summation order every synthesis
+/// path uses.
+#[inline(always)]
+fn combine([shared, layer, signal]: [f64; 3]) -> f64 {
+    shared + layer + signal
 }
 
-impl SeqGaussian {
-    fn new(rng: SplitMix64, row_len: usize) -> Self {
-        Self {
-            rng,
-            pending: None,
-            remaining: row_len,
-        }
-    }
-
-    fn next(&mut self) -> f64 {
-        debug_assert!(self.remaining > 0, "SeqGaussian drawn past its row");
-        self.remaining -= 1;
-        if let Some(v) = self.pending.take() {
-            return v;
-        }
-        if self.remaining == 0 {
-            // Odd tail: fill_gaussian falls back to one sequential draw.
-            // rts-allow(corpus-v1): mirrors fill_gaussian's odd-tail draw exactly
-            return self.rng.next_gaussian();
-        }
-        let (a, b) = self.rng.next_gaussian_pair();
-        self.pending = Some(b);
-        a
-    }
+/// Bound on `|combine(t') − combine(t)|` when the terms `t'` come from
+/// fast variates and `t` from the reference ones: `draw_err` (the
+/// amplitude-scaled [`GAUSS_ERR`]) plus rounding slack over the *sum of
+/// term magnitudes*, which covers cancellation. The two products and
+/// two sums of each path, and the `v ± E` of the guard, are nine
+/// roundings of at most 2⁻⁵³ of a value no larger than that sum;
+/// 8·ε = 16·2⁻⁵³ covers them with room to spare.
+#[inline(always)]
+fn guard_bound(terms: [f64; 3], draw_err: f64) -> f64 {
+    let magnitude = terms[0].abs() + terms[1].abs() + terms[2].abs();
+    draw_err + 8.0 * f64::EPSILON * magnitude
 }
 
 /// Reusable buffers for [`SchemaLinker`] hidden-state synthesis: the
-/// shared-content row redrawn per token, plus the merged per-layer row
-/// the chunked path fills through `fill_gaussian`. One instance
-/// per trace (or per worker thread) keeps steady-state synthesis free
-/// of the per-token allocations the old path paid, mirroring how
-/// `BppScratch` amortises the monitoring path.
+/// shared-content row redrawn per token, plus the merged per-layer row.
+/// One instance per trace (or per worker thread) keeps steady-state
+/// synthesis free of per-row allocations, mirroring how `BppScratch`
+/// amortises the monitoring path.
 #[derive(Debug, Default, Clone)]
 pub struct SynthScratch {
     shared_base: Vec<f64>,
     layer_row: Vec<f64>,
     stacks_synthesized: usize,
+    values_recomputed: usize,
 }
 
 impl SynthScratch {
@@ -1301,6 +1287,12 @@ impl SynthScratch {
     /// reused from an earlier trace are not counted.
     pub fn stacks_synthesized(&self) -> usize {
         self.stacks_synthesized
+    }
+
+    /// Hidden-state values whose fast value could not decide the
+    /// stored `f32` and were recomputed from the reference draws.
+    pub fn values_recomputed(&self) -> usize {
+        self.values_recomputed
     }
 }
 
@@ -1489,44 +1481,94 @@ mod tests {
         }
     }
 
+    /// `f32` bits of every layer of a stack, in layer order.
+    fn stack_bits(h: &HiddenStack) -> Vec<(usize, Vec<u32>)> {
+        h.layer_indices()
+            .map(|j| (j, h.layer(j).iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
     #[test]
-    fn v2_chunked_matches_sequential_reference() {
+    fn generated_stacks_match_the_reference_oracle() {
         let b = bench();
-        let chunked = linker();
-        let sequential = linker().with_v2_sequential_reference();
+        let m = linker();
         let layer_sets = [
             LayerSet::all(),
             LayerSet::select([0, 7, 19, 21, 29]),
             LayerSet::select([29]),
+            LayerSet::none(),
         ];
-        let mut sc = SynthScratch::default();
-        let mut ss = SynthScratch::default();
+        let mut scratch = SynthScratch::default();
         for inst in b.split.dev.iter().take(8) {
             for layers in &layer_sets {
-                let mut va = Vocab::new();
-                let a = chunked.generate_with_layers(
+                let mut vocab = Vocab::new();
+                let trace = m.generate_with_layers(
                     inst,
-                    &mut va,
+                    &mut vocab,
                     LinkTarget::Columns,
                     GenMode::Free,
                     layers,
-                    &mut sc,
+                    &mut scratch,
                 );
-                let mut vb = Vocab::new();
-                let r = sequential.generate_with_layers(
-                    inst,
-                    &mut vb,
-                    LinkTarget::Columns,
-                    GenMode::Free,
-                    layers,
-                    &mut ss,
-                );
-                assert_eq!(a.tokens, r.tokens);
-                for (sa, sr) in a.steps.iter().zip(&r.steps) {
-                    assert_eq!(sa.hidden, sr.hidden);
+                for (pos, step) in trace.steps.iter().enumerate() {
+                    let reference =
+                        m.hidden_states_reference(inst, pos, step.token, step.s(), layers);
+                    assert_eq!(stack_bits(&step.hidden), stack_bits(&reference));
                 }
             }
         }
+    }
+
+    /// Synthesizes `stacks` full stacks at random instances, positions,
+    /// tokens and signals through the fast path and the reference, and
+    /// asserts identical bits. Returns (values compared, values
+    /// recomputed by the guard).
+    fn fast_synthesis_vs_reference(stacks: usize, seed: u64) -> (usize, usize) {
+        let b = bench();
+        let m = linker();
+        let all = LayerSet::all();
+        let mut rng = SplitMix64::new(seed);
+        let mut scratch = SynthScratch::default();
+        let mut values = 0;
+        for _ in 0..stacks {
+            let inst = &b.split.dev[rng.next_below(b.split.dev.len())];
+            let pos = rng.next_below(64);
+            let tok = rng.next_u64() as TokenId;
+            let s = 1.6 * rng.next_f64() - 0.3;
+            let fast = m.hidden_states_for(inst, pos, tok, s, &all, &mut scratch);
+            let reference = m.hidden_states_reference(inst, pos, tok, s, &all);
+            assert_eq!(
+                stack_bits(&fast),
+                stack_bits(&reference),
+                "instance {} pos {pos} tok {tok} s {s}",
+                inst.id
+            );
+            values += fast.len() * fast.dim();
+        }
+        (values, scratch.values_recomputed())
+    }
+
+    #[test]
+    fn fast_synthesis_is_bit_identical_to_the_reference() {
+        let (values, recomputed) = fast_synthesis_vs_reference(2_000, 0xFA57);
+        // The guard's fallback runs, and rarely.
+        assert!(recomputed > 0, "no value took the fallback in {values}");
+        assert!(
+            recomputed * 100 < values,
+            "{recomputed} of {values} recomputed"
+        );
+    }
+
+    /// 10⁸ values; run with `cargo test --release -p simlm -- --ignored`.
+    #[test]
+    #[ignore = "about 6 s in release: 10⁸ synthesized values"]
+    fn fast_synthesis_is_bit_identical_to_the_reference_at_scale() {
+        let (values, recomputed) = fast_synthesis_vs_reference(104_200, 0x5CA1E);
+        assert!(values >= 100_000_000);
+        println!(
+            "{values} values, {recomputed} recomputed by the guard ({:.2e} per value)",
+            recomputed as f64 / values as f64
+        );
     }
 
     /// Bit-level equality of two traces: every observable and every

@@ -254,23 +254,20 @@ mod parity {
             }
         }
 
-        /// The v2 corpus's chunk-at-a-time synthesis (whole
-        /// `hidden_dim` rows via `fill_gaussian`) ≡ the straightforward
-        /// per-dimension sequential reference drawing the same streams
-        /// one scalar at a time — bit for bit, at every `LayerSet`
-        /// selection, across instances, positions, modes and targets.
-        /// This is the invariant that lets the chunked path be the
-        /// production default without its own corpus version.
+        /// Generation's synthesis (in-tree `ln`/`sincos`, guarded
+        /// rounding to `f32`) ≡ the libm reference oracle
+        /// `SchemaLinker::hidden_states_reference`, bit for bit, for
+        /// every step of a trace at a random `LayerSet`, instance,
+        /// target and mode. This is the invariant that lets the fast
+        /// path serve the committed corpus without a version of its own.
         #[test]
-        fn v2_chunked_synthesis_matches_sequential_reference(
+        fn fast_synthesis_matches_libm_reference(
             pick in 0usize..1000,
             free in prop::bool::ANY,
             columns in prop::bool::ANY,
             mask in prop::collection::vec(prop::bool::ANY, 30),
         ) {
             let fx = fixture();
-            let chunked = SchemaLinker::new("bird", 5);
-            let sequential = SchemaLinker::new("bird", 5).with_v2_sequential_reference();
             let inst = &fx.bench.split.dev[pick % fx.bench.split.dev.len()];
             let mode = if free { GenMode::Free } else { GenMode::TeacherForced };
             let target = if columns { LinkTarget::Columns } else { LinkTarget::Tables };
@@ -278,19 +275,20 @@ mod parity {
                 mask.iter().enumerate().filter(|(_, &on)| on).map(|(j, _)| j),
             );
             let mut scratch = SynthScratch::default();
-            let mut vc = Vocab::new();
-            let c = chunked.generate_with_layers(inst, &mut vc, target, mode, &layers, &mut scratch);
-            let mut vs = Vocab::new();
-            let s =
-                sequential.generate_with_layers(inst, &mut vs, target, mode, &layers, &mut scratch);
-            prop_assert_eq!(&c.tokens, &s.tokens);
-            prop_assert_eq!(&c.decisions, &s.decisions);
-            for (cs, ss) in c.steps.iter().zip(&s.steps) {
-                prop_assert_eq!(cs.softmax_prob.to_bits(), ss.softmax_prob.to_bits());
-                for j in cs.hidden.layer_indices() {
-                    let l: Vec<u32> = cs.hidden.layer(j).iter().map(|x| x.to_bits()).collect();
-                    let r: Vec<u32> = ss.hidden.layer(j).iter().map(|x| x.to_bits()).collect();
-                    prop_assert_eq!(l, r, "layer {} diverged", j);
+            let mut vocab = Vocab::new();
+            let trace =
+                fx.model.generate_with_layers(inst, &mut vocab, target, mode, &layers, &mut scratch);
+            for (pos, step) in trace.steps.iter().enumerate() {
+                let reference =
+                    fx.model.hidden_states_reference(inst, pos, step.token, step.s(), &layers);
+                prop_assert_eq!(
+                    step.hidden.layer_indices().collect::<Vec<_>>(),
+                    reference.layer_indices().collect::<Vec<_>>()
+                );
+                for j in step.hidden.layer_indices() {
+                    let f: Vec<u32> = step.hidden.layer(j).iter().map(|x| x.to_bits()).collect();
+                    let r: Vec<u32> = reference.layer(j).iter().map(|x| x.to_bits()).collect();
+                    prop_assert_eq!(f, r, "position {} layer {} diverged", pos, j);
                 }
             }
         }
