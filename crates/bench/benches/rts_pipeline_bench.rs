@@ -15,6 +15,7 @@ use rts_core::human::{Expertise, HumanOracle};
 use rts_core::pipeline::{measure_ex, run_full_pipeline, SchemaSource};
 use rts_core::sqlgen::{ProvidedSchema, SqlGenModel};
 use rts_core::surrogate::SurrogateModel;
+use simlm::vocab::{TOK_COMMA, TOK_END};
 use simlm::{GenMode, LayerSet, LinkTarget, SchemaLinker, SynthScratch, Vocab};
 use std::hint::black_box;
 use tinynn::rng::SplitMix64;
@@ -191,10 +192,12 @@ fn bench_trace_gen(c: &mut Criterion) {
     group.finish();
 }
 
-/// Algorithm 2 per flag: the precompiled `LinkContext` trie vs the
-/// clone-the-vocab-and-rebuild path every flag used to pay, plus the
-/// context build itself (paid once per database, amortised across all
-/// of its instances, rounds and flags).
+/// Algorithm 2 per flag: the shared `LinkContext` vs the
+/// clone-the-vocab-and-rebuild path every flag used to pay; the context
+/// constructor, which stores the target only; and a trace back that
+/// completes a truncated stream through the trie, building the
+/// candidate vocabulary and trie (never paid on a generated round,
+/// which ends in `;`).
 fn bench_traceback(c: &mut Criterion) {
     let fx = setup();
     // A flagged free generation: take the first dev instance whose
@@ -220,8 +223,8 @@ fn bench_traceback(c: &mut Criterion) {
     let meta = fx.bench.meta(&inst.db_name).unwrap();
     let ctx = LinkContext::new(meta, LinkTarget::Tables);
     let mut group = c.benchmark_group("rts/traceback");
-    group.bench_function("cached_trie", |b| {
-        b.iter(|| black_box(ctx.implicated_elements(&vocab, &trace.tokens, branch_pos)))
+    group.bench_function("shared_context", |b| {
+        b.iter(|| black_box(ctx.implicated_elements(meta, &vocab, &trace.tokens, branch_pos)))
     });
     group.bench_function("rebuild_per_flag", |b| {
         b.iter(|| {
@@ -240,6 +243,28 @@ fn bench_traceback(c: &mut Criterion) {
     group.bench_function("context_build_columns", |b| {
         b.iter(|| black_box(LinkContext::new(meta, LinkTarget::Columns)))
     });
+    for (target, tag) in [
+        (LinkTarget::Tables, "tables"),
+        (LinkTarget::Columns, "columns"),
+    ] {
+        // The stream cut just before its first `,` or `;`, flagged on
+        // its last token: the trace back ends mid-element and completes
+        // through the trie, which it builds from `meta`.
+        let mut vocab = Vocab::new();
+        let trace = fx.linker.generate(inst, &mut vocab, target, GenMode::Free);
+        let seps = [vocab.get(TOK_COMMA), vocab.get(TOK_END)];
+        let cut = trace
+            .tokens
+            .iter()
+            .position(|&t| seps.contains(&Some(t)))
+            .filter(|&cut| cut > 0)
+            .expect("a generated stream has a first element");
+        let truncated = &trace.tokens[..cut];
+        let ctx = LinkContext::new(meta, target);
+        group.bench_function(format!("context_completion_{tag}"), |b| {
+            b.iter(|| black_box(ctx.implicated_elements(meta, &vocab, truncated, cut - 1)))
+        });
+    }
     group.finish();
 }
 

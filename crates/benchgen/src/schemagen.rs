@@ -107,7 +107,7 @@ pub struct DbMeta {
     pub tables: Vec<TableMeta>,
     /// Schema-drift epoch. Generated corpora are static (always 0);
     /// a serving deployment bumps it when the schema semantically
-    /// changes, so context caches can tell a stale compile from a
+    /// changes, so context caches can tell a stale entry from a
     /// current one (`rts_core::context::ContextCache` rebuilds on a
     /// revision mismatch).
     pub revision: u64,

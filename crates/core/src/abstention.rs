@@ -100,8 +100,8 @@ pub struct Round0<'a> {
 
 /// Run RTS schema linking for one instance.
 ///
-/// Convenience entry point: precompiles the instance's [`LinkContext`]
-/// on the fly and uses per-call scratch. Hot loops over many instances
+/// Convenience entry point: builds the instance's [`LinkContext`] on
+/// the fly and uses per-call scratch. Hot loops over many instances
 /// of the same database should build the context once (or a
 /// [`crate::context::LinkContexts`] registry per benchmark) and call
 /// [`run_rts_linking_in`] instead.
@@ -135,7 +135,7 @@ pub fn run_rts_linking(
     drive_session(&mut session, policy, &mut LinkScratch::default())
 }
 
-/// [`run_rts_linking`] against a shared precompiled [`LinkContext`]
+/// [`run_rts_linking`] against a shared [`LinkContext`]
 /// (and caller-owned scratch): the per-flag vocabulary clone + trie
 /// rebuild disappears, the unmonitored counterfactual is derived from
 /// round 0's stream instead of generated, and clean correction rounds
@@ -431,7 +431,7 @@ pub fn run_rts_linking_monolithic(
 }
 
 /// Algorithm 2 wrapper: implicated elements through the shared
-/// context's cached trie, or — on the context-free fallback, where no
+/// context, or — on the context-free fallback, where no
 /// context exists — by cloning the generation vocabulary and rebuilding
 /// the trie in its id space. Shared by the monolithic reference loop
 /// and the [`LinkSession`] state machine.
@@ -444,7 +444,7 @@ pub(crate) fn implicated(
     branch_pos: usize,
 ) -> Vec<String> {
     match ctx {
-        Some(ctx) => ctx.implicated_elements(vocab, tokens, branch_pos),
+        Some(ctx) => ctx.implicated_elements(meta, vocab, tokens, branch_pos),
         None => implicated_elements_reference(vocab, meta, target, tokens, branch_pos),
     }
 }

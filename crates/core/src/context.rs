@@ -1,15 +1,19 @@
-//! Shared, immutable linking context: the per-`(database, target)`
-//! constrained-decoding state the monitored-linking rounds used to
-//! rebuild from scratch on every branching flag.
+//! Shared linking context: the per-`(database, target)` handle the
+//! monitored-linking rounds pass to Algorithm 2's trace back.
 //!
-//! A [`LinkContext`] holds a pre-interned [`Vocab`] covering every
-//! candidate element of one database plus the precompiled
-//! constrained-decoding [`Trie`] over those elements (built through
+//! A [`LinkContext`] stands for one database and link target and holds
+//! only the target: constructing one is free. The constrained-decoding
+//! state — a [`Vocab`] covering every candidate element plus the
+//! [`Trie`] over those elements (built through
 //! [`crate::traceback::table_trie_in`] /
-//! [`crate::traceback::column_trie_in`]). It is constructed **once per
-//! database**, then shared read-only across instances, correction
-//! rounds and worker threads — `par_map` fan-outs borrow it without
-//! locks.
+//! [`crate::traceback::column_trie_in`]) — is built from the caller's
+//! [`DbMeta`] inside [`LinkContext::implicated_elements`], and only
+//! when the trace back reaches the trie-completion step.
+//!
+//! The completion step runs only when a stream ends mid-element.
+//! Every generated round ends in `;`, which flushes the trailing
+//! element, so runtime trace backs never get there and never build a
+//! trie; only truncated streams (tests, benches) pay for one.
 //!
 //! ## Why the context cannot re-key generation
 //!
@@ -37,88 +41,76 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Immutable per-`(DbMeta, LinkTarget)` linking state: pre-interned
-/// vocabulary + precompiled candidate-element trie.
+/// Per-`(DbMeta, LinkTarget)` linking handle.
 #[derive(Debug, Clone)]
 pub struct LinkContext {
     target: LinkTarget,
-    /// Candidate-element vocabulary in the context's own id space
-    /// (schema interning order — *not* the generation id space).
-    vocab: Vocab,
-    /// Constrained-decoding trie over every candidate element, keyed in
-    /// `self.vocab`'s id space.
-    trie: Trie,
 }
 
 impl LinkContext {
-    /// Precompile the context for one database and link target.
-    pub fn new(meta: &DbMeta, target: LinkTarget) -> Self {
-        let mut vocab = Vocab::new();
-        let trie = match target {
-            LinkTarget::Tables => table_trie_in(&mut vocab, meta),
-            LinkTarget::Columns => column_trie_in(&mut vocab, meta),
-        };
-        Self {
-            target,
-            vocab,
-            trie,
-        }
+    /// The context for one database and link target. Nothing is
+    /// precomputed: the candidate vocabulary and trie are built from
+    /// the `DbMeta` each [`Self::implicated_elements`] call passes, on
+    /// the calls that need them.
+    pub fn new(_meta: &DbMeta, target: LinkTarget) -> Self {
+        Self { target }
     }
 
     pub fn target(&self) -> LinkTarget {
         self.target
     }
 
-    /// The pre-interned candidate vocabulary (context id space).
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
-    }
-
-    /// The precompiled candidate-element trie (context id space).
-    pub fn trie(&self) -> &Trie {
-        &self.trie
-    }
-
-    /// Number of candidate elements the trie stores.
-    pub fn n_candidates(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// Algorithm 2 with the cached trie: implicated elements for a flag
-    /// at `branch_pos` of `tokens`, where `tokens` live in the
-    /// generation vocabulary `gen_vocab`.
+    /// Algorithm 2 with the context's trie: implicated elements for a
+    /// flag at `branch_pos` of `tokens`, where `tokens` live in the
+    /// generation vocabulary `gen_vocab`, on the database `meta`.
     ///
     /// Identical to the clone-per-flag reference
     /// ([`implicated_elements_reference`]) on every complete stream:
     /// decoding compares element *names*, which are id-space agnostic.
-    /// Only when a truncated stream ends mid-element does the trie act,
-    /// and then the partial's tokens are translated into the context id
-    /// space through their text (a handful of lookups — candidate
-    /// elements only ever tokenize into schema subwords, which the
-    /// context vocabulary covers by construction).
+    /// Only when a truncated stream ends mid-element does the trie act:
+    /// the candidate vocabulary and trie are built from `meta` (schema
+    /// interning order — *not* the generation id space), and the
+    /// partial's tokens are translated into that id space through their
+    /// text (a handful of lookups — candidate elements only ever
+    /// tokenize into schema subwords, which the context vocabulary
+    /// covers by construction).
     pub fn implicated_elements(
         &self,
+        meta: &DbMeta,
         gen_vocab: &Vocab,
         tokens: &[TokenId],
         branch_pos: usize,
     ) -> Vec<String> {
         crate::traceback::trace_back_with(gen_vocab, tokens, branch_pos, |partial| {
+            #[cfg(test)]
+            tests::COMPLETIONS.with(|n| n.set(n.get() + 1));
+            let (vocab, trie) = candidate_trie(meta, self.target);
             let translated: Option<Vec<TokenId>> = partial
                 .iter()
-                .map(|&t| self.vocab.get(gen_vocab.text(t)))
+                .map(|&t| vocab.get(gen_vocab.text(t)))
                 .collect();
-            self.trie
-                .cheapest_completion(&translated?)
+            trie.cheapest_completion(&translated?)
                 .map(|(_suffix, name)| name.to_string())
         })
     }
+}
+
+/// The candidate vocabulary (context id space) and the
+/// constrained-decoding trie over every candidate element of `meta`.
+fn candidate_trie(meta: &DbMeta, target: LinkTarget) -> (Vocab, Trie) {
+    let mut vocab = Vocab::new();
+    let trie = match target {
+        LinkTarget::Tables => table_trie_in(&mut vocab, meta),
+        LinkTarget::Columns => column_trie_in(&mut vocab, meta),
+    };
+    (vocab, trie)
 }
 
 /// The clone-per-flag reference for [`LinkContext::implicated_elements`]:
 /// clone the generation vocabulary, rebuild the candidate trie in its id
 /// space, and trace back by re-decoding the full prefix each step —
 /// exactly what every flag paid before the shared context existed. Kept
-/// as the test oracle for the context's cached trie
+/// as the test oracle for the context's trace back
 /// (`context_implicated_sets_match_rebuild`) and as the implicated-set
 /// source of a session opened without a context — the serving engine's
 /// fallback when a context build fails.
@@ -137,9 +129,9 @@ pub fn implicated_elements_reference(
     trace_back_reference(&v, &trie, tokens, branch_pos)
 }
 
-/// Registry of precompiled [`LinkContext`]s for a whole benchmark: one
-/// per `(database, target)`, built once and shared by every instance
-/// and worker thread.
+/// Registry of [`LinkContext`]s for a whole benchmark: one per
+/// `(database, target)`, built once and shared by every instance and
+/// worker thread.
 #[derive(Debug)]
 pub struct LinkContexts {
     tables: HashMap<String, LinkContext>,
@@ -147,12 +139,12 @@ pub struct LinkContexts {
 }
 
 impl LinkContexts {
-    /// Precompile contexts for every database of `bench`, both targets.
+    /// Contexts for every database of `bench`, both targets.
     pub fn build(bench: &Benchmark) -> Self {
         Self::from_metas(&bench.metas)
     }
 
-    /// Precompile contexts from database metadata directly.
+    /// Contexts from database metadata directly.
     pub fn from_metas(metas: &[DbMeta]) -> Self {
         let tables = metas
             .iter()
@@ -247,7 +239,7 @@ pub fn db_shard(db: &str, n_shards: usize) -> usize {
 #[derive(Debug)]
 struct CacheEntry {
     ctx: Arc<LinkContext>,
-    /// Schema-drift epoch the context was compiled against
+    /// Schema-drift epoch the context was built for
     /// ([`DbMeta::revision`]); a lookup with a newer revision treats
     /// the entry as stale and rebuilds.
     revision: u64,
@@ -258,15 +250,16 @@ struct CacheEntry {
 /// online-serving counterpart of the eager [`LinkContexts`] registry.
 ///
 /// Batch drivers know their whole benchmark up front, so
-/// [`LinkContexts::build`] precompiles every `(database, target)`
-/// context before the fan-out. A serving engine doesn't: tenants
-/// arrive one request at a time, and paying every database's
-/// vocabulary + trie compilation at boot is exactly the cold-start
-/// cost multi-tenant serving cannot afford. [`ContextCache::get`]
-/// builds a context the first time its `(database, target)` pair is
-/// requested and shares it as an [`Arc`] from then on (sessions keep
-/// their clone alive across eviction — an LRU drop never invalidates
-/// an in-flight request).
+/// [`LinkContexts::build`] builds every `(database, target)` context
+/// before the fan-out. A serving engine doesn't: tenants arrive one
+/// request at a time, against a database population it need not hold
+/// in memory at once. [`ContextCache::get`] builds a context the first
+/// time its `(database, target)` pair is requested and shares it as
+/// an [`Arc`] from then on (sessions keep their clone alive across
+/// eviction — an LRU drop never invalidates an in-flight request).
+/// A context precomputes nothing (see [`LinkContext`]), so a miss costs
+/// one small allocation; the cache keeps the engine's per-database
+/// hit/miss/eviction accounting.
 ///
 /// Concurrency: lookups take the shard's read lock only (recency is an
 /// atomic stamp), so the hot path is reader-parallel across workers;
@@ -309,7 +302,7 @@ impl ContextCache {
     }
 
     /// The context for `(meta, target)`, built on first request. An
-    /// entry compiled against an older [`DbMeta::revision`] is stale —
+    /// entry built for an older [`DbMeta::revision`] is stale —
     /// schema drift — and is rebuilt in place; callers already holding
     /// the old `Arc` (in-flight sessions) are unaffected.
     pub fn get(&self, meta: &DbMeta, target: LinkTarget) -> Arc<LinkContext> {
@@ -327,8 +320,8 @@ impl ContextCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Compile outside any lock: building a context is the expensive
-        // part and must not serialize unrelated lookups.
+        // Build outside any lock, so a miss never serializes unrelated
+        // lookups.
         let built = Arc::new(LinkContext::new(meta, target));
         let mut map = shard.write();
         if let Some(entry) = map.get(&meta.name) {
@@ -410,22 +403,32 @@ mod tests {
     use super::*;
     use benchgen::BenchmarkProfile;
     use simlm::{GenMode, SchemaLinker};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Trie completions run on this thread: each one builds a
+        /// candidate vocabulary and trie.
+        pub(super) static COMPLETIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn completions() -> usize {
+        COMPLETIONS.with(Cell::get)
+    }
 
     #[test]
     fn context_trie_covers_every_candidate() {
         let bench = BenchmarkProfile::bird_like().scaled(0.01).generate(91);
         for meta in &bench.metas {
-            let ctx_t = LinkContext::new(meta, LinkTarget::Tables);
-            assert_eq!(ctx_t.n_candidates(), meta.tables.len());
-            let ctx_c = LinkContext::new(meta, LinkTarget::Columns);
-            let n_cols: usize = meta.tables.iter().map(|t| t.columns.len()).sum();
-            assert_eq!(ctx_c.n_candidates(), n_cols);
             // Every candidate tokenizes in the context vocab and
             // completes in the trie.
+            let (vocab, trie) = candidate_trie(meta, LinkTarget::Tables);
+            assert_eq!(trie.len(), meta.tables.len());
             for t in &meta.tables {
-                let ids = ctx_t.vocab().try_encode_identifier(&t.name).unwrap();
-                assert_eq!(ctx_t.trie().complete(&ids), Some(t.name.as_str()));
+                let ids = vocab.try_encode_identifier(&t.name).unwrap();
+                assert_eq!(trie.complete(&ids), Some(t.name.as_str()));
             }
+            let (_, trie) = candidate_trie(meta, LinkTarget::Columns);
+            assert_eq!(trie.len(), meta.total_columns());
         }
     }
 
@@ -452,7 +455,7 @@ mod tests {
                     .filter(|(_, s)| s.is_branch)
                     .map(|(p, _)| p)
                 {
-                    let cached = ctx.implicated_elements(&vocab, &trace.tokens, branch_pos);
+                    let cached = ctx.implicated_elements(meta, &vocab, &trace.tokens, branch_pos);
                     let reference = implicated_elements_reference(
                         &vocab,
                         meta,
@@ -472,15 +475,30 @@ mod tests {
         assert!(flagged > 20, "too few flagged positions: {flagged}");
     }
 
+    /// The stream cut just before its first `,` or `;`: it ends inside
+    /// the first element, so a flag on its last token traces back
+    /// through the trie-completion step.
+    fn first_element_cut(vocab: &Vocab, tokens: &[TokenId]) -> Option<usize> {
+        let seps = [
+            vocab.get(simlm::vocab::TOK_COMMA),
+            vocab.get(simlm::vocab::TOK_END),
+        ];
+        tokens
+            .iter()
+            .position(|&t| seps.contains(&Some(t)))
+            .filter(|&cut| cut > 0)
+    }
+
     #[test]
     fn contexts_are_shared_across_threads() {
-        // Read-only after build: borrow one registry from a parallel
-        // fan-out and check results equal the serial loop.
+        // Read-only: borrow one registry from a parallel fan-out and
+        // check results equal the serial loop.
         let bench = BenchmarkProfile::bird_like().scaled(0.01).generate(93);
         let model = SchemaLinker::new("bird", 25);
         let contexts = LinkContexts::build(&bench);
         let instances: Vec<benchgen::Instance> = bench.split.dev.to_vec();
         let run = |inst: &benchgen::Instance| {
+            let meta = bench.meta(&inst.db_name).unwrap();
             let mut vocab = Vocab::new();
             let trace = model.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free);
             let ctx = contexts.get(&inst.db_name, LinkTarget::Tables);
@@ -488,11 +506,106 @@ mod tests {
                 .steps
                 .iter()
                 .position(|s| s.is_branch)
-                .map(|p| ctx.implicated_elements(&vocab, &trace.tokens, p))
+                .map(|p| ctx.implicated_elements(meta, &vocab, &trace.tokens, p))
         };
         let parallel = crate::par::par_map(&instances, run);
         let serial: Vec<_> = instances.iter().map(run).collect();
         assert_eq!(parallel, serial);
+    }
+
+    #[test]
+    fn runtime_linking_never_builds_a_trie() {
+        // Every generated round ends in `;`, so no runtime trace back
+        // reaches the trie: linking every dev instance, both targets,
+        // under every policy runs no trie completion.
+        use crate::abstention::{run_rts_linking_in, LinkScratch, MitigationPolicy, RtsConfig};
+        use crate::bpp::{Mbpp, MbppConfig, ProbeConfig};
+        use crate::branching::BranchDataset;
+        use crate::human::{Expertise, HumanOracle};
+        use crate::surrogate::SurrogateModel;
+
+        let bench = BenchmarkProfile::bird_like().scaled(0.03).generate(99);
+        let model = SchemaLinker::new("bird", 26);
+        let contexts = LinkContexts::build(&bench);
+        let surrogate = SurrogateModel::train(&bench, 27);
+        let oracle = HumanOracle::new(Expertise::Expert, 28);
+        let policies = [
+            MitigationPolicy::AbstainOnly,
+            MitigationPolicy::Surrogate(&surrogate),
+            MitigationPolicy::Human(&oracle),
+        ];
+        let config = RtsConfig::default();
+        let mut scratch = LinkScratch::default();
+        let (mut flags, mut consults) = (0usize, 0usize);
+        let before = completions();
+        for target in [LinkTarget::Tables, LinkTarget::Columns] {
+            let ds = BranchDataset::build(&model, &bench.split.train, target, 200);
+            let mbpp = Mbpp::train(
+                &ds,
+                &MbppConfig {
+                    probe: ProbeConfig {
+                        epochs: 4,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+            );
+            for policy in &policies {
+                for inst in &bench.split.dev {
+                    let meta = bench.meta(&inst.db_name).unwrap();
+                    let ctx = contexts.get(&inst.db_name, target);
+                    let out = run_rts_linking_in(
+                        &model,
+                        &mbpp,
+                        inst,
+                        meta,
+                        ctx,
+                        policy,
+                        &config,
+                        &mut scratch,
+                    );
+                    flags += out.n_flags;
+                    consults += out.n_interventions;
+                }
+            }
+        }
+        assert!(
+            flags > 0 && consults > 0,
+            "flags {flags}, consults {consults}"
+        );
+        assert_eq!(completions(), before, "runtime linking built a trie");
+
+        // A stream that ends mid-element reaches the trie once per
+        // trace back, and answers as the reference does.
+        let (inst, vocab, tokens) = bench
+            .split
+            .dev
+            .iter()
+            .find_map(|inst| {
+                let mut vocab = Vocab::new();
+                let trace = model.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free);
+                let cut = first_element_cut(&vocab, &trace.tokens)?;
+                Some((inst, vocab, trace.tokens[..cut].to_vec()))
+            })
+            .expect("a stream with a complete first element");
+        let meta = bench.meta(&inst.db_name).unwrap();
+        let ctx = contexts.get(&inst.db_name, LinkTarget::Tables);
+        let answer = ctx.implicated_elements(meta, &vocab, &tokens, tokens.len() - 1);
+        assert_eq!(
+            completions(),
+            before + 1,
+            "a truncated stream reaches the trie"
+        );
+        assert_eq!(
+            answer,
+            implicated_elements_reference(
+                &vocab,
+                meta,
+                LinkTarget::Tables,
+                &tokens,
+                tokens.len() - 1
+            )
+        );
     }
 
     #[test]
@@ -502,10 +615,9 @@ mod tests {
         assert_eq!(contexts.len(), bench.metas.len());
         assert!(!contexts.is_empty());
         for meta in &bench.metas {
-            assert_eq!(
-                contexts.get(&meta.name, LinkTarget::Tables).n_candidates(),
-                meta.tables.len()
-            );
+            for target in [LinkTarget::Tables, LinkTarget::Columns] {
+                assert_eq!(contexts.get(&meta.name, target).target(), target);
+            }
         }
     }
 
@@ -522,9 +634,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        // The cached context equals a freshly built one.
-        let fresh = LinkContext::new(meta, LinkTarget::Tables);
-        assert_eq!(a.n_candidates(), fresh.n_candidates());
+        assert_eq!(a.target(), LinkTarget::Tables);
     }
 
     #[test]
@@ -546,7 +656,7 @@ mod tests {
         let _ = cache.get(b, LinkTarget::Tables);
         assert_eq!(cache.stats().misses, before + 1, "b was evicted");
         // The Arc held across eviction stays usable.
-        assert_eq!(ctx_a.n_candidates(), a.tables.len());
+        assert_eq!(ctx_a.target(), LinkTarget::Tables);
     }
 
     #[test]
@@ -557,7 +667,7 @@ mod tests {
         let old = cache.get(meta, LinkTarget::Tables);
 
         // Schema drift: the same database at a newer revision must not
-        // be served the stale compile.
+        // be served the stale entry.
         let mut drifted = meta.clone();
         drifted.revision += 1;
         let new = cache.get(&drifted, LinkTarget::Tables);
@@ -575,7 +685,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&new, &rebuilt), "invalidate must rebuild");
         // Arcs pinned before the drift stay fully usable (an in-flight
         // session finishes on the context it started with).
-        assert_eq!(old.n_candidates(), meta.tables.len());
+        assert_eq!(old.target(), LinkTarget::Tables);
         // Unknown databases are a no-op, not a panic.
         assert_eq!(cache.invalidate_db("no_such_db"), 0);
     }
@@ -639,13 +749,11 @@ mod tests {
         let bench = BenchmarkProfile::bird_like().scaled(0.01).generate(97);
         let cache = ContextCache::new(0);
         let instances: Vec<benchgen::Instance> = bench.split.dev.to_vec();
-        let n: usize = crate::par::par_map(&instances, |inst| {
+        let targets = crate::par::par_map(&instances, |inst| {
             let meta = bench.meta(&inst.db_name).unwrap();
-            cache.get(meta, LinkTarget::Tables).n_candidates()
-        })
-        .into_iter()
-        .sum();
-        assert!(n > 0);
+            cache.get(meta, LinkTarget::Tables).target()
+        });
+        assert!(targets.iter().all(|&t| t == LinkTarget::Tables));
         let stats = cache.stats();
         // The resident set must match the distinct databases requested
         // (racing misses may both bill a miss but insert only once).

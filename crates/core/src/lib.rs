@@ -11,9 +11,10 @@
 //! * [`traceback`] — Algorithm 2: map a flagged token back to the
 //!   schema elements it implicates;
 //! * [`context`] — the shared per-database [`context::LinkContext`]:
-//!   pre-interned vocabulary + precompiled constrained-decoding trie,
-//!   built once and borrowed read-only by every instance, round and
-//!   worker thread;
+//!   the handle Algorithm 2's trace back runs through, which builds
+//!   the candidate vocabulary + constrained-decoding trie only when a
+//!   stream ends mid-element, borrowed read-only by every instance,
+//!   round and worker thread;
 //! * [`surrogate`] — the fine-tuned relevance-classifier stand-in that
 //!   can auto-resolve abstentions (§3.3 "Surrogate Filter");
 //! * [`human`] — human-in-the-loop oracles with expertise profiles

@@ -70,9 +70,9 @@ impl JointOutcome {
 
 /// Run joint RTS linking (tables, then columns) for one instance.
 ///
-/// Convenience wrapper that precompiles the instance's contexts per
-/// call; loops over many instances should build a [`LinkContexts`]
-/// registry once and use [`run_joint_linking_in`].
+/// Convenience wrapper that builds the instance's contexts per call;
+/// loops over many instances should build a [`LinkContexts`] registry
+/// once and use [`run_joint_linking_in`].
 pub fn run_joint_linking(
     model: &SchemaLinker,
     mbpp_tables: &Mbpp,
@@ -195,8 +195,8 @@ pub fn measure_ex(
 /// so this returns exactly what the serial loop would (pinned by the
 /// `parallel_pipeline_matches_serial` proptest). Within each instance,
 /// monitored linking synthesizes only the hidden layers the mBPPs read
-/// and borrows the benchmark's precompiled [`LinkContexts`] — built
-/// here once, shared read-only by every worker.
+/// and borrows the benchmark's [`LinkContexts`] — built here once,
+/// shared read-only by every worker.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's pipeline stages
 pub fn run_full_pipeline(
     bench: &Benchmark,

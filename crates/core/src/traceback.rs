@@ -147,9 +147,10 @@ pub fn trace_back_reference(
 }
 
 /// Build the constrained-decoding trie over table names in (the id
-/// space of) `vocab`. This is the builder `LinkContext` precompiles
-/// once per database; it also serves the clone-per-flag reference path,
-/// which hands it a clone of the generation vocabulary.
+/// space of) `vocab`. A `LinkContext` runs it into a fresh vocabulary
+/// when a trace back reaches the trie-completion step; it also serves
+/// the clone-per-flag reference path, which hands it a clone of the
+/// generation vocabulary.
 pub fn table_trie_in(vocab: &mut Vocab, meta: &benchgen::schemagen::DbMeta) -> Trie {
     Trie::from_elements(vocab, meta.tables.iter().map(|t| t.name.as_str()))
 }

@@ -10,9 +10,10 @@
 //! failing row must match too. Results are compared by their `Debug`
 //! text, which tells `Int(1)` from `Float(1.0)` and keeps row order.
 
-use super::{execute_plan, like_match, reference};
+use super::{execute_plan, execute_sql, like_match, reference};
 use crate::parser::parse;
 use crate::plan::bind;
+use crate::result::{execution_accuracy, results_match, ExecOutcome};
 use crate::schema::{ColumnDef, DataType, Database, TableSchema};
 use crate::value::Value;
 use proptest::prelude::*;
@@ -233,10 +234,8 @@ impl StmtGen<'_> {
     }
 }
 
-/// A random database, a random statement over it, and the outcomes of
-/// the borrowed executor and of the reference as `Debug` text. `None`
-/// when the statement does not bind.
-fn run_both(seed: u64) -> Option<(String, String, String)> {
+/// A random database and a random statement over it.
+fn random_case(seed: u64) -> (Database, String) {
     let mut rng = TestRng::new(seed);
     let db = random_db(&mut rng);
     let sql = StmtGen {
@@ -244,6 +243,30 @@ fn run_both(seed: u64) -> Option<(String, String, String)> {
         scope: Vec::new(),
     }
     .statement();
+    (db, sql)
+}
+
+/// EX by executing both statements, as `execution_accuracy` does for
+/// every pair of different strings.
+fn two_execution_ex(db: &Database, gold_sql: &str, pred_sql: &str) -> ExecOutcome {
+    let Ok(gold) = execute_sql(db, gold_sql) else {
+        return ExecOutcome::GoldError;
+    };
+    let Ok(pred) = execute_sql(db, pred_sql) else {
+        return ExecOutcome::PredictionError;
+    };
+    if results_match(&gold, &pred) {
+        ExecOutcome::Correct
+    } else {
+        ExecOutcome::WrongResult
+    }
+}
+
+/// A random database, a random statement over it, and the outcomes of
+/// the borrowed executor and of the reference as `Debug` text. `None`
+/// when the statement does not bind.
+fn run_both(seed: u64) -> Option<(String, String, String)> {
+    let (db, sql) = random_case(seed);
     let stmt = parse(&sql).unwrap_or_else(|e| panic!("generated SQL must parse: {sql}: {e}"));
     let plan = bind(&db, &stmt).ok()?;
     let fast = format!("{:?}", execute_plan(&db, &plan));
@@ -259,6 +282,22 @@ proptest! {
         if let Some((sql, fast, oracle)) = run_both(seed) {
             prop_assert_eq!(fast, oracle, "{}", sql);
         }
+    }
+
+    /// EX of a statement against itself executes it once; that must
+    /// equal executing it twice and comparing, because results match
+    /// themselves.
+    #[test]
+    fn identical_sql_ex_matches_two_executions(seed in any::<u64>()) {
+        let (db, sql) = random_case(seed);
+        if let Ok(r) = execute_sql(&db, &sql) {
+            prop_assert!(results_match(&r, &r), "{}", sql);
+        }
+        prop_assert_eq!(
+            execution_accuracy(&db, &sql, &sql),
+            two_execution_ex(&db, &sql, &sql),
+            "{}", sql
+        );
     }
 
     #[test]

@@ -97,11 +97,19 @@ impl ExecOutcome {
 }
 
 /// Execute gold and predicted SQL and compare (the EX primitive).
+///
+/// A prediction spelled exactly like the gold query executes once:
+/// execution is deterministic and [`results_match`] is reflexive (its
+/// keys are integers, bit patterns and text, so even a NaN matches
+/// itself), so the second execution could only repeat the first.
 pub fn execution_accuracy(db: &Database, gold_sql: &str, pred_sql: &str) -> ExecOutcome {
     let gold = match execute_sql(db, gold_sql) {
         Ok(r) => r,
         Err(_) => return ExecOutcome::GoldError,
     };
+    if pred_sql == gold_sql {
+        return ExecOutcome::Correct;
+    }
     let pred = match execute_sql(db, pred_sql) {
         Ok(r) => r,
         Err(_) => return ExecOutcome::PredictionError,

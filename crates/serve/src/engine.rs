@@ -293,7 +293,7 @@ const STEAL_POLL: Duration = Duration::from_micros(500);
 impl ServeEngine {
     /// Build an engine over trained artefacts and the databases in
     /// `metas`, cloning each into shared ownership. No contexts are
-    /// compiled here — they materialize lazily, per database, on first
+    /// built here — they materialize lazily, per database, on first
     /// request. To share one trained set with other owners, clone the
     /// `Arc`s and use [`ServeEngine::with_artifacts`] instead.
     pub fn new(

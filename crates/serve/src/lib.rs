@@ -49,8 +49,10 @@
 //!   with outcomes combined into a [`rts_core::pipeline::JointOutcome`].
 //! * **Lazy per-tenant contexts** — `LinkContext`s are built on first
 //!   request per `(database, target)` and shared through an LRU
-//!   [`rts_core::context::ContextCache`]; cold-start cost is paid per
-//!   tenant, not per boot.
+//!   [`rts_core::context::ContextCache`]. A context builds its
+//!   vocabulary and trie only when a trace back needs the trie, which
+//!   a generated round (always `;`-terminated) never does, so a cache
+//!   miss costs a small allocation.
 //! * **Abstention as backpressure** — a request past its deadline is
 //!   not dropped: the remaining linking stages degrade to *abstention*,
 //!   the paper's own "hand this instance off" verdict. Load shedding

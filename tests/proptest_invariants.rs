@@ -146,7 +146,10 @@ mod parity {
         drive_session, resolve_flag, CtxHandle, LinkSession, SessionCheckpoint, SessionState,
     };
     use rts::core::sqlgen::SqlGenModel;
-    use rts::core::traceback::{column_trie, table_trie, trace_back, trace_back_reference};
+    use rts::core::traceback::{
+        column_trie, column_trie_in, table_trie, table_trie_in, trace_back, trace_back_reference,
+        trace_back_with,
+    };
     use rts::serve::{drive_closed_loop, FaultPlan, ServeConfig, ServeEngine, ServeOutcome};
     use rts::simlm::{
         CorpusVersion, GenMode, LayerSet, LinkTarget, SchemaLinker, SynthScratch, Vocab,
@@ -669,9 +672,48 @@ mod parity {
             let ctx = fx.contexts.get(&inst.db_name, target);
             let branch_pos = branch_sel % trace.tokens.len();
             prop_assert_eq!(
-                ctx.implicated_elements(&vocab, &trace.tokens, branch_pos),
+                ctx.implicated_elements(meta, &vocab, &trace.tokens, branch_pos),
                 implicated_elements_reference(&vocab, meta, target, &trace.tokens, branch_pos),
                 "instance {} target {:?} branch {}", inst.id, target, branch_pos
+            );
+        }
+
+        /// The shared context ≡ the candidate vocabulary and trie built
+        /// out here, on arbitrary (branch position, truncation) pairs of
+        /// generated streams: mid-element cuts reach the trie-completion
+        /// step, where the partial is translated by token text.
+        #[test]
+        fn context_implicated_sets_match_eager_build_on_truncated_streams(
+            pick in 0usize..1000,
+            branch_sel in 0usize..1000,
+            cut_sel in 0usize..1000,
+            columns in prop::bool::ANY,
+        ) {
+            let fx = fixture();
+            let inst = &fx.bench.split.dev[pick % fx.bench.split.dev.len()];
+            let target = if columns { LinkTarget::Columns } else { LinkTarget::Tables };
+            let mut vocab = Vocab::new();
+            let trace = fx.model.generate(inst, &mut vocab, target, GenMode::Free);
+            let meta = fx.bench.meta(&inst.db_name).unwrap();
+            let branch_pos = branch_sel % trace.tokens.len();
+            let cut = branch_pos + 1 + cut_sel % (trace.tokens.len() - branch_pos);
+            let toks = &trace.tokens[..cut];
+
+            let mut ctx_vocab = Vocab::new();
+            let trie = match target {
+                LinkTarget::Tables => table_trie_in(&mut ctx_vocab, meta),
+                LinkTarget::Columns => column_trie_in(&mut ctx_vocab, meta),
+            };
+            let eager = trace_back_with(&vocab, toks, branch_pos, |partial| {
+                let translated: Option<Vec<_>> =
+                    partial.iter().map(|&t| ctx_vocab.get(vocab.text(t))).collect();
+                trie.cheapest_completion(&translated?).map(|(_, name)| name.to_string())
+            });
+            let ctx = fx.contexts.get(&inst.db_name, target);
+            prop_assert_eq!(
+                ctx.implicated_elements(meta, &vocab, toks, branch_pos),
+                eager,
+                "instance {} target {:?} branch {} cut {}", inst.id, target, branch_pos, cut
             );
         }
     }
