@@ -12,9 +12,7 @@
 
 pub mod context;
 pub mod experiments;
-pub mod openloop;
 pub mod report;
-pub mod serving;
 
 pub use context::{Context, Which};
 pub use report::{Report, Row};

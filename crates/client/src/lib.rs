@@ -2,10 +2,10 @@
 //!
 //! [`RtsClient`] speaks the framed wire protocol of
 //! [`rts_serve::wire`] (see `PROTOCOL.md`) and implements the same
-//! [`Engine`] trait as the in-process engine, so every generic driver
-//! — [`rts_serve::drive_closed_loop`], the workload client pool, the
-//! parity tests — runs unchanged against a remote server. The ticket
-//! is the client-chosen request id (`u64`).
+//! [`Engine`] trait as the in-process engine, so every generic caller
+//! — [`rts_serve::drive_closed_loop`], the parity tests — runs
+//! unchanged against a remote server. The ticket is the client-chosen
+//! request id (`u64`).
 //!
 //! # Reconnect & resume
 //!

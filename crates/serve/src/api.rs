@@ -1,7 +1,7 @@
 //! One engine API: the [`Engine`] trait both serving surfaces —
 //! the in-process [`ServeEngine`](crate::ServeEngine) and the
 //! `rts-client` TCP client — implement, plus the shared closed-loop
-//! client the drivers and parity tests run against it.
+//! client the serving tests run against it.
 //!
 //! The trait abstracts exactly the client-visible surface: submission,
 //! event waiting, feedback resolution, stats, schema invalidation, and
@@ -70,15 +70,15 @@ const SUBMIT_RETRY: Duration = Duration::from_micros(200);
 /// feedback provider declined to answer yet.
 const STALL_POLL: Duration = Duration::from_micros(500);
 
-/// The closed-loop client every driver and parity test runs: submit
-/// each instance in order (retrying through backpressure rejections),
-/// answer feedback through `resolve_feedback`, and collect outcomes in
+/// The closed-loop client the serving tests run: submit each instance
+/// in order (retrying through backpressure rejections), answer
+/// feedback through `resolve_feedback`, and collect outcomes in
 /// submission order.
 ///
 /// `resolve_feedback(inst, query)` returns the resolution to apply, or
 /// `None` to *stall* — the client sleeps briefly and re-polls, leaving
-/// the flag unanswered (how the workload driver models a human who has
-/// not answered yet, letting feedback timeouts fire). Resolve races
+/// the flag unanswered (how a test models a human who has not answered
+/// yet, letting feedback timeouts fire). Resolve races
 /// ([`ResolveError::Stale`] after a timeout beat the answer) are
 /// legal protocol outcomes and ignored; hard submit errors (unknown
 /// database/instance, transport loss) panic — closed-loop fixtures

@@ -277,7 +277,6 @@ pub struct ServeEngine {
     shutdown: AtomicBool,
     /// Home shard of the next thread entering [`ServeEngine::worker_loop`].
     next_home: AtomicUsize,
-    steals: AtomicU64,
 }
 
 /// Completed-request latency samples retained per shard for
@@ -351,7 +350,6 @@ impl ServeEngine {
             shards,
             shutdown: AtomicBool::new(false),
             next_home: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
         }
     }
 
@@ -370,12 +368,6 @@ impl ServeEngine {
     fn ticket_shard(&self, id: TicketId) -> Option<&Shard> {
         self.shards
             .get((id % self.shards.len() as TicketId) as usize)
-    }
-
-    /// Admissions a worker processed from a shard other than its home
-    /// shard (cumulative).
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
     }
 
     /// Ask workers to exit once the queues drain. In-queue tickets are
@@ -414,22 +406,19 @@ impl ServeEngine {
             // in the scan drains parked tickets, so an empty scan
             // means nothing is left anywhere.
             let down = self.shutdown.load(Ordering::SeqCst);
-            let served = (0..n).position(|k| {
+            let served = (0..n).any(|k| {
                 self.shards
                     .get((home + k) % n)
                     .is_some_and(|shard| self.try_process_one(shard, &mut scratch))
             });
-            match served {
-                Some(0) => {}
-                Some(_) => {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                None if down => return,
-                None => {
-                    if let Some(shard) = self.shards.get(home) {
-                        self.wait_for_work(shard);
-                    }
-                }
+            if served {
+                continue;
+            }
+            if down {
+                return;
+            }
+            if let Some(shard) = self.shards.get(home) {
+                self.wait_for_work(shard);
             }
         }
     }
@@ -2281,11 +2270,6 @@ mod tests {
         })
         .expect("scope joins");
         assert_eq!(served.len(), starved.len(), "every request completes");
-        assert!(
-            engine.steals() >= starved.len() as u64,
-            "a home-less shard is served exclusively by steals: {} steals",
-            engine.steals()
-        );
         let starved_stats = engine.shard_stats(1).expect("shard exists");
         assert_eq!(starved_stats.completed, starved.len() as u64);
         let idle_stats = engine.shard_stats(0).expect("shard exists");
@@ -2342,5 +2326,97 @@ mod tests {
             "aggregate counts every shard's completions"
         );
         assert_eq!(agg.parked_bytes_now + agg.checkpoint_bytes_now, 0);
+    }
+
+    /// Multi-tenant stress: six closed-loop clients over three tenants
+    /// under a one-request in-flight quota (two clients per tenant, so
+    /// quota backpressure fires), tenant 2 never answering feedback
+    /// (its flagged requests complete only through the feedback
+    /// timeout), and a 1-byte parked budget (every park is
+    /// checkpointed). Worker count follows `RTS_THREADS`.
+    #[test]
+    fn stalled_tenant_times_out_to_abstention_under_quota_and_checkpointing() {
+        const TENANTS: usize = 3;
+        const STALLED: TenantId = 2;
+        let fx = fixture();
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        let instances: Vec<benchgen::Instance> =
+            fx.bench.split.dev.iter().take(36).cloned().collect();
+        let config = ServeConfig {
+            queue_capacity: 16,
+            cache_capacity: 8,
+            quota: TenantQuota {
+                max_in_flight: 1,
+                max_parked: 0,
+            },
+            feedback_timeout: Some(Duration::from_millis(50)),
+            parked_bytes_budget: 1,
+            ..Default::default()
+        };
+        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let n_clients = 6;
+        let served: Vec<(TenantId, u64, ServeOutcome)> = crossbeam::thread::scope(|s| {
+            for _ in 0..engine.config().workers {
+                s.spawn(|_| engine.worker_loop());
+            }
+            let handles: Vec<_> = (0..n_clients)
+                .map(|c| {
+                    let engine = &engine;
+                    let slice: Vec<benchgen::Instance> = instances
+                        .iter()
+                        .skip(c)
+                        .step_by(n_clients)
+                        .cloned()
+                        .collect();
+                    let policy = MitigationPolicy::Human(&oracle);
+                    let tenant = (c % TENANTS) as TenantId;
+                    s.spawn(move |_| {
+                        crate::drive_closed_loop(engine, tenant, &slice, |inst, query| {
+                            (tenant != STALLED).then(|| resolve_flag(&policy, inst, query))
+                        })
+                        .into_iter()
+                        .map(|(id, o)| (tenant, id, o))
+                        .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let served = handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("client panicked"))
+                .collect();
+            engine.shutdown();
+            served
+        })
+        .expect("serve scope panicked");
+
+        assert_eq!(served.len(), instances.len(), "every request completes");
+        let stats = engine.stats();
+        assert_eq!(stats.completed, instances.len() as u64);
+        assert!(
+            stats.tenant_in_flight_peak <= 1,
+            "a tenant reached {} in flight under quota 1",
+            stats.tenant_in_flight_peak
+        );
+        assert!(
+            served.iter().any(|(t, _, o)| *t == STALLED && o.timed_out),
+            "the stalled tenant must hit the feedback timeout"
+        );
+        // Bystanders may time out too when a busy runner delays their
+        // answers past 50 ms; whoever timed out must have abstained.
+        for (_, id, o) in &served {
+            if o.timed_out {
+                assert!(o.outcome.abstained(), "timed-out instance {id} abstains");
+            }
+        }
+        assert!(stats.checkpoints > 0, "a 1-byte budget checkpoints parks");
+        assert_eq!(stats.parked_sessions_now, 0);
+        assert_eq!(stats.parked_bytes_now, 0);
+        assert_eq!(stats.checkpoint_bytes_now, 0);
+        let answered: Vec<(u64, ServeOutcome)> = served
+            .into_iter()
+            .filter(|(_, _, o)| !o.timed_out && !o.faulted)
+            .map(|(_, id, o)| (id, o))
+            .collect();
+        assert_batch_parity(&fx, &engine, &oracle, &instances, &answered);
     }
 }

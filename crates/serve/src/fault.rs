@@ -130,11 +130,6 @@ impl FaultPlan {
         self.enabled
     }
 
-    /// This site's trip probability.
-    pub fn rate_of(&self, site: FaultSite) -> f64 {
-        self.rates[site.index()]
-    }
-
     /// Draw the next scheduled decision for `site`: does this fault
     /// fire? Deterministic in `(seed, site, draw index)`.
     #[inline]

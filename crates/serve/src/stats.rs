@@ -1,5 +1,5 @@
 //! Serving-side accounting: latency percentiles, queue depth, parked
-//! memory — the numbers the workload drivers print and the wire
+//! memory — the numbers [`crate::Engine::stats`] returns and the wire
 //! `Stats` reply carries.
 
 use rts_core::context::ContextCacheStats;

@@ -5,17 +5,26 @@
 //! ```
 //!
 //! Rebuilds the deterministic corpus and trains the model artefacts
-//! exactly like `serve_driver` (same `RTS_SCALE`/`RTS_SEED` recipe —
-//! the wire submits instance *ids*, so client and server must agree on
-//! what the ids mean; the `HelloAck` fingerprint guards that), then
-//! fronts a [`rts_serve::ServeEngine`] with the framed TCP protocol
-//! of `PROTOCOL.md`.
+//! from `RTS_SCALE` (default 0.03) and `RTS_SEED` — the wire submits
+//! instance *ids*, so client and server must agree on what the ids
+//! mean; the `HelloAck` fingerprint guards that — then fronts a
+//! [`rts_serve::ServeEngine`] with the framed TCP protocol of
+//! `PROTOCOL.md`.
 //!
-//! Knobs, beyond the `RTS_SERVE_*` engine set documented on
-//! `serve_driver`:
+//! Knobs:
 //!
 //! * `RTS_SERVED_ADDR` (default `127.0.0.1:7878`) — listen address;
 //! * `RTS_SERVED_SHARDS` (default 1) — database shards;
+//! * `RTS_SERVE_QUEUE` (default 16) — admission-queue bound;
+//! * `RTS_SERVE_CACHE` (default 8) — context-cache capacity per
+//!   shard and target;
+//! * `RTS_SERVE_QUOTA` (default off) — per-tenant max in flight;
+//! * `RTS_SERVE_DEADLINE_MS` (default off) — per-request budget;
+//!   expired requests degrade to abstention;
+//! * `RTS_SERVE_FEEDBACK_TIMEOUT_MS` (default off) — park-to-abstain
+//!   feedback timeout;
+//! * `RTS_SERVE_PARKED_BUDGET` (default off) — live parked-bytes
+//!   budget; past it parked sessions are checkpointed out of memory;
 //! * `RTS_THREADS` — engine worker threads in total (as everywhere).
 //!
 //! The daemon exits 0 after a client sends `Shutdown` and every

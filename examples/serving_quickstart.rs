@@ -114,8 +114,8 @@ fn main() {
     })
     .expect("serving scope panicked");
 
-    // 5. The engine's accounting — what `serve_driver` prints at
-    //    benchmark scale.
+    // 5. The engine's accounting — the same numbers a remote client
+    //    reads with the wire `Stats` request.
     let stats = engine.stats();
     println!(
         "latency p50/p95/p99: {:.2}/{:.2}/{:.2} ms, cache hit rate {:.0}%, \
