@@ -288,7 +288,7 @@ pub fn run_rts_linking_monolithic(
                 GenMode::Free,
                 &overrides,
                 &monitor_layers,
-                None,
+                &[],
                 &mut scratch.synth,
             );
             cur = Some(Round::Owned(trace, vocab));

@@ -16,8 +16,8 @@
 use crate::branching::BranchDataset;
 use conformal::{LabelSet, NonExchangeableConformal, SplitConformal};
 use serde::{Deserialize, Serialize};
-use simlm::GenerationTrace;
-use tinynn::rng::SplitMix64;
+use simlm::{GenerationTrace, StepKey};
+use tinynn::rng::{stable_hash, SplitMix64};
 use tinynn::{Dataset, Matrix, Mlp, MlpConfig, MlpScratch, StandardScaler};
 
 /// Which conformal wrapper an sBPP uses.
@@ -56,6 +56,12 @@ pub struct Sbpp {
     conformal: SplitConformal,
     /// Present only for the non-exchangeable variant.
     knn: Option<NonExchangeableConformal>,
+    /// Hash of what a prediction set depends on besides the conformal
+    /// threshold: the probe's weights, the scaler's moments and, for
+    /// the non-exchangeable variant, its calibration points. `Debug`
+    /// prints every float in its shortest round-trip form, so the text
+    /// pins each value bit for bit. Computed once, at training.
+    fingerprint: u64,
 }
 
 /// Training configuration for the probes.
@@ -99,13 +105,154 @@ pub struct SbppScratch {
 /// hidden-state matrix plus the per-probe scoring buffers.
 #[derive(Debug, Default, Clone)]
 pub struct BppScratch {
-    /// One packed (n_tokens × hidden_dim) matrix per selected probe,
-    /// filled in a single pass over the trace.
+    /// One packed (n_scored × hidden_dim) matrix per selected probe,
+    /// filled in a single pass over the scored positions.
     packed: Vec<Matrix>,
     sbpp: SbppScratch,
-    /// Per selected probe, the per-token prediction sets of the current
-    /// trace (buffers reused across traces).
+    /// Per selected probe, the prediction sets of the scored positions
+    /// (buffers reused across traces).
     sets_per_probe: Vec<Vec<LabelSet>>,
+    /// The positions of the current trace that are scored.
+    scored: Vec<usize>,
+    /// The round [`Mbpp::flag_trace_with_scratch`] monitors with nothing
+    /// cached (cleared per call; kept for its buffers).
+    round: RoundSets,
+}
+
+/// The selected probes' conformal label sets of one monitored round,
+/// position by position, with each position's [`StepKey`].
+///
+/// A position's sets are a pure function of its hidden stack, and the
+/// stack of the key (given the round's model, instance, target and
+/// layer set, which one monitored session never changes). So when the
+/// next round (a regeneration after a pinned correction, or the same
+/// stream again after a `Continue`) has the same key at a position,
+/// its sets are these — no stack to synthesize, no probe to run. This
+/// is what a suspended session keeps of its round instead of the
+/// hidden stacks: a few bytes per position.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoundSets {
+    keys: Vec<StepKey>,
+    /// `keys.len() × k` sets, row-major: position `t`'s sets of the `k`
+    /// selected probes, in selection order.
+    sets: Vec<LabelSet>,
+}
+
+impl RoundSets {
+    /// The round's step keys, one per position — what generation may
+    /// skip (see `SchemaLinker::generate_with_overrides_and_layers`).
+    pub fn step_keys(&self) -> &[StepKey] {
+        &self.keys
+    }
+
+    /// Forget the round (keeps the buffers).
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.sets.clear();
+    }
+
+    /// Heap bytes the keys and sets occupy.
+    pub fn held_bytes(&self) -> usize {
+        std::mem::size_of_val(self.keys.as_slice()) + std::mem::size_of_val(self.sets.as_slice())
+    }
+
+    /// A compact, JSON-safe text form: hex of `k`, the position count,
+    /// then per position the token id (LEB128), the 8 bytes of `s` and
+    /// the `k` sets at 2 bits each (the label space is binary).
+    pub fn encode(&self) -> String {
+        let k = self.sets.len().checked_div(self.keys.len()).unwrap_or(0);
+        let mut bytes = Vec::with_capacity(4 + self.keys.len() * (13 + k / 4));
+        push_varint(&mut bytes, k as u64);
+        push_varint(&mut bytes, self.keys.len() as u64);
+        for (key, sets) in self.keys.iter().zip(self.sets.chunks_exact(k.max(1))) {
+            push_varint(&mut bytes, u64::from(key.token));
+            bytes.extend_from_slice(&key.s_bits.to_le_bytes());
+            for quad in sets.chunks(4) {
+                bytes.push(quad.iter().enumerate().fold(0u8, |b, (i, set)| {
+                    debug_assert!(set.is_subset_of(LabelSet::BOTH), "non-binary set");
+                    let bits = set.contains(0) as u8 | (set.contains(1) as u8) << 1;
+                    b | bits << (2 * i)
+                }));
+            }
+        }
+        hex(&bytes)
+    }
+
+    /// Parse [`RoundSets::encode`]'s text for a monitor of `k` selected
+    /// probes; `None` on anything malformed.
+    pub fn decode(text: &str, k: usize) -> Option<RoundSets> {
+        let bytes = unhex(text)?;
+        let mut at = 0usize;
+        let encoded_k = read_varint(&bytes, &mut at)?;
+        let n = usize::try_from(read_varint(&bytes, &mut at)?).ok()?;
+        if n > 0 && encoded_k != k as u64 {
+            return None;
+        }
+        let mut round = RoundSets {
+            keys: Vec::with_capacity(n.min(bytes.len())),
+            sets: Vec::with_capacity(n.saturating_mul(k).min(4 * bytes.len())),
+        };
+        for _ in 0..n {
+            let token = simlm::TokenId::try_from(read_varint(&bytes, &mut at)?).ok()?;
+            let s_bits = u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?);
+            at += 8;
+            round.keys.push(StepKey { token, s_bits });
+            for i in 0..k {
+                let bits = bytes.get(at + i / 4)? >> (2 * (i % 4));
+                let mut set = LabelSet::EMPTY;
+                for label in 0..2 {
+                    if bits >> label & 1 == 1 {
+                        set.insert(label);
+                    }
+                }
+                round.sets.push(set);
+            }
+            at += k.div_ceil(4);
+        }
+        (at == bytes.len()).then_some(round)
+    }
+}
+
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn read_varint(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*at)?;
+        *at += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Lowercase hex.
+fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 15)] as char);
+    }
+    out
+}
+
+fn unhex(text: &str) -> Option<Vec<u8>> {
+    let nibble = |c: u8| (c as char).to_digit(16);
+    if !text.len().is_multiple_of(2) {
+        return None;
+    }
+    (text.as_bytes().chunks_exact(2))
+        .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
+        .collect()
 }
 
 impl Sbpp {
@@ -232,6 +379,7 @@ impl Sbpp {
                 ))
             }
         };
+        let fingerprint = stable_hash(format!("{probe:?}{scaler:?}{knn:?}").as_bytes());
         Sbpp {
             layer,
             alpha,
@@ -242,6 +390,7 @@ impl Sbpp {
             cal_scores,
             conformal,
             knn,
+            fingerprint,
         }
     }
 
@@ -442,6 +591,31 @@ impl Mbpp {
         simlm::LayerSet::select(self.selected.iter().map(|&i| self.sbpps[i].layer))
     }
 
+    /// A fingerprint of everything the selected probes' label sets
+    /// depend on: per selected probe (in selection order) its layer,
+    /// its degenerate flag, its weights, scaler and calibration points,
+    /// and its conformal threshold. Monitors with equal fingerprints
+    /// give every hidden stack the same sets, so [`RoundSets`] one of
+    /// them produced may stand in for the other's scoring. The merge
+    /// method is not part of it: merging runs afresh on every round.
+    pub fn fingerprint(&self) -> u64 {
+        let mut bytes = Vec::with_capacity(48 * self.selected.len());
+        for &i in &self.selected {
+            let s = &self.sbpps[i];
+            for word in [
+                s.layer as u64,
+                u64::from(s.degenerate),
+                s.fingerprint,
+                s.conformal.threshold().to_bits(),
+                s.alpha.to_bits(),
+                u64::from(s.knn.is_some()),
+            ] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        stable_hash(&bytes)
+    }
+
     /// Mean AUC over the *selected* probes (what Table 3 reports for the
     /// sBPPs used in conformal prediction).
     pub fn mean_selected_auc(&self) -> f64 {
@@ -507,60 +681,96 @@ impl Mbpp {
     }
 
     /// [`Mbpp::flag_trace`] with caller-owned scratch buffers, for hot
-    /// loops that flag many traces (monitored linking re-generates the
-    /// stream once per correction round).
+    /// loops that flag many traces: [`Mbpp::flag_trace_reusing`] with
+    /// nothing cached.
     pub fn flag_trace_with_scratch(
         &self,
         trace: &GenerationTrace,
         rng: &mut SplitMix64,
         scratch: &mut BppScratch,
     ) -> Vec<bool> {
+        let mut round = std::mem::take(&mut scratch.round);
+        round.clear();
+        let flags = self.flag_trace_reusing(trace, &mut round, rng, scratch);
+        scratch.round = round;
+        flags
+    }
+
+    /// Flag every token of `trace`, taking the label sets of positions
+    /// whose [`StepKey`] matches `round` from it instead of scoring
+    /// them; on return `round` holds this trace's keys and sets.
+    ///
+    /// Only the positions whose key changed are read from the trace's
+    /// hidden stacks, so the trace may come from a generation that
+    /// skipped exactly `round.step_keys()`. They are packed into one matrix
+    /// per selected probe and scored in one batched pass each; batched
+    /// scoring is row-independent ([`Sbpp::predict_sets_batch`]), so
+    /// scoring a subset of rows gives each the sets a full pass would.
+    /// The merge then runs over every position in order, so flags and
+    /// the permutation merge's RNG draws are those of scoring the whole
+    /// trace — identical to [`Mbpp::flag_trace_per_token`] (the parity
+    /// proptest in `tests/proptest_invariants.rs` pins this).
+    ///
+    /// `round` must come from this monitor (or one with the same
+    /// [`Mbpp::fingerprint`]) on a trace of the same model, instance,
+    /// target and layer set.
+    pub fn flag_trace_reusing(
+        &self,
+        trace: &GenerationTrace,
+        round: &mut RoundSets,
+        rng: &mut SplitMix64,
+        scratch: &mut BppScratch,
+    ) -> Vec<bool> {
         let n = trace.steps.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Pack every selected layer's hidden states in one pass over the
-        // trace (each step's hidden stack is touched once), then run one
-        // batched scoring pass per probe into reused set buffers.
-        let dim = trace.steps[0].hidden.dim();
+        let k = self.selected.len();
+        debug_assert_eq!(round.sets.len(), round.keys.len() * k, "foreign round");
+        scratch.scored.clear();
         scratch
-            .packed
-            .resize(self.selected.len(), Matrix::default());
-        scratch
-            .sets_per_probe
-            .resize(self.selected.len(), Vec::new());
-        for m in scratch.packed.iter_mut() {
-            m.resize_for_overwrite(n, dim);
-        }
-        // Fused multi-layer variant of `GenerationTrace::pack_layer_into`:
-        // one pass over the steps fills every selected layer's matrix.
-        for (t, step) in trace.steps.iter().enumerate() {
+            .scored
+            .extend((0..n).filter(|&t| round.keys.get(t) != Some(&trace.steps[t].key())));
+        round.keys.resize(n, StepKey::default());
+        round.sets.resize(n * k, LabelSet::EMPTY);
+        if let Some(&first) = scratch.scored.first() {
+            // Pack every selected layer's hidden states in one pass over
+            // the scored steps (each stack is touched once), then run one
+            // batched scoring pass per probe into reused set buffers.
+            let (rows, dim) = (scratch.scored.len(), trace.steps[first].hidden.dim());
+            scratch.packed.resize(k, Matrix::default());
+            scratch.sets_per_probe.resize(k, Vec::new());
+            for m in scratch.packed.iter_mut() {
+                m.resize_for_overwrite(rows, dim);
+            }
+            for (row, &t) in scratch.scored.iter().enumerate() {
+                let hidden = &trace.steps[t].hidden;
+                for (slot, &i) in self.selected.iter().enumerate() {
+                    scratch.packed[slot]
+                        .row_mut(row)
+                        .copy_from_slice(hidden.layer(self.sbpps[i].layer));
+                }
+            }
             for (slot, &i) in self.selected.iter().enumerate() {
-                scratch.packed[slot]
-                    .row_mut(t)
-                    .copy_from_slice(step.hidden.layer(self.sbpps[i].layer));
+                self.sbpps[i].predict_sets_into(
+                    &scratch.packed[slot],
+                    &mut scratch.sbpp,
+                    &mut scratch.sets_per_probe[slot],
+                );
+            }
+            for (row, &t) in scratch.scored.iter().enumerate() {
+                round.keys[t] = trace.steps[t].key();
+                for (slot, sets) in scratch.sets_per_probe.iter().enumerate() {
+                    round.sets[t * k + slot] = sets[row];
+                }
             }
         }
-        for (slot, &i) in self.selected.iter().enumerate() {
-            self.sbpps[i].predict_sets_into(
-                &scratch.packed[slot],
-                &mut scratch.sbpp,
-                &mut scratch.sets_per_probe[slot],
-            );
-        }
-        let sets_per_probe = &scratch.sets_per_probe;
         // Merge per token in the same order (and with the same RNG
         // consumption pattern) as the per-token path.
-        let mut sets: Vec<LabelSet> = Vec::with_capacity(self.selected.len());
-        (0..n)
-            .map(|t| {
+        let mut sets: Vec<LabelSet> = Vec::with_capacity(k);
+        round
+            .sets
+            .chunks_exact(k)
+            .map(|row| {
                 sets.clear();
-                sets.extend(
-                    sets_per_probe
-                        .iter()
-                        .map(|probe_sets| probe_sets[t])
-                        .filter(|s| !s.is_empty()),
-                );
+                sets.extend(row.iter().copied().filter(|s| !s.is_empty()));
                 self.merge_token_sets(&sets, rng)
             })
             .collect()
@@ -608,6 +818,7 @@ impl Mbpp {
 
     /// Clone selecting *random* layers instead of top-AUC (ablation).
     pub fn with_random_layers(&self, k: usize, seed: u64) -> Mbpp {
+        assert!(k >= 1 && k <= self.sbpps.len());
         let mut order: Vec<usize> = (0..self.sbpps.len()).collect();
         let mut rng = SplitMix64::new(seed);
         tinynn::rng::shuffle(&mut order, &mut rng);
@@ -796,6 +1007,100 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn reused_sets_flag_like_scoring_every_position() {
+        let (bench, model, ds) = setup();
+        let mbpp = Mbpp::train(
+            &ds,
+            &MbppConfig {
+                probe: ProbeConfig {
+                    epochs: 6,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let layers = mbpp.layer_set();
+        let mut scratch = BppScratch::default();
+        let mut synth = simlm::SynthScratch::default();
+        let (mut rng_reused, mut rng_full) = (SplitMix64::new(3), SplitMix64::new(3));
+        let mut skipped = 0;
+        for inst in bench.split.dev.iter().take(25) {
+            let gold = SchemaLinker::gold_elements(inst, LinkTarget::Tables);
+            let mut overrides = std::collections::HashMap::new();
+            let mut round = RoundSets::default();
+            // Round 0, then two pins on each gold element in turn (last
+            // first, so long prefixes carry over). A substitute whose
+            // name starts with the gold name keeps the first token but
+            // moves its latent signal: same token, new key.
+            let pins = gold.iter().rev().flat_map(|e| {
+                [
+                    (e, simlm::Decision::Substitute(format!("{e}_alt"))),
+                    (e, simlm::Decision::Omit),
+                ]
+            });
+            for pin in std::iter::once(None).chain(pins.map(Some)) {
+                if let Some((e, decision)) = pin {
+                    overrides.insert(e.clone(), decision);
+                }
+                let generate = |known, synth: &mut simlm::SynthScratch| {
+                    model.generate_with_overrides_and_layers(
+                        inst,
+                        &mut Vocab::new(),
+                        LinkTarget::Tables,
+                        GenMode::Free,
+                        &overrides,
+                        &layers,
+                        known,
+                        synth,
+                    )
+                };
+                let partial = generate(round.step_keys(), &mut synth);
+                let full = generate(&[], &mut simlm::SynthScratch::default());
+                skipped += partial.steps.iter().filter(|s| s.hidden.len() == 0).count();
+                let reused =
+                    mbpp.flag_trace_reusing(&partial, &mut round, &mut rng_reused, &mut scratch);
+                let scored = mbpp.flag_trace_with_scratch(&full, &mut rng_full, &mut scratch);
+                assert_eq!(reused, scored, "instance {}", inst.id);
+                assert_eq!(rng_reused, rng_full, "instance {}", inst.id);
+                assert_eq!(round, scratch.round, "instance {}", inst.id);
+                let k = mbpp.selected.len();
+                assert_eq!(RoundSets::decode(&round.encode(), k).as_ref(), Some(&round));
+            }
+        }
+        assert!(skipped > 0, "no position was reused");
+    }
+
+    #[test]
+    fn malformed_round_encodings_do_not_decode() {
+        let empty = RoundSets::default();
+        assert_eq!(RoundSets::decode(&empty.encode(), 5), Some(empty));
+        // k = 5, one position: token 3, eight bytes of s, two set bytes.
+        let one = hex(&[5, 1, 3, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0b1110_0100, 0b01]);
+        let round = RoundSets::decode(&one, 5).expect("well formed");
+        assert_eq!(round.step_keys()[0].s_bits, 1.0f64.to_bits());
+        assert_eq!(
+            round.sets,
+            [
+                LabelSet::EMPTY,
+                LabelSet::singleton(0),
+                LabelSet::singleton(1),
+                LabelSet::BOTH,
+                LabelSet::singleton(0)
+            ]
+        );
+        assert_eq!(round.encode(), one);
+        assert_eq!(RoundSets::decode(&one, 4), None, "another k");
+        assert_eq!(
+            RoundSets::decode(&one[..one.len() - 2], 5),
+            None,
+            "truncated"
+        );
+        assert_eq!(RoundSets::decode(&format!("{one}00"), 5), None, "trailing");
+        assert_eq!(RoundSets::decode(&one[1..], 5), None, "odd length");
+        assert_eq!(RoundSets::decode("0501zz", 5), None, "not hex");
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! every committed `results/*.json` is unchanged by the refactor.
 
 use crate::abstention::{LinkScratch, MitigationPolicy, Round0, RtsConfig, RtsOutcome};
-use crate::bpp::Mbpp;
+use crate::bpp::{Mbpp, RoundSets};
 use crate::context::LinkContext;
 use benchgen::schemagen::DbMeta;
 use benchgen::Instance;
 use serde::{Deserialize, Serialize};
-use simlm::{Decision, GenMode, GenerationTrace, LinkTarget, SchemaLinker, Vocab};
+use simlm::{Decision, GenMode, LinkTarget, SchemaLinker, Vocab};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -140,38 +140,39 @@ pub enum FlagResolution {
 
 /// The serializable state of a suspended [`LinkSession`] — everything a
 /// parked session owns that cannot be rebuilt from its construction
-/// arguments, *minus* the current round's trace and vocabulary.
+/// arguments.
 ///
-/// The trace is the whole point of checkpointing: its synthesized
-/// hidden-state stacks dominate a parked session's memory
-/// ([`LinkSession::held_bytes`]), yet generation is a pure function of
-/// `(instance, overrides, layer set)` — so the checkpoint records the
-/// *recipe* (the override map it was generated under) instead of the
-/// data, and [`LinkSession::restore`] re-synthesizes a bit-identical
-/// round. What must survive verbatim is everything generation does NOT
-/// determine: the merge-RNG state (flags already consumed draws from
-/// it), the flag/intervention counters, the handled-element set, and
-/// the pending query. Pinned end to end by the
+/// A suspended session holds no hidden stacks: of its last round it
+/// keeps only what the monitor read off them, each position's step key
+/// and the selected probes' label sets ([`RoundSets`]), and the
+/// checkpoint carries those in a compact encoding. So
+/// [`LinkSession::restore`] synthesizes nothing, and the regeneration
+/// that follows the feedback skips every position whose key the
+/// restored round already monitored, as a session that never parked
+/// does. The sets are only valid for the monitor that produced them,
+/// so the checkpoint is stamped with [`monitor_fingerprint`] and
+/// restore refuses another monitor's, as it refuses another corpus's.
+/// The rest is the state generation does not determine: the override
+/// map, the merge-RNG state (flags already consumed draws from it),
+/// the flag/intervention counters, the handled-element set, and the
+/// pending query. Pinned end to end by the
 /// `checkpoint_roundtrip_matches_monolithic_loop` parity proptest.
-///
-/// Invariant this leans on: while a session is suspended, the current
-/// round's trace is exactly `generate_with_overrides(inst, overrides)`
-/// for the *current* override map — `resolve(Pin)` is the only
-/// mutation of `overrides`, it clears the suspension, and the next
-/// `step` regenerates before it can suspend again.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     /// Instance id the session links (restore refuses a mismatch).
     pub instance: u64,
     /// `true` = table linking, `false` = column linking.
     pub is_table: bool,
-    /// Synthesis corpus the suspended round was generated under.
-    /// Restore re-synthesizes the round from the override recipe, so a
-    /// checkpoint replayed against a model on a different corpus would
-    /// silently rebuild different hidden states mid-session; recording
-    /// the version makes the mismatch detectable (restore asserts it,
-    /// the serving engine degrades on it).
+    /// Synthesis corpus the suspended round was generated under: the
+    /// next round regenerates under the restoring model's corpus, so a
+    /// checkpoint replayed against another one would continue from
+    /// different streams mid-session; recording the version makes the
+    /// mismatch detectable (restore asserts it, the serving engine
+    /// degrades on it).
     pub corpus: simlm::CorpusVersion,
+    /// [`monitor_fingerprint`] of the linker and monitor that produced
+    /// `sets` (restore asserts it, the serving engine degrades on it).
+    pub monitor: u64,
     /// Raw merge-RNG state (`SplitMix64` is one `u64` of state).
     pub rng_state: u64,
     /// TAR/FAR counterfactual verdict, if already computed.
@@ -184,15 +185,25 @@ pub struct SessionCheckpoint {
     pub n_interventions: usize,
     pub n_flags: usize,
     pub rounds_done: usize,
-    /// Always `false` while suspended (a `Pin` marks the stream stale
-    /// but also un-suspends); kept explicit so the invariant is
-    /// checked, not assumed, across serialization boundaries.
-    pub stale: bool,
-    /// Did the session hold a current round? (Always true at a
-    /// suspension; restore re-synthesizes it.)
-    pub has_round: bool,
+    /// The suspended round's step keys and label sets
+    /// ([`RoundSets::encode`]).
+    pub sets: String,
     /// The flag the session is suspended on.
     pub pending: Option<FlagQuery>,
+}
+
+/// The fingerprint a checkpoint's label sets are stamped with: the
+/// monitor's [`Mbpp::fingerprint`] plus the linker's synthesis
+/// identity (seed and shape; its corpus is stamped apart), since a set
+/// depends on both the probes and the hidden stack they read.
+pub fn monitor_fingerprint(model: &SchemaLinker, mbpp: &Mbpp) -> u64 {
+    let words = [
+        mbpp.fingerprint(),
+        model.seed,
+        model.n_layers as u64,
+        model.hidden_dim as u64,
+    ];
+    tinynn::rng::stable_hash(&words.map(u64::to_le_bytes).concat())
 }
 
 impl SessionCheckpoint {
@@ -223,31 +234,6 @@ struct PendingFlag {
     query: FlagQuery,
 }
 
-/// The round state: round 0 may be borrowed from the caller
-/// ([`Round0`]); regenerated rounds are owned by the session (a parked
-/// session must not borrow its own history).
-#[derive(Debug)]
-enum SessionRound<'a> {
-    Borrowed(Round0<'a>),
-    Owned(GenerationTrace, Vocab),
-}
-
-impl SessionRound<'_> {
-    fn trace(&self) -> &GenerationTrace {
-        match self {
-            SessionRound::Borrowed(r) => r.trace,
-            SessionRound::Owned(t, _) => t,
-        }
-    }
-
-    fn vocab(&self) -> &Vocab {
-        match self {
-            SessionRound::Borrowed(r) => r.vocab,
-            SessionRound::Owned(_, v) => v,
-        }
-    }
-}
-
 /// One monitored linking run as an explicit resumable state machine.
 ///
 /// Construction mirrors the entry points of
@@ -257,11 +243,11 @@ impl SessionRound<'_> {
 /// context build fails — outcome-identical, with implicated sets from
 /// [`crate::context::implicated_elements_reference`].
 ///
-/// The session owns everything the loop accumulated (current round's
-/// trace + vocabulary, overrides, handled set, merge RNG, flag/
-/// intervention counters); scratch buffers stay caller-owned and are
-/// passed into [`LinkSession::step`], so a parked session holds only
-/// state, not scratch.
+/// The session owns everything the loop accumulated (the last round's
+/// keys and label sets, overrides, handled set, merge RNG, flag/
+/// intervention counters); the round's trace lives only inside one
+/// [`LinkSession::step`], and scratch buffers stay caller-owned, so a
+/// parked session holds only state — no hidden stacks, no scratch.
 #[derive(Debug)]
 pub struct LinkSession<'a> {
     model: Handle<'a, SchemaLinker>,
@@ -280,8 +266,11 @@ pub struct LinkSession<'a> {
     handled: HashSet<usize>,
     n_interventions: usize,
     n_flags: usize,
-    cur: Option<SessionRound<'a>>,
-    stale: bool,
+    /// The caller's pre-generated round 0, consumed by the first step.
+    round0: Option<Round0<'a>>,
+    /// The last monitored round's step keys and label sets: what the
+    /// next round takes over at every position whose key is unchanged.
+    round: RoundSets,
     rounds_done: usize,
     pending: Option<PendingFlag>,
     finished: Option<RtsOutcome>,
@@ -356,8 +345,8 @@ impl<'a> LinkSession<'a> {
             handled: HashSet::new(),
             n_interventions: 0,
             n_flags: 0,
-            cur: round0.map(SessionRound::Borrowed),
-            stale: false,
+            round0,
+            round: RoundSets::default(),
             rounds_done: 0,
             pending: None,
             finished: None,
@@ -384,23 +373,18 @@ impl<'a> LinkSession<'a> {
         self.pending.as_ref().map(|p| &p.query)
     }
 
-    /// Bytes of generation state the session holds while parked —
-    /// dominated by the current round's synthesized hidden-state
-    /// stacks. What a serving engine bills a suspended request for.
-    /// Between a `Pin` and the next step this is the superseded round,
-    /// kept as that step's reuse source.
+    /// Bytes of round state the session holds while parked: the last
+    /// round's step keys and label sets, a few bytes per position and
+    /// never 0 while suspended (a flagged round has positions). What a
+    /// serving engine bills a suspended request for. Between a `Pin`
+    /// and the next step this is the superseded round, which that
+    /// step takes over wherever the key is unchanged.
     pub fn held_bytes(&self) -> usize {
-        self.cur
-            .as_ref()
-            .map(|r| {
-                let t = r.trace();
-                t.hidden_bytes() + std::mem::size_of_val(t.tokens.as_slice())
-            })
-            .unwrap_or(0)
+        self.round.held_bytes()
     }
 
     /// Snapshot a *suspended* session into its serializable state (see
-    /// [`SessionCheckpoint`] for what is stored vs re-synthesized).
+    /// [`SessionCheckpoint`] for what it stores).
     /// Panics when the session is not suspended: running and finished
     /// sessions have a worker or nobody attached — only a parked one is
     /// worth shipping out of memory.
@@ -424,6 +408,7 @@ impl<'a> LinkSession<'a> {
             instance: self.inst.id,
             is_table: self.target == LinkTarget::Tables,
             corpus: self.model.corpus(),
+            monitor: monitor_fingerprint(&self.model, &self.mbpp),
             rng_state: self.rng.state(),
             would_be_correct: self.would_be_correct,
             overrides,
@@ -431,22 +416,23 @@ impl<'a> LinkSession<'a> {
             n_interventions: self.n_interventions,
             n_flags: self.n_flags,
             rounds_done: self.rounds_done,
-            stale: self.stale,
-            has_round: self.cur.is_some(),
+            sets: self.round.encode(),
             pending: self.pending.as_ref().map(|p| p.query.clone()),
         }
     }
 
     /// Rebuild a suspended session from a [`SessionCheckpoint`]: the
     /// construction arguments come back from the caller (the serving
-    /// engine keeps them per ticket), the recorded state is restored
-    /// verbatim, and the current round — evicted at checkpoint time —
-    /// is re-synthesized from the restored override map. Bit-identical
-    /// to a session that was never checkpointed: same pending query,
-    /// same `held_bytes`, same flags/RNG/outcomes downstream (pinned by
-    /// the checkpoint-roundtrip parity proptest).
+    /// engine keeps them per ticket) and the recorded state, the round's
+    /// keys and label sets included, is restored verbatim. Nothing is
+    /// synthesized (`_synth` is unused). Bit-identical to a session that
+    /// was never checkpointed: same pending query, same `held_bytes`,
+    /// same flags/RNG/outcomes downstream (pinned by the
+    /// checkpoint-roundtrip parity proptest).
     ///
-    /// Panics when the checkpoint does not belong to `(inst, target)`.
+    /// Panics when the checkpoint does not belong to `(inst, target)`,
+    /// or was taken under another corpus or another monitor
+    /// ([`monitor_fingerprint`]).
     #[allow(clippy::too_many_arguments)] // mirrors LinkSession::new
     pub fn restore(
         model: &'a SchemaLinker,
@@ -457,7 +443,7 @@ impl<'a> LinkSession<'a> {
         ctx: Option<CtxHandle<'a>>,
         config: &RtsConfig,
         cp: &SessionCheckpoint,
-        synth: &mut simlm::SynthScratch,
+        _synth: &mut simlm::SynthScratch,
     ) -> Self {
         Self::restore_in(
             Handle::Borrowed(model),
@@ -468,7 +454,6 @@ impl<'a> LinkSession<'a> {
             ctx,
             config,
             cp,
-            synth,
         )
     }
 
@@ -485,7 +470,6 @@ impl<'a> LinkSession<'a> {
         ctx: Option<CtxHandle<'a>>,
         config: &RtsConfig,
         cp: &SessionCheckpoint,
-        synth: &mut simlm::SynthScratch,
     ) -> Self {
         assert_eq!(
             cp.instance, inst.id,
@@ -501,6 +485,12 @@ impl<'a> LinkSession<'a> {
             model.corpus(),
             "checkpoint was taken under another synthesis corpus"
         );
+        assert_eq!(
+            cp.monitor,
+            monitor_fingerprint(&model, &mbpp),
+            "checkpoint was taken under another monitor"
+        );
+        let k = mbpp.selected.len();
         let mut session = Self::new_in(model, mbpp, inst, meta, target, ctx, None, config);
         session.rng = tinynn::rng::SplitMix64::new(cp.rng_state);
         session.would_be_correct = cp.would_be_correct;
@@ -514,24 +504,10 @@ impl<'a> LinkSession<'a> {
         session.n_interventions = cp.n_interventions;
         session.n_flags = cp.n_flags;
         session.rounds_done = cp.rounds_done;
-        session.stale = cp.stale;
-        if cp.has_round {
-            // Re-synthesize the evicted round: generation is
-            // deterministic in (instance, overrides, layer set), so the
-            // trace and vocabulary come back bit-identical.
-            let mut vocab = Vocab::new();
-            let trace = session.model.generate_with_overrides_and_layers(
-                &session.inst,
-                &mut vocab,
-                target,
-                GenMode::Free,
-                &session.overrides,
-                &session.monitor_layers,
-                None,
-                synth,
-            );
-            session.cur = Some(SessionRound::Owned(trace, vocab));
-        }
+        // The sets only spare work: should they not decode, the next
+        // round synthesizes and scores every position, with the same
+        // flags.
+        session.round = RoundSets::decode(&cp.sets, k).unwrap_or_default();
         session.pending = cp.pending.clone().map(|query| PendingFlag { query });
         session
     }
@@ -549,10 +525,10 @@ impl<'a> LinkSession<'a> {
 
     fn finish(&mut self, outcome: RtsOutcome) -> SessionState {
         // A finished session is pure result: release the round state
-        // (trace + hidden stacks) eagerly instead of holding it until
-        // the session object drops — a serving engine may keep finished
-        // tickets around until clients collect them.
-        self.cur = None;
+        // eagerly instead of holding it until the session object drops
+        // — a serving engine may keep finished tickets around until
+        // clients collect them.
+        self.round = RoundSets::default();
         self.finished = Some(outcome.clone());
         SessionState::Done(outcome)
     }
@@ -584,39 +560,39 @@ impl<'a> LinkSession<'a> {
             return self.finish(outcome);
         }
         self.rounds_done += 1;
-        let round = if self.cur.is_none() || self.stale {
-            // A stale round is the one a `Pin` superseded. The tokens it
-            // emitted before the pinned element are the prefix the new
-            // round continues from, so its hidden stacks seed the
-            // regeneration (every step that matches in token, position
-            // and latent signal is taken over, not re-synthesized) and
-            // it drops right after. Both traces are live only for this
-            // one call.
-            let superseded = self.cur.take();
-            let mut vocab = Vocab::new();
-            let trace = self.model.generate_with_overrides_and_layers(
-                &self.inst,
-                &mut vocab,
-                self.target,
-                GenMode::Free,
-                &self.overrides,
-                &self.monitor_layers,
-                superseded.as_ref().map(SessionRound::trace),
-                &mut scratch.synth,
-            );
-            self.stale = false;
-            SessionRound::Owned(trace, vocab)
-        } else {
-            self.cur.take().expect("round state populated")
+        let generated;
+        let (trace, vocab) = match self.round0.take() {
+            Some(r) => (r.trace, r.vocab),
+            None => {
+                // Every later round regenerates the stream under the
+                // current overrides. Where a position's key is the one
+                // the last round monitored (the prefix before a pinned
+                // element; all of a stream a `Continue` left unchanged),
+                // synthesis skips it and the monitor takes its sets
+                // from `self.round`: the tokens the model already
+                // emitted are neither re-synthesized nor re-scored.
+                let mut vocab = Vocab::new();
+                let trace = self.model.generate_with_overrides_and_layers(
+                    &self.inst,
+                    &mut vocab,
+                    self.target,
+                    GenMode::Free,
+                    &self.overrides,
+                    &self.monitor_layers,
+                    self.round.step_keys(),
+                    &mut scratch.synth,
+                );
+                generated = (trace, vocab);
+                (&generated.0, &generated.1)
+            }
         };
-        let trace = round.trace();
         if self.would_be_correct.is_none() {
             // Round 0, no overrides: this stream is the counterfactual.
             self.would_be_correct = Some(trace.predicted_set() == self.gold_set);
         }
-        let flags = self
-            .mbpp
-            .flag_trace_with_scratch(trace, &mut self.rng, &mut scratch.bpp);
+        let flags =
+            self.mbpp
+                .flag_trace_reusing(trace, &mut self.round, &mut self.rng, &mut scratch.bpp);
 
         // First actionable flag: one raised on a not-yet-handled
         // element.
@@ -647,7 +623,6 @@ impl<'a> LinkSession<'a> {
                 n_interventions: self.n_interventions,
                 n_flags: self.n_flags,
             };
-            drop(round); // accepted: the stream's job is done
             return self.finish(outcome);
         };
 
@@ -658,7 +633,7 @@ impl<'a> LinkSession<'a> {
         // function of the stream and consumes no RNG).
         let implicated = crate::abstention::implicated(
             self.ctx.as_deref(),
-            round.vocab(),
+            vocab,
             &self.meta,
             self.target,
             &trace.tokens,
@@ -674,7 +649,6 @@ impl<'a> LinkSession<'a> {
             implicated,
             predicted: trace.predicted.clone(),
         };
-        self.cur = Some(round);
         self.pending = Some(PendingFlag {
             query: query.clone(),
         });
@@ -699,12 +673,13 @@ impl<'a> LinkSession<'a> {
                 }
                 self.finished = Some(self.abstained_outcome());
                 // The run is over; the parked round will never be read.
-                self.cur = None;
+                self.round = RoundSets::default();
             }
             FlagResolution::Continue => {
                 // Generation continues unchanged; don't re-consult for
-                // the same element. The stream is not stale — the next
-                // round reuses it.
+                // the same element. The next round regenerates the same
+                // stream, every key unchanged: nothing is synthesized
+                // or scored, only merged afresh.
                 self.n_interventions += 1;
                 self.handled.insert(pending.query.element_idx);
             }
@@ -712,17 +687,10 @@ impl<'a> LinkSession<'a> {
                 self.n_interventions += 1;
                 self.handled.insert(pending.query.element_idx);
                 self.overrides.insert(pending.query.gold_element, decision);
-                // The pinned decision changes the stream: the next
-                // `step` regenerates. The now-stale round stays as that
-                // regeneration's reuse source — its stacks up to the
-                // pinned element are exactly the ones the new stream
-                // needs — and is dropped by that step. The bound: a
-                // resolved, queued ticket holds at most this one
-                // superseded trace until a worker steps it, and the
-                // serving engine neither bills it (billing ends at
-                // unpark) nor evicts it (only tickets awaiting
-                // feedback are).
-                self.stale = true;
+                // The pinned decision changes the stream from the
+                // pinned element on; the next `step` regenerates and
+                // takes the superseded round's sets over wherever the
+                // key is unchanged.
             }
         }
     }
@@ -999,7 +967,7 @@ mod tests {
                         let back: SessionCheckpoint =
                             serde_json::from_str(&json).expect("checkpoint parses");
                         assert_eq!(cp, back, "checkpoint must survive the serde shim");
-                        // Drop the live session (hidden stacks freed)…
+                        // Drop the live session…
                         session = LinkSession::restore(
                             &fx.model,
                             &fx.mbpp,
@@ -1028,6 +996,26 @@ mod tests {
         assert!(exercised > 0, "no session ever suspended at this scale");
     }
 
+    /// How many positions of a fresh generation under the session's
+    /// current overrides have a key other than the session's round.
+    fn changed_keys(fx: &Fx, session: &LinkSession<'_>) -> (usize, usize) {
+        let fresh = fx.model.generate_with_overrides_and_layers(
+            &session.inst,
+            &mut Vocab::new(),
+            session.target,
+            GenMode::Free,
+            &session.overrides,
+            &session.monitor_layers,
+            &[],
+            &mut simlm::SynthScratch::default(),
+        );
+        let kept = session.round.step_keys();
+        let changed = (fresh.steps.iter().enumerate())
+            .filter(|(pos, step)| kept.get(*pos) != Some(&step.key()))
+            .count();
+        (changed, fresh.steps.len())
+    }
+
     #[test]
     fn regeneration_after_a_pin_reuses_the_superseded_round() {
         let fx = fixture();
@@ -1052,40 +1040,26 @@ mod tests {
             // `step` is idempotent while suspended, so the measuring
             // step below may be followed by the loop's own.
             while let SessionState::NeedsFeedback(q) = session.step(&mut scratch) {
-                session.resolve(resolve_flag(&policy, inst, &q));
-                if !session.stale {
+                let resolution = resolve_flag(&policy, inst, &q);
+                let pinned = matches!(resolution, FlagResolution::Pin(_));
+                session.resolve(resolution);
+                if !pinned {
                     continue;
                 }
-                // The superseded round stays until the next step.
-                let superseded = session.cur.as_ref().expect("kept").trace().clone();
-                let fresh = fx.model.generate_with_overrides_and_layers(
-                    inst,
-                    &mut Vocab::new(),
-                    LinkTarget::Tables,
-                    GenMode::Free,
-                    &session.overrides,
-                    &session.monitor_layers,
-                    None,
-                    &mut simlm::SynthScratch::default(),
-                );
+                // The superseded round's keys stay until the next step.
+                let (changed, len) = changed_keys(&fx, &session);
                 let before = scratch.synth.stacks_synthesized();
                 let _ = session.step(&mut scratch);
-                let synthesized = scratch.synth.stacks_synthesized() - before;
-                // Every token the new stream shares with the superseded
-                // one from the start is taken over, not synthesized.
-                let shared = superseded
-                    .steps
-                    .iter()
-                    .zip(&fresh.steps)
-                    .take_while(|(a, b)| a.token == b.token && a.hidden == b.hidden)
-                    .count();
-                assert!(shared >= 2, "the header is always shared");
-                assert!(
-                    synthesized + shared <= fresh.steps.len(),
-                    "instance {}: {synthesized} synthesized, {shared} of {} shared",
-                    inst.id,
-                    fresh.steps.len()
+                // Only the positions whose key the pin changed are
+                // synthesized; the rest keep the superseded sets.
+                assert_eq!(
+                    scratch.synth.stacks_synthesized() - before,
+                    changed,
+                    "instance {}",
+                    inst.id
                 );
+                let shared = len - changed;
+                assert!(shared >= 2, "the header is always shared");
                 if q.element_idx + 1 == session.gold.len() {
                     longest_on_last = longest_on_last.max(shared);
                 }
@@ -1096,6 +1070,112 @@ mod tests {
             longest_on_last > 2,
             "no pin on a last gold element reused an element"
         );
+    }
+
+    #[test]
+    fn restored_sessions_synthesize_only_what_the_resolution_changed() {
+        let fx = fixture();
+        let config = RtsConfig::default();
+        let mut scratch = LinkScratch::default();
+        let oracle = HumanOracle::new(Expertise::Expert, 5);
+        let human = MitigationPolicy::Human(&oracle);
+        let (mut pins, mut continues) = (0usize, 0usize);
+        for inst in fx.bench.split.dev.iter().take(60) {
+            let meta = fx.bench.meta(&inst.db_name).unwrap();
+            let ctx = fx.contexts.get(&inst.db_name, LinkTarget::Tables);
+            for continue_all in [false, true] {
+                let mut session = LinkSession::new(
+                    &fx.model,
+                    &fx.mbpp,
+                    inst,
+                    meta,
+                    LinkTarget::Tables,
+                    Some(CtxHandle::Borrowed(ctx)),
+                    None,
+                    &config,
+                );
+                while let SessionState::NeedsFeedback(q) = session.step(&mut scratch) {
+                    assert!(session.held_bytes() > 1, "a parked session bills its round");
+                    let json = serde_json::to_string(&session.checkpoint()).unwrap();
+                    let cp: SessionCheckpoint = serde_json::from_str(&json).unwrap();
+                    let before = scratch.synth.stacks_synthesized();
+                    session = LinkSession::restore(
+                        &fx.model,
+                        &fx.mbpp,
+                        inst,
+                        meta,
+                        LinkTarget::Tables,
+                        Some(CtxHandle::Borrowed(ctx)),
+                        &config,
+                        &cp,
+                        &mut scratch.synth,
+                    );
+                    assert_eq!(scratch.synth.stacks_synthesized(), before, "restore");
+                    let resolution = if continue_all {
+                        FlagResolution::Continue
+                    } else {
+                        resolve_flag(&human, inst, &q)
+                    };
+                    let counted = match resolution {
+                        FlagResolution::Continue => &mut continues,
+                        _ => &mut pins,
+                    };
+                    session.resolve(resolution);
+                    let (changed, _) = changed_keys(&fx, &session);
+                    let _ = session.step(&mut scratch);
+                    assert_eq!(
+                        scratch.synth.stacks_synthesized() - before,
+                        changed,
+                        "instance {}",
+                        inst.id
+                    );
+                    if continue_all {
+                        assert_eq!(changed, 0, "a Continue changes no key");
+                    }
+                    *counted += 1;
+                }
+            }
+        }
+        assert!(
+            pins > 0 && continues > 0,
+            "{pins} pins, {continues} continues"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "another monitor")]
+    fn restore_refuses_a_checkpoint_from_another_monitor() {
+        let fx = fixture();
+        let config = RtsConfig::default();
+        let mut scratch = LinkScratch::default();
+        let other = fx.mbpp.with_alpha(0.2);
+        for inst in &fx.bench.split.dev {
+            let meta = fx.bench.meta(&inst.db_name).unwrap();
+            let mut session = LinkSession::new(
+                &fx.model,
+                &other,
+                inst,
+                meta,
+                LinkTarget::Tables,
+                None,
+                None,
+                &config,
+            );
+            if let SessionState::NeedsFeedback(_) = session.step(&mut scratch) {
+                let cp = session.checkpoint();
+                let _ = LinkSession::restore(
+                    &fx.model,
+                    &fx.mbpp,
+                    inst,
+                    meta,
+                    LinkTarget::Tables,
+                    None,
+                    &config,
+                    &cp,
+                    &mut scratch.synth,
+                );
+            }
+        }
     }
 
     #[test]

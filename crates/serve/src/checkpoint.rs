@@ -1,14 +1,12 @@
-//! Parked-session checkpointing: the byte codec and the engine's
-//! eviction policy helpers.
+//! Parked-session checkpointing: the byte codec of
+//! [`rts_core::session::SessionCheckpoint`].
 //!
-//! A parked session's memory is dominated by its current round's
-//! synthesized hidden-state stacks (tens of kilobytes per request —
-//! megabytes once thousands of tenants park on slow humans). The
-//! [`rts_core::session::SessionCheckpoint`] drops the stacks and keeps
-//! only the recipe + irreplaceable state, so a checkpointed ticket
-//! costs a few hundred bytes of JSON instead. Restoration
-//! re-synthesizes the round bit-identically on a worker thread when
-//! the feedback finally arrives (or times out).
+//! A parked session holds no hidden stacks, only its last round's step
+//! keys and label sets (a few hundred bytes) plus its loop state; the
+//! checkpoint carries all of it in well under a kilobyte of JSON, the
+//! keys and sets as one hex string. Restoring synthesizes nothing;
+//! the regeneration after the feedback synthesizes only the positions
+//! the feedback changed, on the worker that resumes the ticket.
 
 use rts_core::session::SessionCheckpoint;
 
@@ -38,8 +36,8 @@ impl std::error::Error for DecodeError {}
 
 /// Rebuild a checkpoint from [`encode`]'s bytes. The buffer never
 /// leaves the engine, so a decode failure means corruption — the
-/// engine recovers by re-running the regeneration recipe every
-/// evicted ticket keeps in memory (never a worker panic).
+/// engine recovers from the recipe every evicted ticket keeps in
+/// memory (never a worker panic).
 pub fn try_decode(bytes: &[u8]) -> Result<SessionCheckpoint, DecodeError> {
     let text = std::str::from_utf8(bytes).map_err(|e| DecodeError(e.to_string()))?;
     serde_json::from_str(text).map_err(|e| DecodeError(format!("{e:?}")))
@@ -64,6 +62,7 @@ mod tests {
             instance: 41,
             is_table: false,
             corpus: simlm::CorpusVersion::default(),
+            monitor: 0x0123_4567_89AB_CDEF,
             rng_state: 0xDEAD_BEEF_0BAD_F00D,
             would_be_correct: Some(false),
             overrides: vec![
@@ -74,8 +73,7 @@ mod tests {
             n_interventions: 2,
             n_flags: 5,
             rounds_done: 3,
-            stale: false,
-            has_round: true,
+            sets: "050203304ca60a4625a53f550109c3f5285c8fc2ed3fea02".into(),
             pending: Some(FlagQuery {
                 instance: 41,
                 is_table: false,
@@ -101,6 +99,7 @@ mod tests {
         assert_eq!(encode(&cp), encode(&cp));
         // The point of checkpointing: bytes are of query-text order,
         // not hidden-stack order (tens of KB).
+        assert!(String::from_utf8(encode(&cp)).unwrap().contains(&cp.sets));
         assert!(encode(&cp).len() < 2048, "checkpoint unexpectedly large");
     }
 

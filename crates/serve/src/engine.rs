@@ -16,7 +16,8 @@ use rts_core::bpp::Mbpp;
 use rts_core::context::{db_shard, ContextCache};
 use rts_core::pipeline::JointOutcome;
 use rts_core::session::{
-    CtxHandle, FlagQuery, FlagResolution, Handle, LinkSession, SessionCheckpoint, SessionState,
+    monitor_fingerprint, CtxHandle, FlagQuery, FlagResolution, Handle, LinkSession,
+    SessionCheckpoint, SessionState,
 };
 use simlm::{LinkTarget, SchemaLinker};
 use std::collections::HashMap;
@@ -155,9 +156,9 @@ enum Phase {
 }
 
 /// How a stage's session is rebuilt should its live state be lost: the
-/// checkpoint captured when it parked, plus the resolution applied
-/// since. Generation is deterministic, so the rebuild is bit-identical
-/// — and a few hundred bytes, with no hidden-state stacks.
+/// checkpoint captured when it parked (its state and its round's label
+/// sets, no hidden stacks), plus the resolution applied since. The
+/// rebuild is bit-identical and synthesizes nothing.
 #[derive(Debug)]
 struct Recipe {
     checkpoint: SessionCheckpoint,
@@ -527,7 +528,7 @@ impl ServeEngine {
                     match self.decode_checkpoint(&bytes, &inst, stage) {
                         Some(cp) => recipe.checkpoint = cp,
                         // Corrupt checkpoint: the recipe kept in memory
-                        // re-runs the same regeneration bit-identically.
+                        // rebuilds the same session bit-identically.
                         None => {
                             shard
                                 .counters
@@ -535,7 +536,7 @@ impl ServeEngine {
                                 .fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    let s = self.rebuild_session(shard, &inst, &meta, stage, &recipe, scratch);
+                    let s = self.rebuild_session(shard, &inst, &meta, stage, &recipe);
                     recovery = Some(recipe);
                     s
                 }
@@ -578,7 +579,7 @@ impl ServeEngine {
                         }
                         s = match &recovery {
                             Some(recipe) => {
-                                self.rebuild_session(shard, &inst, &meta, stage, recipe, scratch)
+                                self.rebuild_session(shard, &inst, &meta, stage, recipe)
                             }
                             None => self.open_session(shard, &inst, &meta, stage),
                         };
@@ -692,10 +693,12 @@ impl ServeEngine {
 
     /// Decode an evicted session's checkpoint, or `None` when the
     /// bytes are corrupt (or an injected decode fault fires). A
-    /// decoded checkpoint must belong to this (instance, stage) AND to
-    /// the model's synthesis corpus — restore re-synthesizes the
-    /// round, so a cross-corpus checkpoint would rebuild different
-    /// hidden states.
+    /// decoded checkpoint must belong to this (instance, stage), to
+    /// the model's synthesis corpus and to this stage's monitor
+    /// ([`monitor_fingerprint`]): its label sets stand in for scoring
+    /// the round's hidden stacks, and another monitor's sets would
+    /// raise other flags. On `None` the caller rebuilds from the
+    /// recipe kept in memory.
     fn decode_checkpoint(
         &self,
         bytes: &[u8],
@@ -705,9 +708,11 @@ impl ServeEngine {
         if self.config.fault.trip(FaultSite::CheckpointDecode) {
             return None;
         }
-        checkpoint::try_decode(bytes)
-            .ok()
-            .filter(|cp| cp.matches(inst, stage) && cp.corpus == self.model.corpus())
+        checkpoint::try_decode(bytes).ok().filter(|cp| {
+            cp.matches(inst, stage)
+                && cp.corpus == self.model.corpus()
+                && cp.monitor == monitor_fingerprint(&self.model, self.mbpp(stage))
+        })
     }
 
     fn session_ctx(
@@ -758,14 +763,10 @@ impl ServeEngine {
         )
     }
 
-    /// Rebuild a session from its recipe, re-synthesizing the parked
-    /// round bit-identically (generation is deterministic in instance +
-    /// overrides), and re-apply the recipe's resolution. Shared by the
-    /// checkpoint-restore and panic-recovery paths. When the resolution
-    /// discards the round anyway (an abstention finishes the session
-    /// without reading it; a pin marks the stream stale and
-    /// regenerates), the synthesis is skipped — only a `Continue`
-    /// actually re-reads the parked round.
+    /// Rebuild a session from its recipe (no synthesis: the checkpoint
+    /// carries the parked round's label sets) and re-apply the recipe's
+    /// resolution. Shared by the checkpoint-restore and panic-recovery
+    /// paths.
     fn rebuild_session(
         &self,
         shard: &Shard,
@@ -773,15 +774,7 @@ impl ServeEngine {
         meta: &Arc<DbMeta>,
         stage: LinkTarget,
         recipe: &Recipe,
-        scratch: &mut LinkScratch,
     ) -> LinkSession<'static> {
-        let mut cp = recipe.checkpoint.clone();
-        if matches!(
-            recipe.resolution,
-            Some(FlagResolution::Abstain { .. } | FlagResolution::Pin(_))
-        ) {
-            cp.has_round = false;
-        }
         let mut session = LinkSession::restore_in(
             Handle::Shared(self.model.clone()),
             Handle::Shared(self.mbpp(stage).clone()),
@@ -790,8 +783,7 @@ impl ServeEngine {
             stage,
             self.session_ctx(shard, meta, stage),
             &self.config.rts,
-            &cp,
-            &mut scratch.synth,
+            &recipe.checkpoint,
         );
         if let Some(res) = &recipe.resolution {
             session.resolve(res.clone());
@@ -1175,10 +1167,9 @@ impl Shard {
 
     /// Evict live parked sessions (largest first) into serialized
     /// checkpoints until the parked-bytes `budget` (`0` = none) holds.
-    /// Serialization is cheap — the checkpoint is the regeneration
-    /// recipe, not the hidden stacks — so running under the state lock
-    /// is fine; the expensive re-synthesis happens on the worker that
-    /// resumes the ticket.
+    /// Serialization is cheap — the checkpoint is the session's state
+    /// and its round's label sets, under a kilobyte — so running under
+    /// the state lock is fine.
     fn enforce_parked_budget(&self, st: &mut ShardState, budget: usize) {
         if budget == 0 {
             return;
@@ -1206,7 +1197,7 @@ impl Shard {
             // recipe checkpoint is exactly the session's checkpoint.
             let bytes = checkpoint::encode(&recipe.checkpoint);
             self.counters.note_checkpointed(billed, bytes.len());
-            // The live session drops here — its hidden stacks are freed.
+            // The live session drops here — its label sets are freed.
             ticket.parked = Parked::Evicted { bytes, recipe };
         }
     }
@@ -2070,8 +2061,8 @@ mod tests {
             // Every park checkpoints…
             parked_bytes_budget: 1,
             // …and every checkpoint decode is corrupted: the engine
-            // must re-run the regeneration recipe from its in-memory
-            // salvage copy every single time.
+            // must rebuild from the recipe in its in-memory salvage
+            // copy every single time.
             fault: FaultPlan::seeded(3, 0.0).with_rate(FaultSite::CheckpointDecode, 1.0),
             ..Default::default()
         };
@@ -2102,6 +2093,49 @@ mod tests {
         );
         assert_eq!(stats.parked_bytes_now, 0);
         assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes);
+    }
+
+    /// A checkpoint whose label sets another monitor produced (here
+    /// the same probes recalibrated to α = 0.2) decodes fine but fails
+    /// the engine's decode filter, so the worker rebuilds from the
+    /// recipe it keeps in memory (the path
+    /// `corrupt_checkpoints_regenerate_from_salvage_with_parity` drives
+    /// end to end); the engine's own monitor's checkpoints pass.
+    #[test]
+    fn another_monitors_checkpoint_fails_the_decode_filter() {
+        let fx = fixture();
+        let engine = ServeEngine::new(
+            &fx.model,
+            &fx.mbpp_t,
+            &fx.mbpp_c,
+            &fx.bench.metas,
+            ServeConfig::default(),
+        );
+        let other = fx.mbpp_t.with_alpha(0.2);
+        let mut scratch = LinkScratch::default();
+        let mut suspended = 0;
+        for inst in &fx.bench.split.dev {
+            let meta = fx.bench.meta(&inst.db_name).unwrap();
+            for (mbpp, passes) in [(&fx.mbpp_t, true), (&other, false)] {
+                let mut session = LinkSession::new(
+                    &fx.model,
+                    mbpp,
+                    inst,
+                    meta,
+                    LinkTarget::Tables,
+                    None,
+                    None,
+                    &engine.config().rts,
+                );
+                if let SessionState::NeedsFeedback(_) = session.step(&mut scratch) {
+                    let bytes = checkpoint::encode(&session.checkpoint());
+                    let decoded = engine.decode_checkpoint(&bytes, inst, LinkTarget::Tables);
+                    assert_eq!(decoded.is_some(), passes, "instance {}", inst.id);
+                    suspended += 1;
+                }
+            }
+        }
+        assert!(suspended > 0, "no session suspended at this scale");
     }
 
     #[test]

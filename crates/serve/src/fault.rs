@@ -15,8 +15,8 @@
 //!   retries with backoff; past the retry budget the ticket degrades to
 //!   abstention (`faulted` in the outcome), never a dead pool.
 //! * [`FaultSite::CheckpointDecode`] — a parked-session checkpoint
-//!   fails to decode. The engine re-runs the regeneration recipe the
-//!   evicted ticket keeps in memory.
+//!   fails to decode. The engine rebuilds the session from the recipe
+//!   the evicted ticket keeps in memory.
 //! * [`FaultSite::ContextBuild`] — building a shared `LinkContext`
 //!   fails. The session runs context-free instead; the reference
 //!   implicated-set path is outcome-identical (pinned by the parity
@@ -125,11 +125,6 @@ impl FaultPlan {
         self
     }
 
-    /// Is any site armed?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Draw the next scheduled decision for `site`: does this fault
     /// fire? Deterministic in `(seed, site, draw index)`.
     #[inline]
@@ -206,10 +201,15 @@ mod tests {
     #[test]
     fn disabled_plan_never_trips() {
         let plan = FaultPlan::disabled();
-        assert!(!plan.is_enabled());
-        assert!(sequence(&plan, FaultSite::StepPanic, 256)
-            .iter()
-            .all(|t| !t));
+        for site in [
+            FaultSite::StepPanic,
+            FaultSite::CheckpointDecode,
+            FaultSite::ContextBuild,
+            FaultSite::FeedbackLoss,
+            FaultSite::FeedbackDelay,
+        ] {
+            assert!(sequence(&plan, site, 256).iter().all(|t| !t), "{site:?}");
+        }
     }
 
     #[test]

@@ -35,11 +35,10 @@
 //!   degrade through the same abstention mechanism.
 //! * **Parked-session checkpointing** — past
 //!   [`ServeConfig::parked_bytes_budget`], the largest parked sessions
-//!   are serialized through the serde shim (a few hundred bytes of
-//!   recipe instead of tens of KB of hidden-state stacks) and restored
-//!   bit-identically when their feedback arrives — generation is
-//!   deterministic, so the evicted round re-synthesizes exactly
-//!   (pinned by the checkpoint-roundtrip parity proptests).
+//!   are serialized through the serde shim (the session's state and
+//!   its round's label sets: under a kilobyte, no hidden stacks) and
+//!   restored bit-identically, with no synthesis, when their feedback
+//!   arrives (pinned by the checkpoint-roundtrip parity proptests).
 //! * **Non-blocking feedback** — when a session hits a branching flag
 //!   it is *parked* (worker moves on); the client answers through
 //!   [`Engine::resolve`] and the session re-enters the work queue.
@@ -66,7 +65,7 @@
 //! * **Degrade-only fault tolerance** — a panicking session step is
 //!   caught (`catch_unwind`), rebuilt from its recipe and retried
 //!   with backoff before degrading the one ticket to abstention;
-//!   corrupt checkpoints re-run their regeneration recipe;
+//!   corrupt checkpoints are rebuilt from their recipe;
 //!   failed context builds fall back to the outcome-identical
 //!   context-free path; client API misuse (unknown tickets, double
 //!   resolves) returns typed errors ([`ClientEvent::Retired`],

@@ -81,7 +81,7 @@ pub struct ServingStats {
     pub parked_sessions_now: usize,
     /// Parked sessions evicted to checkpoint bytes (cumulative).
     pub checkpoints: u64,
-    /// Checkpointed sessions re-synthesized on resume (cumulative).
+    /// Checkpointed sessions restored on resume (cumulative).
     pub restores: u64,
     /// Peak bytes held in serialized checkpoints.
     pub checkpoint_bytes_peak: usize,
@@ -268,7 +268,7 @@ impl Counters {
         self.invariant_breaches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A checkpointed session was re-synthesized on a worker.
+    /// A checkpointed session was restored on a worker.
     pub fn note_restored(&self, bytes: usize) {
         self.restores.fetch_add(1, Ordering::Relaxed);
         self.checkpoint_bytes.fetch_sub(bytes, Ordering::Relaxed);
@@ -276,7 +276,7 @@ impl Counters {
 
     /// A checkpoint was dropped without restoring (its ticket was shed
     /// past the deadline): the bytes leave the gauge, but nothing was
-    /// re-synthesized so `restores` stays put.
+    /// restored so `restores` stays put.
     pub fn note_checkpoint_discarded(&self, bytes: usize) {
         self.checkpoint_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
@@ -365,7 +365,7 @@ mod tests {
         let c = Counters::default();
         c.note_parked(500);
         c.note_checkpointed(500, 64);
-        // Shed past its deadline: bytes leave, no re-synthesis billed.
+        // Shed past its deadline: bytes leave, no restore billed.
         c.note_checkpoint_discarded(64);
         assert_eq!(c.checkpoint_bytes.load(Ordering::Relaxed), 0);
         assert_eq!(c.restores.load(Ordering::Relaxed), 0);

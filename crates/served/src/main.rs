@@ -49,6 +49,16 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// The corpus and merge-RNG seed: `RTS_SEED` in decimal, by default
+/// the paper experiments' `0xC0FFEE`.
+fn env_seed() -> u64 {
+    parse_seed(std::env::var("RTS_SEED").ok().as_deref())
+}
+
+fn parse_seed(value: Option<&str>) -> u64 {
+    value.and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE)
+}
+
 fn env_ms(key: &str) -> Option<Duration> {
     std::env::var(key)
         .ok()
@@ -61,7 +71,7 @@ fn main() -> ExitCode {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.03);
-    let seed = rts_bench::env_seed();
+    let seed = env_seed();
     let addr = std::env::var("RTS_SERVED_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
 
     // Bind before the (slow) training so a launcher that polls the
@@ -155,5 +165,18 @@ fn main() -> ExitCode {
             eprintln!("[rts-served] worker scope panicked");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seed;
+
+    #[test]
+    fn seed_defaults_to_c0ffee_and_parses_a_decimal_override() {
+        assert_eq!(parse_seed(None), 0xC0FFEE);
+        assert_eq!(parse_seed(Some("12648430")), 0xC0FFEE);
+        assert_eq!(parse_seed(Some("42")), 42);
+        assert_eq!(parse_seed(Some("0x2A")), 0xC0FFEE, "decimal only");
     }
 }

@@ -43,7 +43,7 @@ pub mod vocab;
 pub use linearize::{decode_elements, linearize_columns, linearize_tables, IncrementalDecoder};
 pub use model::{
     CorpusVersion, Decision, GenMode, GenerationTrace, HiddenStack, LayerSet, LinkTarget,
-    SchemaLinker, StepTrace, SynthScratch,
+    SchemaLinker, StepKey, StepTrace, SynthScratch,
 };
 pub use profile::CompetenceProfile;
 pub use trie::Trie;

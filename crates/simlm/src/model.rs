@@ -232,6 +232,16 @@ impl HiddenStack {
         }
     }
 
+    /// The stack of a step generation skipped as already known: no
+    /// layer at all, and no allocation (reading a layer panics).
+    fn skipped(dim: usize) -> Self {
+        Self {
+            dim,
+            data: Vec::new(),
+            layers: None,
+        }
+    }
+
     /// Number of synthesized layers in the stack (mirrors the old
     /// `Vec` API; equals the model depth only for dense stacks).
     #[allow(clippy::len_without_is_empty)]
@@ -272,12 +282,6 @@ impl HiddenStack {
     /// [`HiddenStack::layer_indices`] to know which layer each row is.
     pub fn iter(&self) -> std::slice::ChunksExact<'_, f32> {
         self.data.chunks_exact(self.dim)
-    }
-
-    /// Heap bytes the synthesized hidden states occupy — what a parked
-    /// serving session holding this stack is billed for.
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of_val(self.data.as_slice())
     }
 
     /// The original layer id of each stored row, in row order.
@@ -328,10 +332,21 @@ pub struct StepTrace {
     /// header/separator tokens).
     pub element_idx: Option<usize>,
     /// Bits of the latent risk signal `s` the stack was synthesized
-    /// from. With the token, the position and the trace's
-    /// [`SynthOrigin`] it is the whole input of the synthesis, so a
-    /// later generation may take the stack over when they all match.
+    /// from (half of [`StepTrace::key`]).
     s_bits: u64,
+}
+
+/// What one step's hidden stack is synthesized from besides its
+/// position and the generation's fixed inputs (model, instance,
+/// target, layer set): the token id and the bits of the latent risk
+/// signal `s`. Two generations that agree on those fixed inputs and on
+/// a position's key synthesize the same stack there, bit for bit, so a
+/// caller that kept what it derived from that stack may skip it (see
+/// [`SchemaLinker::generate_with_overrides_and_layers`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepKey {
+    pub token: TokenId,
+    pub s_bits: u64,
 }
 
 /// A full generation.
@@ -345,24 +360,6 @@ pub struct GenerationTrace {
     /// Per-gold-element decisions (parallel to the gold element list).
     pub decisions: Vec<Decision>,
     pub n_branches: usize,
-    /// Boxed to keep the trace small: sessions hold one inline in an
-    /// enum beside a borrowed round, and the origin is read only once
-    /// per generation.
-    origin: Box<SynthOrigin>,
-}
-
-/// Everything a trace's hidden stacks depend on besides each step's
-/// own token, position and `s`: the model's synthesis identity, the
-/// instance, the target and the layer set. A reuse source must match
-/// it as a whole.
-#[derive(Debug, Clone, PartialEq)]
-struct SynthOrigin {
-    model_seed: u64,
-    n_layers: usize,
-    hidden_dim: usize,
-    instance: u64,
-    target: LinkTarget,
-    layers: LayerSet,
 }
 
 impl StepTrace {
@@ -371,6 +368,14 @@ impl StepTrace {
     /// [`SchemaLinker::hidden_states_reference`].
     pub fn s(&self) -> f64 {
         f64::from_bits(self.s_bits)
+    }
+
+    /// The step's synthesis key: its token and the bits of its `s`.
+    pub fn key(&self) -> StepKey {
+        StepKey {
+            token: self.token,
+            s_bits: self.s_bits,
+        }
     }
 }
 
@@ -381,13 +386,6 @@ impl GenerationTrace {
         s.sort();
         s.dedup();
         s
-    }
-
-    /// Total heap bytes of synthesized hidden state across the trace —
-    /// the dominant share of what a suspended linking session keeps
-    /// alive while parked awaiting feedback.
-    pub fn hidden_bytes(&self) -> usize {
-        self.steps.iter().map(|s| s.hidden.footprint_bytes()).sum()
     }
 
     /// Pack one layer's hidden states across all tokens into a
@@ -603,7 +601,7 @@ impl SchemaLinker {
             mode,
             overrides,
             &LayerSet::all(),
-            None,
+            &[],
             &mut SynthScratch::default(),
         )
     }
@@ -630,28 +628,29 @@ impl SchemaLinker {
             mode,
             &HashMap::new(),
             layers,
-            None,
+            &[],
             scratch,
         )
     }
 
     /// The full-control generation entry point: decision overrides, a
-    /// [`LayerSet`] selecting which hidden layers to synthesize, and an
-    /// optional earlier trace to reuse hidden stacks from.
+    /// [`LayerSet`] selecting which hidden layers to synthesize, and the
+    /// step keys of positions the caller already has.
     ///
-    /// `reuse` is the "continue after a correction" path: when a pinned
+    /// `known` is the "continue after a correction" path: when a pinned
     /// decision changes the stream, the tokens before the change (and
     /// any later token that lines up again) are the ones the model has
-    /// already emitted, so their stacks are taken over from `reuse`
-    /// instead of re-synthesized — what a transformer reads from its KV
-    /// cache. A step's stack is reused only when `reuse` was generated
-    /// by a linker with this one's seed and shape, for the same
-    /// instance, target and layer set, and its step at the same
-    /// position has the same token id and the same bits of the latent
-    /// signal `s`. Synthesis is a pure function of exactly those
-    /// inputs, so the result is bit-identical to `reuse = None`; any
-    /// other trace is simply not reused. Tokens, decisions, softmax
-    /// probabilities and branch marks are always computed afresh.
+    /// already emitted, and a caller that kept what it read from their
+    /// stacks — what a transformer keeps in its KV cache — needs no new
+    /// ones. A step whose [`StepKey`] equals `known[pos]` gets an empty
+    /// stack (no layer synthesized, not counted by
+    /// [`SynthScratch::stacks_synthesized`]); every other step's stack is
+    /// synthesized as with `known = &[]`. The skip is sound only when
+    /// `known` came from a generation by this linker for the same
+    /// instance, target and layer set — the caller's contract, which a
+    /// monitored session keeps by construction. Tokens, decisions,
+    /// softmax probabilities and branch marks are always computed
+    /// afresh.
     #[allow(clippy::too_many_arguments)] // the one fully-explicit entry point
     pub fn generate_with_overrides_and_layers(
         &self,
@@ -661,7 +660,7 @@ impl SchemaLinker {
         mode: GenMode,
         overrides: &HashMap<String, Decision>,
         layers: &LayerSet,
-        reuse: Option<&GenerationTrace>,
+        known: &[StepKey],
         scratch: &mut SynthScratch,
     ) -> GenerationTrace {
         let gold = Self::gold_elements(inst, target);
@@ -904,19 +903,6 @@ impl SchemaLinker {
             })
             .collect();
 
-        let origin = Box::new(SynthOrigin {
-            model_seed: self.seed,
-            n_layers: self.n_layers,
-            hidden_dim: self.hidden_dim,
-            instance: inst.id,
-            target,
-            layers: layers.clone(),
-        });
-        let reusable: &[StepTrace] = match reuse {
-            Some(prev) if prev.origin == origin => &prev.steps,
-            _ => &[],
-        };
-
         // Materialise steps with hidden states and probabilities.
         let mut tokens = Vec::new();
         let mut steps = Vec::new();
@@ -994,9 +980,11 @@ impl SchemaLinker {
                 };
 
                 let s_bits = s.to_bits();
-                let hidden = match reusable.get(pos) {
-                    Some(prev) if prev.token == tok && prev.s_bits == s_bits => prev.hidden.clone(),
-                    _ => self.hidden_states_for(inst, pos, tok, s, layers, scratch),
+                let key = StepKey { token: tok, s_bits };
+                let hidden = if known.get(pos) == Some(&key) {
+                    HiddenStack::skipped(self.hidden_dim)
+                } else {
+                    self.hidden_states_for(inst, pos, tok, s, layers, scratch)
                 };
                 tokens.push(tok);
                 steps.push(StepTrace {
@@ -1017,7 +1005,6 @@ impl SchemaLinker {
             predicted,
             decisions,
             n_branches,
-            origin,
         }
     }
 
@@ -1283,8 +1270,8 @@ pub struct SynthScratch {
 }
 
 impl SynthScratch {
-    /// Token stacks synthesized through this scratch so far; stacks
-    /// reused from an earlier trace are not counted.
+    /// Token stacks synthesized through this scratch so far; positions
+    /// skipped as already known are not counted.
     pub fn stacks_synthesized(&self) -> usize {
         self.stacks_synthesized
     }
@@ -1571,30 +1558,8 @@ mod tests {
         );
     }
 
-    /// Bit-level equality of two traces: every observable and every
-    /// synthesized hidden value.
-    fn assert_same_trace(a: &GenerationTrace, b: &GenerationTrace) {
-        assert_eq!(a.tokens, b.tokens);
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.predicted, b.predicted);
-        assert_eq!(a.n_branches, b.n_branches);
-        assert_eq!(a.steps.len(), b.steps.len());
-        for (sa, sb) in a.steps.iter().zip(&b.steps) {
-            assert_eq!(sa.softmax_prob.to_bits(), sb.softmax_prob.to_bits());
-            assert_eq!(sa.is_branch, sb.is_branch);
-            assert_eq!(sa.element_idx, sb.element_idx);
-            assert_eq!(sa.s_bits, sb.s_bits);
-            assert_eq!(
-                sa.hidden.layer_indices().collect::<Vec<_>>(),
-                sb.hidden.layer_indices().collect::<Vec<_>>()
-            );
-            let bits = |h: &HiddenStack| h.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&sa.hidden), bits(&sb.hidden));
-        }
-    }
-
     #[test]
-    fn reuse_is_bit_identical_to_fresh_generation() {
+    fn skipping_known_steps_synthesizes_only_changed_keys() {
         let b = bench();
         let m = linker();
         let layer_sets = [
@@ -1602,60 +1567,30 @@ mod tests {
             LayerSet::select([0, 7, 19, 21, 29]),
             LayerSet::none(),
         ];
+        let bits = |h: &HiddenStack| h.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut rng = SplitMix64::new(0x5EED);
         let mut scratch = SynthScratch::default();
-        // Generate with and without a reuse source; return the result
-        // and how many stacks the reusing call synthesized.
-        let mut both = |inst: &Instance,
-                        target: LinkTarget,
-                        overrides: &HashMap<String, Decision>,
-                        layers: &LayerSet,
-                        prev: &GenerationTrace| {
-            let fresh = m.generate_with_overrides_and_layers(
-                inst,
-                &mut Vocab::new(),
-                target,
-                GenMode::Free,
-                overrides,
-                layers,
-                None,
-                &mut SynthScratch::default(),
-            );
-            let before = scratch.stacks_synthesized();
-            let reused = m.generate_with_overrides_and_layers(
-                inst,
-                &mut Vocab::new(),
-                target,
-                GenMode::Free,
-                overrides,
-                layers,
-                Some(prev),
-                &mut scratch,
-            );
-            assert_same_trace(&reused, &fresh);
-            (reused, scratch.stacks_synthesized() - before)
-        };
-        let (mut tokens, mut synthesized) = (0usize, 0usize);
-        let insts = &b.split.dev[..b.split.dev.len().min(30)];
-        for (n, inst) in insts.iter().enumerate() {
-            let other = &insts[(n + 1) % insts.len()];
+        let (mut tokens, mut skipped) = (0usize, 0usize);
+        for inst in &b.split.dev[..b.split.dev.len().min(30)] {
             for target in [LinkTarget::Tables, LinkTarget::Columns] {
-                let other_target = match target {
-                    LinkTarget::Tables => LinkTarget::Columns,
-                    LinkTarget::Columns => LinkTarget::Tables,
-                };
                 let gold = SchemaLinker::gold_elements(inst, target);
-                for (l, layers) in layer_sets.iter().enumerate() {
-                    let other_layers = &layer_sets[(l + 1) % layer_sets.len()];
+                for layers in &layer_sets {
+                    let generate = |overrides: &HashMap<String, Decision>,
+                                    known: &[StepKey],
+                                    scratch: &mut SynthScratch| {
+                        m.generate_with_overrides_and_layers(
+                            inst,
+                            &mut Vocab::new(),
+                            target,
+                            GenMode::Free,
+                            overrides,
+                            layers,
+                            known,
+                            scratch,
+                        )
+                    };
                     let mut overrides = HashMap::new();
-                    let mut prev = m.generate_with_layers(
-                        inst,
-                        &mut Vocab::new(),
-                        target,
-                        GenMode::Free,
-                        layers,
-                        &mut SynthScratch::default(),
-                    );
+                    let mut prev = generate(&overrides, &[], &mut SynthScratch::default());
                     // A random sequence of pins, each continuing from
                     // the round it supersedes, as a session does.
                     for _ in 0..3 {
@@ -1667,52 +1602,43 @@ mod tests {
                             _ => Decision::Substitute(format!("{e}_alt")),
                         };
                         overrides.insert(e.clone(), pin);
-                        let (next, synth) = both(inst, target, &overrides, layers, &prev);
+                        let known: Vec<StepKey> = prev.steps.iter().map(StepTrace::key).collect();
+                        let fresh = generate(&overrides, &[], &mut SynthScratch::default());
+                        let before = scratch.stacks_synthesized();
+                        let next = generate(&overrides, &known, &mut scratch);
+                        let synthesized = scratch.stacks_synthesized() - before;
+                        assert_eq!(next.tokens, fresh.tokens);
+                        assert_eq!(next.decisions, fresh.decisions);
+                        assert_eq!(next.predicted, fresh.predicted);
+                        assert_eq!(next.n_branches, fresh.n_branches);
+                        assert_eq!(next.steps.len(), fresh.steps.len());
+                        let mut changed = 0;
+                        for (pos, (sn, sf)) in next.steps.iter().zip(&fresh.steps).enumerate() {
+                            assert_eq!(sn.softmax_prob.to_bits(), sf.softmax_prob.to_bits());
+                            assert_eq!(sn.is_branch, sf.is_branch);
+                            assert_eq!(sn.element_idx, sf.element_idx);
+                            assert_eq!(sn.key(), sf.key());
+                            if known.get(pos) == Some(&sf.key()) {
+                                // Skipped: and the stack the caller
+                                // already has is the one it would get.
+                                assert_eq!(sn.hidden.len(), 0, "pos {pos} synthesized");
+                                assert_eq!(bits(&prev.steps[pos].hidden), bits(&sf.hidden));
+                                skipped += 1;
+                            } else {
+                                assert_eq!(bits(&sn.hidden), bits(&sf.hidden), "pos {pos}");
+                                changed += 1;
+                            }
+                        }
+                        assert_eq!(synthesized, changed);
                         tokens += next.steps.len();
-                        synthesized += synth;
-                        prev = next;
-                    }
-                    // Sources that must never be reused: another
-                    // instance, the other target, another layer set.
-                    let foreign = [
-                        m.generate_with_layers(
-                            other,
-                            &mut Vocab::new(),
-                            target,
-                            GenMode::Free,
-                            layers,
-                            &mut SynthScratch::default(),
-                        ),
-                        m.generate_with_layers(
-                            inst,
-                            &mut Vocab::new(),
-                            other_target,
-                            GenMode::Free,
-                            layers,
-                            &mut SynthScratch::default(),
-                        ),
-                        m.generate_with_layers(
-                            inst,
-                            &mut Vocab::new(),
-                            target,
-                            GenMode::Free,
-                            other_layers,
-                            &mut SynthScratch::default(),
-                        ),
-                    ];
-                    for src in &foreign {
-                        let (next, synth) = both(inst, target, &overrides, layers, src);
-                        assert_eq!(synth, next.steps.len(), "a foreign stack was reused");
+                        prev = fresh;
                     }
                 }
             }
         }
-        // Reuse must actually fire: every stream opens with the same
-        // header, so at least that prefix is taken over.
-        assert!(
-            synthesized < tokens,
-            "{synthesized} of {tokens} stacks synthesized"
-        );
+        // Every stream opens with the same header, so at least that
+        // prefix is skipped; and not everything is.
+        assert!(skipped > 0 && skipped < tokens, "{skipped} of {tokens}");
     }
 
     #[test]

@@ -558,9 +558,9 @@ mod parity {
 
         /// Checkpointed-and-restored sessions ≡ the monolithic blocking
         /// loop: at every suspension the session is serialized through
-        /// the serde shim, dropped (hidden stacks and all), restored
-        /// from bytes (the evicted round re-synthesized from the
-        /// override recipe), and only then resolved. Flags, the merge
+        /// the serde shim, dropped, restored from bytes (the round's
+        /// label sets with it, nothing synthesized), and only then
+        /// resolved. Flags, the merge
         /// RNG stream, interventions and outcomes must be identical to
         /// a run that never parked — under both thread counts of the
         /// CI matrix, so `results/*.json`
