@@ -561,41 +561,6 @@ impl Engine for RtsClient {
         }
     }
 
-    fn wait_event_changed(&self, ticket: u64, last_seen: Option<&FlagQuery>) -> ClientEvent {
-        loop {
-            // Skip the level-triggered cache when it is exactly the
-            // query the caller already holds.
-            {
-                let mut st = self.inner.client_state.lock();
-                let unchanged = st.mail.get(&ticket).is_none_or(VecDeque::is_empty)
-                    && !st.finished.contains(&ticket)
-                    && st.fatal.is_none()
-                    && !st.dead
-                    && match (last_seen, st.pending_query.get(&ticket)) {
-                        (Some(last), Some((_, q))) => q == last,
-                        (Some(_), None) => true,
-                        (None, _) => false,
-                    };
-                if unchanged {
-                    self.inner.bell.wait_for(&mut st, MAIL_POLL);
-                    continue;
-                }
-            }
-            match self.wait_event(ticket) {
-                ClientEvent::NeedsFeedback { target, query } => {
-                    if last_seen != Some(&query) {
-                        return ClientEvent::NeedsFeedback { target, query };
-                    }
-                    // The cached query resurfaced; keep waiting for a
-                    // genuinely new state.
-                    let mut st = self.inner.client_state.lock();
-                    self.inner.bell.wait_for(&mut st, MAIL_POLL);
-                }
-                done => return done,
-            }
-        }
-    }
-
     fn resolve(
         &self,
         ticket: u64,

@@ -5,8 +5,11 @@
 //!
 //! The trait abstracts exactly the client-visible surface: submission,
 //! event waiting, feedback resolution, stats, schema invalidation, and
-//! shutdown. Engines stay free to expose richer inherent APIs (worker
-//! loops, shard introspection); generic callers see only this.
+//! shutdown; a caller waits for events in [`Engine::wait_event`].
+//! Engines stay free to expose richer inherent APIs (worker loops,
+//! shard introspection, [`ServeEngine::watch`](crate::ServeEngine::watch)
+//! pushing events without a waiting thread); generic callers see only
+//! this.
 
 use crate::engine::{ClientEvent, ServeOutcome};
 use crate::error::{ResolveError, SubmitError};
@@ -29,12 +32,6 @@ pub trait Engine: Sync {
     /// re-polling a suspended ticket returns the same query, and a
     /// collected or unknown ticket reads [`ClientEvent::Retired`].
     fn wait_event(&self, ticket: TicketId) -> ClientEvent;
-
-    /// Edge-triggered [`Engine::wait_event`]: block until the ticket's
-    /// state differs from `last_seen` (the query the caller already
-    /// holds). What a connection handler pushing events to a remote
-    /// client waits on.
-    fn wait_event_changed(&self, ticket: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent;
 
     /// Apply feedback to a suspended ticket. `query` is the flag being
     /// answered — its identity guards against a stale answer landing

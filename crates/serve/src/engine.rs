@@ -185,7 +185,6 @@ enum Parked {
     Evicted { bytes: Vec<u8>, recipe: Recipe },
 }
 
-#[derive(Debug)]
 struct Ticket {
     tenant: TenantId,
     inst: Arc<Instance>,
@@ -205,9 +204,11 @@ struct Ticket {
     /// to abstention.
     drained: bool,
     phase: Phase,
+    /// Set by [`ServeEngine::watch`]: gets every `NeedsFeedback` at a
+    /// park and the `Done` at finalize, under the state lock.
+    sink: Option<Box<dyn FnMut(ClientEvent) + Send>>,
 }
 
-#[derive(Debug)]
 struct ShardState {
     /// Per-tenant sub-queues with deficit-round-robin dispatch;
     /// resumed sessions drain before admissions so feedback-ready work
@@ -272,6 +273,9 @@ pub struct ServeEngine {
     model: Arc<SchemaLinker>,
     mbpp_tables: Arc<Mbpp>,
     mbpp_columns: Arc<Mbpp>,
+    /// Each stage's [`monitor_fingerprint`]; a checkpoint must match.
+    monitor_tables: u64,
+    monitor_columns: u64,
     metas: HashMap<String, Arc<DbMeta>>,
     config: ServeConfig,
     shards: Vec<Shard>,
@@ -343,6 +347,8 @@ impl ServeEngine {
             })
             .collect();
         Self {
+            monitor_tables: monitor_fingerprint(&model, &mbpp_tables),
+            monitor_columns: monitor_fingerprint(&model, &mbpp_columns),
             model,
             mbpp_tables,
             mbpp_columns,
@@ -654,6 +660,12 @@ impl ServeEngine {
                     };
                     ticket.stage = stage;
                     ticket.park_deadline = park_deadline;
+                    if let Some(sink) = &mut ticket.sink {
+                        sink(ClientEvent::NeedsFeedback {
+                            target: stage,
+                            query: query.clone(),
+                        });
+                    }
                     ticket.phase = Phase::AwaitingFeedback(query);
                     st.queues.note_parked(tenant);
                     shard.counters.note_parked(billed);
@@ -711,7 +723,11 @@ impl ServeEngine {
         checkpoint::try_decode(bytes).ok().filter(|cp| {
             cp.matches(inst, stage)
                 && cp.corpus == self.model.corpus()
-                && cp.monitor == monitor_fingerprint(&self.model, self.mbpp(stage))
+                && cp.monitor
+                    == match stage {
+                        LinkTarget::Tables => self.monitor_tables,
+                        LinkTarget::Columns => self.monitor_columns,
+                    }
         })
     }
 
@@ -826,6 +842,32 @@ impl ServeEngine {
     pub fn config(&self) -> &ServeConfig {
         &self.config
     }
+
+    /// [`Engine::wait_event`] without a thread per ticket: push ticket
+    /// `id`'s events into `sink`. It gets the current state at once (a
+    /// parked ticket's query, a finished one's `Done`, which retires
+    /// it, or `Retired` for an unknown id), then a `NeedsFeedback` at
+    /// every later park and one `Done`, after which the ticket is gone.
+    ///
+    /// The sink runs under the shard's `state` lock, on whichever
+    /// thread moves the ticket, so its events stay in order even when
+    /// a timeout or the shutdown drain requeues it. Lock order: shard
+    /// `state` → what the sink locks (`rts-served`: the session's
+    /// `conn_state`). So the sink takes only leaf locks and never calls
+    /// the engine, and no caller calls the engine holding such a lock.
+    pub fn watch(&self, id: TicketId, mut sink: impl FnMut(ClientEvent) + Send + 'static) {
+        let Some(shard) = self.ticket_shard(id) else {
+            return sink(ClientEvent::Retired);
+        };
+        let mut st = shard.state.lock();
+        if let Some(event) = st.current_event(id) {
+            sink(event);
+        }
+        // After a `Done` or `Retired` no ticket is left to keep it.
+        if let Some(ticket) = st.tickets.get_mut(&id) {
+            ticket.sink = Some(Box::new(sink));
+        }
+    }
 }
 
 impl Engine for ServeEngine {
@@ -895,6 +937,7 @@ impl Engine for ServeEngine {
                 timed_out: false,
                 drained: false,
                 phase: Phase::Queued,
+                sink: None,
             },
         );
         st.queues.push_admission(tenant, id);
@@ -906,44 +949,15 @@ impl Engine for ServeEngine {
     }
 
     fn wait_event(&self, id: TicketId) -> ClientEvent {
-        self.wait_event_changed(id, None)
-    }
-
-    /// Block until the ticket's state *differs* from `last_seen` — the
-    /// query the caller already has in hand, or `None` when it has
-    /// seen nothing yet (which is plain [`Engine::wait_event`]). A
-    /// level-triggered poll loop spins while a known flag stays
-    /// unanswered; a connection handler pushing events to a remote
-    /// client needs "wake me on the *next* transition" instead. Round
-    /// numbers make successive queries of one ticket distinct, so
-    /// equality on the query is a correct edge detector.
-    fn wait_event_changed(&self, id: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent {
         let Some(shard) = self.ticket_shard(id) else {
             return ClientEvent::Retired;
         };
         let mut st = shard.state.lock();
         loop {
-            let Some(ticket) = st.tickets.get(&id) else {
-                return ClientEvent::Retired;
-            };
-            match &ticket.phase {
-                Phase::AwaitingFeedback(query) if Some(query) != last_seen => {
-                    return ClientEvent::NeedsFeedback {
-                        target: ticket.stage,
-                        query: query.clone(),
-                    };
-                }
-                Phase::Done(_) => {
-                    return match st.tickets.remove(&id).map(|t| t.phase) {
-                        Some(Phase::Done(outcome)) => ClientEvent::Done(outcome),
-                        // Unreachable under the lock held since the
-                        // check above — but a client API degrades, it
-                        // never panics.
-                        _ => ClientEvent::Retired,
-                    };
-                }
-                _ => shard.client_cv.wait(&mut st),
+            if let Some(event) = st.current_event(id) {
+                return event;
             }
+            shard.client_cv.wait(&mut st);
         }
     }
 
@@ -1035,6 +1049,29 @@ impl Engine for ServeEngine {
 
     fn shutdown(&self) {
         ServeEngine::shutdown(self)
+    }
+}
+
+impl ShardState {
+    /// What a client of ticket `id` sees now: its query while parked,
+    /// its outcome once finished (which retires it), `Retired` for no
+    /// such ticket, and `None` while it is queued or running.
+    fn current_event(&mut self, id: TicketId) -> Option<ClientEvent> {
+        let Some(ticket) = self.tickets.get(&id) else {
+            return Some(ClientEvent::Retired);
+        };
+        match &ticket.phase {
+            Phase::Queued | Phase::Running => None,
+            Phase::AwaitingFeedback(query) => Some(ClientEvent::NeedsFeedback {
+                target: ticket.stage,
+                query: query.clone(),
+            }),
+            Phase::Done(_) => Some(match self.tickets.remove(&id).map(|t| t.phase) {
+                Some(Phase::Done(outcome)) => ClientEvent::Done(outcome),
+                // Unreachable under this lock; a client API degrades.
+                _ => ClientEvent::Retired,
+            }),
+        }
     }
 }
 
@@ -1259,7 +1296,14 @@ impl Shard {
         if shed {
             self.counters.shed.fetch_add(1, Ordering::Relaxed);
         }
-        ticket.phase = Phase::Done(outcome);
+        match ticket.sink.take() {
+            // A watched ticket is collected by its sink at once.
+            Some(mut sink) => {
+                st.tickets.remove(&id);
+                sink(ClientEvent::Done(outcome));
+            }
+            None => ticket.phase = Phase::Done(outcome),
+        }
         st.queues.note_done(tenant);
         drop(st);
         self.client_cv.notify_all();
@@ -2452,5 +2496,420 @@ mod tests {
             .map(|(_, id, o)| (id, o))
             .collect();
         assert_batch_parity(&fx, &engine, &oracle, &instances, &answered);
+    }
+
+    // -----------------------------------------------------------------
+    // The lifecycle spec. A ticket is Queued → Running → (parked on a
+    // flag → Queued → Running)* → Done → retired. Whoever observes it —
+    // a sink given to `watch`, or `wait_event` — sees each parked flag's
+    // query (consecutive queries differ) and then exactly one `Done`;
+    // nothing follows the `Done`. A resolve lands only on the flag the
+    // ticket is parked on. After shutdown and collection, nothing is
+    // left: no ticket, no queued id, no parked byte.
+
+    /// The engine fixture shared by every case of the spec test.
+    fn shared_fixture() -> &'static Fx {
+        static FX: std::sync::OnceLock<Fx> = std::sync::OnceLock::new();
+        FX.get_or_init(fixture)
+    }
+
+    /// How the spec test observes a ticket.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mode {
+        /// A sink from `watch`, given right after the submit.
+        Watched,
+        /// A sink from `watch`, given by a later operation.
+        WatchLater,
+        /// `wait_event`.
+        Polled,
+    }
+
+    type Events = Arc<Mutex<Vec<ClientEvent>>>;
+
+    struct Slot {
+        ticket: TicketId,
+        inst: usize,
+        mode: Mode,
+        /// What the ticket's sink received.
+        events: Events,
+        /// The queries `wait_event` returned, without repeats.
+        polled: Vec<FlagQuery>,
+        /// The `Done`s `wait_event` returned.
+        collected: usize,
+        /// The last query a resolve landed on.
+        answered: Option<FlagQuery>,
+        /// Watched only after some of its life had passed.
+        late: bool,
+    }
+
+    impl Slot {
+        /// Every query this ticket was seen parked on, in order.
+        fn queries(&self) -> Vec<FlagQuery> {
+            if self.mode == Mode::Polled {
+                return self.polled.clone();
+            }
+            self.events
+                .lock()
+                .iter()
+                .filter_map(|e| match e {
+                    ClientEvent::NeedsFeedback { query, .. } => Some(query.clone()),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    fn watch_into(engine: &ServeEngine, id: TicketId, events: &Events) {
+        let events = Arc::clone(events);
+        engine.watch(id, move |event| events.lock().push(event));
+    }
+
+    /// A ticket's phase, read under its shard lock.
+    enum Peek {
+        Gone,
+        Busy,
+        Parked(FlagQuery),
+        Done,
+    }
+
+    fn peek(engine: &ServeEngine, id: TicketId) -> Peek {
+        let Some(shard) = engine.ticket_shard(id) else {
+            return Peek::Gone;
+        };
+        let st = shard.state.lock();
+        match st.tickets.get(&id).map(|t| &t.phase) {
+            None => Peek::Gone,
+            Some(Phase::Queued | Phase::Running) => Peek::Busy,
+            Some(Phase::AwaitingFeedback(query)) => Peek::Parked(query.clone()),
+            Some(Phase::Done(_)) => Peek::Done,
+        }
+    }
+
+    /// Watch a ticket nobody observed yet: the sink must get its current
+    /// state at once. A finished ticket's `Done` and, while parks cannot
+    /// lapse (`parks_hold`), a parked ticket's query are exact.
+    fn watch_late(
+        engine: &ServeEngine,
+        slot: &mut Slot,
+        parks_hold: bool,
+    ) -> Result<(), proptest::TestCaseError> {
+        let before = peek(engine, slot.ticket);
+        watch_into(engine, slot.ticket, &slot.events);
+        slot.mode = Mode::Watched;
+        slot.late = true;
+        let events = slot.events.lock();
+        match before {
+            Peek::Gone => proptest::prop_assert!(false, "an unobserved ticket vanished"),
+            Peek::Done => {
+                proptest::prop_assert!(
+                    events.len() == 1 && matches!(events[0], ClientEvent::Done(_)),
+                    "watching a finished ticket delivers its Done: {events:?}"
+                );
+                proptest::prop_assert!(
+                    matches!(engine.wait_event(slot.ticket), ClientEvent::Retired),
+                    "the delivered Done retires the ticket"
+                );
+            }
+            Peek::Parked(query) if parks_hold => proptest::prop_assert!(
+                events.len() == 1
+                    && matches!(&events[0], ClientEvent::NeedsFeedback { query: q, .. } if *q == query),
+                "watching a parked ticket delivers its query: {events:?}"
+            ),
+            Peek::Parked(_) | Peek::Busy => {}
+        }
+        Ok(())
+    }
+
+    /// Stops the engine when a case ends, also on a failed assertion,
+    /// so the scoped workers return.
+    struct StopOnDrop<'a>(&'a ServeEngine);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
+    /// Resolve a random ticket with its current query (read from its
+    /// sink, or from `wait_event`), an earlier one, or a bogus one.
+    /// Only the current query of a parked ticket lands; while parks
+    /// hold (no timeout, no shutdown) it always does.
+    fn spec_resolve(
+        engine: &ServeEngine,
+        slot: &mut Slot,
+        inst: &Instance,
+        rng: &mut proptest::TestRng,
+        parks_hold: bool,
+    ) -> Result<(), proptest::TestCaseError> {
+        use proptest::prop_assert;
+        let settled = |r: &Result<(), ResolveError>| {
+            matches!(r, Err(ResolveError::Stale | ResolveError::Retired))
+        };
+        match rng.below(3) {
+            0 => {
+                let current = match slot.mode {
+                    Mode::Polled if slot.collected > 0 => {
+                        let event = engine.wait_event(slot.ticket);
+                        prop_assert!(matches!(event, ClientEvent::Retired), "{event:?}");
+                        None
+                    }
+                    Mode::Polled => match engine.wait_event(slot.ticket) {
+                        ClientEvent::NeedsFeedback { query, .. } => {
+                            if slot.polled.last() != Some(&query) {
+                                slot.polled.push(query.clone());
+                            }
+                            Some(query)
+                        }
+                        ClientEvent::Done(_) => {
+                            slot.collected += 1;
+                            None
+                        }
+                        ClientEvent::Retired => {
+                            return Err(proptest::TestCaseError::fail(
+                                "a polled ticket retired before its Done",
+                            ))
+                        }
+                    },
+                    Mode::Watched => match slot.events.lock().last() {
+                        Some(ClientEvent::NeedsFeedback { query, .. }) => Some(query.clone()),
+                        _ => None,
+                    },
+                    Mode::WatchLater => None,
+                };
+                let Some(query) = current else {
+                    return Ok(());
+                };
+                let answered = slot.answered.as_ref() == Some(&query);
+                let policy = MitigationPolicy::Human(&HumanOracle::new(Expertise::Expert, 9));
+                let r = engine.resolve(slot.ticket, &query, resolve_flag(&policy, inst, &query));
+                if answered {
+                    prop_assert!(settled(&r), "an answered flag took a second answer");
+                } else if parks_hold {
+                    prop_assert!(r.is_ok(), "the parked flag refused its answer: {r:?}");
+                } else {
+                    prop_assert!(r.is_ok() || settled(&r), "{r:?}");
+                }
+                if r.is_ok() {
+                    slot.answered = Some(query);
+                }
+            }
+            1 => {
+                // Every query but the latest is settled, and so is the
+                // latest once answered.
+                let mut seen = slot.queries();
+                if slot.answered.is_none() || slot.answered.as_ref() != seen.last() {
+                    seen.pop();
+                }
+                if !seen.is_empty() {
+                    let stale = &seen[rng.below(seen.len())];
+                    let r = engine.resolve(slot.ticket, stale, FlagResolution::Continue);
+                    prop_assert!(settled(&r), "a stale query landed: {r:?}");
+                }
+            }
+            _ => {
+                let r = engine.resolve(slot.ticket, &bogus_query(), FlagResolution::Continue);
+                prop_assert!(settled(&r), "a bogus query landed: {r:?}");
+            }
+        }
+        Ok(())
+    }
+
+    /// Run one random operation sequence against a running engine:
+    /// submits, resolves, sleeps that let a 1–2 ms feedback timeout
+    /// lapse, late watches, watches of retired or unknown ids, and a
+    /// shutdown in the last quarter (or none before the end).
+    fn drive_spec_ops(
+        engine: &ServeEngine,
+        fx: &Fx,
+        rng: &mut proptest::TestRng,
+        slots: &mut Vec<Slot>,
+        unknown: &mut Vec<Events>,
+    ) -> Result<(), proptest::TestCaseError> {
+        let dev = &fx.bench.split.dev;
+        let n_ops = 12 + rng.below(36);
+        let shutdown_at = n_ops - rng.below(n_ops / 4 + 1);
+        for op in 0..n_ops {
+            if op == shutdown_at {
+                engine.shutdown();
+            }
+            let down = op >= shutdown_at;
+            // Without a timeout and before shutdown, only this thread
+            // unparks a ticket.
+            let parks_hold = engine.config().feedback_timeout.is_none() && !down;
+            let roll = rng.below(20);
+            if roll < 6 && !down {
+                // Even slots are watched (now or later), odd ones polled.
+                let mode = match (slots.len() % 2, rng.next_bool()) {
+                    (0, true) => Mode::Watched,
+                    (0, false) => Mode::WatchLater,
+                    _ => Mode::Polled,
+                };
+                let inst = rng.below(dev.len());
+                let ticket = engine
+                    .submit((slots.len() % 2) as TenantId, &dev[inst])
+                    .map_err(|e| proptest::TestCaseError::fail(format!("submit: {e}")))?;
+                let events = Events::default();
+                if mode == Mode::Watched {
+                    watch_into(engine, ticket, &events);
+                }
+                slots.push(Slot {
+                    ticket,
+                    inst,
+                    mode,
+                    events,
+                    polled: Vec::new(),
+                    collected: 0,
+                    answered: None,
+                    late: false,
+                });
+            } else if roll < 15 && !slots.is_empty() {
+                let i = rng.below(slots.len());
+                let inst = &dev[slots[i].inst];
+                spec_resolve(engine, &mut slots[i], inst, rng, parks_hold)?;
+            } else if roll < 17 {
+                std::thread::sleep(Duration::from_millis(1 + rng.below(3) as u64));
+            } else if roll < 19 {
+                let later: Vec<usize> = (0..slots.len())
+                    .filter(|&i| slots[i].mode == Mode::WatchLater)
+                    .collect();
+                if !later.is_empty() {
+                    let i = later[rng.below(later.len())];
+                    watch_late(engine, &mut slots[i], parks_hold)?;
+                }
+            } else {
+                // An id no shard issued, or a polled ticket whose Done
+                // was collected: the sink reads Retired at once.
+                let collected: Vec<TicketId> = slots
+                    .iter()
+                    .filter(|s| s.collected > 0)
+                    .map(|s| s.ticket)
+                    .collect();
+                let id = if collected.is_empty() || rng.next_bool() {
+                    TicketId::MAX - rng.below(4) as TicketId
+                } else {
+                    collected[rng.below(collected.len())]
+                };
+                let events = Events::default();
+                watch_into(engine, id, &events);
+                proptest::prop_assert!(
+                    matches!(events.lock().as_slice(), [ClientEvent::Retired]),
+                    "watching ticket {id} must read Retired at once"
+                );
+                unknown.push(events);
+            }
+        }
+        Ok(())
+    }
+
+    fn check_spec_case(seed: u64) -> Result<(), proptest::TestCaseError> {
+        use proptest::{prop_assert, prop_assert_eq};
+        let fx = shared_fixture();
+        let mut rng = proptest::TestRng::new(seed);
+        let timeout = match rng.below(3) {
+            0 => None,
+            ms => Some(Duration::from_millis(ms as u64)),
+        };
+        let config = ServeConfig {
+            workers: 1 + rng.below(2),
+            shards: 1 + rng.below(2),
+            feedback_timeout: timeout,
+            parked_bytes_budget: rng.below(2),
+            ..Default::default()
+        };
+        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let mut slots = Vec::new();
+        let mut unknown = Vec::new();
+        crossbeam::thread::scope(|s| {
+            for _ in 0..engine.config().workers {
+                s.spawn(|_| engine.worker_loop());
+            }
+            let _stop = StopOnDrop(&engine);
+            drive_spec_ops(&engine, fx, &mut rng, &mut slots, &mut unknown)
+        })
+        .expect("serve scope panicked")?;
+
+        // The workers returned, so every ticket has finished.
+        for slot in &mut slots {
+            match slot.mode {
+                Mode::WatchLater => {
+                    watch_late(&engine, slot, false)?;
+                }
+                Mode::Polled if slot.collected == 0 => match engine.wait_event(slot.ticket) {
+                    ClientEvent::Done(_) => slot.collected += 1,
+                    other => prop_assert!(false, "a drained ticket reads {other:?}"),
+                },
+                _ => {}
+            }
+        }
+        for slot in &slots {
+            if slot.mode == Mode::Polled {
+                prop_assert_eq!(slot.collected, 1, "one Done per polled ticket");
+            } else {
+                let events = slot.events.lock();
+                let Some((ClientEvent::Done(done), parks)) = events.split_last() else {
+                    return Err(proptest::TestCaseError::fail(format!(
+                        "a watched ticket ends in Done: {events:?}"
+                    )));
+                };
+                prop_assert!(
+                    parks
+                        .iter()
+                        .all(|e| matches!(e, ClientEvent::NeedsFeedback { .. })),
+                    "only queries precede the Done: {events:?}"
+                );
+                // Each answer and each timeout settled a park that a
+                // sink given at submit was shown.
+                prop_assert!(
+                    slot.late || parks.len() >= done.n_feedback.max(usize::from(done.timed_out)),
+                    "{} parks shown for {} answers (timed out: {})",
+                    parks.len(),
+                    done.n_feedback,
+                    done.timed_out
+                );
+            }
+            let queries = slot.queries();
+            prop_assert!(
+                queries.windows(2).all(|w| w[0] != w[1]),
+                "consecutive queries differ: {queries:?}"
+            );
+            prop_assert!(
+                matches!(engine.wait_event(slot.ticket), ClientEvent::Retired),
+                "a delivered or collected ticket is retired"
+            );
+        }
+        for events in &unknown {
+            prop_assert!(
+                matches!(events.lock().as_slice(), [ClientEvent::Retired]),
+                "nothing follows Retired"
+            );
+        }
+        for shard in &engine.shards {
+            let st = shard.state.lock();
+            prop_assert!(st.tickets.is_empty(), "no ticket outlives its Done");
+            prop_assert_eq!(st.queues.queued_len(), 0);
+            for tenant in 0..2 {
+                let load = st.queues.load(tenant);
+                prop_assert_eq!((load.in_flight, load.parked), (0, 0));
+            }
+        }
+        let stats = engine.stats();
+        prop_assert_eq!(stats.completed, slots.len() as u64);
+        prop_assert_eq!(stats.parked_sessions_now, 0);
+        prop_assert_eq!(stats.parked_bytes_now, 0);
+        prop_assert_eq!(stats.checkpoint_bytes_now, 0);
+        prop_assert_eq!(stats.invariant_breaches, 0);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Random sequences of submit, resolve, timeout and shutdown,
+        /// with half the tickets watched and half polled, against the
+        /// lifecycle spec above.
+        #[test]
+        fn engine_lifecycle_matches_the_spec(seed in proptest::any::<u64>()) {
+            check_spec_case(seed)?;
+        }
     }
 }

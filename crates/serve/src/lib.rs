@@ -42,7 +42,8 @@
 //! * **Non-blocking feedback** — when a session hits a branching flag
 //!   it is *parked* (worker moves on); the client answers through
 //!   [`Engine::resolve`] and the session re-enters the work queue.
-//!   No worker is ever held hostage by a waiting human.
+//!   No worker is ever held hostage by a waiting human, nor, through
+//!   [`ServeEngine::watch`] (events pushed to a sink), a client thread.
 //! * **Joint session chaining** — each request runs table linking then
 //!   column linking, mirroring `run_joint_linking_in`'s joint process,
 //!   with outcomes combined into a [`rts_core::pipeline::JointOutcome`].

@@ -6,14 +6,15 @@
 //!
 //! One thread per connection reads frames and dispatches them against
 //! the engine; one *writer* thread per connection drains the session's
-//! outbox to the socket; one *watcher* thread per submitted request
-//! forwards engine events ([`Engine::wait_event_changed`]) into the
-//! outbox. The outbox belongs to the **session**, not the connection —
-//! that asymmetry is the whole reconnect story:
+//! outbox to the socket. No thread waits on a request: after queueing
+//! a submit's ack the reader hands the ticket to [`ServeEngine::watch`],
+//! and the engine pushes its events into the outbox from whichever
+//! thread parks or finishes it. The outbox belongs to the **session**,
+//! not the connection — that asymmetry is the whole reconnect story:
 //!
 //! * a connection that drops (EOF, socket error, malformed frame)
-//!   *parks* its session: tickets stay live in the engine, watchers
-//!   keep appending events to the outbox, and feedback timeouts keep
+//!   *parks* its session: tickets stay live in the engine, the engine
+//!   keeps appending events to the outbox, and feedback timeouts keep
 //!   counting — a lapsed deadline still degrades the request to
 //!   abstention exactly as if the client were attached;
 //! * a client that reconnects with `Hello { resume }` re-attaches to
@@ -26,6 +27,14 @@
 //! Degrade-only applies at the wire too: malformed, truncated, or
 //! oversized frames produce a best-effort typed [`ServerMsg::Fault`]
 //! and a parked session — never a panic, never a wedged engine.
+//!
+//! # Lock order
+//!
+//! Shard `state` (in the engine) → session `conn_state`: the engine
+//! calls the sink, `Session::deliver`, under its shard lock, and the
+//! sink takes `conn_state`. So this crate never calls the engine while
+//! holding `conn_state`. `rts-analyze`'s lexical lock pass cannot see
+//! this edge across the callback; the rule lives here and on `watch`.
 //!
 //! # Shutdown
 //!
@@ -104,6 +113,32 @@ impl Session {
         st.outbox.push_back(msg);
         self.bell.notify_all();
     }
+
+    /// The sink [`ServeEngine::watch`] calls with every event of
+    /// request `req`, across disconnects — which is what makes a parked
+    /// session's feedback timeout deliverable after a resume. It runs
+    /// under the engine's shard lock, so it takes only `conn_state`.
+    fn deliver(&self, req: u64, event: ClientEvent) {
+        let mut st = self.conn_state.lock();
+        let msg = match event {
+            ClientEvent::NeedsFeedback { target, query } => {
+                st.pending.insert(req, (target, query.clone()));
+                ServerMsg::NeedsFeedback { req, target, query }
+            }
+            ClientEvent::Done(outcome) => ServerMsg::Done {
+                req,
+                outcome: outcome.into(),
+            },
+            ClientEvent::Retired => ServerMsg::Retired { req },
+        };
+        if !matches!(msg, ServerMsg::NeedsFeedback { .. }) {
+            // The request is over.
+            st.pending.remove(&req);
+            st.reqs.remove(&req);
+        }
+        st.outbox.push_back(msg);
+        self.bell.notify_all();
+    }
 }
 
 struct Inner {
@@ -161,7 +196,7 @@ impl Server {
     /// Accept connections until a [`ClientMsg::Shutdown`] has been
     /// received *and* every live connection has closed. Each
     /// connection gets a reader thread (this function's children) and
-    /// a writer thread; request watchers are spawned per submit.
+    /// a writer thread; requests get none.
     pub fn serve(&self, listener: TcpListener) -> io::Result<()> {
         listener.set_nonblocking(true)?;
         loop {
@@ -360,17 +395,13 @@ fn dispatch(inner: &Arc<Inner>, session: &Arc<Session>, msg: ClientMsg) -> Flow 
             tenant,
             instance,
         } => {
-            {
-                let st = session.conn_state.lock();
-                if let Some(recorded) = st.replies.get(&req) {
-                    // A reconnecting client re-sent a Submit it could
-                    // not confirm: replay the recorded ack, never
-                    // re-process the admission.
-                    let recorded = recorded.clone();
-                    drop(st);
-                    session.push(recorded);
-                    return Flow::Continue;
-                }
+            let recorded = session.conn_state.lock().replies.get(&req).cloned();
+            if let Some(recorded) = recorded {
+                // A reconnecting client re-sent a Submit it could not
+                // confirm: replay the recorded ack, never re-process
+                // the admission.
+                session.push(recorded);
+                return Flow::Continue;
             }
             let (ack, watch) = match inner.corpus.get(&instance) {
                 None => (
@@ -383,10 +414,7 @@ fn dispatch(inner: &Arc<Inner>, session: &Arc<Session>, msg: ClientMsg) -> Flow 
                     None,
                 ),
                 Some(inst) => match inner.engine.submit(tenant, inst) {
-                    Ok(ticket) => {
-                        session.conn_state.lock().reqs.insert(req, ticket);
-                        (ServerMsg::Submitted { req }, Some(ticket))
-                    }
+                    Ok(ticket) => (ServerMsg::Submitted { req }, Some(ticket)),
                     Err(e) => (
                         ServerMsg::SubmitFailed {
                             req,
@@ -398,6 +426,9 @@ fn dispatch(inner: &Arc<Inner>, session: &Arc<Session>, msg: ClientMsg) -> Flow 
             };
             {
                 let mut st = session.conn_state.lock();
+                if let Some(ticket) = watch {
+                    st.reqs.insert(req, ticket);
+                }
                 st.replies.insert(req, ack.clone());
                 st.outbox.push_back(ack);
                 session.bell.notify_all();
@@ -405,9 +436,10 @@ fn dispatch(inner: &Arc<Inner>, session: &Arc<Session>, msg: ClientMsg) -> Flow 
             // Watch only after the ack is queued, so the client never
             // sees an event for a request it has no ack for.
             if let Some(ticket) = watch {
-                let inner = Arc::clone(inner);
                 let session = Arc::clone(session);
-                std::thread::spawn(move || watcher_loop(&inner, &session, req, ticket));
+                inner
+                    .engine
+                    .watch(ticket, move |event| session.deliver(req, event));
             }
             Flow::Continue
         }
@@ -512,47 +544,5 @@ fn writer_loop(session: &Session, mut stream: TcpStream, my_epoch: u64) {
             return;
         }
         st.outbox.pop_front();
-    }
-}
-
-/// Per-request watcher: forward every engine event for `ticket` into
-/// the session outbox. Lives exactly as long as the request — across
-/// disconnects — which is what makes a parked session's feedback
-/// timeout deliverable after a resume.
-fn watcher_loop(inner: &Inner, session: &Session, req: u64, ticket: TicketId) {
-    let mut last: Option<FlagQuery> = None;
-    loop {
-        match inner.engine.wait_event_changed(ticket, last.as_ref()) {
-            ClientEvent::NeedsFeedback { target, query } => {
-                let mut st = session.conn_state.lock();
-                st.pending.insert(req, (target, query.clone()));
-                st.outbox.push_back(ServerMsg::NeedsFeedback {
-                    req,
-                    target,
-                    query: query.clone(),
-                });
-                session.bell.notify_all();
-                last = Some(query);
-            }
-            ClientEvent::Done(outcome) => {
-                let mut st = session.conn_state.lock();
-                st.pending.remove(&req);
-                st.reqs.remove(&req);
-                st.outbox.push_back(ServerMsg::Done {
-                    req,
-                    outcome: outcome.into(),
-                });
-                session.bell.notify_all();
-                return;
-            }
-            ClientEvent::Retired => {
-                let mut st = session.conn_state.lock();
-                st.pending.remove(&req);
-                st.reqs.remove(&req);
-                st.outbox.push_back(ServerMsg::Retired { req });
-                session.bell.notify_all();
-                return;
-            }
-        }
     }
 }

@@ -542,3 +542,132 @@ fn feedback_timeout_lapses_while_disconnected() {
     client.bye();
     stop(&server, threads);
 }
+
+/// Threads of this process that carry the calling thread's name. The
+/// tests in this file run at once, each on a thread named after it, and
+/// a thread starts with its creator's name (Linux copies it; `std`
+/// renames only threads given a name), so this counts the threads this
+/// test started, its server's included, and not the other tests'.
+#[cfg(target_os = "linux")]
+fn own_threads() -> usize {
+    let me = std::fs::read_to_string("/proc/thread-self/comm").expect("own thread name");
+    std::fs::read_dir("/proc/self/task")
+        .expect("thread list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| *name == me)
+        .count()
+}
+
+/// Read one frame into `log` (by request id). `None` for the `Stats`
+/// reply, which the test uses as a fence.
+fn read_event(s: &mut TcpStream, log: &mut [Vec<ServerMsg>]) -> Option<usize> {
+    let msg = read_frame::<_, ServerMsg>(s)
+        .expect("frame readable")
+        .expect("server keeps the connection");
+    let req = match &msg {
+        ServerMsg::Submitted { req }
+        | ServerMsg::NeedsFeedback { req, .. }
+        | ServerMsg::Done { req, .. } => *req as usize,
+        ServerMsg::Stats { .. } => return None,
+        other => panic!("unexpected message {other:?}"),
+    };
+    log[req].push(msg);
+    Some(req)
+}
+
+/// A parked request holds no server thread: with every dev instance
+/// submitted over one connection and at least ten of them parked on
+/// feedback, the server runs only that connection's reader and writer
+/// beyond the threads it had before. Each request's events arrive as
+/// `Submitted`, then `NeedsFeedback`*, then one `Done`, and nothing
+/// after it, also when the shutdown drain completes the parked ones.
+#[cfg(target_os = "linux")]
+#[test]
+fn parked_requests_hold_no_threads() {
+    let fx = fixture();
+    let (server, addr, threads) = start_server(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let before = own_threads();
+
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    // A lost event fails the test instead of hanging it.
+    s.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    hello(&mut s);
+    let n = fx.bench.split.dev.len();
+    for (req, inst) in (1u64..).zip(&fx.bench.split.dev) {
+        write_frame(
+            &mut s,
+            &ClientMsg::Submit {
+                req,
+                tenant: 0,
+                instance: inst.id,
+            },
+        )
+        .expect("write submit");
+    }
+
+    // Every message per request id (1..=n), in arrival order. Wait for
+    // each request's ack and first event.
+    let mut log: Vec<Vec<ServerMsg>> = vec![Vec::new(); n + 1];
+    let mut with_event = 0;
+    while with_event < n {
+        let req = read_event(&mut s, &mut log).expect("no stats requested yet");
+        if log[req].len() == 2 {
+            with_event += 1;
+        }
+    }
+    let parked = log
+        .iter()
+        .filter(|msgs| matches!(msgs.last(), Some(ServerMsg::NeedsFeedback { .. })))
+        .count();
+    let during = own_threads();
+    assert!(
+        parked >= 10,
+        "the fixture must park at least 10 of {n} requests, parked {parked}"
+    );
+    assert!(
+        during <= before + 2,
+        "{parked} parked requests grew the server from {before} to {during} threads"
+    );
+
+    // The shutdown drain completes the parked requests; read until
+    // every request has its Done, then fence with a Stats reply.
+    write_frame(&mut s, &ClientMsg::Shutdown).expect("write shutdown");
+    let is_done = |m: &ServerMsg| matches!(m, ServerMsg::Done { .. });
+    let mut done: usize = log.iter().flatten().filter(|m| is_done(m)).count();
+    while done < n {
+        let req = read_event(&mut s, &mut log).expect("no stats requested yet");
+        if log[req].last().is_some_and(is_done) {
+            done += 1;
+        }
+    }
+    write_frame(&mut s, &ClientMsg::Stats { req: 0 }).expect("write stats");
+    assert_eq!(
+        read_event(&mut s, &mut log),
+        None,
+        "nothing may follow the last Done"
+    );
+
+    for (req, msgs) in log.iter().enumerate().skip(1) {
+        assert!(
+            matches!(msgs.first(), Some(ServerMsg::Submitted { .. })),
+            "request {req} must be acked first: {msgs:?}"
+        );
+        assert!(
+            msgs.len() >= 2 && msgs.last().is_some_and(is_done),
+            "request {req} must end in Done: {msgs:?}"
+        );
+        assert!(
+            msgs[1..msgs.len() - 1]
+                .iter()
+                .all(|m| matches!(m, ServerMsg::NeedsFeedback { .. })),
+            "request {req}: only NeedsFeedback between the ack and Done: {msgs:?}"
+        );
+    }
+    write_frame(&mut s, &ClientMsg::Bye).expect("write bye");
+    drop(s);
+    stop(&server, threads);
+}
