@@ -27,6 +27,9 @@
 //!   budget; past it parked sessions are checkpointed out of memory;
 //! * `RTS_THREADS` — engine worker threads in total (as everywhere).
 //!
+//! A millisecond knob that is negative, NaN, infinite or too large for
+//! a `Duration` reads as unset, like one that does not parse.
+//!
 //! The daemon exits 0 after a client sends `Shutdown` and every
 //! connection has drained.
 
@@ -60,10 +63,14 @@ fn parse_seed(value: Option<&str>) -> u64 {
 }
 
 fn env_ms(key: &str) -> Option<Duration> {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|ms| Duration::from_secs_f64(ms / 1e3))
+    parse_ms(std::env::var(key).ok().as_deref())
+}
+
+/// A millisecond budget, or `None` (off) for a value that is missing,
+/// unparsable, negative, NaN, infinite or too large for a `Duration`.
+fn parse_ms(value: Option<&str>) -> Option<Duration> {
+    let ms = value?.parse::<f64>().ok()?;
+    Duration::try_from_secs_f64(ms / 1e3).ok()
 }
 
 fn main() -> ExitCode {
@@ -170,7 +177,8 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_seed;
+    use super::{parse_ms, parse_seed};
+    use std::time::Duration;
 
     #[test]
     fn seed_defaults_to_c0ffee_and_parses_a_decimal_override() {
@@ -178,5 +186,15 @@ mod tests {
         assert_eq!(parse_seed(Some("12648430")), 0xC0FFEE);
         assert_eq!(parse_seed(Some("42")), 42);
         assert_eq!(parse_seed(Some("0x2A")), 0xC0FFEE, "decimal only");
+    }
+
+    #[test]
+    fn millisecond_budgets_parse_and_bad_values_read_as_unset() {
+        assert_eq!(parse_ms(Some("250")), Some(Duration::from_millis(250)));
+        assert_eq!(parse_ms(Some("0.5")), Some(Duration::from_micros(500)));
+        for bad in ["-5", "nan", "inf", "1e300", "soon"] {
+            assert_eq!(parse_ms(Some(bad)), None, "{bad}");
+        }
+        assert_eq!(parse_ms(None), None);
     }
 }

@@ -160,7 +160,11 @@ impl SplitMix64 {
     ///
     /// Each block of up to 16 pairs is drawn into stack arrays first
     /// and then transformed by a branch-free loop the compiler
-    /// vectorizes at the default target. A caller that needs
+    /// vectorizes at both x86-64 ISA levels the workspace builds for:
+    /// four `f64` lanes at `x86-64-v3` (AVX2, the default in
+    /// `.cargo/config.toml`) and two at the SSE2 baseline. Each lane
+    /// computes the same IEEE result, so the output bits do not depend
+    /// on the level. A caller that needs
     /// `fill_gaussian`'s exact bits rounds with [`round_f32_within`]
     /// and recomputes the rare undecided value with
     /// [`SplitMix64::fill_gaussian_at`].
@@ -245,8 +249,12 @@ pub fn round_f32_within(v: f64, err: f64) -> Option<f32> {
 }
 
 /// `1.5·2⁵²`: adding and subtracting it rounds an `f64` of magnitude
-/// below 2⁵¹ to the nearest integer without a libm call (`f64::round`
-/// is one at the default x86-64 target).
+/// below 2⁵¹ to the nearest integer, ties to even, and leaves that
+/// integer in the low mantissa bits of the sum, where `sincos_fast`
+/// reads the quadrant. `f64::round` rounds ties away from zero;
+/// `f64::round_ties_even` matches but is a libm call (`rint`) at the
+/// baseline x86-64 ISA, which has no `roundsd` (at `x86-64-v3` it is
+/// one `vroundsd`).
 const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 
 /// Natural logarithm of a positive normal `x`, within 1 ulp. Branch-free
