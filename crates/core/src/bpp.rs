@@ -14,6 +14,7 @@
 //! declared a branching point iff label `1` survives in the merged set.
 
 use crate::branching::BranchDataset;
+use crate::session::{put_varint, ByteReader};
 use conformal::{LabelSet, NonExchangeableConformal, SplitConformal};
 use serde::{Deserialize, Serialize};
 use simlm::{GenerationTrace, StepKey};
@@ -156,49 +157,57 @@ impl RoundSets {
         std::mem::size_of_val(self.keys.as_slice()) + std::mem::size_of_val(self.sets.as_slice())
     }
 
-    /// A compact, JSON-safe text form: hex of `k`, the position count,
-    /// then per position the token id (LEB128), the 8 bytes of `s` and
-    /// the `k` sets at 2 bits each (the label space is binary).
-    pub fn encode(&self) -> String {
+    /// Do the sets fit a monitor of `k` selected probes? Always true of
+    /// an empty round.
+    pub(crate) fn fits(&self, k: usize) -> bool {
+        self.keys.len().checked_mul(k) == Some(self.sets.len())
+    }
+
+    /// Append the round in its checkpoint layout: `k` and the position
+    /// count (LEB128), then per position the token id (LEB128), the 8
+    /// bytes of `s` and the `k` sets at 2 bits each (the label space is
+    /// binary), zero-padded to whole bytes.
+    pub(crate) fn write_bytes(&self, out: &mut Vec<u8>) {
         let k = self.sets.len().checked_div(self.keys.len()).unwrap_or(0);
-        let mut bytes = Vec::with_capacity(4 + self.keys.len() * (13 + k / 4));
-        push_varint(&mut bytes, k as u64);
-        push_varint(&mut bytes, self.keys.len() as u64);
-        for (key, sets) in self.keys.iter().zip(self.sets.chunks_exact(k.max(1))) {
-            push_varint(&mut bytes, u64::from(key.token));
-            bytes.extend_from_slice(&key.s_bits.to_le_bytes());
-            for quad in sets.chunks(4) {
-                bytes.push(quad.iter().enumerate().fold(0u8, |b, (i, set)| {
+        put_varint(out, k as u64);
+        put_varint(out, self.keys.len() as u64);
+        for (t, key) in self.keys.iter().enumerate() {
+            put_varint(out, u64::from(key.token));
+            out.extend_from_slice(&key.s_bits.to_le_bytes());
+            for quad in self.sets[t * k..(t + 1) * k].chunks(4) {
+                out.push(quad.iter().enumerate().fold(0u8, |b, (i, set)| {
                     debug_assert!(set.is_subset_of(LabelSet::BOTH), "non-binary set");
                     let bits = set.contains(0) as u8 | (set.contains(1) as u8) << 1;
                     b | bits << (2 * i)
                 }));
             }
         }
-        hex(&bytes)
     }
 
-    /// Parse [`RoundSets::encode`]'s text for a monitor of `k` selected
-    /// probes; `None` on anything malformed.
-    pub fn decode(text: &str, k: usize) -> Option<RoundSets> {
-        let bytes = unhex(text)?;
-        let mut at = 0usize;
-        let encoded_k = read_varint(&bytes, &mut at)?;
-        let n = usize::try_from(read_varint(&bytes, &mut at)?).ok()?;
-        if n > 0 && encoded_k != k as u64 {
-            return None;
+    /// Read [`RoundSets::write_bytes`]'s layout off the front of `r`;
+    /// `None` on anything malformed, nonzero padding bits included. The
+    /// position count is checked against the bytes left before
+    /// anything is allocated.
+    pub(crate) fn read_bytes(r: &mut ByteReader<'_>) -> Option<RoundSets> {
+        let k = usize::try_from(r.varint()?).ok()?;
+        let set_bytes = k.div_ceil(4);
+        // Each position takes at least a token byte, 8 bytes of `s` and
+        // its set bytes.
+        let n = r.count(set_bytes.checked_add(9)?)?;
+        if n == 0 && k != 0 {
+            return None; // an empty round is written with k = 0
         }
         let mut round = RoundSets {
-            keys: Vec::with_capacity(n.min(bytes.len())),
-            sets: Vec::with_capacity(n.saturating_mul(k).min(4 * bytes.len())),
+            keys: Vec::with_capacity(n),
+            sets: Vec::with_capacity(n * k),
         };
         for _ in 0..n {
-            let token = simlm::TokenId::try_from(read_varint(&bytes, &mut at)?).ok()?;
-            let s_bits = u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?);
-            at += 8;
+            let token = simlm::TokenId::try_from(r.varint()?).ok()?;
+            let s_bits = r.u64_le()?;
             round.keys.push(StepKey { token, s_bits });
+            let packed = r.take(set_bytes)?;
             for i in 0..k {
-                let bits = bytes.get(at + i / 4)? >> (2 * (i % 4));
+                let bits = packed.get(i / 4)? >> (2 * (i % 4));
                 let mut set = LabelSet::EMPTY;
                 for label in 0..2 {
                     if bits >> label & 1 == 1 {
@@ -207,52 +216,19 @@ impl RoundSets {
                 }
                 round.sets.push(set);
             }
-            at += k.div_ceil(4);
+            // The padding past the k-th set is zero.
+            if k % 4 != 0 && packed.last()? >> (2 * (k % 4)) != 0 {
+                return None;
+            }
         }
-        (at == bytes.len()).then_some(round)
+        Some(round)
     }
-}
 
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
+    /// A round from its parts (`sets` row-major, `keys.len() × k`).
+    #[cfg(test)]
+    pub(crate) fn from_parts(keys: Vec<StepKey>, sets: Vec<LabelSet>) -> RoundSets {
+        RoundSets { keys, sets }
     }
-    out.push(v as u8);
-}
-
-fn read_varint(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let b = *bytes.get(*at)?;
-        *at += 1;
-        v |= u64::from(b & 0x7F) << shift;
-        if b < 0x80 {
-            return Some(v);
-        }
-    }
-    None
-}
-
-/// Lowercase hex.
-fn hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(2 * bytes.len());
-    for &b in bytes {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 15)] as char);
-    }
-    out
-}
-
-fn unhex(text: &str) -> Option<Vec<u8>> {
-    let nibble = |c: u8| (c as char).to_digit(16);
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    (text.as_bytes().chunks_exact(2))
-        .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
-        .collect()
 }
 
 impl Sbpp {
@@ -1066,20 +1042,33 @@ mod tests {
                 assert_eq!(reused, scored, "instance {}", inst.id);
                 assert_eq!(rng_reused, rng_full, "instance {}", inst.id);
                 assert_eq!(round, scratch.round, "instance {}", inst.id);
-                let k = mbpp.selected.len();
-                assert_eq!(RoundSets::decode(&round.encode(), k).as_ref(), Some(&round));
+                assert!(round.fits(mbpp.selected.len()));
+                assert_eq!(decode_all(&encode(&round)).as_ref(), Some(&round));
             }
         }
         assert!(skipped > 0, "no position was reused");
     }
 
+    fn encode(round: &RoundSets) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        round.write_bytes(&mut bytes);
+        bytes
+    }
+
+    /// Read a round that must span all of `bytes`.
+    fn decode_all(bytes: &[u8]) -> Option<RoundSets> {
+        let mut r = ByteReader::new(bytes);
+        RoundSets::read_bytes(&mut r).filter(|_| r.is_empty())
+    }
+
     #[test]
     fn malformed_round_encodings_do_not_decode() {
         let empty = RoundSets::default();
-        assert_eq!(RoundSets::decode(&empty.encode(), 5), Some(empty));
+        assert_eq!(encode(&empty), [0, 0]);
+        assert_eq!(decode_all(&[0, 0]), Some(empty));
         // k = 5, one position: token 3, eight bytes of s, two set bytes.
-        let one = hex(&[5, 1, 3, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0b1110_0100, 0b01]);
-        let round = RoundSets::decode(&one, 5).expect("well formed");
+        let one = [5, 1, 3, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0b1110_0100, 0b01];
+        let round = decode_all(&one).expect("well formed");
         assert_eq!(round.step_keys()[0].s_bits, 1.0f64.to_bits());
         assert_eq!(
             round.sets,
@@ -1091,16 +1080,27 @@ mod tests {
                 LabelSet::singleton(0)
             ]
         );
-        assert_eq!(round.encode(), one);
-        assert_eq!(RoundSets::decode(&one, 4), None, "another k");
-        assert_eq!(
-            RoundSets::decode(&one[..one.len() - 2], 5),
-            None,
-            "truncated"
-        );
-        assert_eq!(RoundSets::decode(&format!("{one}00"), 5), None, "trailing");
-        assert_eq!(RoundSets::decode(&one[1..], 5), None, "odd length");
-        assert_eq!(RoundSets::decode("0501zz", 5), None, "not hex");
+        assert_eq!(encode(&round), one);
+        assert!(round.fits(5) && !round.fits(4), "another k");
+        assert_eq!(decode_all(&one[..one.len() - 1]), None, "truncated");
+        assert_eq!(decode_all(&[&one[..], &[0]].concat()), None, "trailing");
+        let mut padded = one;
+        padded[12] |= 0b100;
+        assert_eq!(decode_all(&padded), None, "nonzero padding bits");
+        assert_eq!(decode_all(&[5, 0]), None, "an empty round with k > 0");
+    }
+
+    #[test]
+    fn a_huge_position_count_is_refused_before_allocating() {
+        // k = 1, then 2^60 positions in a 9-byte LEB128: ten bytes that
+        // claim far more positions than they could hold.
+        let mut bytes = vec![1];
+        put_varint(&mut bytes, 1 << 60);
+        assert_eq!(bytes.len(), 10);
+        let allocated = crate::test_alloc::allocations_on_this_thread(|| {
+            assert_eq!(decode_all(&bytes), None);
+        });
+        assert_eq!(allocated, 0, "refused without allocating");
     }
 
     #[test]

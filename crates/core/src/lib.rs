@@ -55,3 +55,59 @@ pub use par::par_map;
 pub use session::{CtxHandle, FlagQuery, FlagResolution, LinkSession, SessionState};
 pub use sqlgen::{ProvidedSchema, SqlGenModel};
 pub use surrogate::SurrogateModel;
+
+/// A global allocator for this crate's unit tests that counts each
+/// thread's allocations, so a test can assert that a path allocates
+/// nothing.
+#[cfg(test)]
+pub(crate) mod test_alloc {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn count() {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    struct Counting;
+
+    // SAFETY: every call forwards to `System` with the caller's
+    // arguments; counting touches only a thread-local integer.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: as for `alloc`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: `ptr` came from this allocator, that is from `System`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from this allocator, that is from `System`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    /// How many allocations `f` made on the calling thread.
+    pub(crate) fn allocations_on_this_thread(f: impl FnOnce()) -> usize {
+        let before = ALLOCATIONS.with(Cell::get);
+        f();
+        ALLOCATIONS.with(Cell::get) - before
+    }
+}

@@ -138,26 +138,56 @@ pub enum FlagResolution {
     Pin(Decision),
 }
 
-/// The serializable state of a suspended [`LinkSession`] — everything a
-/// parked session owns that cannot be rebuilt from its construction
-/// arguments.
+/// The state of a suspended [`LinkSession`] — everything a parked
+/// session owns that cannot be rebuilt from its construction
+/// arguments — and, through [`SessionCheckpoint::to_bytes`], the form
+/// in which a session leaves the process.
 ///
 /// A suspended session holds no hidden stacks: of its last round it
 /// keeps only what the monitor read off them, each position's step key
 /// and the selected probes' label sets ([`RoundSets`]), and the
-/// checkpoint carries those in a compact encoding. So
-/// [`LinkSession::restore`] synthesizes nothing, and the regeneration
-/// that follows the feedback skips every position whose key the
-/// restored round already monitored, as a session that never parked
-/// does. The sets are only valid for the monitor that produced them,
-/// so the checkpoint is stamped with [`monitor_fingerprint`] and
-/// restore refuses another monitor's, as it refuses another corpus's.
-/// The rest is the state generation does not determine: the override
-/// map, the merge-RNG state (flags already consumed draws from it),
-/// the flag/intervention counters, the handled-element set, and the
-/// pending query. Pinned end to end by the
-/// `checkpoint_roundtrip_matches_monolithic_loop` parity proptest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// checkpoint carries those as they are. So [`LinkSession::restore`]
+/// synthesizes nothing, and the regeneration that follows the feedback
+/// skips every position whose key the restored round already
+/// monitored, as a session that never parked does. The sets are only
+/// valid for the monitor that produced them, so the checkpoint is
+/// stamped with [`monitor_fingerprint`] and restore refuses another
+/// monitor's, as it refuses another corpus's. The rest is the state
+/// generation does not determine: the override map, the merge-RNG
+/// state (flags already consumed draws from it), the flag/intervention
+/// counters, the handled-element set, and the pending query. Pinned end
+/// to end by the `checkpoint_roundtrip_matches_monolithic_loop` parity
+/// proptest.
+///
+/// The byte layout ([`SessionCheckpoint::to_bytes`]) is a hand-written
+/// binary one, a few hundred bytes for a typical park:
+///
+/// - a magic byte `0xC5` and a format-version byte (`1`);
+/// - `instance` (LEB128), `is_table` (a `0`/`1` byte), `corpus` (a tag
+///   byte: `2` = [`simlm::CorpusVersion::V2`]);
+/// - `monitor` and `rng_state`, each 8 bytes little-endian;
+/// - `would_be_correct`: a tag byte, `0` = none, `1` = `Some(false)`,
+///   `2` = `Some(true)`;
+/// - `overrides`: a count, then per entry the element and its
+///   [`Decision`]: a tag byte (`0` = `Correct`, `1` = `Substitute`,
+///   `2` = `Omit`, `3` = `AddExtra`), `Substitute` and `AddExtra`
+///   followed by their element;
+/// - `handled`: a count, then each index; `n_interventions`, `n_flags`
+///   and `rounds_done`;
+/// - `sets`: `k`, the position count, then per position the token id,
+///   the 8 bytes of `s` and the `k` sets at 2 bits each, zero-padded to
+///   whole bytes;
+/// - `pending`: a tag byte, `0` = none, `1` = a [`FlagQuery`] follows
+///   (`instance`, `is_table`, `round`, `branch_pos`, `element_idx`,
+///   `gold_element`, then `implicated` and `predicted` as counted
+///   string lists).
+///
+/// Counts, indices and lengths are LEB128 and strings are a byte
+/// length then UTF-8. The encoding is canonical: a decoder refuses an
+/// unknown version or tag, overlong LEB128, nonzero padding and
+/// trailing bytes, so every input [`SessionCheckpoint::from_bytes`]
+/// accepts re-encodes to itself.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionCheckpoint {
     /// Instance id the session links (restore refuses a mismatch).
     pub instance: u64,
@@ -185,9 +215,8 @@ pub struct SessionCheckpoint {
     pub n_interventions: usize,
     pub n_flags: usize,
     pub rounds_done: usize,
-    /// The suspended round's step keys and label sets
-    /// ([`RoundSets::encode`]).
-    pub sets: String,
+    /// The suspended round's step keys and label sets.
+    pub sets: RoundSets,
     /// The flag the session is suspended on.
     pub pending: Option<FlagQuery>,
 }
@@ -214,6 +243,272 @@ impl SessionCheckpoint {
     /// worker.
     pub fn matches(&self, inst: &Instance, target: LinkTarget) -> bool {
         self.instance == inst.id && self.is_table == (target == LinkTarget::Tables)
+    }
+
+    /// Encode into the binary layout described on [`SessionCheckpoint`].
+    /// Deterministic: the same checkpoint always gives the same bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(256 + 16 * self.sets.step_keys().len());
+        out.extend_from_slice(&[CHECKPOINT_MAGIC, CHECKPOINT_VERSION]);
+        put_varint(&mut out, self.instance);
+        out.push(u8::from(self.is_table));
+        out.push(match self.corpus {
+            simlm::CorpusVersion::V2 => 2,
+        });
+        out.extend_from_slice(&self.monitor.to_le_bytes());
+        out.extend_from_slice(&self.rng_state.to_le_bytes());
+        out.push(match self.would_be_correct {
+            None => 0,
+            Some(false) => 1,
+            Some(true) => 2,
+        });
+        put_varint(&mut out, self.overrides.len() as u64);
+        for (element, decision) in &self.overrides {
+            put_str(&mut out, element);
+            match decision {
+                Decision::Correct => out.push(0),
+                Decision::Substitute(e) => {
+                    out.push(1);
+                    put_str(&mut out, e);
+                }
+                Decision::Omit => out.push(2),
+                Decision::AddExtra(e) => {
+                    out.push(3);
+                    put_str(&mut out, e);
+                }
+            }
+        }
+        put_varint(&mut out, self.handled.len() as u64);
+        for &h in &self.handled {
+            put_varint(&mut out, h as u64);
+        }
+        for n in [self.n_interventions, self.n_flags, self.rounds_done] {
+            put_varint(&mut out, n as u64);
+        }
+        self.sets.write_bytes(&mut out);
+        match &self.pending {
+            None => out.push(0),
+            Some(q) => {
+                out.push(1);
+                put_varint(&mut out, q.instance);
+                out.push(u8::from(q.is_table));
+                for n in [q.round, q.branch_pos, q.element_idx] {
+                    put_varint(&mut out, n as u64);
+                }
+                put_str(&mut out, &q.gold_element);
+                for list in [&q.implicated, &q.predicted] {
+                    put_varint(&mut out, list.len() as u64);
+                    for e in list {
+                        put_str(&mut out, e);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Decode [`SessionCheckpoint::to_bytes`]'s bytes. Never panics:
+    /// every length and count is checked against the bytes left before
+    /// anything is allocated, and a wrong magic byte, an unknown version
+    /// or tag, a truncation or trailing bytes are an `Err`.
+    pub fn from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, DecodeError> {
+        let mut r = ByteReader::new(bytes);
+        if r.byte() != Some(CHECKPOINT_MAGIC) {
+            return Err(DecodeError("not a session checkpoint"));
+        }
+        if r.byte() != Some(CHECKPOINT_VERSION) {
+            return Err(DecodeError("unknown format version"));
+        }
+        let cp = Self::read_body(&mut r).ok_or(DecodeError("truncated or malformed"))?;
+        if !r.is_empty() {
+            return Err(DecodeError("trailing bytes"));
+        }
+        Ok(cp)
+    }
+
+    fn read_body(r: &mut ByteReader<'_>) -> Option<SessionCheckpoint> {
+        let instance = r.varint()?;
+        let is_table = r.bool()?;
+        let corpus = match r.byte()? {
+            2 => simlm::CorpusVersion::V2,
+            _ => return None,
+        };
+        let monitor = r.u64_le()?;
+        let rng_state = r.u64_le()?;
+        let would_be_correct = match r.byte()? {
+            0 => None,
+            1 => Some(false),
+            2 => Some(true),
+            _ => return None,
+        };
+        // An override takes at least a length byte and a tag byte.
+        let n = r.count(2)?;
+        let mut overrides = Vec::with_capacity(n);
+        for _ in 0..n {
+            let element = r.string()?;
+            let decision = match r.byte()? {
+                0 => Decision::Correct,
+                1 => Decision::Substitute(r.string()?),
+                2 => Decision::Omit,
+                3 => Decision::AddExtra(r.string()?),
+                _ => return None,
+            };
+            overrides.push((element, decision));
+        }
+        let n = r.count(1)?;
+        let mut handled = Vec::with_capacity(n);
+        for _ in 0..n {
+            handled.push(r.usize()?);
+        }
+        let n_interventions = r.usize()?;
+        let n_flags = r.usize()?;
+        let rounds_done = r.usize()?;
+        let sets = RoundSets::read_bytes(r)?;
+        let pending = match r.byte()? {
+            0 => None,
+            1 => Some(FlagQuery {
+                instance: r.varint()?,
+                is_table: r.bool()?,
+                round: r.usize()?,
+                branch_pos: r.usize()?,
+                element_idx: r.usize()?,
+                gold_element: r.string()?,
+                implicated: r.strings()?,
+                predicted: r.strings()?,
+            }),
+            _ => return None,
+        };
+        Some(SessionCheckpoint {
+            instance,
+            is_table,
+            corpus,
+            monitor,
+            rng_state,
+            would_be_correct,
+            overrides,
+            handled,
+            n_interventions,
+            n_flags,
+            rounds_done,
+            sets,
+            pending,
+        })
+    }
+}
+
+/// First byte of every encoded [`SessionCheckpoint`].
+const CHECKPOINT_MAGIC: u8 = 0xC5;
+/// The layout version [`SessionCheckpoint::to_bytes`] writes, the only
+/// one [`SessionCheckpoint::from_bytes`] reads.
+const CHECKPOINT_VERSION: u8 = 1;
+
+/// Why checkpoint bytes failed to decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError(&'static str);
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "corrupt session checkpoint: {}", self.0)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Append `v` as unsigned LEB128.
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// A cursor over checkpoint bytes. Every read is `None` past the end
+/// or on a malformed value; nothing panics.
+pub(crate) struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ByteReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        ByteReader { rest: bytes }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        let (&b, rest) = self.rest.split_first()?;
+        self.rest = rest;
+        Some(b)
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.rest.len() {
+            return None;
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Some(head)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.byte()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn u64_le(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// Unsigned LEB128, refusing overlong forms and bits past 64.
+    pub(crate) fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            if shift == 63 && b > 1 {
+                return None;
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return (b != 0 || shift == 0).then_some(v);
+            }
+        }
+        None
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.varint()?).ok()
+    }
+
+    /// A count of items that take at least `min_each` (≥ 1) bytes each,
+    /// refused when the bytes left cannot hold that many.
+    pub(crate) fn count(&mut self, min_each: usize) -> Option<usize> {
+        let n = self.usize()?;
+        (n.checked_mul(min_each)? <= self.rest.len()).then_some(n)
+    }
+
+    fn string(&mut self) -> Option<String> {
+        let len = self.count(1)?;
+        std::str::from_utf8(self.take(len)?).ok().map(str::to_owned)
+    }
+
+    fn strings(&mut self) -> Option<Vec<String>> {
+        let n = self.count(1)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.string()?);
+        }
+        Some(out)
     }
 }
 
@@ -416,7 +711,7 @@ impl<'a> LinkSession<'a> {
             n_interventions: self.n_interventions,
             n_flags: self.n_flags,
             rounds_done: self.rounds_done,
-            sets: self.round.encode(),
+            sets: self.round.clone(),
             pending: self.pending.as_ref().map(|p| p.query.clone()),
         }
     }
@@ -504,10 +799,12 @@ impl<'a> LinkSession<'a> {
         session.n_interventions = cp.n_interventions;
         session.n_flags = cp.n_flags;
         session.rounds_done = cp.rounds_done;
-        // The sets only spare work: should they not decode, the next
-        // round synthesizes and scores every position, with the same
-        // flags.
-        session.round = RoundSets::decode(&cp.sets, k).unwrap_or_default();
+        // The sets only spare work: should they not fit this monitor,
+        // the next round synthesizes and scores every position, with
+        // the same flags.
+        if cp.sets.fits(k) {
+            session.round = cp.sets.clone();
+        }
         session.pending = cp.pending.clone().map(|query| PendingFlag { query });
         session
     }
@@ -963,10 +1260,9 @@ mod tests {
                         exercised += 1;
                         let held_before = session.held_bytes();
                         let cp = session.checkpoint();
-                        let json = serde_json::to_string(&cp).expect("checkpoint serializes");
-                        let back: SessionCheckpoint =
-                            serde_json::from_str(&json).expect("checkpoint parses");
-                        assert_eq!(cp, back, "checkpoint must survive the serde shim");
+                        let back = SessionCheckpoint::from_bytes(&cp.to_bytes())
+                            .expect("checkpoint bytes decode");
+                        assert_eq!(cp, back, "checkpoint must survive the byte codec");
                         // Drop the live session…
                         session = LinkSession::restore(
                             &fx.model,
@@ -1096,8 +1392,8 @@ mod tests {
                 );
                 while let SessionState::NeedsFeedback(q) = session.step(&mut scratch) {
                     assert!(session.held_bytes() > 1, "a parked session bills its round");
-                    let json = serde_json::to_string(&session.checkpoint()).unwrap();
-                    let cp: SessionCheckpoint = serde_json::from_str(&json).unwrap();
+                    let bytes = session.checkpoint().to_bytes();
+                    let cp = SessionCheckpoint::from_bytes(&bytes).unwrap();
                     let before = scratch.synth.stacks_synthesized();
                     session = LinkSession::restore(
                         &fx.model,
@@ -1268,5 +1564,251 @@ mod tests {
             }
         }
         panic!("no instance flagged at this scale");
+    }
+}
+
+/// The checkpoint byte codec on its own; the session tests above drive
+/// it end to end.
+#[cfg(test)]
+mod codec_tests {
+    use super::*;
+    use conformal::LabelSet;
+    use proptest::prelude::*;
+    use simlm::StepKey;
+
+    /// The four sets over the binary label space.
+    fn binary_set(i: usize) -> LabelSet {
+        [
+            LabelSet::EMPTY,
+            LabelSet::BOTH,
+            LabelSet::singleton(0),
+            LabelSet::singleton(1),
+        ][i % 4]
+    }
+
+    fn sample() -> SessionCheckpoint {
+        let keys = (0..3)
+            .map(|t| StepKey {
+                token: 7 * t,
+                s_bits: (0.25 * f64::from(t)).to_bits(),
+            })
+            .collect();
+        let sets = (0..15).map(binary_set).collect();
+        SessionCheckpoint {
+            instance: 41,
+            is_table: false,
+            corpus: simlm::CorpusVersion::default(),
+            monitor: 0x0123_4567_89AB_CDEF,
+            rng_state: 0xDEAD_BEEF_0BAD_F00D,
+            would_be_correct: Some(false),
+            overrides: vec![
+                ("orders".into(), Decision::Correct),
+                (
+                    "orders.id".into(),
+                    Decision::AddExtra("orders.total".into()),
+                ),
+                ("users".into(), Decision::Substitute("user_logs".into())),
+                ("users.name".into(), Decision::Omit),
+            ],
+            handled: vec![0, 2],
+            n_interventions: 2,
+            n_flags: 5,
+            rounds_done: 3,
+            sets: RoundSets::from_parts(keys, sets),
+            pending: Some(FlagQuery {
+                instance: 41,
+                is_table: false,
+                round: 2,
+                branch_pos: 7,
+                element_idx: 1,
+                gold_element: "users.name".into(),
+                implicated: vec!["users.nick".into()],
+                predicted: vec!["orders.id".into(), "users.nick".into()],
+            }),
+        }
+    }
+
+    #[test]
+    fn roundtrip_is_lossless() {
+        let cp = sample();
+        assert_eq!(SessionCheckpoint::from_bytes(&cp.to_bytes()), Ok(cp));
+    }
+
+    #[test]
+    fn encoding_is_deterministic_and_small() {
+        let cp = sample();
+        let bytes = cp.to_bytes();
+        assert_eq!(bytes, cp.clone().to_bytes());
+        // The keys and sets travel in their own compact layout, as is.
+        let mut sets = Vec::new();
+        cp.sets.write_bytes(&mut sets);
+        assert!(bytes.windows(sets.len()).any(|w| w == sets));
+        // Bytes of query-text order, not hidden-stack order (tens of KB).
+        assert!(
+            bytes.len() < 256,
+            "checkpoint unexpectedly large: {} B",
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn corpus_tag_is_present_and_a_foreign_tag_fails_to_decode() {
+        let cp = sample();
+        let mut bytes = cp.to_bytes();
+        // Magic, version, instance 41 (one LEB128 byte), is_table, corpus.
+        assert_eq!(bytes[4], 2, "the V2 tag");
+        assert_eq!(
+            SessionCheckpoint::from_bytes(&bytes).map(|cp| cp.corpus),
+            Ok(simlm::CorpusVersion::V2)
+        );
+        for foreign in [0, 1, 3, 0xFF] {
+            bytes[4] = foreign;
+            assert!(
+                SessionCheckpoint::from_bytes(&bytes).is_err(),
+                "tag {foreign}"
+            );
+        }
+    }
+
+    #[test]
+    fn full_u64_rng_state_survives() {
+        let mut cp = sample();
+        cp.rng_state = u64::MAX;
+        let back = SessionCheckpoint::from_bytes(&cp.to_bytes()).unwrap();
+        assert_eq!(back.rng_state, u64::MAX);
+    }
+
+    #[test]
+    fn corrupt_bytes_fail_decode_without_panicking() {
+        let bytes = sample().to_bytes();
+        let decode = SessionCheckpoint::from_bytes;
+        assert!(decode(b"").is_err(), "empty buffer");
+        assert!(decode(b"{\"instance\": 41").is_err(), "not a checkpoint");
+        let mut version = bytes.clone();
+        version[1] = CHECKPOINT_VERSION + 1;
+        assert_eq!(decode(&version), Err(DecodeError("unknown format version")));
+        assert!(
+            decode(&bytes[..bytes.len() / 2]).is_err(),
+            "half a checkpoint"
+        );
+        let trailing = [&bytes[..], &[0]].concat();
+        assert_eq!(decode(&trailing), Err(DecodeError("trailing bytes")));
+    }
+
+    #[test]
+    fn a_huge_override_count_is_refused_before_allocating() {
+        let mut cp = sample();
+        cp.overrides.clear();
+        let bytes = cp.to_bytes();
+        // Everything before the override count: magic, version,
+        // instance, is_table, corpus, monitor, rng_state, would_be_correct.
+        let mut forged = bytes[..22].to_vec();
+        put_varint(&mut forged, 1 << 60);
+        forged.extend_from_slice(&bytes[23..]);
+        let allocated = crate::test_alloc::allocations_on_this_thread(|| {
+            assert!(SessionCheckpoint::from_bytes(&forged).is_err());
+        });
+        assert_eq!(allocated, 0, "refused without allocating");
+    }
+
+    fn string(rng: &mut TestRng) -> String {
+        const POOL: [&str; 6] = ["", "orders", "users.name", "café", "日本語", "🦀.col"];
+        match rng.below(POOL.len() + 1) {
+            i if i < POOL.len() => POOL[i].to_string(),
+            _ => (0..rng.below(40))
+                .map(|_| char::from(b' ' + rng.below(95) as u8))
+                .collect(),
+        }
+    }
+
+    fn strings(rng: &mut TestRng) -> Vec<String> {
+        (0..rng.below(4)).map(|_| string(rng)).collect()
+    }
+
+    /// A word, often at an edge: 0 or the type's maximum.
+    fn word(rng: &mut TestRng, max: u64) -> u64 {
+        match rng.below(4) {
+            0 => 0,
+            1 => max,
+            _ => rng.next_u64() & max,
+        }
+    }
+
+    fn index(rng: &mut TestRng) -> usize {
+        word(rng, usize::MAX as u64) as usize
+    }
+
+    fn random_checkpoint(rng: &mut TestRng) -> SessionCheckpoint {
+        let n = rng.below(6);
+        let k = if n == 0 { 0 } else { rng.below(7) };
+        let keys = (0..n)
+            .map(|_| StepKey {
+                token: word(rng, u64::from(u32::MAX)) as u32,
+                s_bits: word(rng, u64::MAX),
+            })
+            .collect();
+        let sets = (0..n * k).map(|_| binary_set(rng.below(4))).collect();
+        let overrides = (0..rng.below(5))
+            .map(|_| {
+                let decision = match rng.below(4) {
+                    0 => Decision::Correct,
+                    1 => Decision::Substitute(string(rng)),
+                    2 => Decision::Omit,
+                    _ => Decision::AddExtra(string(rng)),
+                };
+                (string(rng), decision)
+            })
+            .collect();
+        let pending = rng.next_bool().then(|| FlagQuery {
+            instance: word(rng, u64::MAX),
+            is_table: rng.next_bool(),
+            round: index(rng),
+            branch_pos: index(rng),
+            element_idx: index(rng),
+            gold_element: string(rng),
+            implicated: strings(rng),
+            predicted: strings(rng),
+        });
+        SessionCheckpoint {
+            instance: word(rng, u64::MAX),
+            is_table: rng.next_bool(),
+            corpus: simlm::CorpusVersion::V2,
+            monitor: word(rng, u64::MAX),
+            rng_state: word(rng, u64::MAX),
+            would_be_correct: [None, Some(false), Some(true)][rng.below(3)],
+            overrides,
+            handled: (0..rng.below(5)).map(|_| index(rng)).collect(),
+            n_interventions: index(rng),
+            n_flags: index(rng),
+            rounds_done: index(rng),
+            sets: RoundSets::from_parts(keys, sets),
+            pending,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random checkpoints round-trip exactly; every strict prefix of
+        /// an encoding is refused; a single-byte flip is refused or
+        /// decodes to a checkpoint that re-encodes to the flipped bytes
+        /// (the layout is canonical), and never panics.
+        #[test]
+        fn random_checkpoints_roundtrip_and_corruption_never_panics(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let cp = random_checkpoint(&mut rng);
+            let bytes = cp.to_bytes();
+            prop_assert_eq!(SessionCheckpoint::from_bytes(&bytes), Ok(cp));
+            for len in 0..bytes.len() {
+                prop_assert!(SessionCheckpoint::from_bytes(&bytes[..len]).is_err(), "prefix {}", len);
+            }
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 + rng.below(255) as u8;
+                if let Ok(decoded) = SessionCheckpoint::from_bytes(&flipped) {
+                    prop_assert_eq!(decoded.to_bytes(), flipped, "flip at {}", at);
+                }
+            }
+        }
     }
 }

@@ -20,6 +20,7 @@ use rts_core::session::{
     SessionCheckpoint, SessionState,
 };
 use simlm::{LinkTarget, SchemaLinker};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -630,8 +631,9 @@ impl ServeEngine {
                 }
                 SessionState::NeedsFeedback(query) => {
                     let billed = s.held_bytes();
-                    // The recovery recipe: cheap (no hidden stacks), and
-                    // the only way back should a post-resolution step
+                    // The recovery recipe: a clone of the session's state
+                    // and round sets (no hidden stacks, nothing encoded),
+                    // and the only way back should a post-resolution step
                     // panic lose the session.
                     let recipe = Recipe {
                         checkpoint: s.checkpoint(),
@@ -1202,11 +1204,13 @@ impl Shard {
         }
     }
 
-    /// Evict live parked sessions (largest first) into serialized
-    /// checkpoints until the parked-bytes `budget` (`0` = none) holds.
-    /// Serialization is cheap — the checkpoint is the session's state
-    /// and its round's label sets, under a kilobyte — so running under
-    /// the state lock is fine.
+    /// Evict live parked sessions into checkpoint bytes until the
+    /// parked-bytes `budget` (`0` = none) holds. The victim is the
+    /// largest billed session, and among equally billed ones the lowest
+    /// [`TicketId`] (the oldest), so the choice does not depend on the
+    /// ticket map's iteration order. Encoding is cheap — the checkpoint
+    /// is the session's state and its round's label sets, a few hundred
+    /// bytes — so running under the state lock is fine.
     fn enforce_parked_budget(&self, st: &mut ShardState, budget: usize) {
         if budget == 0 {
             return;
@@ -1214,14 +1218,14 @@ impl Shard {
         while self.counters.parked_bytes.load(Ordering::Relaxed) > budget {
             let victim = st
                 .tickets
-                .values_mut()
-                .filter(|t| matches!(t.phase, Phase::AwaitingFeedback(_)))
-                .filter_map(|t| match t.parked {
-                    Parked::Live { billed, .. } => Some((billed, t)),
+                .iter_mut()
+                .filter(|(_, t)| matches!(t.phase, Phase::AwaitingFeedback(_)))
+                .filter_map(|(&id, t)| match t.parked {
+                    Parked::Live { billed, .. } => Some((billed, Reverse(id), t)),
                     _ => None,
                 })
-                .max_by_key(|(billed, _)| *billed);
-            let Some((_, ticket)) = victim else { break };
+                .max_by_key(|&(billed, id, _)| (billed, id));
+            let Some((_, _, ticket)) = victim else { break };
             let Parked::Live { billed, recipe, .. } =
                 mem::replace(&mut ticket.parked, Parked::Fresh)
             else {
@@ -1724,6 +1728,72 @@ mod tests {
         );
         assert_eq!(stats.parked_bytes_now, 0);
         assert_eq!(stats.parked_sessions_now, 0);
+    }
+
+    /// Two equally billed parked sessions and room for one: the budget
+    /// evicts the lower ticket id, whatever the ticket map's order.
+    #[test]
+    fn equally_billed_parks_evict_the_lowest_ticket_id() {
+        let fx = fixture();
+        let config = ServeConfig::default();
+        let mut scratch = LinkScratch::default();
+        // An instance whose tables stage parks, and what its park bills.
+        let (inst, billed) = fx
+            .bench
+            .split
+            .dev
+            .iter()
+            .find_map(|inst| {
+                let meta = fx.bench.meta(&inst.db_name).unwrap();
+                let mut session = LinkSession::new(
+                    &fx.model,
+                    &fx.mbpp_t,
+                    inst,
+                    meta,
+                    LinkTarget::Tables,
+                    None,
+                    None,
+                    &config.rts,
+                );
+                match session.step(&mut scratch) {
+                    SessionState::NeedsFeedback(_) => Some((inst, session.held_bytes())),
+                    SessionState::Done(_) => None,
+                }
+            })
+            .expect("some instance parks at this scale");
+        let config = ServeConfig {
+            workers: 1,
+            parked_bytes_budget: billed,
+            ..config
+        };
+        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        crossbeam::thread::scope(|s| {
+            s.spawn(|_| engine.worker_loop());
+            let mut ids = [0; 2];
+            for id in &mut ids {
+                *id = engine.submit(0, inst).expect("queue has room");
+                let event = engine.wait_event(*id);
+                assert!(matches!(event, ClientEvent::NeedsFeedback { .. }));
+            }
+            assert!(ids[0] < ids[1]);
+            let evicted = |id: TicketId| {
+                let shard = engine.ticket_shard(id).expect("a live ticket");
+                let st = shard.state.lock();
+                matches!(
+                    st.tickets.get(&id).map(|t| &t.parked),
+                    Some(Parked::Evicted { .. })
+                )
+            };
+            assert!(evicted(ids[0]), "the lower id is evicted");
+            assert!(!evicted(ids[1]), "the higher id stays live");
+            assert_eq!(
+                engine.stats().checkpoints,
+                1,
+                "one eviction restores the budget"
+            );
+            engine.shutdown();
+        })
+        .expect("serve scope panicked");
     }
 
     #[test]

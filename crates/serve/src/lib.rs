@@ -35,10 +35,11 @@
 //!   degrade through the same abstention mechanism.
 //! * **Parked-session checkpointing** — past
 //!   [`ServeConfig::parked_bytes_budget`], the largest parked sessions
-//!   are serialized through the serde shim (the session's state and
-//!   its round's label sets: under a kilobyte, no hidden stacks) and
-//!   restored bit-identically, with no synthesis, when their feedback
-//!   arrives (pinned by the checkpoint-roundtrip parity proptests).
+//!   are encoded in the [`checkpoint`] binary layout (the session's
+//!   state and its round's label sets: a few hundred bytes, no hidden
+//!   stacks) and restored bit-identically, with no synthesis, when
+//!   their feedback arrives (pinned by the checkpoint-roundtrip parity
+//!   proptests).
 //! * **Non-blocking feedback** — when a session hits a branching flag
 //!   it is *parked* (worker moves on); the client answers through
 //!   [`Engine::resolve`] and the session re-enters the work queue.
