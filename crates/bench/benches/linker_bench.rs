@@ -7,7 +7,7 @@ use benchgen::BenchmarkProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
-use simlm::{GenMode, LayerSet, LinkTarget, SchemaLinker, Vocab};
+use simlm::{GenMode, LayerSet, LinkTarget, SchemaLinker, SynthScratch, Vocab};
 use std::hint::black_box;
 use tinynn::rng::SplitMix64;
 
@@ -38,6 +38,40 @@ fn bench_generation(c: &mut Criterion) {
             ))
         })
     });
+    group.finish();
+}
+
+/// Decoding alone: free generation of the first 16 dev instances with
+/// no hidden layer synthesized (`LayerSet::none()`), so the time is the
+/// decode path's — decisions, tokenization into a fresh `Vocab`, step
+/// observables — without the hidden-state synthesis `generate_fast`
+/// includes.
+fn bench_decode_only(c: &mut Criterion) {
+    let (bench, linker) = setup();
+    let instances = &bench.split.dev[..bench.split.dev.len().min(16)];
+    let none = LayerSet::none();
+    let mut group = c.benchmark_group("simlm/decode_only");
+    for (name, target) in [
+        ("tables_x16", LinkTarget::Tables),
+        ("columns_x16", LinkTarget::Columns),
+    ] {
+        let mut scratch = SynthScratch::default();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for inst in instances {
+                    let mut vocab = Vocab::new();
+                    black_box(linker.generate_with_layers(
+                        inst,
+                        &mut vocab,
+                        target,
+                        GenMode::Free,
+                        &none,
+                        &mut scratch,
+                    ));
+                }
+            })
+        });
+    }
     group.finish();
 }
 
@@ -165,6 +199,7 @@ fn bench_flagging(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_generation,
+    bench_decode_only,
     bench_gaussian_samplers,
     bench_synthesis_paths,
     bench_branch_dataset,

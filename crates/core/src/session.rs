@@ -162,7 +162,7 @@ pub enum FlagResolution {
 /// The byte layout ([`SessionCheckpoint::to_bytes`]) is a hand-written
 /// binary one, a few hundred bytes for a typical park:
 ///
-/// - a magic byte `0xC5` and a format-version byte (`1`);
+/// - a magic byte `0xC5` and a format-version byte (`2`);
 /// - `instance` (LEB128), `is_table` (a `0`/`1` byte), `corpus` (a tag
 ///   byte: `2` = [`simlm::CorpusVersion::V2`]);
 /// - `monitor` and `rng_state`, each 8 bytes little-endian;
@@ -180,13 +180,18 @@ pub enum FlagResolution {
 /// - `pending`: a tag byte, `0` = none, `1` = a [`FlagQuery`] follows
 ///   (`instance`, `is_table`, `round`, `branch_pos`, `element_idx`,
 ///   `gold_element`, then `implicated` and `predicted` as counted
-///   string lists).
+///   string lists);
+/// - a checksum: the [`tinynn::rng::stable_hash`] of every byte before
+///   it, 8 bytes little-endian.
 ///
 /// Counts, indices and lengths are LEB128 and strings are a byte
 /// length then UTF-8. The encoding is canonical: a decoder refuses an
 /// unknown version or tag, overlong LEB128, nonzero padding and
 /// trailing bytes, so every input [`SessionCheckpoint::from_bytes`]
-/// accepts re-encodes to itself.
+/// accepts re-encodes to itself. The checksum makes corruption that
+/// would still parse an `Err` too: every single-byte change fails to
+/// decode, so an engine salvages a damaged park instead of restoring
+/// other state as if it were the parked one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionCheckpoint {
     /// Instance id the session links (restore refuses a mismatch).
@@ -304,21 +309,30 @@ impl SessionCheckpoint {
                 }
             }
         }
+        seal(&mut out);
         out
     }
 
     /// Decode [`SessionCheckpoint::to_bytes`]'s bytes. Never panics:
     /// every length and count is checked against the bytes left before
-    /// anything is allocated, and a wrong magic byte, an unknown version
-    /// or tag, a truncation or trailing bytes are an `Err`.
+    /// anything is allocated, and a wrong magic byte, an unknown version,
+    /// a checksum mismatch, an unknown tag, a truncation or trailing
+    /// bytes are an `Err`.
     pub fn from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, DecodeError> {
-        let mut r = ByteReader::new(bytes);
-        if r.byte() != Some(CHECKPOINT_MAGIC) {
+        if bytes.first() != Some(&CHECKPOINT_MAGIC) {
             return Err(DecodeError("not a session checkpoint"));
         }
-        if r.byte() != Some(CHECKPOINT_VERSION) {
+        if bytes.get(1) != Some(&CHECKPOINT_VERSION) {
             return Err(DecodeError("unknown format version"));
         }
+        let Some(sealed) = bytes.len().checked_sub(CHECKSUM_LEN).filter(|&n| n >= 2) else {
+            return Err(DecodeError("truncated or malformed"));
+        };
+        let (content, checksum) = bytes.split_at(sealed);
+        if checksum != tinynn::rng::stable_hash(content).to_le_bytes() {
+            return Err(DecodeError("checksum mismatch"));
+        }
+        let mut r = ByteReader::new(&content[2..]);
         let cp = Self::read_body(&mut r).ok_or(DecodeError("truncated or malformed"))?;
         if !r.is_empty() {
             return Err(DecodeError("trailing bytes"));
@@ -400,7 +414,16 @@ impl SessionCheckpoint {
 const CHECKPOINT_MAGIC: u8 = 0xC5;
 /// The layout version [`SessionCheckpoint::to_bytes`] writes, the only
 /// one [`SessionCheckpoint::from_bytes`] reads.
-const CHECKPOINT_VERSION: u8 = 1;
+const CHECKPOINT_VERSION: u8 = 2;
+/// Bytes of the trailing checksum.
+const CHECKSUM_LEN: usize = 8;
+
+/// Append the checksum of everything in `out`: its
+/// [`tinynn::rng::stable_hash`], 8 bytes little-endian.
+fn seal(out: &mut Vec<u8>) {
+    let checksum = tinynn::rng::stable_hash(out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+}
 
 /// Why checkpoint bytes failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1018,11 +1041,6 @@ pub fn resolve_flag(
             }
         }
         MitigationPolicy::Human(oracle) => {
-            let gold_set = {
-                let mut g = SchemaLinker::gold_elements(inst, query.target());
-                g.sort();
-                g
-            };
             let gold_element = &query.gold_element;
             // Confirm candidates in turn (§3.3): an affirmed candidate
             // is pinned and generation proceeds with it. A candidate
@@ -1036,7 +1054,7 @@ pub fn resolve_flag(
                 if already_linked {
                     continue;
                 }
-                let truly = gold_set.binary_search(cand).is_ok();
+                let truly = SchemaLinker::is_gold(inst, query.target(), cand);
                 if oracle.judge_relevance(inst, cand, query.is_table, truly) {
                     resolved = Some(cand.clone());
                     break;
@@ -1047,7 +1065,7 @@ pub fn resolve_flag(
                 let distractors: Vec<String> = inst
                     .links
                     .iter()
-                    .filter(|l| l.element.to_string() == *gold_element)
+                    .filter(|l| l.element.display_eq(gold_element))
                     .flat_map(|l| l.confusables.iter())
                     .filter(|c| c.alt.is_table() == query.is_table)
                     .map(|c| c.alt.to_string())
@@ -1651,10 +1669,23 @@ mod codec_tests {
         );
     }
 
+    /// `content` (an encoding without its checksum) with a valid
+    /// checksum appended, so a forged field reaches the body decoder.
+    fn sealed(content: &[u8]) -> Vec<u8> {
+        let mut out = content.to_vec();
+        seal(&mut out);
+        out
+    }
+
+    /// An encoding's content: everything before the checksum.
+    fn content(bytes: &[u8]) -> &[u8] {
+        &bytes[..bytes.len() - CHECKSUM_LEN]
+    }
+
     #[test]
     fn corpus_tag_is_present_and_a_foreign_tag_fails_to_decode() {
         let cp = sample();
-        let mut bytes = cp.to_bytes();
+        let bytes = cp.to_bytes();
         // Magic, version, instance 41 (one LEB128 byte), is_table, corpus.
         assert_eq!(bytes[4], 2, "the V2 tag");
         assert_eq!(
@@ -1662,10 +1693,29 @@ mod codec_tests {
             Ok(simlm::CorpusVersion::V2)
         );
         for foreign in [0, 1, 3, 0xFF] {
-            bytes[4] = foreign;
-            assert!(
-                SessionCheckpoint::from_bytes(&bytes).is_err(),
+            let mut forged = content(&bytes).to_vec();
+            forged[4] = foreign;
+            assert_eq!(
+                SessionCheckpoint::from_bytes(&sealed(&forged)),
+                Err(DecodeError("truncated or malformed")),
                 "tag {foreign}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_checksum_covers_every_byte_before_it() {
+        let bytes = sample().to_bytes();
+        let (content, checksum) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+        assert_eq!(checksum, tinynn::rng::stable_hash(content).to_le_bytes());
+        // Past the magic and version bytes, any change is a mismatch.
+        for at in 2..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x40;
+            assert_eq!(
+                SessionCheckpoint::from_bytes(&flipped),
+                Err(DecodeError("checksum mismatch")),
+                "flip at {at}"
             );
         }
     }
@@ -1691,8 +1741,12 @@ mod codec_tests {
             decode(&bytes[..bytes.len() / 2]).is_err(),
             "half a checkpoint"
         );
-        let trailing = [&bytes[..], &[0]].concat();
-        assert_eq!(decode(&trailing), Err(DecodeError("trailing bytes")));
+        let trailing = [content(&bytes), &[0]].concat();
+        assert_eq!(
+            decode(&sealed(&trailing)),
+            Err(DecodeError("trailing bytes"))
+        );
+        assert!(decode(&bytes[..2]).is_err(), "magic and version only");
     }
 
     #[test]
@@ -1704,7 +1758,8 @@ mod codec_tests {
         // instance, is_table, corpus, monitor, rng_state, would_be_correct.
         let mut forged = bytes[..22].to_vec();
         put_varint(&mut forged, 1 << 60);
-        forged.extend_from_slice(&bytes[23..]);
+        forged.extend_from_slice(&content(&bytes)[23..]);
+        let forged = sealed(&forged);
         let allocated = crate::test_alloc::allocations_on_this_thread(|| {
             assert!(SessionCheckpoint::from_bytes(&forged).is_err());
         });
@@ -1790,9 +1845,8 @@ mod codec_tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Random checkpoints round-trip exactly; every strict prefix of
-        /// an encoding is refused; a single-byte flip is refused or
-        /// decodes to a checkpoint that re-encodes to the flipped bytes
-        /// (the layout is canonical), and never panics.
+        /// an encoding is refused, and so is every single-byte flip (the
+        /// checksum), never with a panic.
         #[test]
         fn random_checkpoints_roundtrip_and_corruption_never_panics(seed in any::<u64>()) {
             let mut rng = TestRng::new(seed);
@@ -1805,9 +1859,7 @@ mod codec_tests {
             for at in 0..bytes.len() {
                 let mut flipped = bytes.clone();
                 flipped[at] ^= 1 + rng.below(255) as u8;
-                if let Ok(decoded) = SessionCheckpoint::from_bytes(&flipped) {
-                    prop_assert_eq!(decoded.to_bytes(), flipped, "flip at {}", at);
-                }
+                prop_assert!(SessionCheckpoint::from_bytes(&flipped).is_err(), "flip at {}", at);
             }
         }
     }

@@ -21,26 +21,49 @@ use crate::vocab::{
 /// Tokenize one element name. Table elements are identifiers; column
 /// elements are `table.column` (the dot becomes its own token).
 pub fn element_tokens(vocab: &mut Vocab, element: &str) -> Vec<TokenId> {
+    let mut out = Vec::new();
+    let (table, column) = split_element(element);
+    push_element_tokens(vocab, table, column, &mut out);
+    out
+}
+
+/// An element name's table and, for a column element, its column.
+/// Schema identifiers hold no `.`, so the first one separates them.
+pub(crate) fn split_element(element: &str) -> (&str, Option<&str>) {
     match element.split_once('.') {
-        Some((t, c)) => {
-            let mut out = vocab.encode_identifier(t);
-            out.push(vocab.intern(TOK_DOT));
-            out.extend(vocab.encode_identifier(c));
-            out
-        }
-        None => vocab.encode_identifier(element),
+        Some((table, column)) => (table, Some(column)),
+        None => (element, None),
     }
 }
 
-fn linearize(vocab: &mut Vocab, header: &str, elements: &[String]) -> Vec<TokenId> {
+/// [`element_tokens`] of the element `table` (or `table.column`),
+/// pushed onto the end of `out`.
+pub(crate) fn push_element_tokens(
+    vocab: &mut Vocab,
+    table: &str,
+    column: Option<&str>,
+    out: &mut Vec<TokenId>,
+) {
+    vocab.encode_identifier_into(table, out);
+    if let Some(column) = column {
+        out.push(vocab.intern(TOK_DOT));
+        vocab.encode_identifier_into(column, out);
+    }
+}
+
+fn linearize<'e>(
+    vocab: &mut Vocab,
+    header: &str,
+    elements: impl ExactSizeIterator<Item = (&'e str, Option<&'e str>)>,
+) -> Vec<TokenId> {
     let mut out = Vec::with_capacity(2 + elements.len() * 4);
     out.push(vocab.intern(header));
     out.push(vocab.intern(TOK_COLON));
-    for (i, e) in elements.iter().enumerate() {
+    for (i, (table, column)) in elements.enumerate() {
         if i > 0 {
             out.push(vocab.intern(TOK_COMMA));
         }
-        out.extend(element_tokens(vocab, e));
+        push_element_tokens(vocab, table, column, &mut out);
     }
     out.push(vocab.intern(TOK_END));
     out
@@ -48,13 +71,16 @@ fn linearize(vocab: &mut Vocab, header: &str, elements: &[String]) -> Vec<TokenI
 
 /// `tables : t1 , t2 ;`
 pub fn linearize_tables(vocab: &mut Vocab, tables: &[String]) -> Vec<TokenId> {
-    linearize(vocab, TOK_TABLES, tables)
+    linearize(vocab, TOK_TABLES, tables.iter().map(|t| (t.as_str(), None)))
 }
 
 /// `columns : t1 . c1 , t2 . c2 ;` — input pairs `(table, column)`.
 pub fn linearize_columns(vocab: &mut Vocab, columns: &[(String, String)]) -> Vec<TokenId> {
-    let elements: Vec<String> = columns.iter().map(|(t, c)| format!("{t}.{c}")).collect();
-    linearize(vocab, TOK_COLUMNS, &elements)
+    linearize(
+        vocab,
+        TOK_COLUMNS,
+        columns.iter().map(|(t, c)| (t.as_str(), Some(c.as_str()))),
+    )
 }
 
 /// Decode a token stream into complete element names plus the trailing

@@ -29,13 +29,13 @@
 //!   from data; early layers carry almost no signal, so layer selection
 //!   (and the paper's Figure 7 ablation) is meaningful.
 
-use crate::linearize::element_tokens;
+use crate::linearize::{push_element_tokens, split_element};
 use crate::profile::CompetenceProfile;
 use crate::vocab::{TokenId, Vocab, TOK_COLON, TOK_COLUMNS, TOK_COMMA, TOK_END, TOK_TABLES};
-use benchgen::{GoldLink, Instance};
+use benchgen::{GoldLink, Instance, SchemaElementRef};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tinynn::rng::{round_f32_within, stable_hash, SplitMix64, GAUSS_ERR};
+use tinynn::rng::{round_f32_within, stable_hash, stable_hash_parts, SplitMix64, GAUSS_ERR};
 
 /// What is being linked. (`Hash` so per-`(database, target)` caches —
 /// the serving engine's context cache — can key on it directly.)
@@ -493,33 +493,36 @@ impl SchemaLinker {
         }
     }
 
-    /// The gold link annotation for an element string.
-    fn link_for<'a>(inst: &'a Instance, element: &str, target: LinkTarget) -> Option<&'a GoldLink> {
-        let is_table = target == LinkTarget::Tables;
-        inst.links
-            .iter()
-            .find(|l| l.element.is_table() == is_table && l.element.display_eq(element))
+    /// Is `name` one of the instance's gold elements for `target`
+    /// (`gold_elements(inst, target).contains(name)`, without building
+    /// the list)?
+    pub fn is_gold(inst: &Instance, target: LinkTarget, name: &str) -> bool {
+        (0..Element::gold_len(inst, target)).any(|i| Element::gold(inst, target, i).names(name))
+    }
+
+    /// The gold link annotation for an element.
+    fn link_for<'i>(inst: &'i Instance, element: Element<'_>) -> Option<&'i GoldLink> {
+        inst.links.iter().find(|l| element.is(&l.element))
     }
 
     /// The model's deterministic counterfactual decision for gold
-    /// element `i` of `gold` (the instance's
-    /// [`SchemaLinker::gold_elements`] for `target`). Draws depend only
-    /// on (model seed, instance id, element).
-    pub fn decision_for(
+    /// element `i` of `inst` under `target`, whose link annotation is
+    /// `link`. Draws depend only on (model seed, instance id, element).
+    fn decision_for(
         &self,
         inst: &Instance,
-        gold: &[String],
-        i: usize,
         target: LinkTarget,
+        i: usize,
+        link: Option<&GoldLink>,
     ) -> Decision {
-        let element = gold[i].as_str();
-        let is_last = i + 1 == gold.len();
+        let n_gold = Element::gold_len(inst, target);
+        let is_last = i + 1 == n_gold;
         let mut rng = SplitMix64::new(
             self.seed
-                ^ stable_hash(element.as_bytes())
+                ^ Element::gold(inst, target, i).name_hash()
                 ^ inst.id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let Some(link) = Self::link_for(inst, element, target) else {
+        let Some(link) = link else {
             return Decision::Correct;
         };
         let is_table = target == LinkTarget::Tables;
@@ -538,36 +541,41 @@ impl SchemaLinker {
         // Matching-kind confusables that are not themselves part of the
         // gold answer (substituting an already-linked element is just an
         // omission wearing a costume — the answer is a set).
-        let candidates: Vec<&benchgen::Confusable> = link
-            .confusables
-            .iter()
-            .filter(|c| c.alt.is_table() == is_table && !gold.iter().any(|g| c.alt.display_eq(g)))
-            .collect();
+        let candidates = || {
+            link.confusables.iter().filter(|c| {
+                c.alt.is_table() == is_table
+                    && !(0..n_gold).any(|g| Element::gold(inst, target, g).is(&c.alt))
+            })
+        };
+        let n_candidates = candidates().count();
         let kind = rng.next_f64();
-        if kind < self.competence.p_substitute && !candidates.is_empty() {
+        if kind < self.competence.p_substitute && n_candidates > 0 {
             // Weighted draw over confusables.
-            let total: f64 = candidates.iter().map(|c| c.weight).sum();
+            let total: f64 = candidates().map(|c| c.weight).sum();
             let mut x = rng.next_f64() * total;
-            for c in &candidates {
-                x -= c.weight;
-                if x <= 0.0 {
-                    return Decision::Substitute(c.alt.to_string());
-                }
+            let pick = candidates()
+                .find(|c| {
+                    x -= c.weight;
+                    x <= 0.0
+                })
+                .or_else(|| candidates().next_back());
+            if let Some(c) = pick {
+                return Decision::Substitute(c.alt.to_string());
             }
-            return Decision::Substitute(candidates[candidates.len() - 1].alt.to_string());
         }
         if kind < self.competence.p_substitute + self.competence.p_omit {
             return Decision::Omit;
         }
         // AddExtra only at the last element; otherwise fall back.
-        if is_last && !candidates.is_empty() {
-            let pick = &candidates[rng.next_below(candidates.len())];
-            return Decision::AddExtra(pick.alt.to_string());
+        if is_last && n_candidates > 0 {
+            if let Some(pick) = candidates().nth(rng.next_below(n_candidates)) {
+                return Decision::AddExtra(pick.alt.to_string());
+            }
         }
-        if !candidates.is_empty() {
-            return Decision::Substitute(candidates[0].alt.to_string());
+        match candidates().next() {
+            Some(c) => Decision::Substitute(c.alt.to_string()),
+            None => Decision::Omit,
         }
-        Decision::Omit
     }
 
     /// Generate for an instance with a full hidden-state stack. See
@@ -663,92 +671,79 @@ impl SchemaLinker {
         known: &[StepKey],
         scratch: &mut SynthScratch,
     ) -> GenerationTrace {
-        let gold = Self::gold_elements(inst, target);
-        let decisions: Vec<Decision> = gold
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                overrides
-                    .get(e)
-                    .cloned()
-                    .unwrap_or_else(|| self.decision_for(inst, &gold, i, target))
-            })
-            .collect();
-
+        let n_gold = Element::gold_len(inst, target);
         let header = match target {
             LinkTarget::Tables => TOK_TABLES,
             LinkTarget::Columns => TOK_COLUMNS,
         };
         let comma = vocab.intern(TOK_COMMA);
         let end = vocab.intern(TOK_END);
+        let mut out = Steps {
+            model: self,
+            inst,
+            layers,
+            known,
+            scratch,
+            tokens: Vec::with_capacity(3 + 4 * n_gold),
+            steps: Vec::with_capacity(3 + 4 * n_gold),
+        };
+        // The stream is built segment by segment: a segment's tokens are
+        // pushed onto `out.tokens`, then `out.emit` turns that range into
+        // steps.
+        out.tokens
+            .extend([vocab.intern(header), vocab.intern(TOK_COLON)]);
+        out.emit(0, Segment::SPECIAL);
 
-        // Segment list: (tokens, element_idx, kind, branch_at,
-        // branch_elem). `branch_elem` re-attributes a branch token to a
-        // *different* gold element than the segment's own (the omission
-        // case: the divergence is visible on the next emitted token but
-        // implicates the skipped element).
-        #[derive(Clone, Copy, PartialEq)]
-        enum Kind {
-            Special,
-            GoldElem,
-            WrongElem,
-            ExtraElem,
-        }
-        struct Segment {
-            tokens: Vec<TokenId>,
-            element_idx: Option<usize>,
-            kind: Kind,
-            branch_at: Option<usize>,
-            branch_elem: Option<usize>,
-        }
-        let mut segments: Vec<Segment> = Vec::new();
-        segments.push(Segment {
-            tokens: vec![vocab.intern(header), vocab.intern(TOK_COLON)],
-            element_idx: None,
-            kind: Kind::Special,
-            branch_at: None,
-            branch_elem: None,
-        });
-
+        let mut decisions = Vec::with_capacity(n_gold);
+        let mut predicted = Vec::with_capacity(n_gold + 1);
         // Branch bookkeeping for teacher-forced mode.
         let mut n_branches = 0usize;
-        let mut predicted: Vec<String> = Vec::new();
-
         let mut emitted_any = false;
         // Free mode: an omission's divergence becomes visible on the
-        // next emitted element token; this carries the skipped element's
-        // index until that token exists.
-        let mut pending_omit: Option<usize> = None;
-        for (i, element) in gold.iter().enumerate() {
-            let gold_toks = element_tokens(vocab, element);
-            let decision = &decisions[i];
+        // next emitted element token; this carries the skipped element
+        // (its index and branch strength) until that token exists.
+        let mut pending_omit: Option<(usize, f64)> = None;
+        for i in 0..n_gold {
+            let element = Element::gold(inst, target, i);
+            let link = Self::link_for(inst, element);
+            let decision = match pinned(overrides, element) {
+                Some(d) => d.clone(),
+                None => self.decision_for(inst, target, i, link),
+            };
+            let own = Segment {
+                element_idx: Some(i),
+                kind: Kind::GoldElem,
+                branch_at: None,
+                branch_elem: None,
+                strength: branch_strength(link, &decision),
+                link_mass: link.map_or(0.0, GoldLink::confusion_mass),
+            };
             match mode {
                 GenMode::TeacherForced => {
                     // Stream = gold; mark the first token where the free
                     // model would have diverged.
                     if emitted_any {
-                        segments.push(Segment {
-                            tokens: vec![comma],
-                            element_idx: None,
-                            kind: Kind::Special,
-                            branch_at: None,
-                            branch_elem: None,
-                        });
+                        out.separator(comma);
                     }
-                    let branch_at = match decision {
+                    let start = out.tokens.len();
+                    element.push_tokens(vocab, &mut out.tokens);
+                    let branch_at = match &decision {
                         Decision::Correct => None,
                         Decision::Substitute(alt) => {
-                            let alt_toks = element_tokens(vocab, alt);
-                            let mut pos = gold_toks
+                            // Tokenize the alternative after the gold
+                            // element, compare, and drop it again.
+                            let mid = out.tokens.len();
+                            Element::parse(alt).push_tokens(vocab, &mut out.tokens);
+                            let (gold_toks, alt_toks) = out.tokens[start..].split_at(mid - start);
+                            // One name a strict prefix of the other →
+                            // divergence at the shorter end.
+                            let pos = gold_toks
                                 .iter()
-                                .zip(alt_toks.iter())
-                                .position(|(g, a)| g != a);
-                            if pos.is_none() {
-                                // One name is a strict prefix of the
-                                // other → divergence at the shorter end.
-                                pos = Some(gold_toks.len().min(alt_toks.len()).saturating_sub(1));
-                            }
-                            pos
+                                .zip(alt_toks)
+                                .position(|(g, a)| g != a)
+                                .unwrap_or(gold_toks.len().min(alt_toks.len()).saturating_sub(1));
+                            out.tokens.truncate(mid);
+                            Some(pos)
                         }
                         // The model wanted to jump ahead: divergence at
                         // the gold element's first token.
@@ -760,102 +755,69 @@ impl SchemaLinker {
                     if branch_at.is_some() {
                         n_branches += 1;
                     }
-                    segments.push(Segment {
-                        tokens: gold_toks,
-                        element_idx: Some(i),
-                        kind: Kind::GoldElem,
-                        branch_at,
-                        branch_elem: None,
-                    });
-                    predicted.push(element.clone());
+                    out.emit(start, Segment { branch_at, ..own });
+                    predicted.push(element.to_string());
                     emitted_any = true;
                 }
-                GenMode::Free => match decision {
-                    Decision::Correct => {
+                GenMode::Free => match &decision {
+                    Decision::Correct | Decision::AddExtra(_) => {
                         if emitted_any {
-                            segments.push(Segment {
-                                tokens: vec![comma],
-                                element_idx: None,
-                                kind: Kind::Special,
-                                branch_at: None,
-                                branch_elem: None,
-                            });
+                            out.separator(comma);
                         }
+                        let start = out.tokens.len();
+                        element.push_tokens(vocab, &mut out.tokens);
                         let branch_elem = pending_omit.take();
-                        segments.push(Segment {
-                            tokens: gold_toks,
-                            element_idx: Some(i),
-                            kind: Kind::GoldElem,
-                            branch_at: branch_elem.map(|_| 0),
-                            branch_elem,
-                        });
-                        predicted.push(element.clone());
+                        out.emit(
+                            start,
+                            Segment {
+                                branch_at: branch_elem.map(|_| 0),
+                                branch_elem,
+                                ..own
+                            },
+                        );
+                        predicted.push(element.to_string());
                         emitted_any = true;
+                        if let Decision::AddExtra(extra) = &decision {
+                            out.separator(comma);
+                            let start = out.tokens.len();
+                            Element::parse(extra).push_tokens(vocab, &mut out.tokens);
+                            out.emit(
+                                start,
+                                Segment {
+                                    kind: Kind::ExtraElem,
+                                    branch_at: Some(0),
+                                    ..own
+                                },
+                            );
+                            predicted.push(extra.clone());
+                        }
                     }
                     Decision::Substitute(alt) => {
                         if emitted_any {
-                            segments.push(Segment {
-                                tokens: vec![comma],
-                                element_idx: None,
-                                kind: Kind::Special,
-                                branch_at: None,
-                                branch_elem: None,
-                            });
+                            out.separator(comma);
                         }
                         pending_omit = None;
-                        let alt_toks = element_tokens(vocab, alt);
-                        segments.push(Segment {
-                            tokens: alt_toks,
-                            element_idx: Some(i),
-                            kind: Kind::WrongElem,
-                            branch_at: Some(0),
-                            branch_elem: None,
-                        });
+                        out.intern_only(vocab, element);
+                        let start = out.tokens.len();
+                        Element::parse(alt).push_tokens(vocab, &mut out.tokens);
+                        out.emit(
+                            start,
+                            Segment {
+                                kind: Kind::WrongElem,
+                                branch_at: Some(0),
+                                ..own
+                            },
+                        );
                         predicted.push(alt.clone());
                         emitted_any = true;
                     }
                     Decision::Omit => {
-                        pending_omit = Some(i);
-                    }
-                    Decision::AddExtra(extra) => {
-                        if emitted_any {
-                            segments.push(Segment {
-                                tokens: vec![comma],
-                                element_idx: None,
-                                kind: Kind::Special,
-                                branch_at: None,
-                                branch_elem: None,
-                            });
-                        }
-                        let branch_elem = pending_omit.take();
-                        segments.push(Segment {
-                            tokens: gold_toks,
-                            element_idx: Some(i),
-                            kind: Kind::GoldElem,
-                            branch_at: branch_elem.map(|_| 0),
-                            branch_elem,
-                        });
-                        predicted.push(element.clone());
-                        emitted_any = true;
-                        segments.push(Segment {
-                            tokens: vec![comma],
-                            element_idx: None,
-                            kind: Kind::Special,
-                            branch_at: None,
-                            branch_elem: None,
-                        });
-                        let extra_toks = element_tokens(vocab, extra);
-                        segments.push(Segment {
-                            tokens: extra_toks,
-                            element_idx: Some(i),
-                            kind: Kind::ExtraElem,
-                            branch_at: Some(0),
-                            branch_elem: None,
-                        });
-                        predicted.push(extra.clone());
+                        out.intern_only(vocab, element);
+                        pending_omit = Some((i, own.strength));
                     }
                 },
             }
+            decisions.push(decision);
         }
         // Terminator. In teacher-forced mode an AddExtra decision means
         // the model wanted "," here instead of ";": a branching point on
@@ -869,139 +831,20 @@ impl SchemaLinker {
         } else {
             end_branch_elem.map(|_| 0)
         };
-        segments.push(Segment {
-            tokens: vec![end],
-            element_idx: None,
-            kind: Kind::Special,
-            branch_at: end_branch,
-            branch_elem: end_branch_elem,
-        });
-
-        // Per-element branch-signal strength: a substitution toward a
-        // strongly attractive confusable is a *confident* mistake — the
-        // model's internal uncertainty is low, so the latent risk signal
-        // is weaker and harder for probes to catch. Omissions and
-        // spurious additions sit in between.
-        let branch_strength: Vec<f64> = gold
-            .iter()
-            .zip(decisions.iter())
-            .map(|(element, d)| match d {
-                Decision::Correct => 0.0,
-                Decision::Substitute(alt) => {
-                    let attract = Self::link_for(inst, element, target)
-                        .and_then(|l| {
-                            l.confusables
-                                .iter()
-                                .find(|c| c.alt.display_eq(alt))
-                                .map(|c| (c.weight / 0.65).min(1.0))
-                        })
-                        .unwrap_or(0.5);
-                    1.05 - 0.20 * attract
-                }
-                Decision::Omit => 0.92,
-                Decision::AddExtra(_) => 0.85,
-            })
-            .collect();
-
-        // Materialise steps with hidden states and probabilities.
-        let mut tokens = Vec::new();
-        let mut steps = Vec::new();
-        let mut pos = 0usize;
-        for seg in segments {
-            let Segment {
-                tokens: seg_tokens,
-                element_idx,
-                kind,
-                branch_at,
-                branch_elem,
-            } = seg;
-            // Link risk for signal shaping at the element's first token.
-            let link_mass = element_idx
-                .and_then(|i| Self::link_for(inst, &gold[i], target))
-                .map(|l| l.confusion_mass())
-                .unwrap_or(0.0);
-            for (k, &tok) in seg_tokens.iter().enumerate() {
-                let is_branch = branch_at == Some(k);
-                let step_element = if is_branch && branch_elem.is_some() {
-                    branch_elem
-                } else {
-                    element_idx
-                };
-                // Latent risk signal s for this token.
-                let mut srng = SplitMix64::new(
-                    self.seed
-                        ^ inst.id.wrapping_mul(0xA076_1D64_78BD_642F)
-                        ^ ((pos as u64) << 17)
-                        ^ 0x517C_C1B7_2722_0A95,
-                );
-                // The s-signal / softmax stream below is corpus-shared
-                // observable structure (decision topology), not
-                // hidden-state synthesis — every corpus carries the
-                // same s and softmax_prob by design, so these sites
-                // keep the sequential sampler.
-                let s = if is_branch {
-                    let strength = step_element
-                        .map(|i| branch_strength[i])
-                        .filter(|&v| v > 0.0)
-                        .unwrap_or(0.9);
-                    // rts-allow(corpus-v1): corpus-shared s-signal stream
-                    strength + 0.07 * srng.next_gaussian()
-                } else {
-                    match kind {
-                        // rts-allow(corpus-v1): corpus-shared s-signal stream
-                        Kind::WrongElem | Kind::ExtraElem => 0.20 + 0.12 * srng.next_gaussian(),
-                        Kind::GoldElem if k == 0 => {
-                            // Risky-but-resolved decision point.
-                            // Saturating in confusion mass: even
-                            // mildly-confusable links produce a mid-range
-                            // signal, giving the conformal calibration a
-                            // tail to quantile against at every α.
-                            let level = 0.70 * (link_mass + 0.08) / (0.43 + link_mass);
-                            // rts-allow(corpus-v1): corpus-shared s-signal stream
-                            level + 0.22 * srng.next_gaussian()
-                        }
-                        // Ordinary tokens carry a continuum of spurious
-                        // risk-direction content (folded normal), so
-                        // probe scores — and with them the conformal
-                        // calibration quantiles — vary smoothly instead
-                        // of collapsing to a point mass at zero.
-                        // rts-allow(corpus-v1): corpus-shared s-signal stream
-                        _ => 0.04 + 0.12 * srng.next_gaussian().abs(),
-                    }
-                };
-
-                // Over-confident softmax (Fig 3a): both classes hug 1.
-                let prob = if is_branch {
-                    // rts-allow(corpus-v1): corpus-shared softmax stream
-                    (1.0 - (0.02 + 0.025 * srng.next_gaussian().abs())).clamp(0.85, 0.9995)
-                } else {
-                    // rts-allow(corpus-v1): corpus-shared softmax stream
-                    (1.0 - 0.008 * srng.next_gaussian().abs()).clamp(0.9, 0.99995)
-                };
-
-                let s_bits = s.to_bits();
-                let key = StepKey { token: tok, s_bits };
-                let hidden = if known.get(pos) == Some(&key) {
-                    HiddenStack::skipped(self.hidden_dim)
-                } else {
-                    self.hidden_states_for(inst, pos, tok, s, layers, scratch)
-                };
-                tokens.push(tok);
-                steps.push(StepTrace {
-                    token: tok,
-                    softmax_prob: prob,
-                    hidden,
-                    is_branch,
-                    element_idx: step_element,
-                    s_bits,
-                });
-                pos += 1;
-            }
-        }
+        let start = out.tokens.len();
+        out.tokens.push(end);
+        out.emit(
+            start,
+            Segment {
+                branch_at: end_branch,
+                branch_elem: end_branch_elem,
+                ..Segment::SPECIAL
+            },
+        );
 
         GenerationTrace {
-            tokens,
-            steps,
+            tokens: out.tokens,
+            steps: out.steps,
             predicted,
             decisions,
             n_branches,
@@ -1227,6 +1070,275 @@ impl SchemaLinker {
     #[inline]
     fn v2_shared_amp(&self) -> f64 {
         SHARE * (self.base_amp * self.base_amp + self.noise_amp * self.noise_amp).sqrt()
+    }
+}
+
+/// A schema element named by borrowed parts — a table, or a column of
+/// a table (`table.column`) — so generation can compare, hash and
+/// tokenize names without formatting them.
+#[derive(Debug, Clone, Copy)]
+struct Element<'a> {
+    table: &'a str,
+    column: Option<&'a str>,
+}
+
+impl<'a> Element<'a> {
+    /// Number of gold elements of `inst` for `target`.
+    fn gold_len(inst: &Instance, target: LinkTarget) -> usize {
+        match target {
+            LinkTarget::Tables => inst.gold_tables.len(),
+            LinkTarget::Columns => inst.gold_columns.len(),
+        }
+    }
+
+    /// Gold element `i` of `inst` for `target`: entry `i` of
+    /// [`SchemaLinker::gold_elements`], unformatted.
+    fn gold(inst: &'a Instance, target: LinkTarget, i: usize) -> Self {
+        match target {
+            LinkTarget::Tables => Element {
+                table: &inst.gold_tables[i],
+                column: None,
+            },
+            LinkTarget::Columns => {
+                let (table, column) = &inst.gold_columns[i];
+                Element {
+                    table,
+                    column: Some(column),
+                }
+            }
+        }
+    }
+
+    /// An element name, `table` or `table.column`.
+    fn parse(name: &'a str) -> Self {
+        let (table, column) = split_element(name);
+        Element { table, column }
+    }
+
+    /// Does `r` name this element?
+    fn is(self, r: &SchemaElementRef) -> bool {
+        r.table == self.table && r.column.as_deref() == self.column
+    }
+
+    /// `self.to_string() == name`, without formatting.
+    fn names(self, name: &str) -> bool {
+        match self.column {
+            None => self.table == name,
+            Some(column) => name
+                .strip_prefix(self.table)
+                .and_then(|rest| rest.strip_prefix('.'))
+                .is_some_and(|rest| rest == column),
+        }
+    }
+
+    /// [`stable_hash`] of the name's bytes.
+    fn name_hash(self) -> u64 {
+        match self.column {
+            None => stable_hash(self.table.as_bytes()),
+            Some(column) => stable_hash_parts(&[self.table.as_bytes(), b".", column.as_bytes()]),
+        }
+    }
+
+    /// Push the name's tokens onto `out`, interning unseen pieces.
+    fn push_tokens(self, vocab: &mut Vocab, out: &mut Vec<TokenId>) {
+        push_element_tokens(vocab, self.table, self.column, out);
+    }
+}
+
+impl std::fmt::Display for Element<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.column {
+            None => f.write_str(self.table),
+            Some(column) => write!(f, "{}.{column}", self.table),
+        }
+    }
+}
+
+/// The decision `overrides` pins for `element`, if any.
+fn pinned<'o>(
+    overrides: &'o HashMap<String, Decision>,
+    element: Element<'_>,
+) -> Option<&'o Decision> {
+    overrides
+        // rts-allow(iter-order): the keys are distinct names, so at most
+        // one entry matches and the order cannot choose between two.
+        .iter()
+        .find(|(name, _)| element.names(name))
+        .map(|(_, decision)| decision)
+}
+
+/// Per-element branch-signal strength: a substitution toward a
+/// strongly attractive confusable is a *confident* mistake — the
+/// model's internal uncertainty is low, so the latent risk signal is
+/// weaker and harder for probes to catch. Omissions and spurious
+/// additions sit in between. 0 for a correct decision.
+fn branch_strength(link: Option<&GoldLink>, decision: &Decision) -> f64 {
+    match decision {
+        Decision::Correct => 0.0,
+        Decision::Substitute(alt) => {
+            let attract = link
+                .and_then(|l| {
+                    l.confusables
+                        .iter()
+                        .find(|c| c.alt.display_eq(alt))
+                        .map(|c| (c.weight / 0.65).min(1.0))
+                })
+                .unwrap_or(0.5);
+            1.05 - 0.20 * attract
+        }
+        Decision::Omit => 0.92,
+        Decision::AddExtra(_) => 0.85,
+    }
+}
+
+/// What a stream segment's tokens are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Special,
+    GoldElem,
+    WrongElem,
+    ExtraElem,
+}
+
+/// How one segment of the stream (a run of tokens) turns into steps.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    /// The gold element the tokens belong to (`None` for the header and
+    /// separators).
+    element_idx: Option<usize>,
+    kind: Kind,
+    /// Offset of the segment's branching token, if any.
+    branch_at: Option<usize>,
+    /// A *different* gold element the branch token is attributed to,
+    /// with its branch strength (the omission case: the divergence is
+    /// visible on the next emitted token but implicates the skipped
+    /// element).
+    branch_elem: Option<(usize, f64)>,
+    /// [`branch_strength`] of `element_idx`'s decision.
+    strength: f64,
+    /// Confusion mass of `element_idx`'s link (0 without one).
+    link_mass: f64,
+}
+
+impl Segment {
+    /// The header and separators: no element, no branch.
+    const SPECIAL: Segment = Segment {
+        element_idx: None,
+        kind: Kind::Special,
+        branch_at: None,
+        branch_elem: None,
+        strength: 0.0,
+        link_mass: 0.0,
+    };
+}
+
+/// The stream under construction: its tokens, and one step per token
+/// of every emitted segment.
+struct Steps<'g> {
+    model: &'g SchemaLinker,
+    inst: &'g Instance,
+    layers: &'g LayerSet,
+    known: &'g [StepKey],
+    scratch: &'g mut SynthScratch,
+    tokens: Vec<TokenId>,
+    steps: Vec<StepTrace>,
+}
+
+impl Steps<'_> {
+    /// A `,` segment.
+    fn separator(&mut self, comma: TokenId) {
+        let start = self.tokens.len();
+        self.tokens.push(comma);
+        self.emit(start, Segment::SPECIAL);
+    }
+
+    /// Intern an element's pieces without emitting them. Free mode
+    /// interns every gold element, emitted or not: ids follow
+    /// first-seen order, so this keeps every later id where it is.
+    fn intern_only(&mut self, vocab: &mut Vocab, element: Element<'_>) {
+        let start = self.tokens.len();
+        element.push_tokens(vocab, &mut self.tokens);
+        self.tokens.truncate(start);
+    }
+
+    /// Materialise the steps of the segment `tokens[start..]`: hidden
+    /// states and probabilities.
+    fn emit(&mut self, start: usize, seg: Segment) {
+        let model = self.model;
+        for pos in start..self.tokens.len() {
+            debug_assert_eq!(pos, self.steps.len(), "segments are emitted in order");
+            let k = pos - start;
+            let tok = self.tokens[pos];
+            let is_branch = seg.branch_at == Some(k);
+            let (step_element, strength) = match seg.branch_elem {
+                Some((i, strength)) if is_branch => (Some(i), strength),
+                _ => (seg.element_idx, seg.strength),
+            };
+            // Latent risk signal s for this token.
+            let mut srng = SplitMix64::new(
+                model.seed
+                    ^ self.inst.id.wrapping_mul(0xA076_1D64_78BD_642F)
+                    ^ ((pos as u64) << 17)
+                    ^ 0x517C_C1B7_2722_0A95,
+            );
+            // The s-signal / softmax stream below is corpus-shared
+            // observable structure (decision topology), not hidden-state
+            // synthesis — every corpus carries the same s and
+            // softmax_prob by design, so these sites keep the
+            // sequential sampler.
+            let s = if is_branch {
+                let strength = if strength > 0.0 { strength } else { 0.9 };
+                // rts-allow(corpus-v1): corpus-shared s-signal stream
+                strength + 0.07 * srng.next_gaussian()
+            } else {
+                match seg.kind {
+                    // rts-allow(corpus-v1): corpus-shared s-signal stream
+                    Kind::WrongElem | Kind::ExtraElem => 0.20 + 0.12 * srng.next_gaussian(),
+                    Kind::GoldElem if k == 0 => {
+                        // Risky-but-resolved decision point. Saturating
+                        // in confusion mass: even mildly-confusable
+                        // links produce a mid-range signal, giving the
+                        // conformal calibration a tail to quantile
+                        // against at every α.
+                        let level = 0.70 * (seg.link_mass + 0.08) / (0.43 + seg.link_mass);
+                        // rts-allow(corpus-v1): corpus-shared s-signal stream
+                        level + 0.22 * srng.next_gaussian()
+                    }
+                    // Ordinary tokens carry a continuum of spurious
+                    // risk-direction content (folded normal), so probe
+                    // scores — and with them the conformal calibration
+                    // quantiles — vary smoothly instead of collapsing
+                    // to a point mass at zero.
+                    // rts-allow(corpus-v1): corpus-shared s-signal stream
+                    _ => 0.04 + 0.12 * srng.next_gaussian().abs(),
+                }
+            };
+
+            // Over-confident softmax (Fig 3a): both classes hug 1.
+            let prob = if is_branch {
+                // rts-allow(corpus-v1): corpus-shared softmax stream
+                (1.0 - (0.02 + 0.025 * srng.next_gaussian().abs())).clamp(0.85, 0.9995)
+            } else {
+                // rts-allow(corpus-v1): corpus-shared softmax stream
+                (1.0 - 0.008 * srng.next_gaussian().abs()).clamp(0.9, 0.99995)
+            };
+
+            let s_bits = s.to_bits();
+            let key = StepKey { token: tok, s_bits };
+            let hidden = if self.known.get(pos) == Some(&key) {
+                HiddenStack::skipped(model.hidden_dim)
+            } else {
+                model.hidden_states_for(self.inst, pos, tok, s, self.layers, self.scratch)
+            };
+            self.steps.push(StepTrace {
+                token: tok,
+                softmax_prob: prob,
+                hidden,
+                is_branch,
+                element_idx: step_element,
+                s_bits,
+            });
+        }
     }
 }
 

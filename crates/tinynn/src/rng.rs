@@ -344,12 +344,30 @@ fn sincos_fast(theta: f64) -> (f64, f64) {
 /// keeps whole-dataset regeneration stable across runs and platforms.
 #[inline]
 pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_finish(fnv_fold(FNV_OFFSET, bytes))
+}
+
+/// [`stable_hash`] of the concatenation of `parts`, without building
+/// it.
+#[inline]
+pub fn stable_hash_parts(parts: &[&[u8]]) -> u64 {
+    fnv_finish(parts.iter().fold(FNV_OFFSET, |h, part| fnv_fold(h, part)))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline(always)]
+fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    // One SplitMix finalisation round to spread low-entropy inputs.
+    h
+}
+
+/// One SplitMix finalisation round to spread low-entropy inputs.
+#[inline(always)]
+fn fnv_finish(h: u64) -> u64 {
     let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -71,7 +71,7 @@ proptest! {
     /// Identifier tokenisation inverts by concatenation.
     #[test]
     fn tokenizer_roundtrips(ident in "[a-z][a-z0-9]{0,6}(_[a-z][a-z0-9]{0,6}){0,3}") {
-        let pieces = split_identifier(&ident);
+        let pieces: Vec<&str> = split_identifier(&ident).collect();
         prop_assert_eq!(pieces.concat(), ident);
     }
 
@@ -82,7 +82,7 @@ proptest! {
         tails in prop::collection::vec("[A-Z][a-z]{0,5}", 0..4),
     ) {
         let ident = format!("{head}{}", tails.concat());
-        let pieces = split_identifier(&ident);
+        let pieces: Vec<&str> = split_identifier(&ident).collect();
         prop_assert_eq!(pieces.concat(), ident);
     }
 
