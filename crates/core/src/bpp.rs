@@ -16,13 +16,12 @@
 use crate::branching::BranchDataset;
 use crate::session::{put_varint, ByteReader};
 use conformal::{LabelSet, NonExchangeableConformal, SplitConformal};
-use serde::{Deserialize, Serialize};
 use simlm::{GenerationTrace, StepKey};
 use tinynn::rng::{stable_hash, SplitMix64};
 use tinynn::{Dataset, Matrix, Mlp, MlpConfig, MlpScratch, StandardScaler};
 
 /// Which conformal wrapper an sBPP uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConformalKind {
     /// Standard split conformal (exchangeable calibration).
     Split,
@@ -31,7 +30,7 @@ pub enum ConformalKind {
 }
 
 /// How per-layer prediction sets are merged into the mBPP decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MergeMethod {
     /// Theorem 1: keep labels in strictly more than θ of the sets.
     MajorityVote { theta: f64 },

@@ -9,11 +9,10 @@
 //! overrides, regeneration) is the real algorithm.
 
 use benchgen::{Difficulty, Instance};
-use serde::{Deserialize, Serialize};
 use tinynn::rng::{stable_hash, SplitMix64};
 
 /// Participant expertise (§4.3: beginners had no SQL experience).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expertise {
     Beginner,
     Expert,

@@ -9,10 +9,8 @@
 //! would-be-right); we implement the prose semantics and record the
 //! discrepancy here and in EXPERIMENTS.md.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact-set-match / precision / recall for schema linking (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkingMetrics {
     pub exact_match: f64,
     pub precision: f64,
@@ -57,7 +55,7 @@ pub fn linking_metrics(golds: &[Vec<String>], preds: &[Vec<String>]) -> LinkingM
 
 /// Coverage / extra-abstention-rate for branching-point detection
 /// (§4.2, "Branching Points").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageMetrics {
     /// Detected branching points / all branching points.
     pub coverage: f64,
@@ -90,7 +88,7 @@ pub fn coverage_metrics(flags: &[(bool, bool)]) -> CoverageMetrics {
 }
 
 /// Abstention-aware schema-linking metrics (§4.2, Tables 5–6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbstentionMetrics {
     /// EM among instances where the model did *not* abstain.
     pub exact_match: f64,

@@ -8,11 +8,14 @@
 //! inside out: [`LinkSession::step`] advances generation + monitoring
 //! until the run either finishes ([`SessionState::Done`]) or suspends
 //! on a branching flag ([`SessionState::NeedsFeedback`]), at which
-//! point the session can be parked, shipped elsewhere, and resumed
-//! with [`LinkSession::resolve`] once feedback arrives. An online
-//! serving engine (`rts-serve`) parks thousands of such sessions
-//! without pinning workers; the classic blocking entry points are now
-//! thin drivers looping `step()`/`resolve()` against a policy.
+//! point its [`LinkSession::checkpoint`] captures everything it holds
+//! and it can be dropped; [`LinkSession::restore`] brings it back, and
+//! [`LinkSession::resolve`] continues it once feedback arrives. A
+//! session borrows its model artefacts, so it lives on one stack: an
+//! online serving engine (`rts-serve`) keeps each parked request as its
+//! checkpoint, without pinning workers, and restores a session at every
+//! dispatch. The classic blocking entry points are thin drivers looping
+//! `step()`/`resolve()` against a policy.
 //!
 //! Bit-identity contract: driving a session with
 //! [`resolve_flag`]/[`drive_session`] reproduces the pre-session
@@ -30,58 +33,25 @@ use benchgen::Instance;
 use serde::{Deserialize, Serialize};
 use simlm::{Decision, GenMode, LinkTarget, SchemaLinker, Vocab};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-/// How a session holds a model artefact: borrowed from the caller's
-/// stack (the batch drivers — zero-cost sharing within one scoped
-/// fan-out) or sharing ownership through an [`Arc`] (the serving
-/// engine, whose sessions outlive any one stack frame: a parked
-/// session may be resumed by a different worker thread long after the
-/// submitting scope returned).
-///
-/// `Handle<'static, T>` is the ownership shape the `Engine` trait
-/// runs on: every artefact behind an `Arc`, no scoped borrows.
-#[derive(Debug)]
-pub enum Handle<'a, T> {
-    Borrowed(&'a T),
-    Shared(Arc<T>),
+/// How a session holds its [`LinkContext`]: borrowed for the
+/// session's lifetime. Every artefact a session reads is borrowed; a
+/// session lives only on its driver's stack (a serving engine restores
+/// a parked one from its [`SessionCheckpoint`] at each dispatch).
+#[derive(Debug, Clone, Copy)]
+pub enum CtxHandle<'a> {
+    Borrowed(&'a LinkContext),
 }
 
-impl<T> Clone for Handle<'_, T> {
-    fn clone(&self) -> Self {
+impl std::ops::Deref for CtxHandle<'_> {
+    type Target = LinkContext;
+
+    fn deref(&self) -> &LinkContext {
         match self {
-            Handle::Borrowed(t) => Handle::Borrowed(t),
-            Handle::Shared(t) => Handle::Shared(Arc::clone(t)),
+            CtxHandle::Borrowed(ctx) => ctx,
         }
     }
 }
-
-impl<T> std::ops::Deref for Handle<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        match self {
-            Handle::Borrowed(t) => t,
-            Handle::Shared(t) => t,
-        }
-    }
-}
-
-impl<'a, T> From<&'a T> for Handle<'a, T> {
-    fn from(t: &'a T) -> Self {
-        Handle::Borrowed(t)
-    }
-}
-
-impl<T> From<Arc<T>> for Handle<'static, T> {
-    fn from(t: Arc<T>) -> Self {
-        Handle::Shared(t)
-    }
-}
-
-/// How a session holds its [`LinkContext`] (the original use of
-/// [`Handle`], kept under its established name).
-pub type CtxHandle<'a> = Handle<'a, LinkContext>;
 
 /// A branching flag the session suspended on: everything a feedback
 /// provider (human UI, surrogate service, test oracle) needs to act,
@@ -568,10 +538,10 @@ struct PendingFlag {
 /// parked session holds only state — no hidden stacks, no scratch.
 #[derive(Debug)]
 pub struct LinkSession<'a> {
-    model: Handle<'a, SchemaLinker>,
-    mbpp: Handle<'a, Mbpp>,
-    inst: Handle<'a, Instance>,
-    meta: Handle<'a, DbMeta>,
+    model: &'a SchemaLinker,
+    mbpp: &'a Mbpp,
+    inst: &'a Instance,
+    meta: &'a DbMeta,
     target: LinkTarget,
     ctx: Option<CtxHandle<'a>>,
     gold: Vec<String>,
@@ -608,34 +578,7 @@ impl<'a> LinkSession<'a> {
         round0: Option<Round0<'a>>,
         config: &RtsConfig,
     ) -> Self {
-        Self::new_in(
-            Handle::Borrowed(model),
-            Handle::Borrowed(mbpp),
-            Handle::Borrowed(inst),
-            Handle::Borrowed(meta),
-            target,
-            ctx,
-            round0,
-            config,
-        )
-    }
-
-    /// [`LinkSession::new`] over explicit artefact [`Handle`]s — the
-    /// constructor the serving engine uses with `Handle::Shared` so the
-    /// resulting session is `LinkSession<'static>` and can be parked
-    /// past any submitting scope.
-    #[allow(clippy::too_many_arguments)] // mirrors LinkSession::new
-    pub fn new_in(
-        model: Handle<'a, SchemaLinker>,
-        mbpp: Handle<'a, Mbpp>,
-        inst: Handle<'a, Instance>,
-        meta: Handle<'a, DbMeta>,
-        target: LinkTarget,
-        ctx: Option<CtxHandle<'a>>,
-        round0: Option<Round0<'a>>,
-        config: &RtsConfig,
-    ) -> Self {
-        let gold = SchemaLinker::gold_elements(&inst, target);
+        let gold = SchemaLinker::gold_elements(inst, target);
         let gold_set = {
             let mut g = gold.clone();
             g.sort();
@@ -673,7 +616,7 @@ impl<'a> LinkSession<'a> {
 
     /// The instance this session is linking.
     pub fn instance(&self) -> &Instance {
-        &self.inst
+        self.inst
     }
 
     /// The link target this session resolves.
@@ -726,7 +669,7 @@ impl<'a> LinkSession<'a> {
             instance: self.inst.id,
             is_table: self.target == LinkTarget::Tables,
             corpus: self.model.corpus(),
-            monitor: monitor_fingerprint(&self.model, &self.mbpp),
+            monitor: monitor_fingerprint(self.model, self.mbpp),
             rng_state: self.rng.state(),
             would_be_correct: self.would_be_correct,
             overrides,
@@ -741,8 +684,9 @@ impl<'a> LinkSession<'a> {
 
     /// Rebuild a suspended session from a [`SessionCheckpoint`]: the
     /// construction arguments come back from the caller (the serving
-    /// engine keeps them per ticket) and the recorded state, the round's
-    /// keys and label sets included, is restored verbatim. Nothing is
+    /// engine's shared artefacts and the ticket's instance) and the
+    /// recorded state, the round's keys and label sets included, is
+    /// restored verbatim. Nothing is
     /// synthesized (`_synth` is unused). Bit-identical to a session that
     /// was never checkpointed: same pending query, same `held_bytes`,
     /// same flags/RNG/outcomes downstream (pinned by the
@@ -763,32 +707,6 @@ impl<'a> LinkSession<'a> {
         cp: &SessionCheckpoint,
         _synth: &mut simlm::SynthScratch,
     ) -> Self {
-        Self::restore_in(
-            Handle::Borrowed(model),
-            Handle::Borrowed(mbpp),
-            Handle::Borrowed(inst),
-            Handle::Borrowed(meta),
-            target,
-            ctx,
-            config,
-            cp,
-        )
-    }
-
-    /// [`LinkSession::restore`] over explicit artefact [`Handle`]s —
-    /// the serving engine's restore path (`Handle::Shared`, so the
-    /// restored session is `'static`).
-    #[allow(clippy::too_many_arguments)] // mirrors LinkSession::restore
-    pub fn restore_in(
-        model: Handle<'a, SchemaLinker>,
-        mbpp: Handle<'a, Mbpp>,
-        inst: Handle<'a, Instance>,
-        meta: Handle<'a, DbMeta>,
-        target: LinkTarget,
-        ctx: Option<CtxHandle<'a>>,
-        config: &RtsConfig,
-        cp: &SessionCheckpoint,
-    ) -> Self {
         assert_eq!(
             cp.instance, inst.id,
             "checkpoint belongs to another instance"
@@ -805,11 +723,11 @@ impl<'a> LinkSession<'a> {
         );
         assert_eq!(
             cp.monitor,
-            monitor_fingerprint(&model, &mbpp),
+            monitor_fingerprint(model, mbpp),
             "checkpoint was taken under another monitor"
         );
         let k = mbpp.selected.len();
-        let mut session = Self::new_in(model, mbpp, inst, meta, target, ctx, None, config);
+        let mut session = Self::new(model, mbpp, inst, meta, target, ctx, None, config);
         session.rng = tinynn::rng::SplitMix64::new(cp.rng_state);
         session.would_be_correct = cp.would_be_correct;
         // rts-allow(iter-order): `cp.overrides` is the checkpoint's
@@ -893,7 +811,7 @@ impl<'a> LinkSession<'a> {
                 // emitted are neither re-synthesized nor re-scored.
                 let mut vocab = Vocab::new();
                 let trace = self.model.generate_with_overrides_and_layers(
-                    &self.inst,
+                    self.inst,
                     &mut vocab,
                     self.target,
                     GenMode::Free,
@@ -954,7 +872,7 @@ impl<'a> LinkSession<'a> {
         let implicated = crate::abstention::implicated(
             self.ctx.as_deref(),
             vocab,
-            &self.meta,
+            self.meta,
             self.target,
             &trace.tokens,
             branch_pos,
@@ -1314,7 +1232,7 @@ mod tests {
     /// current overrides have a key other than the session's round.
     fn changed_keys(fx: &Fx, session: &LinkSession<'_>) -> (usize, usize) {
         let fresh = fx.model.generate_with_overrides_and_layers(
-            &session.inst,
+            session.inst,
             &mut Vocab::new(),
             session.target,
             GenMode::Free,

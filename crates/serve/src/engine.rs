@@ -13,11 +13,11 @@ use benchgen::Instance;
 use parking_lot::{Condvar, Mutex};
 use rts_core::abstention::{LinkScratch, RtsConfig, RtsOutcome};
 use rts_core::bpp::Mbpp;
-use rts_core::context::{db_shard, ContextCache};
+use rts_core::context::{db_shard, ContextCache, LinkContext};
 use rts_core::pipeline::JointOutcome;
 use rts_core::session::{
-    monitor_fingerprint, CtxHandle, FlagQuery, FlagResolution, Handle, LinkSession,
-    SessionCheckpoint, SessionState,
+    monitor_fingerprint, CtxHandle, FlagQuery, FlagResolution, LinkSession, SessionCheckpoint,
+    SessionState,
 };
 use simlm::{LinkTarget, SchemaLinker};
 use std::cmp::Reverse;
@@ -59,11 +59,12 @@ pub struct ServeConfig {
     /// (degrade, never drop; same philosophy as deadline shedding).
     /// `None` = park forever.
     pub feedback_timeout: Option<Duration>,
-    /// Per-shard budget for live generation state held by parked
-    /// sessions. Past it the engine serializes the largest parked
-    /// sessions through the serde shim (dropping their hidden-state
-    /// stacks) and restores them bit-identically when feedback
-    /// arrives. `0` = never checkpoint.
+    /// Per-shard budget for the round state parked requests hold (their
+    /// checkpoints' label sets, [`LinkSession::held_bytes`]). Past it
+    /// the engine encodes the largest parked checkpoints to bytes (the
+    /// binary layout of [`SessionCheckpoint`]) and restores from those
+    /// bytes when feedback arrives, bit-identically. `0` = never
+    /// encode.
     pub parked_bytes_budget: usize,
     /// Context-cache capacity per shard and link target (databases);
     /// `0` = unbounded.
@@ -156,32 +157,39 @@ enum Phase {
     Done(ServeOutcome),
 }
 
-/// How a stage's session is rebuilt should its live state be lost: the
-/// checkpoint captured when it parked (its state and its round's label
-/// sets, no hidden stacks), plus the resolution applied since. The
-/// rebuild is bit-identical and synthesizes nothing.
+/// A parked stage: the checkpoint its session took when it suspended
+/// (its state and its round's label sets, no hidden stacks), plus the
+/// resolution applied since. Restoring it and replaying the resolution
+/// is bit-identical to the session that parked and synthesizes
+/// nothing.
 #[derive(Debug)]
 struct Recipe {
     checkpoint: SessionCheckpoint,
     resolution: Option<FlagResolution>,
 }
 
-/// Where a ticket's current-stage session lives between dispatches.
+impl Recipe {
+    /// What a parked stage bills against the parked-bytes gauge: its
+    /// round's keys and label sets ([`LinkSession::held_bytes`]).
+    fn held_bytes(&self) -> usize {
+        self.checkpoint.sets.held_bytes()
+    }
+}
+
+/// A ticket's current stage between dispatches. No session outlives
+/// a dispatch: each one opens the stage's session or restores it from
+/// the recipe, and drops it when the stage parks.
 #[derive(Debug)]
 enum Parked {
-    /// No session yet: the next dispatch opens one (a fresh admission,
-    /// a freshly chained stage, or a ticket a worker is running).
+    /// Nothing to restore: the next dispatch opens a session (a fresh
+    /// admission, a freshly chained stage, or a ticket a worker is
+    /// running).
     Fresh,
-    /// A live session (boxed, so the other states stay small).
-    /// `billed` is what it holds against the parked-bytes gauge (0
-    /// once resumed).
-    Live {
-        session: Box<LinkSession<'static>>,
-        billed: usize,
-        recipe: Recipe,
-    },
-    /// Evicted past the parked-bytes budget to serialized checkpoint
-    /// `bytes`. Should they not decode, the recipe rebuilds the same
+    /// Parked on a flag (or resumed from one) with its recipe in
+    /// memory.
+    Held(Recipe),
+    /// Evicted past the parked-bytes budget to encoded checkpoint
+    /// `bytes`. Should they not decode, the recipe restores the same
     /// session from memory.
     Evicted { bytes: Vec<u8>, recipe: Recipe },
 }
@@ -361,8 +369,8 @@ impl ServeEngine {
         }
     }
 
-    fn meta_of(&self, inst: &Instance) -> Option<Arc<DbMeta>> {
-        self.metas.get(inst.db_name.as_str()).cloned()
+    fn meta_of(&self, inst: &Instance) -> Option<&DbMeta> {
+        self.metas.get(inst.db_name.as_str()).map(Arc::as_ref)
     }
 
     /// The shard `db` routes to — [`rts_core::context::db_shard`] over
@@ -516,18 +524,11 @@ impl ServeEngine {
                 shard.finalize(id, tenant, stage, None, true, false);
                 return;
             }
-            // Take the session, keeping the recipe that rebuilds it
-            // should a step panic. `None` = freshly opened; it
-            // rebuilds from scratch.
-            let mut recovery = None;
-            let mut s = match mem::replace(&mut parked, Parked::Fresh) {
-                Parked::Fresh => self.open_session(shard, &inst, &meta, stage),
-                Parked::Live {
-                    session, recipe, ..
-                } => {
-                    recovery = Some(recipe);
-                    *session
-                }
+            // What this dispatch restores the stage's session from
+            // (`None`: it opens one).
+            let recipe = match mem::replace(&mut parked, Parked::Fresh) {
+                Parked::Fresh => None,
+                Parked::Held(recipe) => Some(recipe),
                 Parked::Evicted { bytes, mut recipe } => {
                     // The bytes leave the gauge either way — they are
                     // consumed here, restorable or not.
@@ -535,7 +536,7 @@ impl ServeEngine {
                     match self.decode_checkpoint(&bytes, &inst, stage) {
                         Some(cp) => recipe.checkpoint = cp,
                         // Corrupt checkpoint: the recipe kept in memory
-                        // rebuilds the same session bit-identically.
+                        // restores the same session bit-identically.
                         None => {
                             shard
                                 .counters
@@ -543,18 +544,20 @@ impl ServeEngine {
                                 .fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    let s = self.rebuild_session(shard, &inst, &meta, stage, &recipe);
-                    recovery = Some(recipe);
-                    s
+                    Some(recipe)
                 }
             };
             // Step under `catch_unwind`: a panicking step (injected or
             // genuine) must cost at most this ticket, never the worker
-            // pool. The session is rebuilt from its recovery recipe and
-            // retried with exponential backoff; past the budget the
-            // ticket degrades to a `faulted` abstention.
+            // pool. Every attempt opens or restores the session afresh
+            // (over the one context this stage fetched), with exponential
+            // backoff between attempts; past the budget the ticket
+            // degrades to a `faulted` abstention.
+            let ctx = self.session_ctx(shard, meta, stage);
             let mut panics = 0usize;
-            let state = loop {
+            let attempt = loop {
+                let mut s =
+                    self.session(&inst, meta, stage, ctx.as_deref(), recipe.as_ref(), scratch);
                 let inject = self.config.fault.trip(FaultSite::StepPanic);
                 let stepped = catch_unwind(AssertUnwindSafe(|| {
                     if inject {
@@ -566,7 +569,7 @@ impl ServeEngine {
                     s.step(scratch)
                 }));
                 match stepped {
-                    Ok(state) => break Some(state),
+                    Ok(state) => break Some((state, s)),
                     Err(_) => {
                         shard
                             .counters
@@ -584,16 +587,10 @@ impl ServeEngine {
                         if !backoff.is_zero() {
                             std::thread::sleep(backoff);
                         }
-                        s = match &recovery {
-                            Some(recipe) => {
-                                self.rebuild_session(shard, &inst, &meta, stage, recipe)
-                            }
-                            None => self.open_session(shard, &inst, &meta, stage),
-                        };
                     }
                 }
             };
-            let Some(state) = state else {
+            let Some((state, s)) = attempt else {
                 shard
                     .counters
                     .panics_to_abstention
@@ -607,12 +604,10 @@ impl ServeEngine {
                     // Resolve it to abstention right here instead of
                     // parking — parking after the drain sweep would
                     // strand the ticket forever.
-                    let verdict = FlagResolution::Abstain { consulted: false };
-                    let recipe = Recipe {
+                    parked = Parked::Held(Recipe {
                         checkpoint: s.checkpoint(),
-                        resolution: Some(verdict.clone()),
-                    };
-                    s.resolve(verdict);
+                        resolution: Some(FlagResolution::Abstain { consulted: false }),
+                    });
                     if let Some(ticket) = shard.state.lock().tickets.get_mut(&id) {
                         ticket.drained = true;
                     } else {
@@ -623,22 +618,16 @@ impl ServeEngine {
                         .counters
                         .drained_to_abstention
                         .fetch_add(1, Ordering::Relaxed);
-                    parked = Parked::Live {
-                        session: Box::new(s),
-                        billed: 0,
-                        recipe,
-                    };
                 }
                 SessionState::NeedsFeedback(query) => {
-                    let billed = s.held_bytes();
-                    // The recovery recipe: a clone of the session's state
-                    // and round sets (no hidden stacks, nothing encoded),
-                    // and the only way back should a post-resolution step
-                    // panic lose the session.
+                    // The session drops here; its checkpoint (a clone of
+                    // its state and round sets, nothing encoded) is all
+                    // the ticket keeps.
                     let recipe = Recipe {
                         checkpoint: s.checkpoint(),
                         resolution: None,
                     };
+                    let billed = recipe.held_bytes();
                     let park_deadline = self.config.feedback_timeout.map(|t| Instant::now() + t);
                     let mut st = shard.state.lock();
                     if let Some(deadline) = park_deadline {
@@ -648,18 +637,14 @@ impl ServeEngine {
                         });
                     }
                     let Some(ticket) = st.tickets.get_mut(&id) else {
-                        // No ticket to park the session on: absorb the
+                        // No ticket to park the recipe on: absorb the
                         // accounting bug and drop this request's state
                         // instead of poisoning the worker pool.
                         debug_assert!(false, "running ticket exists");
                         shard.counters.note_breach();
                         return;
                     };
-                    ticket.parked = Parked::Live {
-                        session: Box::new(s),
-                        billed,
-                        recipe,
-                    };
+                    ticket.parked = Parked::Held(recipe);
                     ticket.stage = stage;
                     ticket.park_deadline = park_deadline;
                     if let Some(sink) = &mut ticket.sink {
@@ -691,9 +676,8 @@ impl ServeEngine {
                         };
                         ticket.tables = Some(outcome);
                         ticket.stage = LinkTarget::Columns;
-                        // The session drops; `parked` is `Fresh`, so the
-                        // next iteration opens the chained columns
-                        // session with a recovery recipe of its own.
+                        // `parked` is `Fresh`, so the next iteration opens
+                        // the chained columns session.
                         stage = LinkTarget::Columns;
                     }
                     LinkTarget::Columns => {
@@ -738,7 +722,7 @@ impl ServeEngine {
         shard: &Shard,
         meta: &DbMeta,
         stage: LinkTarget,
-    ) -> Option<CtxHandle<'static>> {
+    ) -> Option<Arc<LinkContext>> {
         if self.config.fault.trip(FaultSite::ContextBuild) {
             // A failed context build degrades to the context-free
             // fallback — outcome-identical (pinned by the
@@ -752,56 +736,41 @@ impl ServeEngine {
                 .fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        Some(CtxHandle::Shared(shard.cache.get(meta, stage)))
+        Some(shard.cache.get(meta, stage))
     }
 
-    fn mbpp(&self, stage: LinkTarget) -> &Arc<Mbpp> {
-        match stage {
+    /// The one session constructor of a dispatch, first attempt and
+    /// panic retry alike: open `stage`'s session, or restore it from
+    /// `recipe` (no synthesis: the checkpoint carries the parked round's
+    /// label sets) and replay the resolution applied since.
+    fn session<'a>(
+        &'a self,
+        inst: &'a Instance,
+        meta: &'a DbMeta,
+        stage: LinkTarget,
+        ctx: Option<&'a LinkContext>,
+        recipe: Option<&Recipe>,
+        scratch: &mut LinkScratch,
+    ) -> LinkSession<'a> {
+        let mbpp = match stage {
             LinkTarget::Tables => &self.mbpp_tables,
             LinkTarget::Columns => &self.mbpp_columns,
-        }
-    }
-
-    fn open_session(
-        &self,
-        shard: &Shard,
-        inst: &Arc<Instance>,
-        meta: &Arc<DbMeta>,
-        stage: LinkTarget,
-    ) -> LinkSession<'static> {
-        LinkSession::new_in(
-            Handle::Shared(self.model.clone()),
-            Handle::Shared(self.mbpp(stage).clone()),
-            Handle::Shared(inst.clone()),
-            Handle::Shared(meta.clone()),
+        };
+        let ctx = ctx.map(CtxHandle::Borrowed);
+        let config = &self.config.rts;
+        let Some(recipe) = recipe else {
+            return LinkSession::new(&self.model, mbpp, inst, meta, stage, ctx, None, config);
+        };
+        let mut session = LinkSession::restore(
+            &self.model,
+            mbpp,
+            inst,
+            meta,
             stage,
-            self.session_ctx(shard, meta, stage),
-            None,
-            &self.config.rts,
-        )
-    }
-
-    /// Rebuild a session from its recipe (no synthesis: the checkpoint
-    /// carries the parked round's label sets) and re-apply the recipe's
-    /// resolution. Shared by the checkpoint-restore and panic-recovery
-    /// paths.
-    fn rebuild_session(
-        &self,
-        shard: &Shard,
-        inst: &Arc<Instance>,
-        meta: &Arc<DbMeta>,
-        stage: LinkTarget,
-        recipe: &Recipe,
-    ) -> LinkSession<'static> {
-        let mut session = LinkSession::restore_in(
-            Handle::Shared(self.model.clone()),
-            Handle::Shared(self.mbpp(stage).clone()),
-            Handle::Shared(inst.clone()),
-            Handle::Shared(meta.clone()),
-            stage,
-            self.session_ctx(shard, meta, stage),
-            &self.config.rts,
+            ctx,
+            config,
             &recipe.checkpoint,
+            &mut scratch.synth,
         );
         if let Some(res) = &recipe.resolution {
             session.resolve(res.clone());
@@ -1026,9 +995,9 @@ impl Engine for ServeEngine {
 
     /// Signal schema drift for `db`: drop its cached `LinkContext`s on
     /// its shard (the only one that ever builds them) so *new*
-    /// sessions rebuild against the current metadata. Sessions already
-    /// in flight finish on their pinned `Arc<LinkContext>` —
-    /// invalidation never changes what a running request holds.
+    /// sessions rebuild against the current metadata. A running
+    /// dispatch finishes on the `Arc<LinkContext>` it fetched —
+    /// invalidation never changes what a running session holds.
     fn invalidate_db(&self, db: &str) -> usize {
         let Some(shard) = self.shards.get(self.shard_of(db)) else {
             return 0;
@@ -1080,9 +1049,9 @@ impl ShardState {
 impl Shard {
     /// The one unpark protocol, shared by client resolutions,
     /// feedback-timeout expiry and the shutdown drain: release the
-    /// parked billing, apply the resolution to the live session (or
-    /// record it for the worker to apply after restoring an evicted
-    /// one), and re-queue the ticket on its tenant's resume lane.
+    /// parked billing, record the resolution in the ticket's recipe for
+    /// the worker to replay, and re-queue the ticket on its tenant's
+    /// resume lane.
     /// Callers bill their own counters around it.
     fn unpark(&self, st: &mut ShardState, id: TicketId, resolution: FlagResolution) {
         let Some(ticket) = st.tickets.get_mut(&id) else {
@@ -1094,35 +1063,22 @@ impl Shard {
             return;
         };
         ticket.park_deadline = None;
-        let mut billed = 0;
-        ticket.parked = match mem::replace(&mut ticket.parked, Parked::Fresh) {
-            Parked::Live {
-                mut session,
-                billed: live,
-                mut recipe,
-            } => {
-                billed = live;
-                // Remember what was applied: should a later step
-                // panic, the recipe (captured *before* this
-                // resolution) plus this replay rebuilds the session.
-                recipe.resolution = Some(resolution.clone());
-                session.resolve(resolution);
-                Parked::Live {
-                    session,
-                    billed: 0,
-                    recipe,
-                }
-            }
-            // Evicted while parked: the worker restores the session
-            // and applies this resolution before stepping.
-            Parked::Evicted { bytes, mut recipe } => {
+        // The worker restores the session from the recipe and replays
+        // this resolution before stepping.
+        let billed = match &mut ticket.parked {
+            Parked::Held(recipe) => {
+                let billed = recipe.held_bytes();
                 recipe.resolution = Some(resolution);
-                Parked::Evicted { bytes, recipe }
+                billed
+            }
+            Parked::Evicted { recipe, .. } => {
+                recipe.resolution = Some(resolution);
+                0
             }
             Parked::Fresh => {
-                debug_assert!(false, "a parked ticket holds its session");
+                debug_assert!(false, "a parked ticket holds its recipe");
                 self.counters.note_breach();
-                Parked::Fresh
+                0
             }
         };
         self.counters.note_unparked(billed);
@@ -1204,13 +1160,13 @@ impl Shard {
         }
     }
 
-    /// Evict live parked sessions into checkpoint bytes until the
-    /// parked-bytes `budget` (`0` = none) holds. The victim is the
-    /// largest billed session, and among equally billed ones the lowest
-    /// [`TicketId`] (the oldest), so the choice does not depend on the
-    /// ticket map's iteration order. Encoding is cheap — the checkpoint
-    /// is the session's state and its round's label sets, a few hundred
-    /// bytes — so running under the state lock is fine.
+    /// Evict parked recipes into checkpoint bytes until the parked-bytes
+    /// `budget` (`0` = none) holds. The victim is the largest billed
+    /// recipe, and among equally billed ones the lowest [`TicketId`]
+    /// (the oldest), so the choice does not depend on the ticket map's
+    /// iteration order. Encoding is cheap — the checkpoint is the
+    /// session's state and its round's label sets, a few hundred bytes
+    /// — so running under the state lock is fine.
     fn enforce_parked_budget(&self, st: &mut ShardState, budget: usize) {
         if budget == 0 {
             return;
@@ -1220,25 +1176,22 @@ impl Shard {
                 .tickets
                 .iter_mut()
                 .filter(|(_, t)| matches!(t.phase, Phase::AwaitingFeedback(_)))
-                .filter_map(|(&id, t)| match t.parked {
-                    Parked::Live { billed, .. } => Some((billed, Reverse(id), t)),
+                .filter_map(|(&id, t)| match &t.parked {
+                    Parked::Held(recipe) => Some((recipe.held_bytes(), Reverse(id), t)),
                     _ => None,
                 })
                 .max_by_key(|&(billed, id, _)| (billed, id));
-            let Some((_, _, ticket)) = victim else { break };
-            let Parked::Live { billed, recipe, .. } =
-                mem::replace(&mut ticket.parked, Parked::Fresh)
-            else {
-                // Selected as `Live` under this lock just above.
-                debug_assert!(false, "victim holds a live session");
+            let Some((billed, _, ticket)) = victim else {
+                break;
+            };
+            let Parked::Held(recipe) = mem::replace(&mut ticket.parked, Parked::Fresh) else {
+                // Selected as `Held` under this lock just above.
+                debug_assert!(false, "victim holds its recipe");
                 self.counters.note_breach();
                 break;
             };
-            // A parked session is untouched since it parked, so its
-            // recipe checkpoint is exactly the session's checkpoint.
             let bytes = checkpoint::encode(&recipe.checkpoint);
             self.counters.note_checkpointed(billed, bytes.len());
-            // The live session drops here — its label sets are freed.
             ticket.parked = Parked::Evicted { bytes, recipe };
         }
     }

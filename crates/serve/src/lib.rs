@@ -34,12 +34,12 @@
 //!   Load shedding, quota backpressure and feedback timeouts all
 //!   degrade through the same abstention mechanism.
 //! * **Parked-session checkpointing** — past
-//!   [`ServeConfig::parked_bytes_budget`], the largest parked sessions
-//!   are encoded in the [`checkpoint`] binary layout (the session's
-//!   state and its round's label sets: a few hundred bytes, no hidden
-//!   stacks) and restored bit-identically, with no synthesis, when
-//!   their feedback arrives (pinned by the checkpoint-roundtrip parity
-//!   proptests).
+//!   [`ServeConfig::parked_bytes_budget`], the largest parked
+//!   checkpoints are encoded in the [`checkpoint`] binary layout (the
+//!   session's state and its round's label sets: a few hundred bytes,
+//!   no hidden stacks) and restored from those bytes, bit-identically
+//!   and with no synthesis, when their feedback arrives (pinned by the
+//!   checkpoint-roundtrip parity proptests).
 //! * **Non-blocking feedback** — when a session hits a branching flag
 //!   it is *parked* (worker moves on); the client answers through
 //!   [`Engine::resolve`] and the session re-enters the work queue.
@@ -58,16 +58,17 @@
 //!   not dropped: the remaining linking stages degrade to *abstention*,
 //!   the paper's own "hand this instance off" verdict. Load shedding
 //!   and reliability share one mechanism, unique to this design.
-//! * **One parked-session state** — a ticket's session is `Fresh`,
-//!   `Live` (with the recipe that rebuilds it: the park-time
-//!   checkpoint plus the resolution applied since), or `Evicted`
-//!   (checkpoint bytes plus that same recipe). An evicted session
-//!   always carries its recipe, so a corrupt checkpoint has a way
-//!   back by construction.
+//! * **A parked request is its checkpoint** — no session outlives
+//!   one dispatch: a worker opens or restores it, steps it and drops
+//!   it when it parks. A ticket's stage is `Fresh` (nothing to
+//!   restore), `Held` (its recipe: the park-time checkpoint plus the
+//!   resolution applied since) or `Evicted` (checkpoint bytes plus
+//!   that same recipe). An evicted stage always carries its recipe,
+//!   so a corrupt checkpoint has a way back by construction.
 //! * **Degrade-only fault tolerance** — a panicking session step is
-//!   caught (`catch_unwind`), rebuilt from its recipe and retried
+//!   caught (`catch_unwind`), restored from its recipe and retried
 //!   with backoff before degrading the one ticket to abstention;
-//!   corrupt checkpoints are rebuilt from their recipe;
+//!   corrupt checkpoints are restored from their recipe;
 //!   failed context builds fall back to the outcome-identical
 //!   context-free path; client API misuse (unknown tickets, double
 //!   resolves) returns typed errors ([`ClientEvent::Retired`],
@@ -77,8 +78,10 @@
 //!   submitted ticket still terminates with zero drops.
 //! * **Schema-drift epochs** — [`Engine::invalidate_db`] (or a
 //!   bumped `DbMeta::revision`) drops cached contexts so new sessions
-//!   rebuild, while in-flight sessions finish on their pinned
-//!   `Arc<LinkContext>`.
+//!   rebuild, while a running dispatch finishes on the
+//!   `Arc<LinkContext>` it fetched. A parked request fetches its
+//!   context again on resume; a context holds only its target, so
+//!   which one it gets never changes an outcome.
 //! * **Accounting** — per-request latency (p50/p95/p99), queue depth,
 //!   context-cache hit rate and parked-session memory are recorded in
 //!   a [`ServingStats`] snapshot.

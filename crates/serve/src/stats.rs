@@ -81,7 +81,9 @@ pub struct ServingStats {
     pub parked_sessions_now: usize,
     /// Parked sessions evicted to checkpoint bytes (cumulative).
     pub checkpoints: u64,
-    /// Checkpointed sessions restored on resume (cumulative).
+    /// Evicted checkpoints consumed on resume, each decoded from its
+    /// bytes or, if corrupt, salvaged from its recipe (cumulative).
+    /// Resuming a stage whose recipe was never encoded is not counted.
     pub restores: u64,
     /// Peak bytes held in serialized checkpoints.
     pub checkpoint_bytes_peak: usize,
@@ -250,8 +252,8 @@ impl Counters {
         self.parked_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// A parked session's live bytes were evicted into `bytes` of
-    /// serialized checkpoint (the session count stays parked).
+    /// A parked stage's billed bytes were evicted into `bytes` of
+    /// encoded checkpoint (the session count stays parked).
     pub fn note_checkpointed(&self, live_bytes: usize, bytes: usize) {
         self.parked_bytes.fetch_sub(live_bytes, Ordering::Relaxed);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);

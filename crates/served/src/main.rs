@@ -23,8 +23,8 @@
 //!   expired requests degrade to abstention;
 //! * `RTS_SERVE_FEEDBACK_TIMEOUT_MS` (default off) — park-to-abstain
 //!   feedback timeout;
-//! * `RTS_SERVE_PARKED_BUDGET` (default off) — live parked-bytes
-//!   budget; past it parked sessions are checkpointed out of memory;
+//! * `RTS_SERVE_PARKED_BUDGET` (default off) — parked-bytes budget;
+//!   past it parked checkpoints are encoded to bytes;
 //! * `RTS_THREADS` — engine worker threads in total (as everywhere).
 //!
 //! A millisecond knob that is negative, NaN, infinite or too large for

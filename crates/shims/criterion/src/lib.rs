@@ -3,7 +3,9 @@
 //! Real measurement loop (warm-up + timed batches, median-of-batches
 //! reporting) behind the criterion 0.5 API surface this workspace uses.
 //! Set `RTS_BENCH_SMOKE=1` to run every benchmark for a single
-//! iteration — the CI bitrot check.
+//! iteration — the CI bitrot check. Like criterion, the first argument
+//! that is not a `--flag` filters: `cargo bench --bench linker_bench --
+//! simlm/` runs only the benchmarks whose id contains `simlm/`.
 
 use std::time::{Duration, Instant};
 
@@ -18,11 +20,13 @@ pub enum BatchSize {
     PerIteration,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Config {
     smoke: bool,
     warm_up: Duration,
     measure: Duration,
+    /// Run only the benchmarks whose id contains this.
+    filter: Option<String>,
 }
 
 impl Config {
@@ -34,8 +38,15 @@ impl Config {
             smoke,
             warm_up: Duration::from_millis(150),
             measure: Duration::from_millis(600),
+            filter: name_filter(std::env::args().skip(1)),
         }
     }
+}
+
+/// The benchmark-name filter among the harness arguments: the first one
+/// that is not a flag (cargo passes `--bench`).
+fn name_filter(mut args: impl Iterator<Item = String>) -> Option<String> {
+    args.find(|a| !a.starts_with("--"))
 }
 
 /// Per-benchmark measurement driver.
@@ -116,8 +127,15 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-fn run_one(config: Config, name: &str, f: &mut dyn FnMut(&mut Bencher)) {
-    let mut b = Bencher::new(config);
+fn run_one(config: &Config, name: &str, f: &mut dyn FnMut(&mut Bencher)) {
+    if config
+        .filter
+        .as_deref()
+        .is_some_and(|filter| !name.contains(filter))
+    {
+        return;
+    }
+    let mut b = Bencher::new(config.clone());
     f(&mut b);
     match b.sample {
         Some((total, iters)) => {
@@ -150,24 +168,22 @@ impl Criterion {
         id: impl Into<String>,
         mut f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
-        run_one(self.config, &id.into(), &mut f);
+        run_one(&self.config, &id.into(), &mut f);
         self
     }
 
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            config: self.config,
             name: name.into(),
-            _parent: self,
+            parent: self,
         }
     }
 }
 
 /// A named group; benchmark ids are printed as `group/id`.
 pub struct BenchmarkGroup<'a> {
-    config: Config,
     name: String,
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
 }
 
 impl<'a> BenchmarkGroup<'a> {
@@ -177,7 +193,7 @@ impl<'a> BenchmarkGroup<'a> {
         mut f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, id.into());
-        run_one(self.config, &full, &mut f);
+        run_one(&self.parent.config, &full, &mut f);
         self
     }
 
@@ -235,5 +251,33 @@ mod tests {
         let mut b = Bencher::new(config);
         b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput);
         assert!(b.sample.is_some());
+    }
+
+    #[test]
+    fn name_filter_skips_flags() {
+        let filter = |args: &[&str]| name_filter(args.iter().map(|a| a.to_string()));
+        assert_eq!(filter(&["--bench", "simlm/"]), Some("simlm/".into()));
+        assert_eq!(filter(&["--bench"]), None);
+    }
+
+    #[test]
+    fn filtered_out_benchmarks_do_not_run() {
+        let mut criterion = Criterion {
+            config: Config {
+                smoke: true,
+                filter: Some("keep".into()),
+                ..Config::from_env()
+            },
+        };
+        let (mut kept, mut skipped) = (0, 0);
+        criterion.bench_function("keep_me", |b| b.iter(|| kept += 1));
+        criterion.bench_function("skip_me", |b| b.iter(|| skipped += 1));
+        let mut group = criterion.benchmark_group("keep");
+        group.bench_function("any", |b| b.iter(|| kept += 1));
+        group.finish();
+        let mut group = criterion.benchmark_group("other");
+        group.bench_function("any", |b| b.iter(|| skipped += 1));
+        group.finish();
+        assert_eq!((kept, skipped), (2, 0));
     }
 }

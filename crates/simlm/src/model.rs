@@ -77,7 +77,7 @@ pub enum GenMode {
 /// latent risk signal, softmax observables and layer directions are
 /// corpus-shared and keep the sequential
 /// [`SplitMix64::next_gaussian`] sampler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CorpusVersion {
     /// Chunked pair sampler with merged streams (`results/`).
     #[default]
@@ -94,8 +94,8 @@ impl CorpusVersion {
 }
 
 /// The model's (counterfactual) decision for one gold element.
-/// (Serde so a suspended linking session can checkpoint its pinned
-/// per-element overrides out of memory and restore them bit-exactly.)
+/// (Serde because a client's `Pin` resolution carries one over the
+/// wire.)
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Decision {
     Correct,
@@ -1758,9 +1758,6 @@ mod tests {
         assert_eq!(CorpusVersion::default(), CorpusVersion::V2);
         assert_eq!(linker().corpus(), CorpusVersion::V2);
         assert_eq!(CorpusVersion::V2.tag(), "v2");
-        let json = serde_json::to_string(&CorpusVersion::V2).unwrap();
-        let back: CorpusVersion = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, CorpusVersion::V2);
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //! generated workloads; the experiment harness reports the achieved EM
 //! next to the paper's.
 
-use serde::{Deserialize, Serialize};
-
 /// Error-process calibration for one (model, benchmark) pair.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CompetenceProfile {
     /// Scale of the per-link error probability for table links.
     pub table_scale: f64,
