@@ -16,6 +16,17 @@ pub enum Which {
     Both,
 }
 
+impl Which {
+    /// The benchmarks either side needs.
+    pub fn union(self, other: Which) -> Which {
+        if self == other {
+            self
+        } else {
+            Which::Both
+        }
+    }
+}
+
 /// Everything trained for one benchmark.
 pub struct BenchArtifacts {
     pub bench: Benchmark,
@@ -26,8 +37,10 @@ pub struct BenchArtifacts {
     /// Teacher-forced datasets kept for AUC evaluation on other splits.
     pub branch_tables: BranchDataset,
     pub branch_columns: BranchDataset,
-    /// Precompiled per-database linking contexts (vocab + trie), shared
-    /// read-only by every experiment's monitored-linking runs.
+    /// Per-`(database, target)` linking handles for the trace back,
+    /// shared read-only by every experiment's monitored-linking runs.
+    /// Building them is free; a trie is built only for a truncated
+    /// stream.
     pub contexts: LinkContexts,
 }
 

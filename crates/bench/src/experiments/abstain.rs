@@ -3,9 +3,7 @@
 
 use crate::context::{BenchArtifacts, Context};
 use crate::report::Report;
-use rts_core::abstention::{
-    run_rts_linking_in, LinkScratch, MitigationPolicy, RtsConfig, RtsOutcome,
-};
+use rts_core::abstention::{run_rts_linking_in, LinkScratch, MitigationPolicy, RtsConfig};
 use rts_core::human::{Expertise, HumanOracle};
 use rts_core::metrics::{abstention_metrics, AbstentionMetrics, AbstentionOutcome};
 use rts_core::par::par_map_with;
@@ -225,33 +223,4 @@ pub fn table6(ctx: &Context) -> Report {
     }
     r.note("Joint TAR/FAR well below the sum of Table 5's per-stage rates — abstentions overlap (paper §4.3).");
     r
-}
-
-/// Per-policy abstention outcome dump used by exp_ablation and tests.
-pub fn outcomes_for(
-    arts: &BenchArtifacts,
-    split: &[benchgen::Instance],
-    target: LinkTarget,
-    policy: &MitigationPolicy<'_>,
-    seed: u64,
-) -> Vec<RtsOutcome> {
-    let config = RtsConfig { seed };
-    let mbpp = match target {
-        LinkTarget::Tables => &arts.mbpp_tables,
-        LinkTarget::Columns => &arts.mbpp_columns,
-    };
-    par_map_with(split, LinkScratch::default, |scratch, inst| {
-        let meta = arts.bench.meta(&inst.db_name).expect("meta");
-        let ctx = arts.contexts.get(&inst.db_name, target);
-        run_rts_linking_in(
-            &arts.linker,
-            mbpp,
-            inst,
-            meta,
-            ctx,
-            policy,
-            &config,
-            scratch,
-        )
-    })
 }

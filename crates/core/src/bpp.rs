@@ -380,9 +380,10 @@ impl Sbpp {
     /// The conformal prediction set for a raw hidden-state vector.
     ///
     /// The set may be empty (`max(p₀, p₁) < 1 − ε`): the probe conforms
-    /// to neither label. The mBPP merge treats an empty set as an
-    /// *abstaining layer* and drops it — the prefix-majority of
-    /// Algorithm 1 is only meaningful over layers that voted.
+    /// to neither label. Under split conformal an empty set never
+    /// contains the true label, so it is a miss. The mBPP merge
+    /// (`Mbpp::merge_token_sets`) nevertheless drops it, and that drop
+    /// is where the merged coverage bound is lost.
     pub fn predict_set(&self, h: &[f32]) -> LabelSet {
         let hs = self.scaler.transform(h);
         let p1 = if self.degenerate {
@@ -607,29 +608,34 @@ impl Mbpp {
     }
 
     /// Is this token (its per-layer hidden stack) a branching point?
-    ///
-    /// Empty per-layer sets are abstentions and are excluded from the
-    /// merge; a token every layer abstains on is not flagged.
+    /// Its selected probes' sets are merged as in every other path:
+    /// empty sets are dropped, and a token left with none is not
+    /// flagged.
     ///
     /// Only the selected probes' layers are read, so `hidden` may be a
     /// lazily synthesized stack as long as it covers
     /// [`Mbpp::layer_set`] (the monitored runtime's production path).
     pub fn is_branch(&self, hidden: &simlm::HiddenStack, rng: &mut SplitMix64) -> bool {
-        let sets: Vec<LabelSet> = self
+        let mut sets: Vec<LabelSet> = self
             .selected
             .iter()
             .map(|&i| self.sbpps[i].predict_set(&hidden[self.sbpps[i].layer]))
-            .filter(|s| !s.is_empty())
             .collect();
-        self.merge_token_sets(&sets, rng)
+        self.merge_token_sets(&mut sets, rng)
     }
 
     /// The token-level merge decision shared by the per-token and
     /// batched paths (their parity contract requires a single
-    /// implementation): `sets` holds the non-abstaining (non-empty)
-    /// per-layer prediction sets; the token is flagged iff label 1
-    /// survives the configured merge. No sets at all ⇒ not flagged.
-    fn merge_token_sets(&self, sets: &[LabelSet], rng: &mut SplitMix64) -> bool {
+    /// implementation): `sets` holds one token's k prediction sets, one
+    /// per selected probe; the token is flagged iff label 1 survives
+    /// the configured merge.
+    ///
+    /// Empty sets are dropped before the merge (in place, so callers
+    /// reuse the buffer), and a token with no set left is not flagged.
+    /// This is the one place that rule lives; [`Sbpp::predict_set`]
+    /// says why it forfeits the merged coverage bound.
+    fn merge_token_sets(&self, sets: &mut Vec<LabelSet>, rng: &mut SplitMix64) -> bool {
+        sets.retain(|s| !s.is_empty());
         if sets.is_empty() {
             return false;
         }
@@ -745,8 +751,8 @@ impl Mbpp {
             .chunks_exact(k)
             .map(|row| {
                 sets.clear();
-                sets.extend(row.iter().copied().filter(|s| !s.is_empty()));
-                self.merge_token_sets(&sets, rng)
+                sets.extend_from_slice(row);
+                self.merge_token_sets(&mut sets, rng)
             })
             .collect()
     }

@@ -166,16 +166,6 @@ pub fn column_trie_in(vocab: &mut Vocab, meta: &benchgen::schemagen::DbMeta) -> 
     )
 }
 
-/// Build the constrained-decoding trie over table names.
-pub fn table_trie(vocab: &mut Vocab, meta: &benchgen::schemagen::DbMeta) -> Trie {
-    table_trie_in(vocab, meta)
-}
-
-/// Build the trie over fully qualified `table.column` elements.
-pub fn column_trie(vocab: &mut Vocab, meta: &benchgen::schemagen::DbMeta) -> Trie {
-    column_trie_in(vocab, meta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +184,7 @@ mod tests {
                 continue;
             };
             let meta = bench.meta(&inst.db_name).unwrap();
-            let trie = table_trie(&mut vocab, meta);
+            let trie = table_trie_in(&mut vocab, meta);
             let implicated = trace_back(&vocab, &trie, &trace.tokens, branch_pos);
             if implicated.is_empty() {
                 // Legitimate only when the stream names no element at all
@@ -228,7 +218,7 @@ mod tests {
             // Truncate right after the branch token, forcing completion.
             let cut = &trace.tokens[..branch_pos + 1];
             let meta = bench.meta(&inst.db_name).unwrap();
-            let trie = table_trie(&mut vocab, meta);
+            let trie = table_trie_in(&mut vocab, meta);
             let implicated = trace_back(&vocab, &trie, cut, branch_pos);
             for e in &implicated {
                 assert!(meta.table(e).is_some(), "{e} is not a table");
@@ -243,7 +233,7 @@ mod tests {
         let bench = BenchmarkProfile::bird_like().scaled(0.008).generate(79);
         let meta = &bench.metas[0];
         let mut vocab = Vocab::new();
-        let trie = column_trie(&mut vocab, meta);
+        let trie = column_trie_in(&mut vocab, meta);
         let total: usize = meta.tables.iter().map(|t| t.columns.len()).sum();
         assert_eq!(trie.len(), total);
     }
@@ -263,8 +253,8 @@ mod tests {
                 let trace = model.generate(inst, &mut vocab, target, GenMode::Free);
                 let meta = bench.meta(&inst.db_name).unwrap();
                 let trie = match target {
-                    LinkTarget::Tables => table_trie(&mut vocab, meta),
-                    LinkTarget::Columns => column_trie(&mut vocab, meta),
+                    LinkTarget::Tables => table_trie_in(&mut vocab, meta),
+                    LinkTarget::Columns => column_trie_in(&mut vocab, meta),
                 };
                 for branch_pos in 0..trace.tokens.len() {
                     for cut in branch_pos + 1..=trace.tokens.len() {

@@ -124,10 +124,6 @@ impl TableSchema {
             .position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    pub fn column_names(&self) -> impl Iterator<Item = &str> {
-        self.columns.iter().map(|c| c.name.as_str())
-    }
-
     /// Render as `CREATE TABLE` DDL, with descriptions as trailing `--`
     /// comments when present (the format RTS shows to humans).
     pub fn to_ddl(&self) -> String {

@@ -60,11 +60,6 @@ impl Optimizer {
         self.lr
     }
 
-    /// Override the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Apply one update step: `params -= update(grads)`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");

@@ -62,12 +62,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f32` in `[0, 1)`.
-    #[inline]
-    pub fn next_f32(&mut self) -> f32 {
-        self.next_f64() as f32
-    }
-
     /// Uniform integer in `[0, n)`. `n` must be non-zero.
     #[inline]
     pub fn next_below(&mut self, n: usize) -> usize {

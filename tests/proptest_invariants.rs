@@ -147,8 +147,7 @@ mod parity {
     };
     use rts::core::sqlgen::SqlGenModel;
     use rts::core::traceback::{
-        column_trie, column_trie_in, table_trie, table_trie_in, trace_back, trace_back_reference,
-        trace_back_with,
+        column_trie_in, table_trie_in, trace_back, trace_back_reference, trace_back_with,
     };
     use rts::serve::{drive_closed_loop, FaultPlan, ServeConfig, ServeEngine, ServeOutcome};
     use rts::simlm::{
@@ -641,8 +640,8 @@ mod parity {
             let trace = fx.model.generate(inst, &mut vocab, target, GenMode::Free);
             let meta = fx.bench.meta(&inst.db_name).unwrap();
             let trie = match target {
-                LinkTarget::Tables => table_trie(&mut vocab, meta),
-                LinkTarget::Columns => column_trie(&mut vocab, meta),
+                LinkTarget::Tables => table_trie_in(&mut vocab, meta),
+                LinkTarget::Columns => column_trie_in(&mut vocab, meta),
             };
             let branch_pos = branch_sel % trace.tokens.len();
             let cut = branch_pos + 1 + cut_sel % (trace.tokens.len() - branch_pos);

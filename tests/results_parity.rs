@@ -1,43 +1,54 @@
 //! Byte-identity of the committed results: regenerating every
-//! experiment record reproduces `results/*.json` exactly — same JSON
-//! bytes, row for row.
+//! top-level `results/*.json` through the experiment registry
+//! reproduces it exactly — same JSON bytes, row for row. The committed
+//! files are the pin list: each file's stem names its report.
 //!
-//! The scale and seed are pinned to the committed records' (0.02,
-//! 0xC0FFEE), not read from the environment — byte-identity is only
-//! defined against the exact workload the records were generated
-//! under. The archived v1 records in `results/v1/` are static history
-//! and are not regenerated.
+//! The scale and seed are pinned to the committed records'
+//! ([`rts_bench::PINNED_SCALE`], [`rts_bench::PINNED_SEED`]), not read
+//! from the environment — byte-identity is only defined against the
+//! exact workload the records were generated under. Subdirectories
+//! (the archived v1 records in `results/v1/`, runs at other scales or
+//! seeds) are not regenerated.
 
-use rts_bench::experiments::ablation::{
-    ablation_conformal, ablation_layer_selection, ablation_merge_sets, ablation_probe_depth,
-};
-use rts_bench::experiments::abstain::table5;
-use rts_bench::experiments::linking::table2;
-use rts_bench::experiments::sweeps::figure7;
-use rts_bench::{Context, Which};
+use rts_bench::{Context, PINNED_SCALE, PINNED_SEED};
 
 #[test]
 fn regeneration_is_byte_identical_to_committed_results() {
-    let ctx = Context::load(Which::Both, 0.02, 0xC0FFEE);
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    for report in [
-        table2(&ctx),
-        table5(&ctx),
-        figure7(&ctx),
-        ablation_probe_depth(&ctx),
-        ablation_conformal(&ctx),
-        ablation_layer_selection(&ctx),
-        ablation_merge_sets(&ctx),
-    ] {
-        let fresh = serde_json::to_string_pretty(&report).expect("report serialises");
-        let path = results.join(format!("{}.json", report.id));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing committed record {}: {e}", path.display()));
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(rts_bench::results_dir(PINNED_SCALE, PINNED_SEED));
+    let pinned: Vec<(String, String)> = std::fs::read_dir(&results)
+        .expect("results/ is readable")
+        .map(|entry| entry.expect("results/ entry").path())
+        .filter(|path| path.is_file() && path.extension().is_some_and(|e| e == "json"))
+        .map(|path| {
+            let id = path.file_stem().unwrap().to_string_lossy().into_owned();
+            let committed = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("unreadable record {}: {e}", path.display()));
+            (id, committed)
+        })
+        .collect();
+    assert!(
+        !pinned.is_empty(),
+        "no committed record in {}",
+        results.display()
+    );
+    let ids: Vec<&str> = pinned.iter().map(|(id, _)| id.as_str()).collect();
+    let experiments = rts_bench::select(&ids)
+        .unwrap_or_else(|id| panic!("results/{id}.json names no registered report"));
+    let ctx = Context::load(rts_bench::needs(&experiments), PINNED_SCALE, PINNED_SEED);
+    for e in experiments {
+        let report = (e.run)(&ctx);
         assert_eq!(
-            fresh, committed,
+            report.id, e.id,
+            "the registry files the report under its own id"
+        );
+        let fresh = serde_json::to_string_pretty(&report).expect("report serialises");
+        let committed = &pinned.iter().find(|(id, _)| id == e.id).unwrap().1;
+        assert_eq!(
+            &fresh, committed,
             "{} regenerated differs from the committed bytes — the synthesis \
              corpus or an experiment drifted",
-            report.id
+            e.id
         );
     }
 }
