@@ -7,7 +7,9 @@
 //! With no id every report runs, and `EXPERIMENTS.md`, the full
 //! paper-vs-measured record, is written next to the JSON files in
 //! [`rts_bench::results_dir`]. An unknown id exits nonzero and lists
-//! the known ones.
+//! the known ones; an `RTS_SCALE` or `RTS_SEED` that does not parse
+//! (see [`rts_bench::parse_scale`], [`rts_bench::parse_seed`]) exits 2,
+//! naming the variable, before anything runs or is written.
 
 use rts_bench::{Context, Report, EXPERIMENTS};
 use std::fmt::Write as _;
@@ -26,7 +28,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (scale, seed) = (rts_bench::env_scale(), rts_bench::env_seed());
+    let (scale, seed) = match (rts_bench::env_scale(), rts_bench::env_seed()) {
+        (Ok(scale), Ok(seed)) => (scale, seed),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("[exp] {e}; nothing run");
+            return ExitCode::from(2);
+        }
+    };
     let ctx = Context::load(rts_bench::needs(&selected), scale, seed);
     let dir = rts_bench::results_dir(scale, seed);
 

@@ -10,7 +10,7 @@
 //! `Display` renders canonical SQL text; [`crate::parser`] parses it
 //! back, and the two round-trip (tested property-style in the parser).
 
-use crate::value::Value;
+use crate::value::{write_quoted, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -260,12 +260,8 @@ impl Expr {
                 negated,
             } => {
                 expr.fmt_prec(f, 6)?;
-                write!(
-                    f,
-                    " {}LIKE '{}'",
-                    if *negated { "NOT " } else { "" },
-                    pattern.replace('\'', "''")
-                )
+                write!(f, " {}LIKE ", if *negated { "NOT " } else { "" })?;
+                write_quoted(f, pattern)
             }
             Expr::InList {
                 expr,

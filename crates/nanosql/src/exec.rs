@@ -1,37 +1,50 @@
 //! Query execution.
 //!
 //! The executor runs the bound plan as a pipeline that borrows from the
-//! stored rows until projection: scan → hash-join* → filter →
+//! stored rows throughout: scan → hash-join* → filter →
 //! (group/aggregate → having) → project → distinct → sort → limit.
 //!
 //! * Scan and join produce row-index tuples, one index per plan table
 //!   (the FROM table, then each joined table), in one flat `Vec`, so a
 //!   query without joins allocates nothing per row. LEFT JOIN pads a
 //!   probe row that matches nothing with `NULL_ROW`, which reads as
-//!   NULL in every column. Joins build a hash table on the newly joined
-//!   table, keyed by [`Value::group_key`] with the text borrowed, and
-//!   probe it with the accumulated tuples; NULL join keys never match
-//!   (SQL semantics).
+//!   NULL in every column. Joins chain the newly joined table's rows by
+//!   key under [`Value::group_key`] equality and probe the chains with
+//!   the accumulated tuples; NULL join keys never match (SQL semantics).
+//!   A chain is found by its key's offset when the build keys are dense
+//!   integers (every join of generated traffic: a foreign key into a
+//!   primary key), through an `Index` otherwise.
 //! * Expressions evaluate to `Cow<Value>`: literals, columns, group keys
-//!   and aggregates are borrowed, computed values are owned.
-//! * Grouping and DISTINCT hash borrowed rows under the same key;
-//!   groups keep first-seen order.
-//! * Output cells are copied once, when the result rows are built after
-//!   DISTINCT, ORDER BY and LIMIT.
+//!   and aggregates are borrowed, computed values are owned. Conditions
+//!   evaluate straight to a truth value.
+//! * Aggregation evaluates each row's GROUP BY keys and aggregate
+//!   arguments straight into the group accumulators; a group keeps its
+//!   first row's key cells, and groups keep first-seen order. `COUNT(*)`
+//!   reads no cell.
+//! * Output rows (`Rows`) borrow database and plan cells and own only
+//!   computed ones; DISTINCT, ORDER BY and LIMIT reorder row ordinals.
+//!   ORDER BY with a smaller LIMIT selects the first rows, then sorts
+//!   only those, when the keys are totally ordered; else it sorts all.
+//!   [`execute_plan`] copies the surviving cells into a [`QueryResult`];
+//!   EX ([`crate::result::execution_accuracy`]) compares the rows in
+//!   place and copies nothing.
+//! * Every hashed step (join, GROUP BY, DISTINCT, aggregate DISTINCT)
+//!   uses the one fixed hasher and table of `crate::index`.
 //!
 //! Predicates run after all joins, so exactly the rows of the joined
 //! input are evaluated: a predicate pushed below a join could raise a
 //! type error on a row the join would have dropped.
 
-use crate::ast::{JoinKind, SelectStmt};
+use crate::ast::{AggFunc, BinOp, JoinKind, SelectStmt};
 use crate::error::{Error, Result};
+use crate::index::{hash_row, hash_value, rows_eq, Index};
 use crate::parser::parse;
-use crate::plan::{bind, AggregatePlan, BoundAgg, BoundExpr, JoinStep, Plan};
+use crate::plan::{bind, AggregatePlan, BoundExpr, JoinStep, Plan};
 use crate::result::QueryResult;
 use crate::schema::Database;
-use crate::value::{GroupKey, RowKey, Value};
+use crate::value::{GroupKey, Value};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
 
 /// Row index of LEFT JOIN's NULL pad in a tuple.
 const NULL_ROW: usize = usize::MAX;
@@ -51,7 +64,7 @@ struct Input<'a> {
 }
 
 impl<'a> Input<'a> {
-    fn new(db: &'a Database, plan: &Plan) -> Result<Self> {
+    fn new(db: &'a Database, plan: &Plan) -> Self {
         let catalog_idxs =
             std::iter::once(plan.base_table_idx).chain(plan.joins.iter().map(|j| j.table_idx));
         let mut input = Input {
@@ -59,14 +72,11 @@ impl<'a> Input<'a> {
             columns: Vec::new(),
         };
         for (table, idx) in catalog_idxs.enumerate() {
-            let name = &db.tables()[idx].name;
-            let data = db
-                .table_data(name)
-                .ok_or_else(|| Error::Execution(format!("missing data for {name}")))?;
+            let data = db.table_data_at(idx);
             input.tables.push(data.rows());
             input.columns.extend((0..data.arity()).map(|c| (table, c)));
         }
-        Ok(input)
+        input
     }
 
     /// The cell at joined-row column `col` of `tuple`.
@@ -97,16 +107,17 @@ impl Tuples {
 }
 
 /// Evaluation context: the joined input tuple, and (in the output phase)
-/// the group keys and aggregate results.
-struct EvalCtx<'a> {
-    input: &'a Input<'a>,
-    tuple: &'a [usize],
-    group_keys: &'a [Cow<'a, Value>],
-    agg_values: &'a [Cow<'a, Value>],
+/// the group's key cells and finished aggregates. Cells live for `'a`,
+/// the database and the plan; the context itself only for `'e`.
+struct EvalCtx<'e, 'a> {
+    input: &'e Input<'a>,
+    tuple: &'e [usize],
+    group_keys: &'e [Cow<'a, Value>],
+    agg_values: &'e [Cow<'a, Value>],
 }
 
-impl<'a> EvalCtx<'a> {
-    fn row(input: &'a Input<'a>, tuple: &'a [usize]) -> Self {
+impl<'e, 'a> EvalCtx<'e, 'a> {
+    fn row(input: &'e Input<'a>, tuple: &'e [usize]) -> Self {
         EvalCtx {
             input,
             tuple,
@@ -125,14 +136,21 @@ enum Truth {
 }
 
 impl Truth {
+    fn from_bool(b: bool) -> Truth {
+        if b {
+            Truth::True
+        } else {
+            Truth::False
+        }
+    }
+
     fn from_value(v: &Value) -> Result<Truth> {
         match v {
             Value::Null => Ok(Truth::Unknown),
-            Value::Bool(true) => Ok(Truth::True),
-            Value::Bool(false) => Ok(Truth::False),
+            Value::Bool(b) => Ok(Truth::from_bool(*b)),
             // Numeric truthiness (SQLite-style): nonzero = true.
-            Value::Int(i) => Ok(if *i != 0 { Truth::True } else { Truth::False }),
-            Value::Float(f) => Ok(if *f != 0.0 { Truth::True } else { Truth::False }),
+            Value::Int(i) => Ok(Truth::from_bool(*i != 0)),
+            Value::Float(f) => Ok(Truth::from_bool(*f != 0.0)),
             Value::Text(_) => Err(Error::Type("text value used as boolean".into())),
         }
     }
@@ -171,7 +189,6 @@ impl Truth {
         }
     }
 }
-
 /// SQL LIKE with `%` (any run) and `_` (any single character), case
 /// sensitive.
 ///
@@ -218,41 +235,94 @@ fn like_match(text: &str, pattern: &str) -> bool {
 
 /// Evaluate an expression, borrowing literals, columns, group keys and
 /// aggregates; only computed values are owned.
-fn eval<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'a>) -> Result<Cow<'a, Value>> {
+///
+/// Always inlined: left to itself the compiler calls it out of line from
+/// [`truth`], which made a text-equality filter about twice as slow.
+#[inline(always)]
+fn eval<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'_, 'a>) -> Result<Cow<'a, Value>> {
     Ok(match expr {
         BoundExpr::Literal(v) => Cow::Borrowed(v),
         BoundExpr::ColumnIdx(i) => Cow::Borrowed(ctx.input.cell(ctx.tuple, *i)),
-        BoundExpr::GroupKeyRef(i) => Cow::Borrowed(&*ctx.group_keys[*i]),
-        BoundExpr::AggRef(i) => Cow::Borrowed(&*ctx.agg_values[*i]),
-        computed => Cow::Owned(compute(computed, ctx)?),
+        computed => computed_eval(computed, ctx)?,
     })
 }
 
-/// The operators of [`eval`], which build new values.
-fn compute<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'a>) -> Result<Value> {
-    use crate::ast::BinOp::*;
+/// The rest of [`eval`], kept out of line so that [`eval`] stays small
+/// enough to inline into the per-row loops: inlined, this made every
+/// filter slower.
+#[inline(never)]
+fn computed_eval<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'_, 'a>) -> Result<Cow<'a, Value>> {
+    use BinOp::*;
     Ok(match expr {
-        BoundExpr::Literal(_)
-        | BoundExpr::ColumnIdx(_)
-        | BoundExpr::GroupKeyRef(_)
-        | BoundExpr::AggRef(_) => eval(expr, ctx)?.into_owned(),
-        BoundExpr::Not(inner) => Truth::from_value(&*eval(inner, ctx)?)?.not().to_value(),
+        BoundExpr::GroupKeyRef(i) => ctx.group_keys[*i].clone(),
+        BoundExpr::AggRef(i) => ctx.agg_values[*i].clone(),
+        BoundExpr::Binary {
+            op: op @ (Add | Sub | Mul | Div),
+            left,
+            right,
+        } => {
+            let l = eval(left, ctx)?;
+            let r = eval(right, ctx)?;
+            Cow::Owned(arithmetic(*op, &l, &r)?)
+        }
+        condition @ (BoundExpr::Binary {
+            op: Eq | Ne | Lt | Le | Gt | Ge | And | Or,
+            ..
+        }
+        | BoundExpr::Not(_)
+        | BoundExpr::IsNull { .. }
+        | BoundExpr::Like { .. }
+        | BoundExpr::InList { .. }) => Cow::Owned(truth(condition, ctx)?.to_value()),
+        BoundExpr::Literal(_) | BoundExpr::ColumnIdx(_) => unreachable!("eval borrows these"),
+    })
+}
+
+/// `l op r` for an arithmetic `op`.
+fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+    use BinOp::*;
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    // Integer arithmetic stays integral except division.
+    if let (Value::Int(a), Value::Int(b)) = (l, r) {
+        return Ok(match op {
+            Add => Value::Int(a.wrapping_add(*b)),
+            Sub => Value::Int(a.wrapping_sub(*b)),
+            Mul => Value::Int(a.wrapping_mul(*b)),
+            _ if *b == 0 => Value::Null, // SQLite: x/0 is NULL
+            _ => Value::Float(*a as f64 / *b as f64),
+        });
+    }
+    let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
+        return Err(Error::Type("arithmetic on non-numeric value".into()));
+    };
+    Ok(match op {
+        Add => Value::Float(a + b),
+        Sub => Value::Float(a - b),
+        Mul => Value::Float(a * b),
+        _ if b == 0.0 => Value::Null,
+        _ => Value::Float(a / b),
+    })
+}
+
+/// The truth value of an expression: `Truth::from_value` of its
+/// [`eval`], computed without building the boolean for conditions.
+fn truth<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'_, 'a>) -> Result<Truth> {
+    use BinOp::*;
+    Ok(match expr {
+        BoundExpr::Not(inner) => truth(inner, ctx)?.not(),
         BoundExpr::IsNull { expr, negated } => {
-            let v = eval(expr, ctx)?;
-            Value::Bool(v.is_null() != *negated)
+            Truth::from_bool(eval(expr, ctx)?.is_null() != *negated)
         }
         BoundExpr::Like {
             expr,
             pattern,
             negated,
-        } => {
-            let v = eval(expr, ctx)?;
-            match &*v {
-                Value::Null => Value::Null,
-                Value::Text(s) => Value::Bool(like_match(s, pattern) != *negated),
-                other => return Err(Error::Type(format!("LIKE on non-text value {other}"))),
-            }
-        }
+        } => match &*eval(expr, ctx)? {
+            Value::Null => Truth::Unknown,
+            Value::Text(s) => Truth::from_bool(like_match(s, pattern) != *negated),
+            other => return Err(Error::Type(format!("LIKE on non-text value {other}"))),
+        },
         BoundExpr::InList {
             expr,
             list,
@@ -260,114 +330,78 @@ fn compute<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'a>) -> Result<Value> {
         } => {
             let v = eval(expr, ctx)?;
             if v.is_null() {
-                return Ok(Value::Null);
+                return Ok(Truth::Unknown);
             }
             let mut saw_null = false;
-            let mut found = false;
             for item in list {
                 match v.sql_eq(item) {
-                    Some(true) => {
-                        found = true;
-                        break;
-                    }
+                    Some(true) => return Ok(Truth::from_bool(!*negated)),
                     Some(false) => {}
                     None => saw_null = true,
                 }
             }
-            if found {
-                Value::Bool(!*negated)
-            } else if saw_null {
-                Value::Null // x IN (…, NULL) is unknown when no match
+            if saw_null {
+                Truth::Unknown // x IN (…, NULL) is unknown when no match
             } else {
-                Value::Bool(*negated)
+                Truth::from_bool(*negated)
             }
         }
-        BoundExpr::Binary { op, left, right } => {
-            match op {
-                And => {
-                    // Short-circuit-aware three-valued AND/OR.
-                    let l = Truth::from_value(&*eval(left, ctx)?)?;
-                    if l == Truth::False {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = Truth::from_value(&*eval(right, ctx)?)?;
-                    return Ok(l.and(r).to_value());
-                }
-                Or => {
-                    let l = Truth::from_value(&*eval(left, ctx)?)?;
-                    if l == Truth::True {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = Truth::from_value(&*eval(right, ctx)?)?;
-                    return Ok(l.or(r).to_value());
-                }
-                _ => {}
-            }
+        // Short-circuit-aware three-valued AND/OR.
+        BoundExpr::Binary {
+            op: And,
+            left,
+            right,
+        } => match truth(left, ctx)? {
+            Truth::False => Truth::False,
+            l => l.and(truth(right, ctx)?),
+        },
+        BoundExpr::Binary {
+            op: Or,
+            left,
+            right,
+        } => match truth(left, ctx)? {
+            Truth::True => Truth::True,
+            l => l.or(truth(right, ctx)?),
+        },
+        BoundExpr::Binary {
+            op: op @ (Eq | Ne),
+            left,
+            right,
+        } => {
             let l = eval(left, ctx)?;
             let r = eval(right, ctx)?;
-            match op {
-                Eq | Ne | Lt | Le | Gt | Ge => match l.sql_cmp(&r) {
-                    None => Value::Null,
-                    Some(ord) => {
-                        let b = match op {
-                            Eq => ord.is_eq(),
-                            Ne => !ord.is_eq(),
-                            Lt => ord.is_lt(),
-                            Le => ord.is_le(),
-                            Gt => ord.is_gt(),
-                            Ge => ord.is_ge(),
-                            _ => unreachable!(),
-                        };
-                        Value::Bool(b)
-                    }
-                },
-                Add | Sub | Mul | Div => {
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    // Integer arithmetic stays integral except division.
-                    if let (Value::Int(a), Value::Int(b)) = (&*l, &*r) {
-                        return Ok(match op {
-                            Add => Value::Int(a.wrapping_add(*b)),
-                            Sub => Value::Int(a.wrapping_sub(*b)),
-                            Mul => Value::Int(a.wrapping_mul(*b)),
-                            Div => {
-                                if *b == 0 {
-                                    Value::Null // SQLite: x/0 is NULL
-                                } else {
-                                    Value::Float(*a as f64 / *b as f64)
-                                }
-                            }
-                            _ => unreachable!(),
-                        });
-                    }
-                    let (af, bf) = match (l.as_f64(), r.as_f64()) {
-                        (Some(a), Some(b)) => (a, b),
-                        _ => return Err(Error::Type("arithmetic on non-numeric value".into())),
-                    };
-                    match op {
-                        Add => Value::Float(af + bf),
-                        Sub => Value::Float(af - bf),
-                        Mul => Value::Float(af * bf),
-                        Div => {
-                            if bf == 0.0 {
-                                Value::Null
-                            } else {
-                                Value::Float(af / bf)
-                            }
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                And | Or => unreachable!("handled above"),
+            match l.sql_eq(&r) {
+                None => Truth::Unknown,
+                Some(eq) => Truth::from_bool(eq == (*op == Eq)),
             }
         }
+        BoundExpr::Binary {
+            op: op @ (Lt | Le | Gt | Ge),
+            left,
+            right,
+        } => {
+            let l = eval(left, ctx)?;
+            let r = eval(right, ctx)?;
+            match l.sql_cmp(&r) {
+                None => Truth::Unknown,
+                Some(ord) => Truth::from_bool(match op {
+                    Lt => ord.is_lt(),
+                    Le => ord.is_le(),
+                    Gt => ord.is_gt(),
+                    _ => ord.is_ge(),
+                }),
+            }
+        }
+        // Values: cells, literals, group keys, aggregates, arithmetic.
+        value @ (BoundExpr::Literal(_)
+        | BoundExpr::ColumnIdx(_)
+        | BoundExpr::GroupKeyRef(_)
+        | BoundExpr::AggRef(_)
+        | BoundExpr::Binary {
+            op: Add | Sub | Mul | Div,
+            ..
+        }) => Truth::from_value(&*eval(value, ctx)?)?,
     })
-}
-
-/// Evaluate a predicate; NULL/unknown filters the row out (SQL WHERE).
-fn eval_predicate<'a>(expr: &'a BoundExpr, ctx: &EvalCtx<'a>) -> Result<bool> {
-    Ok(Truth::from_value(&*eval(expr, ctx)?)? == Truth::True)
 }
 
 /// Tuples of the FROM table, with each join folded in.
@@ -386,20 +420,38 @@ fn scan_and_join(input: &Input, plan: &Plan) -> Tuples {
 /// extended by each matching build row, in row order.
 fn hash_join(input: &Input, probe: &Tuples, step: &JoinStep, table: usize) -> Tuples {
     let build = input.tables[table];
-    // Build side: key → (first, last) row of a chain through `next`.
-    // NULL keys excluded (never match).
-    let mut chains: HashMap<GroupKey<&str>, (usize, usize)> = HashMap::with_capacity(build.len());
+    let key_of = |row: usize| &build[row][step.build_key];
+    // Build side: each distinct key's (first, last) row, chained in row
+    // order through `next`; NULL keys excluded (never match). A key's
+    // chain is found by its offset when the keys are dense integers (a
+    // foreign key into a primary key), by an `Index` otherwise.
+    let dense = dense_span(build.iter().map(|row| &row[step.build_key]));
+    let mut index = Index::default();
+    let mut chains = vec![(CHAIN_END, CHAIN_END); dense.map_or(0, |(_, len)| len)];
     let mut next = vec![CHAIN_END; build.len()];
-    for (i, row) in build.iter().enumerate() {
-        let key = &row[step.build_key];
-        if !key.is_null() {
-            chains
-                .entry(key.key())
-                .and_modify(|(_, last)| {
-                    next[*last] = i;
-                    *last = i;
-                })
-                .or_insert((i, i));
+    for i in 0..build.len() {
+        let key = key_of(i);
+        if key.is_null() {
+            continue;
+        }
+        let id = match dense {
+            Some((min, len)) => offset(key, min, len).expect("dense keys span every key"),
+            None => {
+                let k = key.key();
+                let (id, new) =
+                    index.find_or_insert(hash_value(key), |id| key_of(chains[id].0).key() == k);
+                if new {
+                    chains.push((CHAIN_END, CHAIN_END));
+                }
+                id
+            }
+        };
+        match chains[id] {
+            (CHAIN_END, _) => chains[id] = (i, i),
+            (_, last) => {
+                next[last] = i;
+                chains[id].1 = i;
+            }
         }
     }
 
@@ -407,27 +459,61 @@ fn hash_join(input: &Input, probe: &Tuples, step: &JoinStep, table: usize) -> Tu
     let mut out = Vec::with_capacity(probe.idx.len() + probe.len());
     for tuple in probe.iter() {
         let key = input.cell(tuple, step.probe_key);
-        let first = if key.is_null() {
-            None
-        } else {
-            chains.get(&key.key()).map(|&(first, _)| first)
+        let id = match dense {
+            _ if key.is_null() => None,
+            Some((min, len)) => offset(key, min, len),
+            None => {
+                let k = key.key();
+                index.find(hash_value(key), |id| key_of(chains[id].0).key() == k)
+            }
         };
-        match first {
-            Some(mut i) => {
+        match id.map(|id| chains[id].0) {
+            Some(mut i) if i != CHAIN_END => {
                 while i != CHAIN_END {
                     out.extend_from_slice(tuple);
                     out.push(i);
                     i = next[i];
                 }
             }
-            None if step.kind == JoinKind::Left => {
+            _ if step.kind == JoinKind::Left => {
                 out.extend_from_slice(tuple);
                 out.push(NULL_ROW);
             }
-            None => {}
+            _ => {}
         }
     }
     Tuples { width, idx: out }
+}
+
+/// `(min, max - min + 1)` of the join keys when every one but NULL is
+/// an integer key ([`Value::key`]) and they span at most about twice
+/// their count, so that a table indexed by offset stays small.
+fn dense_span<'v>(keys: impl Iterator<Item = &'v Value>) -> Option<(i64, usize)> {
+    let (mut min, mut max, mut n) = (i64::MAX, i64::MIN, 0u64);
+    for key in keys {
+        match key.key() {
+            GroupKey::Null => {}
+            GroupKey::Int(k) => {
+                min = min.min(k);
+                max = max.max(k);
+                n += 1;
+            }
+            _ => return None,
+        }
+    }
+    let span = u64::try_from(max.checked_sub(min)?).ok()? + 1;
+    (n > 0 && span <= 2 * n + 16).then_some((min, span as usize))
+}
+
+/// The offset of `key` in a dense span from `min`: `None` for a key
+/// that is not an integer key or falls outside, so matches no build key.
+fn offset(key: &Value, min: i64, len: usize) -> Option<usize> {
+    match key.key() {
+        GroupKey::Int(k) => usize::try_from(k.checked_sub(min)?)
+            .ok()
+            .filter(|&off| off < len),
+        _ => None,
+    }
 }
 
 /// Keep the tuples `pred` holds for, in order, compacting in place.
@@ -436,7 +522,7 @@ fn filter(input: &Input, mut rows: Tuples, pred: &BoundExpr) -> Result<Tuples> {
     let mut kept = 0;
     for r in 0..rows.len() {
         let tuple = &rows.idx[r * width..(r + 1) * width];
-        if eval_predicate(pred, &EvalCtx::row(input, tuple))? {
+        if truth(pred, &EvalCtx::row(input, tuple))? == Truth::True {
             rows.idx
                 .copy_within(r * width..(r + 1) * width, kept * width);
             kept += 1;
@@ -446,65 +532,84 @@ fn filter(input: &Input, mut rows: Tuples, pred: &BoundExpr) -> Result<Tuples> {
     Ok(rows)
 }
 
-/// Aggregate accumulator for one (group, aggregate) pair; MIN and MAX
-/// borrow the argument cell they hold.
-struct AggState<'c> {
+/// The values an aggregate's DISTINCT has let through.
+#[derive(Default)]
+struct Distinct<'a> {
+    index: Index,
+    values: Vec<Cow<'a, Value>>,
+}
+
+impl<'a> Distinct<'a> {
+    /// Whether `v` is new, recording it if so.
+    fn insert(&mut self, v: Cow<'a, Value>) -> bool {
+        let k = v.key();
+        let values = &self.values;
+        let (_, new) = self
+            .index
+            .find_or_insert(hash_value(&v), |id| values[id].key() == k);
+        if new {
+            self.values.push(v);
+        }
+        new
+    }
+}
+
+/// Aggregate accumulator for one (group, aggregate) pair. MIN and MAX
+/// keep the argument cell they hold, borrowed where it was.
+struct AggState<'a> {
     count: u64,
     sum: f64,
     saw_float: bool,
-    min: Option<&'c Value>,
-    max: Option<&'c Value>,
-    distinct_seen: Option<HashSet<GroupKey<&'c str>>>,
+    extreme: Option<Cow<'a, Value>>,
+    distinct: Option<Distinct<'a>>,
 }
 
-impl<'c> AggState<'c> {
+impl<'a> AggState<'a> {
     fn new(distinct: bool) -> Self {
         AggState {
             count: 0,
             sum: 0.0,
             saw_float: false,
-            min: None,
-            max: None,
-            distinct_seen: distinct.then(HashSet::new),
+            extreme: None,
+            distinct: distinct.then(Distinct::default),
         }
     }
 
-    fn update(&mut self, v: &'c Value) {
+    fn update(&mut self, func: AggFunc, v: Cow<'a, Value>) {
         if v.is_null() {
             return; // aggregates skip NULLs
         }
-        if let Some(seen) = &mut self.distinct_seen {
-            if !seen.insert(v.key()) {
+        if let Some(seen) = &mut self.distinct {
+            if !seen.insert(v.clone()) {
                 return;
             }
         }
         self.count += 1;
-        if let Some(f) = v.as_f64() {
-            self.sum += f;
-            if matches!(v, Value::Float(_)) {
-                self.saw_float = true;
+        let wanted = match func {
+            AggFunc::Count => return,
+            AggFunc::Sum | AggFunc::Avg => {
+                if let Some(f) = v.as_f64() {
+                    self.sum += f;
+                    self.saw_float |= matches!(*v, Value::Float(_));
+                }
+                return;
             }
-        }
-        let replace_min = self
-            .min
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less));
-        if replace_min {
-            self.min = Some(v);
-        }
-        let replace_max = self
-            .max
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater));
-        if replace_max {
-            self.max = Some(v);
+            AggFunc::Min => Ordering::Less,
+            AggFunc::Max => Ordering::Greater,
+        };
+        if self
+            .extreme
+            .as_ref()
+            .is_none_or(|m| v.sql_cmp(m) == Some(wanted))
+        {
+            self.extreme = Some(v);
         }
     }
 
-    fn finish(&self, agg: &BoundAgg) -> Cow<'c, Value> {
-        use crate::ast::AggFunc::*;
-        let extreme = |v: Option<&'c Value>| v.map_or(Cow::Owned(Value::Null), Cow::Borrowed);
-        Cow::Owned(match agg.func {
-            Count => Value::Int(self.count as i64),
-            Sum => {
+    fn finish(self, func: AggFunc) -> Cow<'a, Value> {
+        Cow::Owned(match func {
+            AggFunc::Count => Value::Int(self.count as i64),
+            AggFunc::Sum => {
                 if self.count == 0 {
                     Value::Null
                 } else if self.saw_float {
@@ -513,100 +618,102 @@ impl<'c> AggState<'c> {
                     Value::Int(self.sum as i64)
                 }
             }
-            Avg => {
+            AggFunc::Avg => {
                 if self.count == 0 {
                     Value::Null
                 } else {
                     Value::Float(self.sum / self.count as f64)
                 }
             }
-            Min => return extreme(self.min),
-            Max => return extreme(self.max),
+            AggFunc::Min | AggFunc::Max => return self.extreme.unwrap_or(Cow::Owned(Value::Null)),
         })
     }
 }
 
-/// Evaluate, row by row, the GROUP BY expressions and then the aggregate
-/// arguments: `group_by.len()` key cells and `aggs.len()` argument cells
-/// per row (NULL for `COUNT(*)`, which reads none).
-type RowCells<'a> = (Vec<Cow<'a, Value>>, Vec<Cow<'a, Value>>);
+/// Groups in first-seen order: each group's first row's key cells,
+/// `group_by.len()` per group, and its finished aggregates,
+/// `aggs.len()` per group.
+struct Groups<'a> {
+    len: usize,
+    keys: Vec<Cow<'a, Value>>,
+    values: Vec<Cow<'a, Value>>,
+}
 
-fn eval_row_cells<'a>(
-    input: &'a Input<'a>,
-    rows: &'a Tuples,
+/// Group the rows, evaluating row by row the GROUP BY expressions and
+/// then the aggregate arguments straight into the accumulators.
+fn aggregate<'a>(
+    input: &Input<'a>,
+    rows: &Tuples,
     agg_plan: &'a AggregatePlan,
-) -> Result<RowCells<'a>> {
-    let mut keys = Vec::with_capacity(rows.len() * agg_plan.group_by.len());
-    let mut args = Vec::with_capacity(rows.len() * agg_plan.aggs.len());
-    for tuple in rows.iter() {
-        let ctx = EvalCtx::row(input, tuple);
-        for g in &agg_plan.group_by {
-            keys.push(eval(g, &ctx)?);
-        }
-        for agg in &agg_plan.aggs {
-            args.push(match &agg.arg {
-                Some(arg) => eval(arg, &ctx)?,
-                None => Cow::Borrowed(&NULL),
-            });
-        }
-    }
-    Ok((keys, args))
-}
-
-/// Groups in first-seen order: the input row that opened each, and its
-/// finished aggregates, `aggs.len()` per group.
-struct Groups<'c> {
-    first_rows: Vec<usize>,
-    agg_values: Vec<Cow<'c, Value>>,
-}
-
-fn group<'c>(
-    keys: &'c [Cow<'c, Value>],
-    args: &'c [Cow<'c, Value>],
-    n_rows: usize,
-    agg_plan: &AggregatePlan,
-) -> Groups<'c> {
+) -> Result<Groups<'a>> {
     let (n_keys, n_aggs) = (agg_plan.group_by.len(), agg_plan.aggs.len());
     let fresh = || agg_plan.aggs.iter().map(|a| AggState::new(a.distinct));
-    let mut index: HashMap<RowKey<'c, Cow<'c, Value>>, usize> = HashMap::new();
-    let mut first_rows = Vec::new();
-    let mut states: Vec<AggState<'c>> = Vec::new();
-    for r in 0..n_rows {
-        let key = RowKey(&keys[r * n_keys..(r + 1) * n_keys]);
-        let g = *index.entry(key).or_insert_with(|| {
-            first_rows.push(r);
+    let mut index = Index::default();
+    let mut keys: Vec<Cow<'a, Value>> = Vec::new();
+    let mut states: Vec<AggState<'a>> = Vec::new();
+    let mut row_keys: Vec<Cow<'a, Value>> = Vec::with_capacity(n_keys);
+    for tuple in rows.iter() {
+        let ctx = EvalCtx::row(input, tuple);
+        row_keys.clear();
+        for g in &agg_plan.group_by {
+            row_keys.push(eval(g, &ctx)?);
+        }
+        let group_keys = |g: usize| &keys[g * n_keys..(g + 1) * n_keys];
+        let (g, new) =
+            index.find_or_insert(hash_row(&row_keys), |g| rows_eq(group_keys(g), &row_keys));
+        if new {
+            keys.append(&mut row_keys);
             states.extend(fresh());
-            first_rows.len() - 1
-        });
-        let row_args = &args[r * n_aggs..(r + 1) * n_aggs];
-        let group_states = &mut states[g * n_aggs..(g + 1) * n_aggs];
-        for ((agg, state), arg) in agg_plan.aggs.iter().zip(group_states).zip(row_args) {
-            match agg.arg {
+        }
+        for (agg, state) in agg_plan.aggs.iter().zip(&mut states[g * n_aggs..]) {
+            match &agg.arg {
                 // COUNT(*): every row counts, including NULL-heavy ones.
                 None => state.count += 1,
-                Some(_) => state.update(arg),
+                Some(arg) => state.update(agg.func, eval(arg, &ctx)?),
             }
         }
     }
+    let mut len = index.len();
     // Global aggregate over an empty input still yields one group.
-    if n_rows == 0 && n_keys == 0 {
-        first_rows.push(0);
+    if len == 0 && n_keys == 0 {
+        len = 1;
         states.extend(fresh());
     }
-    let agg_values = states
-        .iter()
+    let values = states
+        .into_iter()
         .zip(agg_plan.aggs.iter().cycle())
-        .map(|(s, a)| s.finish(a))
+        .map(|(s, a)| s.finish(a.func))
         .collect();
-    Groups {
-        first_rows,
-        agg_values,
+    Ok(Groups { len, keys, values })
+}
+
+/// The rows a plan produces, as evaluated: `width` cells per row,
+/// borrowed from the database or the plan where the expressions allow
+/// and owned where computed, and the ordinals of the rows that survive
+/// DISTINCT, ORDER BY and LIMIT, in output order.
+pub(crate) struct Rows<'a> {
+    width: usize,
+    cells: Vec<Cow<'a, Value>>,
+    order: Vec<usize>,
+    /// Whether the plan has an ORDER BY (order is semantic).
+    pub(crate) ordered: bool,
+}
+
+impl<'a> Rows<'a> {
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The rows, in output order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &[Cow<'a, Value>]> {
+        self.order
+            .iter()
+            .map(|&i| &self.cells[i * self.width..(i + 1) * self.width])
     }
 }
 
-/// The projected cells and ORDER BY keys of the result rows, borrowed
-/// where the expressions allow; only [`Output::into_rows`] copies.
-#[derive(Default)]
+/// The projected cells and ORDER BY keys of the output rows, in
+/// evaluation order.
 struct Output<'a> {
     n_rows: usize,
     cells: Vec<Cow<'a, Value>>,
@@ -614,7 +721,16 @@ struct Output<'a> {
 }
 
 impl<'a> Output<'a> {
-    fn push(&mut self, plan: &'a Plan, ctx: &EvalCtx<'a>) -> Result<()> {
+    /// Room for `n_rows` rows.
+    fn with_capacity(plan: &Plan, n_rows: usize) -> Self {
+        Output {
+            n_rows: 0,
+            cells: Vec::with_capacity(n_rows * plan.projections.len()),
+            sort_keys: Vec::with_capacity(n_rows * plan.order_by.len()),
+        }
+    }
+
+    fn push(&mut self, plan: &'a Plan, ctx: &EvalCtx<'_, 'a>) -> Result<()> {
         for p in &plan.projections {
             self.cells.push(eval(p, ctx)?);
         }
@@ -625,33 +741,55 @@ impl<'a> Output<'a> {
         Ok(())
     }
 
-    /// DISTINCT, ORDER BY and LIMIT over row ordinals, then one copy of
-    /// each surviving cell.
-    fn into_rows(self, plan: &Plan) -> Vec<Vec<Value>> {
+    /// DISTINCT, ORDER BY and LIMIT over row ordinals.
+    fn finish(self, plan: &Plan) -> Rows<'a> {
         let width = plan.projections.len();
         let n_keys = plan.order_by.len();
         let row = |i: usize| &self.cells[i * width..(i + 1) * width];
-        let sort_key = |i: usize| &self.sort_keys[i * n_keys..(i + 1) * n_keys];
-        let mut order: Vec<usize> = (0..self.n_rows).collect();
 
-        // DISTINCT on the projected row.
-        if plan.distinct {
-            let mut seen = HashSet::with_capacity(order.len());
-            order.retain(|&i| seen.insert(RowKey(row(i))));
-        }
+        // DISTINCT on the projected row: the first of each.
+        let mut order: Vec<usize> = if plan.distinct {
+            let mut index = Index::with_capacity(self.n_rows);
+            let mut firsts: Vec<usize> = Vec::new();
+            for i in 0..self.n_rows {
+                let (_, new) =
+                    index.find_or_insert(hash_row(row(i)), |id| rows_eq(row(firsts[id]), row(i)));
+                if new {
+                    firsts.push(i);
+                }
+            }
+            firsts
+        } else {
+            (0..self.n_rows).collect()
+        };
 
         // ORDER BY: stable sort on the evaluated keys, NULLs first.
         if n_keys > 0 {
-            order.sort_by(|&a, &b| {
-                for ((x, y), (_, desc)) in sort_key(a).iter().zip(sort_key(b)).zip(&plan.order_by) {
+            let keys: Vec<&Value> = self.sort_keys.iter().map(|k| &**k).collect();
+            let key = |i: usize| &keys[i * n_keys..(i + 1) * n_keys];
+            let cmp = |&a: &usize, &b: &usize| {
+                for ((x, y), (_, desc)) in key(a).iter().zip(key(b)).zip(&plan.order_by) {
                     let ord = x.total_cmp(y);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
+                    if ord != Ordering::Equal {
+                        return if *desc { ord.reverse() } else { ord };
                     }
                 }
-                std::cmp::Ordering::Equal
-            });
+                Ordering::Equal
+            };
+            match plan.limit.map(|limit| limit as usize) {
+                // Under a total order, the stable sort's first `limit`
+                // rows are the `limit` least by (keys, ordinal), as
+                // `order` is ascending: select those, sort only them.
+                Some(limit) if limit < order.len() && keys.iter().all(|k| totally_ordered(k)) => {
+                    let by_rank = |a: &usize, b: &usize| cmp(a, b).then(a.cmp(b));
+                    if limit > 0 {
+                        order.select_nth_unstable_by(limit - 1, by_rank);
+                    }
+                    order.truncate(limit);
+                    order.sort_unstable_by(by_rank);
+                }
+                _ => order.sort_by(cmp),
+            }
         }
 
         // LIMIT.
@@ -659,56 +797,72 @@ impl<'a> Output<'a> {
             order.truncate(limit as usize);
         }
 
-        order
-            .into_iter()
-            .map(|i| row(i).iter().map(|cell| Value::clone(cell)).collect())
-            .collect()
+        Rows {
+            width,
+            cells: self.cells,
+            order,
+            ordered: n_keys > 0,
+        }
     }
 }
 
-/// Execute a bound plan.
-pub fn execute_plan(db: &Database, plan: &Plan) -> Result<QueryResult> {
-    let input = Input::new(db, plan)?;
-    let mut rows = scan_and_join(&input, plan);
+/// Whether [`Value::total_cmp`] orders `v` consistently with every other
+/// value: all but integers too large for an `f64` to hold exactly,
+/// which compare with floats through a rounded twin.
+fn totally_ordered(v: &Value) -> bool {
+    !matches!(v, Value::Int(i) if i.unsigned_abs() > 1 << f64::MANTISSA_DIGITS)
+}
+
+/// Run a bound plan into rows that borrow the database and the plan.
+pub(crate) fn rows<'a>(db: &'a Database, plan: &'a Plan) -> Result<Rows<'a>> {
+    let input = Input::new(db, plan);
+    let mut tuples = scan_and_join(&input, plan);
     if let Some(f) = &plan.filter {
-        rows = filter(&input, rows, f)?;
+        tuples = filter(&input, tuples, f)?;
     }
 
-    let result_rows = match &plan.aggregate {
+    let out = match &plan.aggregate {
         Some(agg_plan) => {
-            let mut out = Output::default();
-            let (keys, args) = eval_row_cells(&input, &rows, agg_plan)?;
-            let groups = group(&keys, &args, rows.len(), agg_plan);
+            let groups = aggregate(&input, &tuples, agg_plan)?;
+            let mut out = Output::with_capacity(plan, groups.len);
             let (n_keys, n_aggs) = (agg_plan.group_by.len(), agg_plan.aggs.len());
-            for (g, &first) in groups.first_rows.iter().enumerate() {
+            for g in 0..groups.len {
                 let ctx = EvalCtx {
                     input: &input,
                     tuple: &[],
-                    group_keys: &keys[first * n_keys..(first + 1) * n_keys],
-                    agg_values: &groups.agg_values[g * n_aggs..(g + 1) * n_aggs],
+                    group_keys: &groups.keys[g * n_keys..(g + 1) * n_keys],
+                    agg_values: &groups.values[g * n_aggs..(g + 1) * n_aggs],
                 };
                 if let Some(h) = &agg_plan.having {
-                    if !eval_predicate(h, &ctx)? {
+                    if truth(h, &ctx)? != Truth::True {
                         continue;
                     }
                 }
                 out.push(plan, &ctx)?;
             }
-            out.into_rows(plan)
+            out
         }
         None => {
-            let mut out = Output::default();
-            for tuple in rows.iter() {
+            let mut out = Output::with_capacity(plan, tuples.len());
+            for tuple in tuples.iter() {
                 out.push(plan, &EvalCtx::row(&input, tuple))?;
             }
-            out.into_rows(plan)
+            out
         }
     };
+    Ok(out.finish(plan))
+}
 
+/// Execute a bound plan.
+pub fn execute_plan(db: &Database, plan: &Plan) -> Result<QueryResult> {
+    let rows = rows(db, plan)?;
     Ok(QueryResult {
         columns: plan.output_names.clone(),
-        rows: result_rows,
-        ordered: !plan.order_by.is_empty(),
+        rows: rows
+            .iter()
+            .map(|row| row.iter().map(|cell| Value::clone(cell)).collect())
+            .collect(),
+        ordered: rows.ordered,
     })
 }
 

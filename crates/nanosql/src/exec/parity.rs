@@ -29,7 +29,57 @@ fn chance(rng: &mut TestRng, p: f64) -> bool {
     rng.next_f64() < p
 }
 
+/// `id` and `k` cells of [`random_db`]: a few small integer keys, and
+/// Int/Float twins.
+const IDS: [Value; 5] = [
+    Value::Int(0),
+    Value::Int(1),
+    Value::Int(2),
+    Value::Int(3),
+    Value::Int(4),
+];
+const KEYS: [Value; 6] = [
+    Value::Int(1),
+    Value::Int(2),
+    Value::Float(1.0),
+    Value::Float(2.0),
+    Value::Float(2.5),
+    Value::Null,
+];
+
+/// Cells for [`wide_keys_match_the_reference`]: integer join keys that
+/// span too widely to index by offset or overflow the span, and
+/// integers beyond 2^53 beside the floats they round to, which
+/// `Value::total_cmp` does not order transitively.
+const WIDE_IDS: [Value; 9] = [
+    Value::Int(0),
+    Value::Int(1),
+    Value::Int(2),
+    Value::Int(-7),
+    Value::Int(1000),
+    Value::Int(i64::MIN),
+    Value::Int(i64::MAX),
+    Value::Int(1 << 53),
+    Value::Int((1 << 53) + 1),
+];
+const WIDE_KEYS: [Value; 8] = [
+    Value::Int(1),
+    Value::Float(1.0),
+    Value::Int(1 << 53),
+    Value::Int((1 << 53) + 1),
+    Value::Float(9_007_199_254_740_992.0),
+    Value::Int(-(1 << 53) - 1),
+    Value::Float(-9_007_199_254_740_992.0),
+    Value::Null,
+];
+
 fn random_db(rng: &mut TestRng) -> Database {
+    random_db_from(rng, &IDS, &KEYS)
+}
+
+/// Up to 7 rows in each table, with `id` and `k` drawn from `ids` and
+/// `keys`.
+fn random_db_from(rng: &mut TestRng, ids: &[Value], keys: &[Value]) -> Database {
     let mut db = Database::new("random");
     for t in TABLES {
         db.create_table(
@@ -42,19 +92,8 @@ fn random_db(rng: &mut TestRng) -> Database {
         )
         .expect("fresh table");
         for _ in 0..rng.below(8) {
-            let id = Value::Int(rng.below(5) as i64);
-            let k = pick(
-                rng,
-                &[
-                    Value::Int(1),
-                    Value::Int(2),
-                    Value::Float(1.0),
-                    Value::Float(2.0),
-                    Value::Float(2.5),
-                    Value::Null,
-                ],
-            )
-            .clone();
+            let id = pick(rng, ids).clone();
+            let k = pick(rng, keys).clone();
             let name = match *pick(rng, &["a", "ab", "b", "ba", "abc", "é", ""]) {
                 _ if chance(rng, 0.15) => Value::Null,
                 s => Value::text(s),
@@ -246,6 +285,45 @@ fn random_case(seed: u64) -> (Database, String) {
     (db, sql)
 }
 
+/// A random database and two statements over it: a gold one, and a
+/// prediction that is another random statement, the gold spelled
+/// differently (same answer), or text that does not parse.
+fn random_pair(seed: u64) -> (Database, String, String) {
+    let mut rng = TestRng::new(seed);
+    let db = random_db(&mut rng);
+    let statement = |rng: &mut TestRng| {
+        StmtGen {
+            rng,
+            scope: Vec::new(),
+        }
+        .statement()
+    };
+    let gold = statement(&mut rng);
+    let pred = match rng.below(6) {
+        0 => format!("{gold} "),
+        1 => gold.replacen("SELECT", "SELECT SELECT", 1),
+        _ => statement(&mut rng),
+    };
+    (db, gold, pred)
+}
+
+/// EX with both results materialised by the reference executor and
+/// compared by `results_match`.
+fn reference_ex(db: &Database, gold_sql: &str, pred_sql: &str) -> ExecOutcome {
+    let run = |sql: &str| reference::execute_plan(db, &bind(db, &parse(sql)?)?);
+    let Ok(gold) = run(gold_sql) else {
+        return ExecOutcome::GoldError;
+    };
+    let Ok(pred) = run(pred_sql) else {
+        return ExecOutcome::PredictionError;
+    };
+    if results_match(&gold, &pred) {
+        ExecOutcome::Correct
+    } else {
+        ExecOutcome::WrongResult
+    }
+}
+
 /// EX by executing both statements, as `execution_accuracy` does for
 /// every pair of different strings.
 fn two_execution_ex(db: &Database, gold_sql: &str, pred_sql: &str) -> ExecOutcome {
@@ -267,10 +345,14 @@ fn two_execution_ex(db: &Database, gold_sql: &str, pred_sql: &str) -> ExecOutcom
 /// when the statement does not bind.
 fn run_both(seed: u64) -> Option<(String, String, String)> {
     let (db, sql) = random_case(seed);
+    run_both_on(&db, sql)
+}
+
+fn run_both_on(db: &Database, sql: String) -> Option<(String, String, String)> {
     let stmt = parse(&sql).unwrap_or_else(|e| panic!("generated SQL must parse: {sql}: {e}"));
-    let plan = bind(&db, &stmt).ok()?;
-    let fast = format!("{:?}", execute_plan(&db, &plan));
-    let oracle = format!("{:?}", reference::execute_plan(&db, &plan));
+    let plan = bind(db, &stmt).ok()?;
+    let fast = format!("{:?}", execute_plan(db, &plan));
+    let oracle = format!("{:?}", reference::execute_plan(db, &plan));
     Some((sql, fast, oracle))
 }
 
@@ -280,6 +362,26 @@ proptest! {
     #[test]
     fn executor_matches_materialising_reference(seed in any::<u64>()) {
         if let Some((sql, fast, oracle)) = run_both(seed) {
+            prop_assert_eq!(fast, oracle, "{}", sql);
+        }
+    }
+
+    /// Joins whose integer keys are sparse or overflow a span, and ORDER
+    /// BY … LIMIT over keys that are not totally ordered, take the
+    /// executor's general paths and still match the reference.
+    #[test]
+    fn wide_keys_match_the_reference(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let db = random_db_from(&mut rng, &WIDE_IDS, &WIDE_KEYS);
+        let sql = if chance(&mut rng, 0.5) {
+            StmtGen { rng: &mut rng, scope: Vec::new() }.statement()
+        } else {
+            let t = pick(&mut rng, &TABLES);
+            let desc = if chance(&mut rng, 0.5) { " DESC" } else { "" };
+            let limit = rng.below(5);
+            format!("SELECT {t}.id, {t}.k FROM {t} ORDER BY {t}.k{desc} LIMIT {limit}")
+        };
+        if let Some((sql, fast, oracle)) = run_both_on(&db, sql) {
             prop_assert_eq!(fast, oracle, "{}", sql);
         }
     }
@@ -300,6 +402,19 @@ proptest! {
         );
     }
 
+    /// EX of two different statements, either of which may fail to
+    /// parse, bind or execute, equals EX over the reference's
+    /// materialised results.
+    #[test]
+    fn differing_sql_ex_matches_the_reference(seed in any::<u64>()) {
+        let (db, gold, pred) = random_pair(seed);
+        prop_assert_eq!(
+            execution_accuracy(&db, &gold, &pred),
+            reference_ex(&db, &gold, &pred),
+            "gold: {}\npred: {}", gold, pred
+        );
+    }
+
     #[test]
     fn like_matches_recursive_reference(
         text in "[ab%_]{0,8}",
@@ -311,6 +426,18 @@ proptest! {
             "{:?} LIKE {:?}", text, pattern
         );
     }
+}
+
+/// The pairs reach every EX outcome.
+#[test]
+fn random_pairs_reach_every_outcome() {
+    let mut counts = [0usize; 4];
+    for seed in 0..500 {
+        let (db, gold, pred) = random_pair(seed);
+        counts[reference_ex(&db, &gold, &pred) as usize] += 1;
+    }
+    // Correct, WrongResult, PredictionError, GoldError.
+    assert!(counts.iter().all(|&n| n > 25), "{counts:?}");
 }
 
 /// The generator reaches what the proptest is meant to cover: joins,

@@ -15,8 +15,10 @@
 //!   (`SELECT [DISTINCT] … FROM … [JOIN … ON …] [WHERE …] [GROUP BY …]
 //!   [HAVING …] [ORDER BY …] [LIMIT n]`),
 //! * a name-resolving planner ([`plan`]) and an executor that borrows
-//!   the stored rows and copies only the output cells ([`exec`]),
-//! * multiset result comparison for EX ([`result`]).
+//!   the stored rows and copies cells only into a returned result
+//!   ([`exec`]),
+//! * multiset result comparison for EX ([`result`]), which compares the
+//!   executor's borrowed rows in place.
 //!
 //! ```
 //! use nanosql::{Database, exec::execute_sql};
@@ -39,6 +41,7 @@
 pub mod ast;
 pub mod error;
 pub mod exec;
+mod index;
 pub mod parser;
 pub mod plan;
 pub mod result;

@@ -63,7 +63,8 @@ impl Tok<'_> {
 
 fn lex(input: &str) -> Result<Vec<Tok<'_>>> {
     let bytes = input.as_bytes();
-    let mut toks = Vec::new();
+    // Tokens average more than four bytes of SQL, so this rarely grows.
+    let mut toks = Vec::with_capacity(input.len() / 4 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;

@@ -101,8 +101,9 @@ pub struct AggregatePlan {
 /// Name-resolution scope: the tables contributing to the joined row.
 struct Scope<'a> {
     db: &'a Database,
-    /// `(table name, catalog index, absolute column offset)`.
-    entries: Vec<(String, usize, usize)>,
+    /// `(table name, catalog index, absolute column offset)`, the name
+    /// borrowed from the catalog.
+    entries: Vec<(&'a str, usize, usize)>,
     width: usize,
 }
 
@@ -115,16 +116,11 @@ impl<'a> Scope<'a> {
         }
     }
 
-    fn add_table(&mut self, name: &str) -> Result<usize> {
-        let idx = self
-            .db
-            .table_index(name)
-            .ok_or_else(|| Error::UnknownTable(name.into()))?;
-        let arity = self.db.tables()[idx].columns.len();
-        self.entries
-            .push((self.db.tables()[idx].name.clone(), idx, self.width));
-        self.width += arity;
-        Ok(idx)
+    /// Bring the table at catalog index `idx` into scope.
+    fn add_table(&mut self, idx: usize) {
+        let schema = &self.db.tables()[idx];
+        self.entries.push((&schema.name, idx, self.width));
+        self.width += schema.columns.len();
     }
 
     /// Resolve a column reference to an absolute index in the joined row.
@@ -144,19 +140,24 @@ impl<'a> Scope<'a> {
             }
             None => {
                 let mut hit = None;
-                for (name, tidx, offset) in &self.entries {
+                for (_, tidx, offset) in &self.entries {
                     if let Some(cidx) = self.db.tables()[*tidx].column_index(&c.column) {
                         if hit.is_some() {
                             return Err(Error::AmbiguousColumn(c.column.clone()));
                         }
-                        hit = Some((name.clone(), offset + cidx));
+                        hit = Some(offset + cidx);
                     }
                 }
-                hit.map(|(_, i)| i)
-                    .ok_or_else(|| Error::UnknownColumn(c.column.clone()))
+                hit.ok_or_else(|| Error::UnknownColumn(c.column.clone()))
             }
         }
     }
+}
+
+/// The catalog index of the table `name`.
+fn table_index(db: &Database, name: &str) -> Result<usize> {
+    db.table_index(name)
+        .ok_or_else(|| Error::UnknownTable(name.into()))
 }
 
 /// Row-phase binding: every column becomes an absolute index; aggregate
@@ -202,12 +203,12 @@ fn bind_row_expr(scope: &Scope, e: &Expr) -> Result<BoundExpr> {
 /// Output-phase binding for aggregated queries: group-by subtrees →
 /// `GroupKeyRef`, aggregate calls → `AggRef` (registering their bound
 /// arguments in `aggs`), anything else recurses; stray columns error.
-fn bind_output_expr(
+fn bind_output_expr<'s>(
     scope: &Scope,
-    e: &Expr,
+    e: &'s Expr,
     group_by: &[Expr],
     aggs: &mut Vec<BoundAgg>,
-    agg_sources: &mut Vec<Expr>,
+    agg_sources: &mut Vec<&'s Expr>,
 ) -> Result<BoundExpr> {
     // A subtree that *is* a group-by expression is a key lookup.
     if let Some(i) = group_by.iter().position(|g| g == e) {
@@ -221,7 +222,7 @@ fn bind_output_expr(
         } => {
             // Reuse an identical aggregate if already registered (SELECT
             // MIN(x), MIN(x) computes once).
-            if let Some(i) = agg_sources.iter().position(|s| s == e) {
+            if let Some(i) = agg_sources.iter().position(|s| *s == e) {
                 return Ok(BoundExpr::AggRef(i));
             }
             let bound_arg = match arg {
@@ -233,7 +234,7 @@ fn bind_output_expr(
                 arg: bound_arg,
                 distinct: *distinct,
             });
-            agg_sources.push(e.clone());
+            agg_sources.push(e);
             BoundExpr::AggRef(aggs.len() - 1)
         }
         Expr::Literal(v) => BoundExpr::Literal(v.clone()),
@@ -281,22 +282,29 @@ fn bind_output_expr(
 
 /// Bind a statement into an executable [`Plan`].
 pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<Plan> {
+    let mut plan = bind_unnamed(db, stmt)?;
+    plan.output_names = stmt.projections.iter().map(|p| p.output_name()).collect();
+    Ok(plan)
+}
+
+/// [`bind`] without [`Plan::output_names`], which stays empty: EX
+/// compares values only, so it never prints a projection for its name.
+pub(crate) fn bind_unnamed(db: &Database, stmt: &SelectStmt) -> Result<Plan> {
     if stmt.projections.is_empty() {
         return Err(Error::Type(
             "SELECT requires at least one projection".into(),
         ));
     }
     let mut scope = Scope::new(db);
-    let base_table_idx = scope.add_table(&stmt.from)?;
+    let base_table_idx = table_index(db, &stmt.from)?;
+    scope.add_table(base_table_idx);
 
     let mut joins = Vec::with_capacity(stmt.joins.len());
     for j in &stmt.joins {
         // The probe key must resolve against tables already in scope;
         // the build key against the new table. Accept either writing
         // order (`a.id = b.id` or `b.id = a.id`).
-        let new_idx = db
-            .table_index(&j.table)
-            .ok_or_else(|| Error::UnknownTable(j.table.clone()))?;
+        let new_idx = table_index(db, &j.table)?;
         let resolve_pair = |in_scope: &ColumnRef,
                             on_new: &ColumnRef,
                             scope: &Scope|
@@ -331,7 +339,7 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<Plan> {
                 j.table
             )));
         };
-        scope.add_table(&j.table)?;
+        scope.add_table(new_idx);
         joins.push(JoinStep {
             kind: j.kind,
             table_idx: new_idx,
@@ -350,8 +358,6 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<Plan> {
         || stmt.having.as_ref().is_some_and(|h| h.contains_agg())
         || stmt.order_by.iter().any(|o| o.expr.contains_agg());
     let grouped = !stmt.group_by.is_empty() || has_agg || stmt.having.is_some();
-
-    let output_names: Vec<String> = stmt.projections.iter().map(|p| p.output_name()).collect();
 
     if grouped {
         let group_by_bound: Vec<BoundExpr> = stmt
@@ -389,7 +395,7 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<Plan> {
                 having,
             }),
             projections,
-            output_names,
+            output_names: Vec::new(),
             distinct: stmt.distinct,
             order_by,
             limit: stmt.limit,
@@ -411,7 +417,7 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<Plan> {
             filter,
             aggregate: None,
             projections,
-            output_names,
+            output_names: Vec::new(),
             distinct: stmt.distinct,
             order_by,
             limit: stmt.limit,

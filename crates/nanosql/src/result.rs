@@ -7,12 +7,20 @@
 //! ignored unless the gold query itself orders its output, and float
 //! values are compared with tolerance. [`results_match`] implements
 //! exactly that.
+//!
+//! [`execution_accuracy`] applies the same rule in place: it compares
+//! the executor's rows, which borrow the database's cells, and builds
+//! no [`QueryResult`] and no column name. Its multiset comparison counts
+//! the gold rows in an `Index` under the engine's one fixed hasher.
 
-use crate::exec::execute_sql;
+use crate::exec::rows;
+use crate::index::{hash_row, rows_eq, Index};
+use crate::parser::parse;
+use crate::plan::{bind_unnamed, Plan};
 use crate::schema::Database;
-use crate::value::{RowKey, Value};
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Borrow;
 
 /// The output of a query: column names plus rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,16 +47,6 @@ impl QueryResult {
     pub fn n_cols(&self) -> usize {
         self.columns.len()
     }
-
-    /// Multiset of the rows under group-key equality, used for unordered
-    /// comparison. The keys borrow the rows.
-    fn multiset(&self) -> HashMap<RowKey<'_, Value>, usize> {
-        let mut counts = HashMap::with_capacity(self.rows.len());
-        for row in &self.rows {
-            *counts.entry(RowKey(row.as_slice())).or_insert(0) += 1;
-        }
-        counts
-    }
 }
 
 /// Do two results denote the same answer?
@@ -61,20 +59,50 @@ impl QueryResult {
 /// * Values compare via [`Value::group_key`], which buckets floats to
 ///   1e-9 so aggregate round-off does not flip EX.
 pub fn results_match(gold: &QueryResult, pred: &QueryResult) -> bool {
-    if gold.n_cols() != pred.n_cols() {
+    gold.n_cols() == pred.n_cols()
+        && rows_match(
+            gold.ordered,
+            gold.rows.iter().map(|r| r.as_slice()),
+            pred.rows.iter().map(|r| r.as_slice()),
+        )
+}
+
+/// The row half of [`results_match`], over rows of any cells that read
+/// as values.
+fn rows_match<'g, 'p, G, P>(
+    ordered: bool,
+    gold: impl ExactSizeIterator<Item = &'g [G]>,
+    mut pred: impl ExactSizeIterator<Item = &'p [P]>,
+) -> bool
+where
+    G: Borrow<Value> + 'g,
+    P: Borrow<Value> + 'p,
+{
+    if gold.len() != pred.len() {
         return false;
     }
-    if gold.rows.len() != pred.rows.len() {
-        return false;
+    // One row is a multiset of one.
+    if ordered || gold.len() == 1 {
+        return gold.zip(pred).all(|(g, p)| rows_eq(g, p));
     }
-    if gold.ordered {
-        gold.rows
-            .iter()
-            .zip(&pred.rows)
-            .all(|(g, p)| RowKey(g.as_slice()) == RowKey(p.as_slice()))
-    } else {
-        gold.multiset() == pred.multiset()
+    // Count each distinct gold row, then take the predicted rows off.
+    let mut index = Index::with_capacity(gold.len());
+    let mut distinct: Vec<(&[G], usize)> = Vec::new();
+    for g in gold {
+        match index.find_or_insert(hash_row(g), |id| rows_eq(distinct[id].0, g)) {
+            (_, true) => distinct.push((g, 1)),
+            (id, false) => distinct[id].1 += 1,
+        }
     }
+    pred.all(
+        |p| match index.find(hash_row(p), |id| rows_eq(distinct[id].0, p)) {
+            Some(id) if distinct[id].1 > 0 => {
+                distinct[id].1 -= 1;
+                true
+            }
+            _ => false,
+        },
+    )
 }
 
 /// Outcome of comparing a predicted SQL string against gold on a DB.
@@ -96,29 +124,39 @@ impl ExecOutcome {
     }
 }
 
-/// Execute gold and predicted SQL and compare (the EX primitive).
+/// Execute gold and predicted SQL and compare (the EX primitive), by
+/// [`results_match`]'s rule, without materialising either result.
 ///
 /// A prediction spelled exactly like the gold query executes once:
 /// execution is deterministic and [`results_match`] is reflexive (its
 /// keys are integers, bit patterns and text, so even a NaN matches
 /// itself), so the second execution could only repeat the first.
 pub fn execution_accuracy(db: &Database, gold_sql: &str, pred_sql: &str) -> ExecOutcome {
-    let gold = match execute_sql(db, gold_sql) {
-        Ok(r) => r,
-        Err(_) => return ExecOutcome::GoldError,
+    let Ok(gold_plan) = plan_sql(db, gold_sql) else {
+        return ExecOutcome::GoldError;
+    };
+    let Ok(gold) = rows(db, &gold_plan) else {
+        return ExecOutcome::GoldError;
     };
     if pred_sql == gold_sql {
         return ExecOutcome::Correct;
     }
-    let pred = match execute_sql(db, pred_sql) {
-        Ok(r) => r,
-        Err(_) => return ExecOutcome::PredictionError,
+    let Ok(pred_plan) = plan_sql(db, pred_sql) else {
+        return ExecOutcome::PredictionError;
     };
-    if results_match(&gold, &pred) {
+    let Ok(pred) = rows(db, &pred_plan) else {
+        return ExecOutcome::PredictionError;
+    };
+    if gold.width() == pred.width() && rows_match(gold.ordered, gold.iter(), pred.iter()) {
         ExecOutcome::Correct
     } else {
         ExecOutcome::WrongResult
     }
+}
+
+/// Parse and bind, leaving the plan's output names unset.
+fn plan_sql(db: &Database, sql: &str) -> crate::Result<Plan> {
+    bind_unnamed(db, &parse(sql)?)
 }
 
 #[cfg(test)]

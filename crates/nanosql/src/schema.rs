@@ -264,6 +264,11 @@ impl Database {
         self.table_index(name).map(|i| &self.data[i])
     }
 
+    /// The rows of the table at catalog index `idx`.
+    pub(crate) fn table_data_at(&self, idx: usize) -> &TableData {
+        &self.data[idx]
+    }
+
     pub fn tables(&self) -> &[TableSchema] {
         &self.tables
     }

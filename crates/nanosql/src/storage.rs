@@ -2,7 +2,8 @@
 //!
 //! A table's data is a flat `Vec` of rows. The executor never copies
 //! them while it runs: scans and joins carry row indices into these
-//! vectors, and only the result's output cells are cloned. Datasets here
+//! vectors, output rows borrow their cells, and only a returned
+//! `QueryResult` clones them; an EX check clones none. Datasets here
 //! are thousands of rows, not billions, so simple beats clever:
 //! contiguous rows, no pages, no indexes — a full scan *is* the access
 //! path.

@@ -6,10 +6,8 @@
 //! filter predicates (matching SQLite/standard behaviour for WHERE).
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A single SQL value.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,7 +57,11 @@ impl Value {
 
     /// SQL equality under three-valued logic (`None` = unknown).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
+        match (self, other) {
+            // The comparison's answer, without ordering the bytes.
+            (Value::Text(a), Value::Text(b)) => Some(a == b),
+            _ => self.sql_cmp(other).map(Ordering::is_eq),
+        }
     }
 
     /// Total order for sorting / grouping: NULLs first, then by type
@@ -104,7 +106,7 @@ impl Value {
 
     /// [`Value::group_key`] with the text borrowed: the same equality,
     /// without copying the string. Joins, grouping, DISTINCT and EX
-    /// comparison hash this form.
+    /// comparison hash and compare this form.
     pub(crate) fn key(&self) -> GroupKey<&str> {
         /// 2^63: the scaled floats in `[-2^63, 2^63)` convert to `i64`
         /// exactly; beyond it `as` would saturate and merge them.
@@ -133,7 +135,8 @@ impl Value {
 
 /// Hashable, `Eq` projection of a [`Value`] (see [`Value::group_key`]).
 /// The text is owned by default; inside the engine, joins, grouping and
-/// EX comparison hash `GroupKey<&str>`, which borrows it.
+/// EX comparison compare `GroupKey<&str>`, which borrows it, and hash
+/// it with `crate::index::KeyHasher`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GroupKey<S = String> {
     Null,
@@ -144,34 +147,6 @@ pub enum GroupKey<S = String> {
     FloatExact(u64),
     Text(S),
 }
-
-/// A row hashed and compared cell by cell through [`Value::key`]: the
-/// borrowed twin of `Vec<GroupKey>`, built without copying any text.
-/// Cells may be values or anything that borrows as one (`Cow<Value>`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RowKey<'r, T>(pub &'r [T]);
-
-impl<T: Borrow<Value>> Hash for RowKey<'_, T> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.0.len());
-        for cell in self.0 {
-            cell.borrow().key().hash(state);
-        }
-    }
-}
-
-impl<T: Borrow<Value>> PartialEq for RowKey<'_, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self
-                .0
-                .iter()
-                .zip(other.0)
-                .all(|(a, b)| a.borrow().key() == b.borrow().key())
-    }
-}
-
-impl<T: Borrow<Value>> Eq for RowKey<'_, T> {}
 
 impl PartialEq for Value {
     /// Structural equality (NULL == NULL here): used by tests and result
@@ -193,15 +168,28 @@ impl fmt::Display for Value {
                     write!(f, "{x}")
                 }
             }
-            Value::Text(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            Value::Text(s) => write_quoted(f, s),
             Value::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
         }
     }
 }
 
+/// `s` as a SQL string literal: in single quotes, each `'` doubled.
+pub(crate) fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("'")?;
+    for (i, part) in s.split('\'').enumerate() {
+        if i > 0 {
+            f.write_str("''")?;
+        }
+        f.write_str(part)?;
+    }
+    f.write_str("'")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::rows_eq;
 
     #[test]
     fn null_comparisons_are_unknown() {
@@ -301,14 +289,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            RowKey(&[Value::Int(3), Value::text("x")]),
-            RowKey(&[Value::Float(3.0), Value::text("x")])
-        );
-        assert_ne!(
-            RowKey(&[Value::Int(3)]),
-            RowKey(&[Value::Int(3), Value::Null])
-        );
+        assert!(rows_eq(
+            &[Value::Int(3), Value::text("x")],
+            &[Value::Float(3.0), Value::text("x")]
+        ));
+        assert!(!rows_eq(&[Value::Int(3)], &[Value::Int(3), Value::Null]));
     }
 
     #[test]
