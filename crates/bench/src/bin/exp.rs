@@ -8,7 +8,7 @@
 //! paper-vs-measured record, is written next to the JSON files in
 //! [`rts_bench::results_dir`]. An unknown id exits nonzero and lists
 //! the known ones; an `RTS_SCALE` or `RTS_SEED` that does not parse
-//! (see [`rts_bench::parse_scale`], [`rts_bench::parse_seed`]) exits 2,
+//! (see [`rts_bench::env_scale`], [`rts_bench::env_seed`]) exits 2,
 //! naming the variable, before anything runs or is written.
 
 use rts_bench::{Context, Report, EXPERIMENTS};

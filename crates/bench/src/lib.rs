@@ -108,55 +108,33 @@ pub fn needs(experiments: &[&Experiment]) -> Which {
         .unwrap_or(Which::Both)
 }
 
-/// The harness scale `RTS_SCALE` names: a fraction of the full
-/// benchmark in (0, 1], 1.0 when unset.
-pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
-    let Some(raw) = raw else {
-        return Ok(1.0);
-    };
-    match raw.parse::<f64>() {
-        Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(scale),
-        _ => Err(format!("RTS_SCALE={raw:?} is not a scale in (0, 1]")),
-    }
-}
+/// The harness scale when `RTS_SCALE` is unset: the full, paper-sized
+/// benchmark.
+pub const DEFAULT_SCALE: f64 = 1.0;
 
-/// The harness seed `RTS_SEED` names, in decimal or in the `0x…` hex
-/// that [`results_dir`] and every report print; [`PINNED_SEED`] when
-/// unset.
-pub fn parse_seed(raw: Option<&str>) -> Result<u64, String> {
-    let Some(raw) = raw else {
-        return Ok(PINNED_SEED);
-    };
-    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    }
-    .map_err(|_| format!("RTS_SEED={raw:?} is not a decimal or 0x-hex seed"))
-}
-
-/// The value of environment variable `name`, `None` when unset.
-fn env_var(name: &str) -> Result<Option<String>, String> {
-    match std::env::var(name) {
-        Ok(v) => Ok(Some(v)),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not UTF-8")),
-    }
-}
-
-/// Read harness scale from the environment; see [`parse_scale`].
+/// Read harness scale from `RTS_SCALE`, [`DEFAULT_SCALE`] when unset;
+/// see [`benchgen::profile::parse_scale`].
 pub fn env_scale() -> Result<f64, String> {
-    parse_scale(env_var("RTS_SCALE")?.as_deref())
+    benchgen::profile::env_scale(DEFAULT_SCALE)
 }
 
-/// Read harness seed from the environment; see [`parse_seed`].
+/// Read harness seed from `RTS_SEED`, [`PINNED_SEED`] when unset; see
+/// [`benchgen::profile::parse_seed`].
 pub fn env_seed() -> Result<u64, String> {
-    parse_seed(env_var("RTS_SEED")?.as_deref())
+    benchgen::profile::env_seed(PINNED_SEED)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::Path;
+
+    #[test]
+    fn unset_gives_the_defaults() {
+        use benchgen::profile::{parse_scale, parse_seed};
+        assert_eq!(parse_seed(None, PINNED_SEED), Ok(PINNED_SEED));
+        assert_eq!(parse_scale(None, DEFAULT_SCALE), Ok(1.0));
+    }
 
     #[test]
     fn only_the_pinned_pair_writes_the_top_level_results() {
@@ -166,33 +144,6 @@ mod tests {
         let other_seed = results_dir(PINNED_SCALE, 7);
         assert_eq!(other_seed, Path::new("results/scale0.02-seed0x7"));
         assert_ne!(results_dir(0.03, PINNED_SEED), paper_scale);
-    }
-
-    #[test]
-    fn seeds_read_in_decimal_and_hex() {
-        assert_eq!(parse_seed(Some("0x7")), Ok(7));
-        assert_eq!(parse_seed(Some("7")), Ok(7));
-        assert_eq!(parse_seed(Some("0xC0FFEE")), Ok(PINNED_SEED));
-        for bad in ["abc", "0.0.2", "", "0x", "-1", "0xg"] {
-            let err = parse_seed(Some(bad)).unwrap_err();
-            assert!(err.starts_with("RTS_SEED="), "{err}");
-        }
-    }
-
-    #[test]
-    fn scales_outside_the_unit_interval_are_refused() {
-        assert_eq!(parse_scale(Some("0.02")), Ok(PINNED_SCALE));
-        assert_eq!(parse_scale(Some("1")), Ok(1.0));
-        for bad in ["abc", "0.0.2", "", "0", "-0.5", "1.5", "NaN"] {
-            let err = parse_scale(Some(bad)).unwrap_err();
-            assert!(err.starts_with("RTS_SCALE="), "{err}");
-        }
-    }
-
-    #[test]
-    fn unset_gives_the_defaults() {
-        assert_eq!(parse_seed(None), Ok(PINNED_SEED));
-        assert_eq!(parse_scale(None), Ok(1.0));
     }
 
     #[test]

@@ -97,9 +97,80 @@ impl BenchmarkProfile {
     }
 }
 
+/// The corpus scale `RTS_SCALE` names: a [`BenchmarkProfile::scaled`]
+/// factor in (0, 1], `default` when unset.
+pub fn env_scale(default: f64) -> Result<f64, String> {
+    parse_scale(env_var("RTS_SCALE")?.as_deref(), default)
+}
+
+/// The corpus seed `RTS_SEED` names, in decimal or in the `0x…` hex
+/// that reports and result directories print; `default` when unset.
+pub fn env_seed(default: u64) -> Result<u64, String> {
+    parse_seed(env_var("RTS_SEED")?.as_deref(), default)
+}
+
+/// [`env_scale`] of a raw value (`None`: unset).
+pub fn parse_scale(raw: Option<&str>, default: f64) -> Result<f64, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.parse::<f64>() {
+        Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(scale),
+        _ => Err(format!("RTS_SCALE={raw:?} is not a scale in (0, 1]")),
+    }
+}
+
+/// [`env_seed`] of a raw value (`None`: unset).
+pub fn parse_seed(raw: Option<&str>, default: u64) -> Result<u64, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    }
+    .map_err(|_| format!("RTS_SEED={raw:?} is not a decimal or 0x-hex seed"))
+}
+
+/// The value of environment variable `name`, `None` when unset.
+fn env_var(name: &str) -> Result<Option<String>, String> {
+    match std::env::var(name) {
+        Ok(v) => Ok(Some(v)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not UTF-8")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seeds_read_in_decimal_and_hex() {
+        assert_eq!(parse_seed(Some("0x7"), 1), Ok(7));
+        assert_eq!(parse_seed(Some("7"), 1), Ok(7));
+        assert_eq!(parse_seed(Some("0XC0FFEE"), 1), Ok(0xC0FFEE));
+        for bad in ["abc", "0.0.2", "", "0x", "-1", "0xg"] {
+            let err = parse_seed(Some(bad), 1).unwrap_err();
+            assert!(err.starts_with("RTS_SEED="), "{err}");
+        }
+    }
+
+    #[test]
+    fn scales_outside_the_unit_interval_are_refused() {
+        assert_eq!(parse_scale(Some("0.02"), 1.0), Ok(0.02));
+        assert_eq!(parse_scale(Some("1"), 0.5), Ok(1.0));
+        for bad in ["abc", "0.0.2", "", "0", "-0.5", "1.5", "NaN"] {
+            let err = parse_scale(Some(bad), 1.0).unwrap_err();
+            assert!(err.starts_with("RTS_SCALE="), "{err}");
+        }
+    }
+
+    #[test]
+    fn unset_gives_the_default() {
+        assert_eq!(parse_seed(None, 0xC0FFEE), Ok(0xC0FFEE));
+        assert_eq!(parse_scale(None, 0.03), Ok(0.03));
+    }
 
     #[test]
     fn presets_match_published_scale() {

@@ -140,7 +140,7 @@ pub fn run_rts_linking(
 /// rebuild disappears, the unmonitored counterfactual is derived from
 /// round 0's stream instead of generated, and clean correction rounds
 /// reuse the previous round's trace. Outcomes are bit-identical to the
-/// context-free fallback (a session opened without a context).
+/// context-free test oracle (a session opened without a context).
 #[allow(clippy::too_many_arguments)] // mirrors run_rts_linking + context
 pub fn run_rts_linking_in(
     model: &SchemaLinker,
@@ -228,7 +228,7 @@ impl Round<'_> {
 /// `ctx`/`round0` select the entry-point shape being mirrored:
 /// `run_rts_linking` (per-call context), `run_rts_linking_in` (`ctx`
 /// supplied), `run_rts_linking_from` (`ctx` + `round0`), or the
-/// context-free fallback (`ctx` absent: implicated sets come from
+/// context-free test oracle (`ctx` absent: implicated sets come from
 /// [`implicated_elements_reference`]).
 #[allow(clippy::too_many_arguments)] // the one fully-explicit reference
 pub fn run_rts_linking_monolithic(
@@ -431,7 +431,7 @@ pub fn run_rts_linking_monolithic(
 }
 
 /// Algorithm 2 wrapper: implicated elements through the shared
-/// context, or — on the context-free fallback, where no
+/// context, or — on the context-free test oracle, where no
 /// context exists — by cloning the generation vocabulary and rebuilding
 /// the trie in its id space. Shared by the monolithic reference loop
 /// and the [`LinkSession`] state machine.

@@ -112,8 +112,7 @@ fn candidate_trie(meta: &DbMeta, target: LinkTarget) -> (Vocab, Trie) {
 /// exactly what every flag paid before the shared context existed. Kept
 /// as the test oracle for the context's trace back
 /// (`context_implicated_sets_match_rebuild`) and as the implicated-set
-/// source of a session opened without a context — the serving engine's
-/// fallback when a context build fails.
+/// source of a session opened without a context, a test oracle only.
 pub fn implicated_elements_reference(
     gen_vocab: &Vocab,
     meta: &DbMeta,
@@ -216,21 +215,15 @@ impl ContextCacheStats {
 /// of the name: the same database lands on the same shard across
 /// processes, restarts, and releases. `std`'s `DefaultHasher` is
 /// explicitly unsuitable (its output may change between Rust releases
-/// and is randomly keyed per process); FNV-1a is fixed by its two
-/// published constants, and a unit test pins concrete assignments so a
-/// change here is a deliberate re-sharding, never an accident.
+/// and is randomly keyed per process); FNV-1a
+/// ([`tinynn::rng::fnv1a`]) is fixed by its two published constants,
+/// and a unit test pins concrete assignments so a change here is a
+/// deliberate re-sharding, never an accident.
 pub fn db_shard(db: &str, n_shards: usize) -> usize {
     if n_shards <= 1 {
         return 0;
     }
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for byte in db.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    (h % n_shards as u64) as usize
+    (tinynn::rng::fnv1a(db.as_bytes()) % n_shards as u64) as usize
 }
 
 /// One cached context plus its LRU recency stamp. The stamp is atomic

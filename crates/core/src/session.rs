@@ -527,8 +527,8 @@ struct PendingFlag {
 /// Construction mirrors the entry points of
 /// [`crate::abstention::run_rts_linking`]: a context-backed session
 /// (optionally consuming a pre-generated [`Round0`]) or, without a
-/// context, the context-free fallback the serving engine takes when a
-/// context build fails — outcome-identical, with implicated sets from
+/// context, the context-free test oracle — outcome-identical, with
+/// implicated sets from
 /// [`crate::context::implicated_elements_reference`].
 ///
 /// The session owns everything the loop accumulated (the last round's
@@ -565,8 +565,8 @@ pub struct LinkSession<'a> {
 }
 
 impl<'a> LinkSession<'a> {
-    /// Open a session. Without `ctx` it runs the context-free
-    /// fallback. `round0` follows the [`Round0`] contract.
+    /// Open a session. Without `ctx` it runs the context-free test
+    /// oracle. `round0` follows the [`Round0`] contract.
     #[allow(clippy::too_many_arguments)] // mirrors the blocking entry points
     pub fn new(
         model: &'a SchemaLinker,

@@ -1,17 +1,18 @@
-//! The one hasher and the one hash table of the engine.
+//! The one hasher and the one hash table of the runtime.
 //!
 //! Joins, GROUP BY, DISTINCT, aggregate DISTINCT and EX's multiset
-//! comparison all find rows or values by [`Value::group_key`] equality.
-//! Each hashes with [`KeyHasher`], a fixed word-at-a-time hash, and keeps
-//! its entries in an [`Index`]: an open-addressing table of ids `0..n`,
-//! handed out in insertion order, that stores only hashes and ids. The
-//! caller keeps whatever the ids stand for (a build row, a group's first
-//! key cells, an output row) and decides equality, so a table borrows
-//! no key and nothing built on it depends on hash order.
+//! comparison all find rows or values by [`Value::group_key`] equality,
+//! and `simlm`'s token vocabulary finds token texts. Each hashes with
+//! `KeyHasher`, a fixed word-at-a-time hash, and keeps its entries in
+//! an [`Index`]: an open-addressing table of ids `0..n`, handed out in
+//! insertion order, that stores only hashes and ids. The caller keeps
+//! whatever the ids stand for (a build row, a group's first key cells,
+//! an output row, a token's text) and decides equality, so a table
+//! borrows no key and nothing built on it depends on hash order.
 //!
 //! The hasher has no per-process seed: the same key hashes the same on
-//! every run and every host. Its keys come from the engine's own tables
-//! and statements, not from a network peer.
+//! every run and every host. Its keys come from the runtime's own
+//! tables, statements and schema identifiers, not from a network peer.
 
 use crate::value::{GroupKey, Value};
 use std::borrow::Borrow;
@@ -59,11 +60,13 @@ impl KeyHasher {
                 self.word(3);
                 self.word(b);
             }
-            GroupKey::Text(s) => {
-                self.word(4);
-                self.bytes(s.as_bytes());
-            }
+            GroupKey::Text(s) => self.text(s),
         }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(4);
+        self.bytes(s.as_bytes());
     }
 
     pub(crate) fn finish(self) -> u64 {
@@ -80,6 +83,15 @@ impl KeyHasher {
 pub(crate) fn hash_value(v: &Value) -> u64 {
     let mut h = KeyHasher::default();
     h.value(v);
+    h.finish()
+}
+
+/// Hash of a text: the hash of the `Value::Text` holding it,
+/// without building one.
+#[inline]
+pub fn hash_text(s: &str) -> u64 {
+    let mut h = KeyHasher::default();
+    h.text(s);
     h.finish()
 }
 
@@ -104,8 +116,8 @@ pub(crate) fn rows_eq<A: Borrow<Value>, B: Borrow<Value>>(a: &[A], b: &[B]) -> b
 const EMPTY: usize = usize::MAX;
 
 /// Ids `0..len()` found by hash, linear probing, at most half full.
-#[derive(Default)]
-pub(crate) struct Index {
+#[derive(Clone, Debug, Default)]
+pub struct Index {
     /// `(hash, id)`; a power-of-two length, or none before the first
     /// insertion.
     slots: Vec<(u64, usize)>,
@@ -126,7 +138,7 @@ impl Index {
     }
 
     /// The id under `hash` that `eq` accepts.
-    pub(crate) fn find(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+    pub fn find(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
@@ -143,7 +155,7 @@ impl Index {
 
     /// The id under `hash` that `eq` accepts, and `false`; or else the
     /// next new id, now inserted, and `true`.
-    pub(crate) fn find_or_insert(
+    pub fn find_or_insert(
         &mut self,
         hash: u64,
         mut eq: impl FnMut(usize) -> bool,
@@ -226,5 +238,8 @@ mod tests {
             row(&[Value::text(""), Value::text("a")])
         );
         assert_ne!(hash_value(&Value::Null), hash_value(&Value::Int(0)));
+        for s in ["", "a", "raceId", "a longer text than one word"] {
+            assert_eq!(hash_text(s), hash_value(&Value::text(s)), "{s:?}");
+        }
     }
 }

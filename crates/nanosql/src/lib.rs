@@ -41,7 +41,7 @@
 pub mod ast;
 pub mod error;
 pub mod exec;
-mod index;
+pub mod index;
 pub mod parser;
 pub mod plan;
 pub mod result;

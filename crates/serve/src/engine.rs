@@ -553,11 +553,10 @@ impl ServeEngine {
             // (over the one context this stage fetched), with exponential
             // backoff between attempts; past the budget the ticket
             // degrades to a `faulted` abstention.
-            let ctx = self.session_ctx(shard, meta, stage);
+            let ctx = shard.cache.get(meta, stage);
             let mut panics = 0usize;
             let attempt = loop {
-                let mut s =
-                    self.session(&inst, meta, stage, ctx.as_deref(), recipe.as_ref(), scratch);
+                let mut s = self.session(&inst, meta, stage, &ctx, recipe.as_ref(), scratch);
                 let inject = self.config.fault.trip(FaultSite::StepPanic);
                 let stepped = catch_unwind(AssertUnwindSafe(|| {
                     if inject {
@@ -717,28 +716,6 @@ impl ServeEngine {
         })
     }
 
-    fn session_ctx(
-        &self,
-        shard: &Shard,
-        meta: &DbMeta,
-        stage: LinkTarget,
-    ) -> Option<Arc<LinkContext>> {
-        if self.config.fault.trip(FaultSite::ContextBuild) {
-            // A failed context build degrades to the context-free
-            // fallback — outcome-identical (pinned by the
-            // `context_linking_matches_context_free_fallback` and
-            // `context_path_matches_context_free_fallback_for_all_policies`
-            // parity tests), just slower. Never an abstention, never a
-            // drop.
-            shard
-                .counters
-                .context_build_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(shard.cache.get(meta, stage))
-    }
-
     /// The one session constructor of a dispatch, first attempt and
     /// panic retry alike: open `stage`'s session, or restore it from
     /// `recipe` (no synthesis: the checkpoint carries the parked round's
@@ -748,7 +725,7 @@ impl ServeEngine {
         inst: &'a Instance,
         meta: &'a DbMeta,
         stage: LinkTarget,
-        ctx: Option<&'a LinkContext>,
+        ctx: &'a LinkContext,
         recipe: Option<&Recipe>,
         scratch: &mut LinkScratch,
     ) -> LinkSession<'a> {
@@ -756,7 +733,7 @@ impl ServeEngine {
             LinkTarget::Tables => &self.mbpp_tables,
             LinkTarget::Columns => &self.mbpp_columns,
         };
-        let ctx = ctx.map(CtxHandle::Borrowed);
+        let ctx = Some(CtxHandle::Borrowed(ctx));
         let config = &self.config.rts;
         let Some(recipe) = recipe else {
             return LinkSession::new(&self.model, mbpp, inst, meta, stage, ctx, None, config);
@@ -1298,7 +1275,6 @@ impl Shard {
             panics_recovered: c.panics_recovered.load(Ordering::Relaxed),
             panics_to_abstention: c.panics_to_abstention.load(Ordering::Relaxed),
             corrupt_checkpoints_recovered: c.corrupt_checkpoints_recovered.load(Ordering::Relaxed),
-            context_build_fallbacks: c.context_build_fallbacks.load(Ordering::Relaxed),
             feedback_lost: c.feedback_lost.load(Ordering::Relaxed),
             feedback_delayed: c.feedback_delayed.load(Ordering::Relaxed),
             drained_to_abstention: c.drained_to_abstention.load(Ordering::Relaxed),

@@ -68,14 +68,13 @@
 //! * **Degrade-only fault tolerance** — a panicking session step is
 //!   caught (`catch_unwind`), restored from its recipe and retried
 //!   with backoff before degrading the one ticket to abstention;
-//!   corrupt checkpoints are restored from their recipe;
-//!   failed context builds fall back to the outcome-identical
-//!   context-free path; client API misuse (unknown tickets, double
-//!   resolves) returns typed errors ([`ClientEvent::Retired`],
-//!   [`ResolveError`]) instead of panicking. The [`fault`] module's
-//!   deterministic [`fault::FaultPlan`] injects all of these
-//!   reproducibly; the chaos proptests pin the invariant that every
-//!   submitted ticket still terminates with zero drops.
+//!   corrupt checkpoints are restored from their recipe; client API
+//!   misuse (unknown tickets, double resolves) returns typed errors
+//!   ([`ClientEvent::Retired`], [`ResolveError`]) instead of
+//!   panicking. The [`fault`] module's deterministic
+//!   [`fault::FaultPlan`] injects all of these reproducibly; the chaos
+//!   proptests pin the invariant that every submitted ticket still
+//!   terminates with zero drops.
 //! * **Schema-drift epochs** — [`Engine::invalidate_db`] (or a
 //!   bumped `DbMeta::revision`) drops cached contexts so new sessions
 //!   rebuild, while a running dispatch finishes on the

@@ -104,9 +104,6 @@ pub struct ServingStats {
     /// Checkpoints that failed to decode and were rebuilt from the
     /// ticket's in-memory recipe instead.
     pub corrupt_checkpoints_recovered: u64,
-    /// Context-cache builds that failed and fell back to the
-    /// context-free fallback (outcome-identical, just slower).
-    pub context_build_fallbacks: u64,
     /// Client resolutions lost in flight (injected); the park timeout
     /// completed those requests as abstention hand-offs.
     pub feedback_lost: u64,
@@ -155,7 +152,6 @@ impl ServingStats {
         self.panics_recovered += s.panics_recovered;
         self.panics_to_abstention += s.panics_to_abstention;
         self.corrupt_checkpoints_recovered += s.corrupt_checkpoints_recovered;
-        self.context_build_fallbacks += s.context_build_fallbacks;
         self.feedback_lost += s.feedback_lost;
         self.feedback_delayed += s.feedback_delayed;
         self.drained_to_abstention += s.drained_to_abstention;
@@ -225,7 +221,6 @@ pub(crate) struct Counters {
     pub panics_recovered: AtomicU64,
     pub panics_to_abstention: AtomicU64,
     pub corrupt_checkpoints_recovered: AtomicU64,
-    pub context_build_fallbacks: AtomicU64,
     pub feedback_lost: AtomicU64,
     pub feedback_delayed: AtomicU64,
     pub drained_to_abstention: AtomicU64,

@@ -43,7 +43,7 @@ use std::time::Duration;
 
 /// Protocol version spoken by this build. Bump on any change to the
 /// framing or message schema.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Upper bound on a frame's payload length. Larger prefixes are
 /// refused before any allocation — a corrupt or hostile length prefix

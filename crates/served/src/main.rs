@@ -5,9 +5,11 @@
 //! ```
 //!
 //! Rebuilds the deterministic corpus and trains the model artefacts
-//! from `RTS_SCALE` (default 0.03) and `RTS_SEED` — the wire submits
-//! instance *ids*, so client and server must agree on what the ids
-//! mean; the `HelloAck` fingerprint guards that — then fronts a
+//! from `RTS_SCALE` (default 0.03) and `RTS_SEED` (decimal or `0x…`
+//! hex, default `0xC0FFEE`; a value of either that does not parse
+//! exits 1, naming the variable, before anything binds) — the wire
+//! submits instance *ids*, so client and server must agree on what the
+//! ids mean; the `HelloAck` fingerprint guards that — then fronts a
 //! [`rts_serve::ServeEngine`] with the framed TCP protocol of
 //! `PROTOCOL.md`.
 //!
@@ -33,6 +35,7 @@
 //! The daemon exits 0 after a client sends `Shutdown` and every
 //! connection has drained.
 
+use benchgen::profile::{env_scale, env_seed};
 use rts_core::abstention::RtsConfig;
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
@@ -52,15 +55,12 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The corpus and merge-RNG seed: `RTS_SEED` in decimal, by default
-/// the paper experiments' `0xC0FFEE`.
-fn env_seed() -> u64 {
-    parse_seed(std::env::var("RTS_SEED").ok().as_deref())
-}
+/// The corpus scale when `RTS_SCALE` is unset.
+const DEFAULT_SCALE: f64 = 0.03;
 
-fn parse_seed(value: Option<&str>) -> u64 {
-    value.and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE)
-}
+/// The corpus and merge-RNG seed when `RTS_SEED` is unset: the paper
+/// experiments' `0xC0FFEE`.
+const DEFAULT_SEED: u64 = 0xC0FFEE;
 
 fn env_ms(key: &str) -> Option<Duration> {
     parse_ms(std::env::var(key).ok().as_deref())
@@ -74,11 +74,13 @@ fn parse_ms(value: Option<&str>) -> Option<Duration> {
 }
 
 fn main() -> ExitCode {
-    let scale: f64 = std::env::var("RTS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.03);
-    let seed = env_seed();
+    let (scale, seed) = match (env_scale(DEFAULT_SCALE), env_seed(DEFAULT_SEED)) {
+        (Ok(scale), Ok(seed)) => (scale, seed),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("[rts-served] {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let addr = std::env::var("RTS_SERVED_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
 
     // Bind before the (slow) training so a launcher that polls the
@@ -177,15 +179,14 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_ms, parse_seed};
+    use super::{parse_ms, DEFAULT_SCALE, DEFAULT_SEED};
+    use benchgen::profile::{parse_scale, parse_seed};
     use std::time::Duration;
 
     #[test]
-    fn seed_defaults_to_c0ffee_and_parses_a_decimal_override() {
-        assert_eq!(parse_seed(None), 0xC0FFEE);
-        assert_eq!(parse_seed(Some("12648430")), 0xC0FFEE);
-        assert_eq!(parse_seed(Some("42")), 42);
-        assert_eq!(parse_seed(Some("0x2A")), 0xC0FFEE, "decimal only");
+    fn unset_gives_the_served_defaults() {
+        assert_eq!(parse_seed(None, DEFAULT_SEED), Ok(0xC0FFEE));
+        assert_eq!(parse_scale(None, DEFAULT_SCALE), Ok(0.03));
     }
 
     #[test]

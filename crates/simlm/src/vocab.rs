@@ -6,6 +6,8 @@
 //! identifier exactly, which is what the `decode` function of the
 //! paper's Algorithm 2 relies on.
 
+use nanosql::index::{hash_text, Index};
+
 /// Token identifier (index into a [`Vocab`]).
 pub type TokenId = u32;
 
@@ -67,9 +69,10 @@ fn piece_len(rest: &str) -> usize {
 /// other token gets the next id the first time it is interned, so ids
 /// follow first-seen order. Generation seeds each token's hidden-state
 /// streams from its id, so a vocabulary filled by a generation must
-/// give the same ids on every run; the index below is a deterministic
-/// open-addressing table (no `RandomState`), and it decides nothing but
-/// where a lookup probes.
+/// give the same ids on every run. Texts are found through nanosql's
+/// runtime-wide [`Index`] (ids in insertion order, no `RandomState`),
+/// hashed by [`hash_text`]; the hash decides nothing but where a lookup
+/// probes.
 ///
 /// Storage is three buffers, none allocated until the first
 /// non-special intern: the specials are `&'static str`, the other
@@ -82,17 +85,8 @@ pub struct Vocab {
     /// Arena end offset of each non-special token, in id order
     /// (token `SPECIALS.len() + i` ends at `ends[i]`).
     ends: Vec<u32>,
-    /// Open-addressing index over the non-special tokens: a slot holds
-    /// `id + 1`, or 0 when empty. Its length is 0 or a power of two,
-    /// and it is at most half full.
-    slots: Vec<u32>,
-}
-
-/// Slots the index starts with at the first non-special intern.
-const MIN_SLOTS: usize = 32;
-
-fn token_hash(s: &str) -> u64 {
-    tinynn::rng::stable_hash(s.as_bytes())
+    /// Index id `i` is token `SPECIALS.len() + i`.
+    index: Index,
 }
 
 impl Vocab {
@@ -122,63 +116,23 @@ impl Vocab {
         if let Some(id) = special_id(s) {
             return id;
         }
-        let hash = token_hash(s);
-        let slot = match self.probe(s, hash) {
-            Ok(id) => return id,
-            Err(slot) if 2 * (self.ends.len() + 1) <= self.slots.len() => slot,
-            Err(_) => {
-                self.grow();
-                self.probe(s, hash).expect_err("growing adds no token")
-            }
-        };
-        let id = TokenId::try_from(self.len()).expect("fewer than 2^32 tokens");
-        self.arena.push_str(s);
-        let end = u32::try_from(self.arena.len()).expect("token texts under 4 GiB");
-        self.ends.push(end);
-        self.slots[slot] = id + 1;
-        id
+        let Vocab { arena, ends, index } = self;
+        let (i, new) = index.find_or_insert(hash_text(s), |i| piece(arena, ends, i) == s);
+        if new {
+            arena.push_str(s);
+            ends.push(u32::try_from(arena.len()).expect("token texts under 4 GiB"));
+        }
+        TokenId::try_from(SPECIALS.len() + i).expect("fewer than 2^32 tokens")
     }
 
     /// Lookup without interning.
     pub fn get(&self, s: &str) -> Option<TokenId> {
-        special_id(s).or_else(|| self.probe(s, token_hash(s)).ok())
-    }
-
-    /// `Ok(id)` of `s` (a non-special token), or `Err(slot)`: the empty
-    /// slot its probe sequence ends at (`Err(0)` on an empty index).
-    fn probe(&self, s: &str, hash: u64) -> Result<TokenId, usize> {
-        if self.slots.is_empty() {
-            return Err(0);
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.slots[slot] {
-                0 => return Err(slot),
-                stored if self.text(stored - 1) == s => return Ok(stored - 1),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Double the index (or allocate the first one, with room for the
-    /// texts it can index) and re-insert every non-special token.
-    fn grow(&mut self) {
-        if self.slots.is_empty() {
-            self.ends.reserve(MIN_SLOTS / 2);
-            self.arena.reserve(8 * MIN_SLOTS / 2);
-        }
-        let len = (2 * self.slots.len()).max(MIN_SLOTS);
-        let mask = len - 1;
-        let mut slots = vec![0; len];
-        for id in SPECIALS.len() as TokenId..self.len() as TokenId {
-            let mut slot = token_hash(self.text(id)) as usize & mask;
-            while slots[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            slots[slot] = id + 1;
-        }
-        self.slots = slots;
+        special_id(s).or_else(|| {
+            let i = self
+                .index
+                .find(hash_text(s), |i| piece(&self.arena, &self.ends, i) == s)?;
+            Some((SPECIALS.len() + i) as TokenId)
+        })
     }
 
     /// The string for a token id.
@@ -187,9 +141,7 @@ impl Vocab {
         if let Some(special) = SPECIALS.get(id) {
             return special;
         }
-        let i = id - SPECIALS.len();
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.arena[start..self.ends[i] as usize]
+        piece(&self.arena, &self.ends, id - SPECIALS.len())
     }
 
     pub fn len(&self) -> usize {
@@ -228,6 +180,12 @@ impl Vocab {
         }
         out
     }
+}
+
+/// The text of non-special token `i` (token id `SPECIALS.len() + i`).
+fn piece<'v>(arena: &'v str, ends: &[u32], i: usize) -> &'v str {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &arena[start..ends[i] as usize]
 }
 
 /// The id of a format special, `None` for any other text.

@@ -376,18 +376,14 @@ mod tests {
         });
         mlp.fit(&ds);
         // FNV-1a over the bit patterns.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: f32| {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
+        let mut bits = Vec::new();
+        let mut eat = |v: f32| bits.extend_from_slice(&v.to_bits().to_le_bytes());
         for layer in &mlp.layers {
             layer.w.as_slice().iter().for_each(|&v| eat(v));
             layer.b.iter().for_each(|&v| eat(v));
         }
         mlp.loss_history.iter().for_each(|&v| eat(v));
+        let h = crate::rng::fnv1a(&bits);
         assert_eq!(
             h, 0x4fb1_973f_838d_7224,
             "training arithmetic changed: hash {h:#018x}"

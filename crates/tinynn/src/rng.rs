@@ -332,13 +332,22 @@ fn sincos_fast(theta: f64) -> (f64, f64) {
     )
 }
 
-/// Stable 64-bit hash of a byte string (FNV-1a folded through SplitMix).
-/// Used to derive deterministic pseudo-randomness from names: the same
-/// table/column/question name always maps to the same latent draws, which
-/// keeps whole-dataset regeneration stable across runs and platforms.
+/// Stable 64-bit hash of a byte string ([`fnv1a`] folded through
+/// SplitMix). Used to derive deterministic pseudo-randomness from names:
+/// the same table/column/question name always maps to the same latent
+/// draws, which keeps whole-dataset regeneration stable across runs and
+/// platforms.
 #[inline]
 pub fn stable_hash(bytes: &[u8]) -> u64 {
-    fnv_finish(fnv_fold(FNV_OFFSET, bytes))
+    fnv_finish(fnv1a(bytes))
+}
+
+/// Plain 64-bit FNV-1a of a byte string, fixed by its two published
+/// constants: the same bytes hash the same on every run, host and
+/// release.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 /// [`stable_hash`] of the concatenation of `parts`, without building

@@ -405,10 +405,9 @@ mod parity {
             prop_assert!(ex_par == ex_serial, "EX diverged: {} vs {}", ex_par, ex_serial);
         }
 
-        /// The shared-`LinkContext` runtime ≡ the context-free fallback
-        /// (a session opened without a context, as the serving engine
-        /// does when a context build fails: clone-per-flag trie
-        /// rebuild, full-prefix re-decode): outcomes field-for-field —
+        /// The shared-`LinkContext` runtime ≡ the context-free test
+        /// oracle (a session opened without a context: clone-per-flag
+        /// trie rebuild, full-prefix re-decode): outcomes field-for-field —
         /// flags, implicated-set-driven decisions, interventions,
         /// predictions — across targets, policies and seeds.
         #[test]
@@ -1079,15 +1078,14 @@ mod parity {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Degrade-only under chaos: for *arbitrary* seeded fault
-        /// schedules — step panics, corrupt checkpoints, context-build
-        /// failures, lost and delayed feedback, all armed at once —
-        /// every ticket still terminates exactly once, nothing is
-        /// dropped, the parked/checkpoint gauges drain to zero, every
-        /// fault-degraded outcome is an abstention (never a wrong
-        /// answer), and requests the faults did *not* degrade are
-        /// byte-identical to the fault-free batch pipeline. Runs under
-        /// the CI parity matrix, so the recovery machinery is crossed
-        /// with `RTS_THREADS`.
+        /// schedules — step panics, corrupt checkpoints, lost and
+        /// delayed feedback, all armed at once — every ticket still
+        /// terminates exactly once, nothing is dropped, the
+        /// parked/checkpoint gauges drain to zero, every fault-degraded
+        /// outcome is an abstention (never a wrong answer), and requests
+        /// the faults did *not* degrade are byte-identical to the
+        /// fault-free batch pipeline. Runs under the CI parity matrix,
+        /// so the recovery machinery is crossed with `RTS_THREADS`.
         #[test]
         fn chaos_fault_schedules_degrade_only(fault_seed in any::<u64>()) {
             rts::serve::fault::silence_injected_panics();
