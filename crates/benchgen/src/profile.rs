@@ -133,7 +133,7 @@ pub fn parse_seed(raw: Option<&str>, default: u64) -> Result<u64, String> {
 }
 
 /// The value of environment variable `name`, `None` when unset.
-fn env_var(name: &str) -> Result<Option<String>, String> {
+pub fn env_var(name: &str) -> Result<Option<String>, String> {
     match std::env::var(name) {
         Ok(v) => Ok(Some(v)),
         Err(std::env::VarError::NotPresent) => Ok(None),

@@ -6,7 +6,7 @@ use crate::api::Engine;
 use crate::checkpoint;
 use crate::error::{ResolveError, SubmitError};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
-use crate::stats::{Counters, LatencySummary, LatencyWindow, ServingStats};
+use crate::stats::{LatencySummary, ServingStats, ShardStats, Tally};
 use crate::tenant::{FairQueue, TenantId, TenantQuota, TicketId};
 use benchgen::schemagen::DbMeta;
 use benchgen::Instance;
@@ -24,7 +24,7 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,10 +43,10 @@ pub struct ServeConfig {
     /// unbounded. Resumed sessions never count against admission —
     /// they were already admitted.
     pub queue_capacity: usize,
-    /// Per-tenant admission quota per shard (max in-flight / max
-    /// parked; `0` = unbounded). Submissions beyond it are rejected
-    /// with [`SubmitError::QuotaExceeded`], so backpressure lands on
-    /// the tenant generating the load instead of on everyone.
+    /// Per-tenant admission quota per shard (max in flight; `0` =
+    /// unbounded). Submissions beyond it are rejected with
+    /// [`SubmitError::QuotaExceeded`], so backpressure lands on the
+    /// tenant generating the load instead of on everyone.
     pub quota: TenantQuota,
     /// Per-request latency budget. A request past it is *shed*: its
     /// remaining linking stages degrade to abstention (the answer is
@@ -64,7 +64,10 @@ pub struct ServeConfig {
     /// the engine encodes the largest parked checkpoints to bytes (the
     /// binary layout of [`SessionCheckpoint`]) and restores from those
     /// bytes when feedback arrives, bit-identically. `0` = never
-    /// encode.
+    /// encode. The checkpoint stays in memory beside its bytes, as the
+    /// fallback should they not decode, so eviction moves a park's
+    /// billing from the parked-bytes gauge to the checkpoint-bytes
+    /// gauge but frees no memory yet.
     pub parked_bytes_budget: usize,
     /// Context-cache capacity per shard and link target (databases);
     /// `0` = unbounded.
@@ -147,51 +150,53 @@ pub enum ClientEvent {
     Retired,
 }
 
-/// Request lifecycle. `Running` exists so a worker can own the session
-/// outside the state lock while clients still see a coherent phase.
-#[derive(Debug)]
-enum Phase {
-    Queued,
-    Running,
-    AwaitingFeedback(FlagQuery),
-    Done(ServeOutcome),
-}
-
 /// A parked stage: the checkpoint its session took when it suspended
-/// (its state and its round's label sets, no hidden stacks), plus the
-/// resolution applied since. Restoring it and replaying the resolution
-/// is bit-identical to the session that parked and synthesizes
-/// nothing.
+/// (its state and its round's label sets, no hidden stacks) and, once
+/// the parked-bytes budget evicted it, the same checkpoint `evicted` to
+/// encoded bytes. The next dispatch restores from the bytes; should
+/// they not decode, the checkpoint beside them restores the same
+/// session, so an evicted stage has a way back by construction.
 #[derive(Debug)]
-struct Recipe {
+struct Held {
     checkpoint: SessionCheckpoint,
-    resolution: Option<FlagResolution>,
+    evicted: Option<Vec<u8>>,
 }
 
-impl Recipe {
-    /// What a parked stage bills against the parked-bytes gauge: its
-    /// round's keys and label sets ([`LinkSession::held_bytes`]).
-    fn held_bytes(&self) -> usize {
-        self.checkpoint.sets.held_bytes()
+impl Held {
+    /// What this stage bills against the parked-bytes gauge: its
+    /// round's keys and label sets ([`LinkSession::held_bytes`]) while
+    /// in memory only; evicted bytes bill the checkpoint gauge.
+    fn billed(&self) -> usize {
+        match self.evicted {
+            Some(_) => 0,
+            None => self.checkpoint.sets.held_bytes(),
+        }
     }
 }
 
-/// A ticket's current stage between dispatches. No session outlives
-/// a dispatch: each one opens the stage's session or restores it from
-/// the recipe, and drops it when the stage parks.
+/// A ticket's state. No session outlives a dispatch: each one opens
+/// the stage's session or restores it from the parked stage, and drops
+/// it when the stage parks. `Running` exists so a worker can own the
+/// session outside the state lock while clients still see a coherent
+/// state.
 #[derive(Debug)]
-enum Parked {
-    /// Nothing to restore: the next dispatch opens a session (a fresh
-    /// admission, a freshly chained stage, or a ticket a worker is
-    /// running).
-    Fresh,
-    /// Parked on a flag (or resumed from one) with its recipe in
-    /// memory.
-    Held(Recipe),
-    /// Evicted past the parked-bytes budget to encoded checkpoint
-    /// `bytes`. Should they not decode, the recipe restores the same
-    /// session from memory.
-    Evicted { bytes: Vec<u8>, recipe: Recipe },
+enum Phase {
+    /// Waiting for a worker. `resume` is the parked stage and the
+    /// resolution applied since, which the dispatch restores and
+    /// replays bit-identically, synthesizing nothing; `None`: the
+    /// dispatch opens a session (a fresh admission).
+    Queued {
+        resume: Option<(Held, FlagResolution)>,
+    },
+    Running,
+    /// Parked on `query` until an answer, or until `deadline` (`None`
+    /// with timeouts disabled) resolves it to abstention.
+    AwaitingFeedback {
+        query: FlagQuery,
+        held: Held,
+        deadline: Option<Instant>,
+    },
+    Done(ServeOutcome),
 }
 
 struct Ticket {
@@ -199,13 +204,9 @@ struct Ticket {
     inst: Arc<Instance>,
     submitted: Instant,
     deadline: Option<Instant>,
-    /// When a parked session times out into abstention (`None` while
-    /// not parked or with timeouts disabled).
-    park_deadline: Option<Instant>,
     /// Stage currently being linked (tables first, then columns —
     /// mirroring `run_joint_linking_in`'s joint process).
     stage: LinkTarget,
-    parked: Parked,
     tables: Option<RtsOutcome>,
     n_feedback: usize,
     timed_out: bool,
@@ -234,10 +235,12 @@ struct ShardState {
     /// harmless extra sweep — and spares every dispatch the
     /// O(tickets) scan while nothing can have lapsed.
     next_timeout: Option<Instant>,
+    /// This shard's counters, gauges and latency window.
+    stats: ShardStats,
 }
 
-/// One database shard: its queues, tickets, context cache and
-/// accounting. Everything immutable lives on the [`ServeEngine`].
+/// One database shard: its queues, tickets, accounting and context
+/// cache. Everything immutable lives on the [`ServeEngine`].
 struct Shard {
     state: Mutex<ShardState>,
     cache: ContextCache,
@@ -245,12 +248,6 @@ struct Shard {
     work_cv: Condvar,
     /// Wakes clients (ticket phase transitions).
     client_cv: Condvar,
-    counters: Counters,
-    completed: AtomicU64,
-    /// Bounded: percentiles are computed over the most recent
-    /// [`LATENCY_WINDOW`] completions, and memory stays O(1) however
-    /// long the engine lives.
-    latencies_ms: Mutex<LatencyWindow>,
 }
 
 /// The serving engine: a pool of one or more database shards
@@ -346,13 +343,11 @@ impl ServeEngine {
                     tickets: HashMap::new(),
                     next_id: i as TicketId,
                     next_timeout: None,
+                    stats: ShardStats::new(LATENCY_WINDOW),
                 }),
                 cache: ContextCache::new(config.cache_capacity),
                 work_cv: Condvar::new(),
                 client_cv: Condvar::new(),
-                counters: Counters::default(),
-                completed: AtomicU64::new(0),
-                latencies_ms: Mutex::new(LatencyWindow::new(LATENCY_WINDOW)),
             })
             .collect();
         Self {
@@ -445,12 +440,12 @@ impl ServeEngine {
     fn try_process_one(&self, shard: &Shard, scratch: &mut LinkScratch) -> bool {
         let id = {
             let mut st = shard.state.lock();
-            shard.expire_lapsed_parks(&mut st);
+            st.expire_lapsed_parks();
             if self.shutdown.load(Ordering::SeqCst) {
                 // Degrade-only shutdown: requeue parked tickets with
                 // the abstention verdict so they complete before
                 // workers exit.
-                shard.drain_parked_for_shutdown(&mut st);
+                st.drain_parked_for_shutdown();
             }
             st.queues.pop()
         };
@@ -488,26 +483,36 @@ impl ServeEngine {
     /// sheds on its deadline, or degrades to abstention after an
     /// unrecoverable fault.
     fn process(&self, shard: &Shard, id: TicketId, scratch: &mut LinkScratch) {
-        let mut st = shard.state.lock();
+        let mut guard = shard.state.lock();
+        let st = &mut *guard;
         let Some(ticket) = st.tickets.get_mut(&id) else {
             // A dispatched id with no ticket record is an accounting
             // bug; drop the dispatch, keep the worker.
             debug_assert!(false, "dispatched ticket exists");
-            shard.counters.note_breach();
+            st.stats.note_breach();
             return;
         };
-        ticket.phase = Phase::Running;
+        let mut resume = match mem::replace(&mut ticket.phase, Phase::Running) {
+            Phase::Queued { resume } => resume,
+            // Only queued tickets are dispatched: leave anything else
+            // as it was and drop the dispatch.
+            other => {
+                ticket.phase = other;
+                debug_assert!(false, "dispatched ticket is queued");
+                st.stats.note_breach();
+                return;
+            }
+        };
         let inst = ticket.inst.clone();
-        let tenant = ticket.tenant;
         let deadline = ticket.deadline;
         let mut stage = ticket.stage;
-        let mut parked = mem::replace(&mut ticket.parked, Parked::Fresh);
-        drop(st);
+        drop(guard);
+        let mut tally = Tally::default();
         let Some(meta) = self.meta_of(&inst) else {
             // `submit` rejects unknown databases, so this cannot happen
             // through the public API — but an engine bug must degrade
             // the one ticket, not panic the worker pool.
-            shard.finalize(id, tenant, stage, None, false, true);
+            shard.finalize(id, None, false, true, tally);
             return;
         };
         loop {
@@ -515,38 +520,39 @@ impl ServeEngine {
             // remaining stages answer with the paper's own hand-off
             // verdict instead of dropping the request.
             if deadline.is_some_and(|d| Instant::now() > d) {
-                if let Parked::Evicted { bytes, .. } = &parked {
-                    // The shed ticket's checkpoint is never restored —
-                    // return its bytes to the accounting or the gauge
-                    // would read non-zero forever.
-                    shard.counters.note_checkpoint_discarded(bytes.len());
-                }
-                shard.finalize(id, tenant, stage, None, true, false);
+                // A shed ticket's evicted bytes are never restored —
+                // they leave the gauge here, or it would read non-zero
+                // forever.
+                let evicted = resume.as_ref().and_then(|(held, _)| held.evicted.as_ref());
+                tally.checkpoint_bytes_consumed += evicted.map_or(0, Vec::len);
+                shard.finalize(id, None, true, false, tally);
                 return;
             }
             // What this dispatch restores the stage's session from
             // (`None`: it opens one).
-            let recipe = match mem::replace(&mut parked, Parked::Fresh) {
-                Parked::Fresh => None,
-                Parked::Held(recipe) => Some(recipe),
-                Parked::Evicted { bytes, mut recipe } => {
-                    // The bytes leave the gauge either way — they are
-                    // consumed here, restorable or not.
-                    shard.counters.note_restored(bytes.len());
-                    match self.decode_checkpoint(&bytes, &inst, stage) {
-                        Some(cp) => recipe.checkpoint = cp,
-                        // Corrupt checkpoint: the recipe kept in memory
-                        // restores the same session bit-identically.
-                        None => {
-                            shard
-                                .counters
-                                .corrupt_checkpoints_recovered
-                                .fetch_add(1, Ordering::Relaxed);
+            let recipe = resume.take().map(
+                |(
+                    Held {
+                        mut checkpoint,
+                        evicted,
+                    },
+                    resolution,
+                )| {
+                    if let Some(bytes) = evicted {
+                        // The bytes leave the gauge either way — they are
+                        // consumed here, restorable or not.
+                        tally.checkpoint_bytes_consumed += bytes.len();
+                        tally.restores += 1;
+                        match self.decode_checkpoint(&bytes, &inst, stage) {
+                            Some(cp) => checkpoint = cp,
+                            // Corrupt checkpoint: the one kept in memory
+                            // restores the same session bit-identically.
+                            None => tally.corrupt_checkpoints_recovered += 1,
                         }
                     }
-                    Some(recipe)
-                }
-            };
+                    (checkpoint, resolution)
+                },
+            );
             // Step under `catch_unwind`: a panicking step (injected or
             // genuine) must cost at most this ticket, never the worker
             // pool. Every attempt opens or restores the session afresh
@@ -570,10 +576,7 @@ impl ServeEngine {
                 match stepped {
                     Ok(state) => break Some((state, s)),
                     Err(_) => {
-                        shard
-                            .counters
-                            .panics_recovered
-                            .fetch_add(1, Ordering::Relaxed);
+                        tally.panics_recovered += 1;
                         panics += 1;
                         if panics > self.config.step_retry_budget {
                             break None;
@@ -590,97 +593,90 @@ impl ServeEngine {
                 }
             };
             let Some((state, s)) = attempt else {
-                shard
-                    .counters
-                    .panics_to_abstention
-                    .fetch_add(1, Ordering::Relaxed);
-                shard.finalize(id, tenant, stage, None, false, true);
+                tally.panics_to_abstention += 1;
+                shard.finalize(id, None, false, true, tally);
                 return;
             };
             match state {
-                SessionState::NeedsFeedback(_) if self.shutdown.load(Ordering::SeqCst) => {
-                    // Shutting down: nothing will answer this flag.
-                    // Resolve it to abstention right here instead of
-                    // parking — parking after the drain sweep would
-                    // strand the ticket forever.
-                    parked = Parked::Held(Recipe {
-                        checkpoint: s.checkpoint(),
-                        resolution: Some(FlagResolution::Abstain { consulted: false }),
-                    });
-                    if let Some(ticket) = shard.state.lock().tickets.get_mut(&id) {
-                        ticket.drained = true;
-                    } else {
-                        debug_assert!(false, "running ticket exists");
-                        shard.counters.note_breach();
-                    }
-                    shard
-                        .counters
-                        .drained_to_abstention
-                        .fetch_add(1, Ordering::Relaxed);
-                }
                 SessionState::NeedsFeedback(query) => {
                     // The session drops here; its checkpoint (a clone of
                     // its state and round sets, nothing encoded) is all
                     // the ticket keeps.
-                    let recipe = Recipe {
+                    let held = Held {
                         checkpoint: s.checkpoint(),
-                        resolution: None,
+                        evicted: None,
                     };
-                    let billed = recipe.held_bytes();
-                    let park_deadline = self.config.feedback_timeout.map(|t| Instant::now() + t);
-                    let mut st = shard.state.lock();
-                    if let Some(deadline) = park_deadline {
-                        st.next_timeout = Some(match st.next_timeout {
-                            Some(cur) => cur.min(deadline),
-                            None => deadline,
-                        });
+                    let mut guard = shard.state.lock();
+                    let st = &mut *guard;
+                    st.stats.settle(mem::take(&mut tally));
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        // Shutting down: nothing will answer this flag.
+                        // Resolve it to abstention right here instead of
+                        // parking — parking after the drain sweep would
+                        // strand the ticket forever.
+                        st.stats.totals.drained_to_abstention += 1;
+                        if let Some(ticket) = st.tickets.get_mut(&id) {
+                            ticket.drained = true;
+                        } else {
+                            debug_assert!(false, "running ticket exists");
+                            st.stats.note_breach();
+                        }
+                        resume = Some((held, FlagResolution::Abstain { consulted: false }));
+                        continue;
+                    }
+                    let park_until = self.config.feedback_timeout.map(|t| Instant::now() + t);
+                    if let Some(until) = park_until {
+                        st.next_timeout = Some(st.next_timeout.map_or(until, |cur| cur.min(until)));
                     }
                     let Some(ticket) = st.tickets.get_mut(&id) else {
-                        // No ticket to park the recipe on: absorb the
+                        // No ticket to park the stage on: absorb the
                         // accounting bug and drop this request's state
                         // instead of poisoning the worker pool.
                         debug_assert!(false, "running ticket exists");
-                        shard.counters.note_breach();
+                        st.stats.note_breach();
                         return;
                     };
-                    ticket.parked = Parked::Held(recipe);
                     ticket.stage = stage;
-                    ticket.park_deadline = park_deadline;
                     if let Some(sink) = &mut ticket.sink {
                         sink(ClientEvent::NeedsFeedback {
                             target: stage,
                             query: query.clone(),
                         });
                     }
-                    ticket.phase = Phase::AwaitingFeedback(query);
-                    st.queues.note_parked(tenant);
-                    shard.counters.note_parked(billed);
-                    shard.enforce_parked_budget(&mut st, self.config.parked_bytes_budget);
-                    drop(st);
+                    st.stats.note_parked(held.billed());
+                    ticket.phase = Phase::AwaitingFeedback {
+                        query,
+                        held,
+                        deadline: park_until,
+                    };
+                    st.enforce_parked_budget(self.config.parked_bytes_budget);
+                    drop(guard);
                     shard.client_cv.notify_all();
                     // A parked deadline may now be the earliest wake-up:
                     // make sure some idle worker re-arms its sleep.
-                    if park_deadline.is_some() {
+                    if park_until.is_some() {
                         shard.work_cv.notify_one();
                     }
                     return;
                 }
                 SessionState::Done(outcome) => match stage {
                     LinkTarget::Tables => {
-                        let mut st = shard.state.lock();
+                        let mut guard = shard.state.lock();
+                        let st = &mut *guard;
+                        st.stats.settle(mem::take(&mut tally));
                         let Some(ticket) = st.tickets.get_mut(&id) else {
                             debug_assert!(false, "running ticket exists");
-                            shard.counters.note_breach();
+                            st.stats.note_breach();
                             return;
                         };
                         ticket.tables = Some(outcome);
                         ticket.stage = LinkTarget::Columns;
-                        // `parked` is `Fresh`, so the next iteration opens
+                        // `resume` is `None`, so the next iteration opens
                         // the chained columns session.
                         stage = LinkTarget::Columns;
                     }
                     LinkTarget::Columns => {
-                        shard.finalize(id, tenant, stage, Some(outcome), false, false);
+                        shard.finalize(id, Some(outcome), false, false, tally);
                         return;
                     }
                 },
@@ -694,8 +690,8 @@ impl ServeEngine {
     /// the model's synthesis corpus and to this stage's monitor
     /// ([`monitor_fingerprint`]): its label sets stand in for scoring
     /// the round's hidden stacks, and another monitor's sets would
-    /// raise other flags. On `None` the caller rebuilds from the
-    /// recipe kept in memory.
+    /// raise other flags. On `None` the caller restores from the
+    /// checkpoint kept in memory.
     fn decode_checkpoint(
         &self,
         bytes: &[u8],
@@ -718,15 +714,15 @@ impl ServeEngine {
 
     /// The one session constructor of a dispatch, first attempt and
     /// panic retry alike: open `stage`'s session, or restore it from
-    /// `recipe` (no synthesis: the checkpoint carries the parked round's
-    /// label sets) and replay the resolution applied since.
+    /// `recipe`'s checkpoint (no synthesis: it carries the parked
+    /// round's label sets) and replay the resolution applied since.
     fn session<'a>(
         &'a self,
         inst: &'a Instance,
         meta: &'a DbMeta,
         stage: LinkTarget,
         ctx: &'a LinkContext,
-        recipe: Option<&Recipe>,
+        recipe: Option<&(SessionCheckpoint, FlagResolution)>,
         scratch: &mut LinkScratch,
     ) -> LinkSession<'a> {
         let mbpp = match stage {
@@ -735,7 +731,7 @@ impl ServeEngine {
         };
         let ctx = Some(CtxHandle::Borrowed(ctx));
         let config = &self.config.rts;
-        let Some(recipe) = recipe else {
+        let Some((checkpoint, resolution)) = recipe else {
             return LinkSession::new(&self.model, mbpp, inst, meta, stage, ctx, None, config);
         };
         let mut session = LinkSession::restore(
@@ -746,12 +742,10 @@ impl ServeEngine {
             stage,
             ctx,
             config,
-            &recipe.checkpoint,
+            checkpoint,
             &mut scratch.synth,
         );
-        if let Some(res) = &recipe.resolution {
-            session.resolve(res.clone());
-        }
+        session.resolve(resolution.clone());
         session
     }
 
@@ -766,11 +760,7 @@ impl ServeEngine {
         let mut stats = ServingStats::default();
         let mut samples = Vec::new();
         for shard in &self.shards {
-            // Copy the samples out under the lock; sort outside it so
-            // workers finalizing requests are never stalled behind a
-            // percentile computation.
-            samples.extend_from_slice(shard.latencies_ms.lock().samples());
-            stats.absorb(shard.stats());
+            stats.absorb(shard.stats(&mut samples));
         }
         stats.latency = LatencySummary::from_samples(&samples);
         stats
@@ -779,9 +769,8 @@ impl ServeEngine {
     /// One shard's counter snapshot, its percentiles over that shard's
     /// own window. `None` past the shard count.
     pub fn shard_stats(&self, idx: usize) -> Option<ServingStats> {
-        let shard = self.shards.get(idx)?;
-        let samples = shard.latencies_ms.lock().samples().to_vec();
-        let mut stats = shard.stats();
+        let mut samples = Vec::new();
+        let mut stats = self.shards.get(idx)?.stats(&mut samples);
         stats.latency = LatencySummary::from_samples(&samples);
         Some(stats)
     }
@@ -840,30 +829,13 @@ impl Engine for ServeEngine {
         };
         let now = Instant::now();
         let mut st = shard.state.lock();
-        let quota = self.config.quota;
-        let load = st.queues.load(tenant);
-        if quota.max_in_flight > 0 && load.in_flight >= quota.max_in_flight {
-            shard
-                .counters
-                .rejected_quota
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QuotaExceeded {
-                tenant,
-                limit: quota.max_in_flight,
-            });
-        }
-        if quota.max_parked > 0 && load.parked >= quota.max_parked {
-            shard
-                .counters
-                .rejected_quota
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QuotaExceeded {
-                tenant,
-                limit: quota.max_parked,
-            });
+        let limit = self.config.quota.max_in_flight;
+        if limit > 0 && st.queues.load(tenant).in_flight >= limit {
+            st.stats.totals.rejected_quota += 1;
+            return Err(SubmitError::QuotaExceeded { tenant, limit });
         }
         if self.config.queue_capacity > 0 && st.queues.n_admission() >= self.config.queue_capacity {
-            shard.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            st.stats.totals.rejected += 1;
             return Err(SubmitError::QueueFull {
                 capacity: self.config.queue_capacity,
             });
@@ -877,20 +849,19 @@ impl Engine for ServeEngine {
                 inst: Arc::new(inst.clone()),
                 submitted: now,
                 deadline: self.config.deadline.map(|d| now + d),
-                park_deadline: None,
                 stage: LinkTarget::Tables,
-                parked: Parked::Fresh,
                 tables: None,
                 n_feedback: 0,
                 timed_out: false,
                 drained: false,
-                phase: Phase::Queued,
+                phase: Phase::Queued { resume: None },
                 sink: None,
             },
         );
         st.queues.push_admission(tenant, id);
         st.queues.note_admitted(tenant);
-        shard.counters.note_depth(st.queues.queued_len());
+        let depth = st.queues.queued_len();
+        st.stats.note_depth(depth);
         drop(st);
         shard.work_cv.notify_one();
         Ok(id)
@@ -928,39 +899,34 @@ impl Engine for ServeEngine {
         let Some(shard) = self.ticket_shard(id) else {
             return Err(ResolveError::Retired);
         };
-        if self.config.fault.trip(FaultSite::FeedbackDelay) {
+        let delayed = self.config.fault.trip(FaultSite::FeedbackDelay);
+        if delayed {
             // A slow network between client and engine: the resolution
-            // arrives late, exercising the stale-answer races (taken
+            // arrives late, exercising the stale-answer races (slept
             // before the state lock — a delay must not stall workers).
-            shard
-                .counters
-                .feedback_delayed
-                .fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(self.config.fault.feedback_delay);
         }
-        if self.config.feedback_timeout.is_some() && self.config.fault.trip(FaultSite::FeedbackLoss)
-        {
-            // Lost in flight *after* the client sent it — from the
-            // client's view the resolve succeeded; the park timeout
-            // completes the request as an abstention hand-off. Only
-            // injected when a timeout exists to rescue the park.
-            shard.counters.feedback_lost.fetch_add(1, Ordering::Relaxed);
+        // Lost in flight *after* the client sent it — from the client's
+        // view the resolve succeeded; the park timeout completes the
+        // request as an abstention hand-off. Only injected when a
+        // timeout exists to rescue the park.
+        let lost = self.config.feedback_timeout.is_some()
+            && self.config.fault.trip(FaultSite::FeedbackLoss);
+        let mut st = shard.state.lock();
+        st.stats.totals.feedback_delayed += u64::from(delayed);
+        if lost {
+            st.stats.totals.feedback_lost += 1;
             return Ok(());
         }
-        let mut st = shard.state.lock();
-        let Some(ticket) = st.tickets.get_mut(&id) else {
-            return Err(ResolveError::Retired);
-        };
-        match &ticket.phase {
-            Phase::AwaitingFeedback(current) if current == query => {}
-            _ => return Err(ResolveError::Stale),
+        match st.tickets.get(&id).map(|t| &t.phase) {
+            None => return Err(ResolveError::Retired),
+            Some(Phase::AwaitingFeedback { query: current, .. }) if current == query => {}
+            Some(_) => return Err(ResolveError::Stale),
         }
-        ticket.n_feedback += 1;
-        shard.unpark(&mut st, id, resolution);
-        shard
-            .counters
-            .feedback_rounds
-            .fetch_add(1, Ordering::Relaxed);
+        if let Some(ticket) = st.unpark(id, resolution) {
+            ticket.n_feedback += 1;
+        }
+        st.stats.totals.feedback_rounds += 1;
         drop(st);
         shard.work_cv.notify_one();
         Ok(())
@@ -979,10 +945,7 @@ impl Engine for ServeEngine {
         let Some(shard) = self.shards.get(self.shard_of(db)) else {
             return 0;
         };
-        shard
-            .counters
-            .db_invalidations
-            .fetch_add(1, Ordering::Relaxed);
+        shard.state.lock().stats.totals.db_invalidations += 1;
         shard.cache.invalidate_db(db)
     }
 
@@ -1009,8 +972,8 @@ impl ShardState {
             return Some(ClientEvent::Retired);
         };
         match &ticket.phase {
-            Phase::Queued | Phase::Running => None,
-            Phase::AwaitingFeedback(query) => Some(ClientEvent::NeedsFeedback {
+            Phase::Queued { .. } | Phase::Running => None,
+            Phase::AwaitingFeedback { query, .. } => Some(ClientEvent::NeedsFeedback {
                 target: ticket.stage,
                 query: query.clone(),
             }),
@@ -1021,48 +984,37 @@ impl ShardState {
             }),
         }
     }
-}
 
-impl Shard {
     /// The one unpark protocol, shared by client resolutions,
     /// feedback-timeout expiry and the shutdown drain: release the
-    /// parked billing, record the resolution in the ticket's recipe for
-    /// the worker to replay, and re-queue the ticket on its tenant's
-    /// resume lane.
-    /// Callers bill their own counters around it.
-    fn unpark(&self, st: &mut ShardState, id: TicketId, resolution: FlagResolution) {
-        let Some(ticket) = st.tickets.get_mut(&id) else {
-            // Unparking an id with no ticket is an accounting bug;
-            // absorb it (nothing to resume) rather than panic a worker
-            // or a client thread.
-            debug_assert!(false, "unparked ticket exists");
-            self.counters.note_breach();
-            return;
-        };
-        ticket.park_deadline = None;
-        // The worker restores the session from the recipe and replays
-        // this resolution before stepping.
-        let billed = match &mut ticket.parked {
-            Parked::Held(recipe) => {
-                let billed = recipe.held_bytes();
-                recipe.resolution = Some(resolution);
-                billed
-            }
-            Parked::Evicted { recipe, .. } => {
-                recipe.resolution = Some(resolution);
-                0
-            }
-            Parked::Fresh => {
-                debug_assert!(false, "a parked ticket holds its recipe");
-                self.counters.note_breach();
-                0
+    /// parked billing, queue the parked stage with `resolution` for
+    /// the worker to restore and replay, on its tenant's resume lane.
+    /// Returns the requeued ticket, or `None` (changing nothing) when
+    /// ticket `id` is not parked. Callers bill their own counters
+    /// around it.
+    fn unpark(&mut self, id: TicketId, resolution: FlagResolution) -> Option<&mut Ticket> {
+        let ticket = self.tickets.get_mut(&id)?;
+        let held = match mem::replace(&mut ticket.phase, Phase::Running) {
+            Phase::AwaitingFeedback { held, .. } => held,
+            other => {
+                ticket.phase = other;
+                return None;
             }
         };
-        self.counters.note_unparked(billed);
-        ticket.phase = Phase::Queued;
-        let tenant = ticket.tenant;
-        st.queues.push_resume(tenant, id);
-        st.queues.note_unparked(tenant);
+        self.stats.note_unparked(held.billed());
+        ticket.phase = Phase::Queued {
+            resume: Some((held, resolution)),
+        };
+        self.queues.push_resume(ticket.tenant, id);
+        Some(ticket)
+    }
+
+    /// Every parked ticket with its feedback deadline, if it has one.
+    fn parks(&self) -> impl Iterator<Item = (TicketId, Option<Instant>)> + '_ {
+        self.tickets.iter().filter_map(|(&id, t)| match t.phase {
+            Phase::AwaitingFeedback { deadline, .. } => Some((id, deadline)),
+            _ => None,
+        })
     }
 
     /// Resolve every parked ticket whose feedback deadline lapsed with
@@ -1071,43 +1023,24 @@ impl Shard {
     /// act on them. O(1) while nothing can have lapsed (the cached
     /// `next_timeout` bound); the full ticket scan runs only when a
     /// deadline actually passed, and re-tightens the bound.
-    fn expire_lapsed_parks(&self, st: &mut ShardState) {
+    fn expire_lapsed_parks(&mut self) {
         let now = Instant::now();
-        match st.next_timeout {
-            None => return,
-            Some(bound) if now < bound => return,
-            Some(_) => {}
+        if self.next_timeout.is_none_or(|bound| now < bound) {
+            return;
         }
-        let lapsed: Vec<TicketId> = st
-            .tickets
-            .iter()
-            .filter(|(_, t)| {
-                matches!(t.phase, Phase::AwaitingFeedback(_))
-                    && t.park_deadline.is_some_and(|d| now >= d)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        st.next_timeout = st
-            .tickets
-            .values()
-            .filter(|t| matches!(t.phase, Phase::AwaitingFeedback(_)))
-            .filter_map(|t| t.park_deadline)
-            .filter(|&d| d > now)
-            .min();
-        for id in lapsed {
-            // Collected from the same map under the same lock, so the
-            // entry must still be there; degrade if it is not.
-            let Some(ticket) = st.tickets.get_mut(&id) else {
-                debug_assert!(false, "lapsed ticket exists");
-                self.counters.note_breach();
-                continue;
-            };
-            ticket.timed_out = true;
+        let (lapsed, pending): (Vec<_>, Vec<_>) = self
+            .parks()
+            .filter_map(|(id, deadline)| Some((id, deadline?)))
+            .partition(|&(_, deadline)| now >= deadline);
+        self.next_timeout = pending.into_iter().map(|(_, deadline)| deadline).min();
+        for (id, _) in lapsed {
             // The timeout is billed as an unconsulted abstention: no
             // human was reached, the stage degrades to the hand-off
             // verdict (never drop).
-            self.unpark(st, id, FlagResolution::Abstain { consulted: false });
-            self.counters.timed_out.fetch_add(1, Ordering::Relaxed);
+            if let Some(ticket) = self.unpark(id, FlagResolution::Abstain { consulted: false }) {
+                ticket.timed_out = true;
+                self.stats.totals.timed_out_to_abstention += 1;
+            }
         }
     }
 
@@ -1116,63 +1049,49 @@ impl Shard {
     /// exiting. Workers call this on every dispatch once the shutdown
     /// flag is up; `process` stops parking new flags at the same point,
     /// so no ticket can strand between the last sweep and worker exit.
-    fn drain_parked_for_shutdown(&self, st: &mut ShardState) {
-        let parked: Vec<TicketId> = st
-            .tickets
-            .iter()
-            .filter(|(_, t)| matches!(t.phase, Phase::AwaitingFeedback(_)))
-            .map(|(&id, _)| id)
-            .collect();
+    fn drain_parked_for_shutdown(&mut self) {
+        let parked: Vec<TicketId> = self.parks().map(|(id, _)| id).collect();
         for id in parked {
-            let Some(ticket) = st.tickets.get_mut(&id) else {
-                debug_assert!(false, "parked ticket exists");
-                self.counters.note_breach();
-                continue;
-            };
-            ticket.drained = true;
-            self.unpark(st, id, FlagResolution::Abstain { consulted: false });
-            self.counters
-                .drained_to_abstention
-                .fetch_add(1, Ordering::Relaxed);
+            if let Some(ticket) = self.unpark(id, FlagResolution::Abstain { consulted: false }) {
+                ticket.drained = true;
+                self.stats.totals.drained_to_abstention += 1;
+            }
         }
     }
 
-    /// Evict parked recipes into checkpoint bytes until the parked-bytes
+    /// Evict parked checkpoints into bytes until the parked-bytes
     /// `budget` (`0` = none) holds. The victim is the largest billed
-    /// recipe, and among equally billed ones the lowest [`TicketId`]
+    /// stage, and among equally billed ones the lowest [`TicketId`]
     /// (the oldest), so the choice does not depend on the ticket map's
     /// iteration order. Encoding is cheap — the checkpoint is the
     /// session's state and its round's label sets, a few hundred bytes
     /// — so running under the state lock is fine.
-    fn enforce_parked_budget(&self, st: &mut ShardState, budget: usize) {
+    fn enforce_parked_budget(&mut self, budget: usize) {
         if budget == 0 {
             return;
         }
-        while self.counters.parked_bytes.load(Ordering::Relaxed) > budget {
-            let victim = st
+        while self.stats.totals.parked_bytes_now > budget {
+            let victim = self
                 .tickets
                 .iter_mut()
-                .filter(|(_, t)| matches!(t.phase, Phase::AwaitingFeedback(_)))
-                .filter_map(|(&id, t)| match &t.parked {
-                    Parked::Held(recipe) => Some((recipe.held_bytes(), Reverse(id), t)),
+                .filter_map(|(&id, t)| match &mut t.phase {
+                    Phase::AwaitingFeedback { held, .. } if held.evicted.is_none() => {
+                        Some((held.billed(), Reverse(id), held))
+                    }
                     _ => None,
                 })
-                .max_by_key(|&(billed, id, _)| (billed, id));
-            let Some((billed, _, ticket)) = victim else {
+                .max_by_key(|(billed, id, _)| (*billed, *id));
+            let Some((billed, _, held)) = victim else {
                 break;
             };
-            let Parked::Held(recipe) = mem::replace(&mut ticket.parked, Parked::Fresh) else {
-                // Selected as `Held` under this lock just above.
-                debug_assert!(false, "victim holds its recipe");
-                self.counters.note_breach();
-                break;
-            };
-            let bytes = checkpoint::encode(&recipe.checkpoint);
-            self.counters.note_checkpointed(billed, bytes.len());
-            ticket.parked = Parked::Evicted { bytes, recipe };
+            let bytes = checkpoint::encode(&held.checkpoint);
+            self.stats.note_checkpointed(billed, bytes.len());
+            held.evicted = Some(bytes);
         }
     }
+}
 
+impl Shard {
     /// The abstention every shed stage degrades to.
     fn shed_outcome() -> RtsOutcome {
         RtsOutcome {
@@ -1187,29 +1106,30 @@ impl Shard {
 
     /// Retire a ticket: `columns` is the finished column outcome, or
     /// `None` when shedding (or an unrecoverable fault, `faulted`) cut
-    /// the run short at `stage`.
+    /// the run short. Adds the dispatch's `tally`.
     fn finalize(
         &self,
         id: TicketId,
-        tenant: TenantId,
-        stage: LinkTarget,
         columns: Option<RtsOutcome>,
         shed: bool,
         faulted: bool,
+        tally: Tally,
     ) {
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.stats.settle(tally);
         let Some(ticket) = st.tickets.get_mut(&id) else {
             // Finalizing an id with no ticket record: nothing to
             // retire. Absorb the accounting bug instead of panicking
             // with the state lock held.
             debug_assert!(false, "finalized ticket exists");
-            self.counters.note_breach();
+            st.stats.note_breach();
             return;
         };
         let tables = match ticket.tables.take() {
             Some(t) => t,
             None => {
-                debug_assert!((shed || faulted) && stage == LinkTarget::Tables);
+                debug_assert!((shed || faulted) && ticket.stage == LinkTarget::Tables);
                 Self::shed_outcome()
             }
         };
@@ -1223,13 +1143,9 @@ impl Shard {
             latency: ticket.submitted.elapsed(),
             n_feedback: ticket.n_feedback,
         };
-        self.latencies_ms
-            .lock()
-            .push(outcome.latency.as_secs_f64() * 1e3);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if shed {
-            self.counters.shed.fetch_add(1, Ordering::Relaxed);
-        }
+        st.stats
+            .note_completed(outcome.latency.as_secs_f64() * 1e3, shed);
+        st.queues.note_done(ticket.tenant);
         match ticket.sink.take() {
             // A watched ticket is collected by its sink at once.
             Some(mut sink) => {
@@ -1238,49 +1154,27 @@ impl Shard {
             }
             None => ticket.phase = Phase::Done(outcome),
         }
-        st.queues.note_done(tenant);
-        drop(st);
+        drop(guard);
         self.client_cv.notify_all();
     }
 
-    /// This shard's counter snapshot, latency left zero (the engine
-    /// computes percentiles over the windows it merges).
-    fn stats(&self) -> ServingStats {
-        let (tenants_seen, tenant_in_flight_peak) = {
+    /// This shard's counter snapshot, one clone under the state lock,
+    /// latency left zero: its latency samples are appended to
+    /// `samples`, for the caller to sort outside the lock, so workers
+    /// finalizing requests never stall behind a percentile computation.
+    fn stats(&self, samples: &mut Vec<f64>) -> ServingStats {
+        let mut stats = {
             let st = self.state.lock();
-            (st.queues.n_tenants(), st.queues.max_in_flight_peak())
+            samples.extend_from_slice(st.stats.latencies_ms.samples());
+            ServingStats {
+                tenants_seen: st.queues.n_tenants(),
+                tenant_in_flight_peak: st.queues.max_in_flight_peak(),
+                ..st.stats.snapshot()
+            }
         };
-        let c = &self.counters;
-        ServingStats {
-            completed: self.completed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            rejected_quota: c.rejected_quota.load(Ordering::Relaxed),
-            feedback_rounds: c.feedback_rounds.load(Ordering::Relaxed),
-            timed_out_to_abstention: c.timed_out.load(Ordering::Relaxed),
-            latency: LatencySummary::default(),
-            queue_depth_max: c.depth_max.load(Ordering::Relaxed),
-            queue_depth_mean: c.depth_mean(),
-            cache: self.cache.stats(),
-            parked_bytes_peak: c.parked_bytes_peak.load(Ordering::Relaxed),
-            parked_sessions_peak: c.parked_sessions_peak.load(Ordering::Relaxed),
-            parked_bytes_now: c.parked_bytes.load(Ordering::Relaxed),
-            parked_sessions_now: c.parked_sessions.load(Ordering::Relaxed),
-            checkpoints: c.checkpoints.load(Ordering::Relaxed),
-            restores: c.restores.load(Ordering::Relaxed),
-            checkpoint_bytes_peak: c.checkpoint_bytes_peak.load(Ordering::Relaxed),
-            checkpoint_bytes_now: c.checkpoint_bytes.load(Ordering::Relaxed),
-            tenants_seen,
-            tenant_in_flight_peak,
-            panics_recovered: c.panics_recovered.load(Ordering::Relaxed),
-            panics_to_abstention: c.panics_to_abstention.load(Ordering::Relaxed),
-            corrupt_checkpoints_recovered: c.corrupt_checkpoints_recovered.load(Ordering::Relaxed),
-            feedback_lost: c.feedback_lost.load(Ordering::Relaxed),
-            feedback_delayed: c.feedback_delayed.load(Ordering::Relaxed),
-            drained_to_abstention: c.drained_to_abstention.load(Ordering::Relaxed),
-            db_invalidations: c.db_invalidations.load(Ordering::Relaxed),
-            invariant_breaches: c.invariant_breaches.load(Ordering::Relaxed),
-        }
+        // The cache has its own lock, never taken under `state`.
+        stats.cache = self.cache.stats();
+        stats
     }
 }
 
@@ -1709,8 +1603,8 @@ mod tests {
                 let shard = engine.ticket_shard(id).expect("a live ticket");
                 let st = shard.state.lock();
                 matches!(
-                    st.tickets.get(&id).map(|t| &t.parked),
-                    Some(Parked::Evicted { .. })
+                    st.tickets.get(&id).map(|t| &t.phase),
+                    Some(Phase::AwaitingFeedback { held, .. }) if held.evicted.is_some()
                 )
             };
             assert!(evicted(ids[0]), "the lower id is evicted");
@@ -1750,10 +1644,7 @@ mod tests {
         let config = ServeConfig {
             workers: 1,
             queue_capacity: 0,
-            quota: TenantQuota {
-                max_in_flight: 2,
-                max_parked: 0,
-            },
+            quota: TenantQuota { max_in_flight: 2 },
             ..Default::default()
         };
         let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
@@ -2422,10 +2313,7 @@ mod tests {
         let config = ServeConfig {
             queue_capacity: 16,
             cache_capacity: 8,
-            quota: TenantQuota {
-                max_in_flight: 1,
-                max_parked: 0,
-            },
+            quota: TenantQuota { max_in_flight: 1 },
             feedback_timeout: Some(Duration::from_millis(50)),
             parked_bytes_budget: 1,
             ..Default::default()
@@ -2578,8 +2466,8 @@ mod tests {
         let st = shard.state.lock();
         match st.tickets.get(&id).map(|t| &t.phase) {
             None => Peek::Gone,
-            Some(Phase::Queued | Phase::Running) => Peek::Busy,
-            Some(Phase::AwaitingFeedback(query)) => Peek::Parked(query.clone()),
+            Some(Phase::Queued { .. } | Phase::Running) => Peek::Busy,
+            Some(Phase::AwaitingFeedback { query, .. }) => Peek::Parked(query.clone()),
             Some(Phase::Done(_)) => Peek::Done,
         }
     }
@@ -2887,8 +2775,7 @@ mod tests {
             prop_assert!(st.tickets.is_empty(), "no ticket outlives its Done");
             prop_assert_eq!(st.queues.queued_len(), 0);
             for tenant in 0..2 {
-                let load = st.queues.load(tenant);
-                prop_assert_eq!((load.in_flight, load.parked), (0, 0));
+                prop_assert_eq!(st.queues.load(tenant).in_flight, 0);
             }
         }
         let stats = engine.stats();
@@ -2900,8 +2787,18 @@ mod tests {
         Ok(())
     }
 
+    /// Cases of the spec test: `PROPTEST_CASES` when set, else 32.
+    /// An explicit case count outranks the variable in proptest, so
+    /// the test reads it itself.
+    fn spec_cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(32)
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(spec_cases()))]
 
         /// Random sequences of submit, resolve, timeout and shutdown,
         /// with half the tickets watched and half polled, against the

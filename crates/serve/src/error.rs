@@ -21,9 +21,9 @@ pub enum SubmitError {
     /// The admission queue is at capacity — retry later (client-side
     /// backpressure).
     QueueFull { capacity: usize },
-    /// The submitting tenant is at its own quota (in-flight or parked
-    /// bound) — other tenants are unaffected; retry after some of this
-    /// tenant's requests complete.
+    /// The submitting tenant is at its own in-flight quota — other
+    /// tenants are unaffected; retry after some of this tenant's
+    /// requests complete.
     QuotaExceeded { tenant: TenantId, limit: usize },
     /// The instance references a database the engine has no metadata
     /// for — a client-input error, rejected before any queue state

@@ -23,8 +23,8 @@
 //! * **Multi-tenant fairness** — every submission is tagged with a
 //!   [`TenantId`]; admissions land in per-tenant sub-queues served by
 //!   deficit-round-robin dispatch ([`tenant::FairQueue`]), so one
-//!   chatty tenant deepens only its own backlog. Per-tenant quotas
-//!   (max in-flight / max parked) bounce the offender with
+//!   chatty tenant deepens only its own backlog. A per-tenant quota
+//!   (max in flight) bounces the offender with
 //!   [`SubmitError::QuotaExceeded`] while everyone else keeps
 //!   submitting.
 //! * **Feedback timeouts** — a session parked on a human who never
@@ -39,7 +39,10 @@
 //!   session's state and its round's label sets: a few hundred bytes,
 //!   no hidden stacks) and restored from those bytes, bit-identically
 //!   and with no synthesis, when their feedback arrives (pinned by the
-//!   checkpoint-roundtrip parity proptests).
+//!   checkpoint-roundtrip parity proptests). The checkpoint stays in
+//!   memory beside its bytes as the fallback should they not decode,
+//!   so eviction frees no memory yet: it only moves the park's billing
+//!   from the parked-bytes gauge to the checkpoint-bytes gauge.
 //! * **Non-blocking feedback** — when a session hits a branching flag
 //!   it is *parked* (worker moves on); the client answers through
 //!   [`Engine::resolve`] and the session re-enters the work queue.
@@ -60,15 +63,18 @@
 //!   and reliability share one mechanism, unique to this design.
 //! * **A parked request is its checkpoint** — no session outlives
 //!   one dispatch: a worker opens or restores it, steps it and drops
-//!   it when it parks. A ticket's stage is `Fresh` (nothing to
-//!   restore), `Held` (its recipe: the park-time checkpoint plus the
-//!   resolution applied since) or `Evicted` (checkpoint bytes plus
-//!   that same recipe). An evicted stage always carries its recipe,
-//!   so a corrupt checkpoint has a way back by construction.
+//!   it when it parks. A ticket's state is one enum: `Queued` (with
+//!   the parked stage and the resolution applied since to resume
+//!   from, or nothing for a fresh admission), `Running`,
+//!   `AwaitingFeedback` (the query, the park-time checkpoint, the
+//!   evicted bytes if any, and the feedback deadline) or `Done`. An
+//!   evicted stage always keeps its checkpoint, so corrupt bytes have
+//!   a way back by construction.
 //! * **Degrade-only fault tolerance** — a panicking session step is
-//!   caught (`catch_unwind`), restored from its recipe and retried
+//!   caught (`catch_unwind`), restored from its checkpoint and retried
 //!   with backoff before degrading the one ticket to abstention;
-//!   corrupt checkpoints are restored from their recipe; client API
+//!   corrupt checkpoint bytes are restored from the checkpoint kept
+//!   in memory; client API
 //!   misuse (unknown tickets, double resolves) returns typed errors
 //!   ([`ClientEvent::Retired`], [`ResolveError`]) instead of
 //!   panicking. The [`fault`] module's deterministic
@@ -83,7 +89,9 @@
 //!   which one it gets never changes an outcome.
 //! * **Accounting** — per-request latency (p50/p95/p99), queue depth,
 //!   context-cache hit rate and parked-session memory are recorded in
-//!   a [`ServingStats`] snapshot.
+//!   a [`ServingStats`] snapshot. Each shard's counters are plain
+//!   fields of its state, updated under its lock; a snapshot is one
+//!   clone under that lock.
 //!
 //! Outcome parity: with no deadline pressure, the engine's per-request
 //! outcomes are *identical* to the batch pipeline's — every linking

@@ -3,7 +3,6 @@
 //! `Stats` reply carries.
 
 use rts_core::context::ContextCacheStats;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Latency distribution of completed requests, in milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -55,8 +54,8 @@ pub struct ServingStats {
     pub shed: u64,
     /// Submissions rejected at admission (queue full).
     pub rejected: u64,
-    /// Submissions rejected by a per-tenant quota (in-flight or parked
-    /// bound) — backpressure on the tenant causing the load.
+    /// Submissions rejected by the per-tenant in-flight quota —
+    /// backpressure on the tenant causing the load.
     pub rejected_quota: u64,
     /// Feedback resolutions applied across all requests.
     pub feedback_rounds: u64,
@@ -199,61 +198,74 @@ impl LatencyWindow {
     }
 }
 
-/// Internal atomic counters the engine mutates from workers/clients.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub shed: AtomicU64,
-    pub rejected: AtomicU64,
-    pub rejected_quota: AtomicU64,
-    pub feedback_rounds: AtomicU64,
-    pub timed_out: AtomicU64,
-    pub depth_max: AtomicUsize,
-    pub depth_sum: AtomicU64,
-    pub depth_samples: AtomicU64,
-    pub parked_bytes: AtomicUsize,
-    pub parked_bytes_peak: AtomicUsize,
-    pub parked_sessions: AtomicUsize,
-    pub parked_sessions_peak: AtomicUsize,
-    pub checkpoints: AtomicU64,
-    pub restores: AtomicU64,
-    pub checkpoint_bytes: AtomicUsize,
-    pub checkpoint_bytes_peak: AtomicUsize,
-    pub panics_recovered: AtomicU64,
-    pub panics_to_abstention: AtomicU64,
-    pub corrupt_checkpoints_recovered: AtomicU64,
-    pub feedback_lost: AtomicU64,
-    pub feedback_delayed: AtomicU64,
-    pub drained_to_abstention: AtomicU64,
-    pub db_invalidations: AtomicU64,
-    pub invariant_breaches: AtomicU64,
+/// One shard's accounting: plain fields its `ShardState` owns and
+/// updates under the shard's `state` lock.
+#[derive(Debug)]
+pub(crate) struct ShardStats {
+    /// Every counter, gauge and peak the shard reports. The snapshot
+    /// fills in `queue_depth_mean`; the engine fills in `latency`,
+    /// `cache` and the tenant figures.
+    pub totals: ServingStats,
+    depth_sum: u64,
+    depth_samples: u64,
+    /// Bounded: percentiles are computed over the most recent
+    /// `window` completions, and memory stays O(1) however long the
+    /// engine lives.
+    pub latencies_ms: LatencyWindow,
 }
 
-impl Counters {
-    pub fn note_depth(&self, depth: usize) {
-        self.depth_max.fetch_max(depth, Ordering::Relaxed);
-        self.depth_sum.fetch_add(depth as u64, Ordering::Relaxed);
-        self.depth_samples.fetch_add(1, Ordering::Relaxed);
+/// What a dispatch counts outside the state lock. It is added to the
+/// shard's stats when the dispatch next takes the lock (at park, at
+/// stage chaining or in `finalize`), so counting costs no acquisition.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Evicted checkpoint bytes the dispatch took off its ticket,
+    /// restored from or discarded.
+    pub checkpoint_bytes_consumed: usize,
+    pub restores: u64,
+    pub corrupt_checkpoints_recovered: u64,
+    pub panics_recovered: u64,
+    pub panics_to_abstention: u64,
+}
+
+impl ShardStats {
+    pub fn new(window: usize) -> Self {
+        Self {
+            totals: ServingStats::default(),
+            depth_sum: 0,
+            depth_samples: 0,
+            latencies_ms: LatencyWindow::new(window),
+        }
     }
 
-    pub fn note_parked(&self, bytes: usize) {
-        let cur = self.parked_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.parked_bytes_peak.fetch_max(cur, Ordering::Relaxed);
-        let n = self.parked_sessions.fetch_add(1, Ordering::Relaxed) + 1;
-        self.parked_sessions_peak.fetch_max(n, Ordering::Relaxed);
+    pub fn note_depth(&mut self, depth: usize) {
+        let t = &mut self.totals;
+        t.queue_depth_max = t.queue_depth_max.max(depth);
+        self.depth_sum += depth as u64;
+        self.depth_samples += 1;
     }
 
-    pub fn note_unparked(&self, bytes: usize) {
-        self.parked_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        self.parked_sessions.fetch_sub(1, Ordering::Relaxed);
+    pub fn note_parked(&mut self, bytes: usize) {
+        let t = &mut self.totals;
+        t.parked_bytes_now += bytes;
+        t.parked_bytes_peak = t.parked_bytes_peak.max(t.parked_bytes_now);
+        t.parked_sessions_now += 1;
+        t.parked_sessions_peak = t.parked_sessions_peak.max(t.parked_sessions_now);
+    }
+
+    pub fn note_unparked(&mut self, bytes: usize) {
+        self.totals.parked_bytes_now -= bytes;
+        self.totals.parked_sessions_now -= 1;
     }
 
     /// A parked stage's billed bytes were evicted into `bytes` of
     /// encoded checkpoint (the session count stays parked).
-    pub fn note_checkpointed(&self, live_bytes: usize, bytes: usize) {
-        self.parked_bytes.fetch_sub(live_bytes, Ordering::Relaxed);
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        let cur = self.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.checkpoint_bytes_peak.fetch_max(cur, Ordering::Relaxed);
+    pub fn note_checkpointed(&mut self, live_bytes: usize, bytes: usize) {
+        let t = &mut self.totals;
+        t.parked_bytes_now -= live_bytes;
+        t.checkpoints += 1;
+        t.checkpoint_bytes_now += bytes;
+        t.checkpoint_bytes_peak = t.checkpoint_bytes_peak.max(t.checkpoint_bytes_now);
     }
 
     /// Record an absorbed internal-invariant violation: the engine hit
@@ -261,29 +273,38 @@ impl Counters {
     /// [`ServingStats::invariant_breaches`]) and degraded instead of
     /// panicking. `debug_assert!` still trips in debug builds so tests
     /// catch the accounting bug at its source.
-    pub fn note_breach(&self) {
-        self.invariant_breaches.fetch_add(1, Ordering::Relaxed);
+    pub fn note_breach(&mut self) {
+        self.totals.invariant_breaches += 1;
     }
 
-    /// A checkpointed session was restored on a worker.
-    pub fn note_restored(&self, bytes: usize) {
-        self.restores.fetch_add(1, Ordering::Relaxed);
-        self.checkpoint_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    /// A request finished after `latency_ms`, `shed` past its deadline
+    /// or not.
+    pub fn note_completed(&mut self, latency_ms: f64, shed: bool) {
+        self.totals.completed += 1;
+        self.totals.shed += u64::from(shed);
+        self.latencies_ms.push(latency_ms);
     }
 
-    /// A checkpoint was dropped without restoring (its ticket was shed
-    /// past the deadline): the bytes leave the gauge, but nothing was
-    /// restored so `restores` stays put.
-    pub fn note_checkpoint_discarded(&self, bytes: usize) {
-        self.checkpoint_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    /// Add what a dispatch counted outside the lock.
+    pub fn settle(&mut self, tally: Tally) {
+        let t = &mut self.totals;
+        t.checkpoint_bytes_now -= tally.checkpoint_bytes_consumed;
+        t.restores += tally.restores;
+        t.corrupt_checkpoints_recovered += tally.corrupt_checkpoints_recovered;
+        t.panics_recovered += tally.panics_recovered;
+        t.panics_to_abstention += tally.panics_to_abstention;
     }
 
-    pub fn depth_mean(&self) -> f64 {
-        let n = self.depth_samples.load(Ordering::Relaxed);
-        if n == 0 {
+    /// The reported figures, `queue_depth_mean` included.
+    pub fn snapshot(&self) -> ServingStats {
+        let queue_depth_mean = if self.depth_samples == 0 {
             0.0
         } else {
-            self.depth_sum.load(Ordering::Relaxed) as f64 / n as f64
+            self.depth_sum as f64 / self.depth_samples as f64
+        };
+        ServingStats {
+            queue_depth_mean,
+            ..self.totals.clone()
         }
     }
 }
@@ -326,46 +347,125 @@ mod tests {
 
     #[test]
     fn parked_accounting_tracks_peak_not_current() {
-        let c = Counters::default();
+        let mut c = ShardStats::new(1);
         c.note_parked(100);
         c.note_parked(50);
         c.note_unparked(100);
         c.note_parked(20);
-        assert_eq!(c.parked_bytes_peak.load(Ordering::Relaxed), 150);
-        assert_eq!(c.parked_bytes.load(Ordering::Relaxed), 70);
-        assert_eq!(c.parked_sessions_peak.load(Ordering::Relaxed), 2);
+        assert_eq!(c.totals.parked_bytes_peak, 150);
+        assert_eq!(c.totals.parked_bytes_now, 70);
+        assert_eq!(c.totals.parked_sessions_peak, 2);
+    }
+
+    /// A restore as a dispatch tallies it: `bytes` consumed, one
+    /// restore.
+    fn restored(bytes: usize) -> Tally {
+        Tally {
+            checkpoint_bytes_consumed: bytes,
+            restores: 1,
+            ..Tally::default()
+        }
     }
 
     #[test]
     fn checkpoint_accounting_moves_bytes_between_pools() {
-        let c = Counters::default();
+        let mut c = ShardStats::new(1);
         c.note_parked(1000);
-        // Evicted: live bytes leave the parked pool, 80 B of JSON enter
-        // the checkpoint pool; the session itself stays parked.
+        // Evicted: live bytes leave the parked pool, 80 B of encoded
+        // checkpoint enter the checkpoint pool; the session itself
+        // stays parked.
         c.note_checkpointed(1000, 80);
-        assert_eq!(c.parked_bytes.load(Ordering::Relaxed), 0);
-        assert_eq!(c.parked_sessions.load(Ordering::Relaxed), 1);
-        assert_eq!(c.checkpoint_bytes.load(Ordering::Relaxed), 80);
-        assert_eq!(c.checkpoint_bytes_peak.load(Ordering::Relaxed), 80);
+        assert_eq!(c.totals.parked_bytes_now, 0);
+        assert_eq!(c.totals.parked_sessions_now, 1);
+        assert_eq!(c.totals.checkpoint_bytes_now, 80);
+        assert_eq!(c.totals.checkpoint_bytes_peak, 80);
         // Restored on resume: checkpoint pool drains; the unpark bills
         // zero live bytes (they were already released at eviction).
-        c.note_restored(80);
+        c.settle(restored(80));
         c.note_unparked(0);
-        assert_eq!(c.checkpoint_bytes.load(Ordering::Relaxed), 0);
-        assert_eq!(c.parked_sessions.load(Ordering::Relaxed), 0);
-        assert_eq!(c.checkpoints.load(Ordering::Relaxed), 1);
-        assert_eq!(c.restores.load(Ordering::Relaxed), 1);
+        assert_eq!(c.totals.checkpoint_bytes_now, 0);
+        assert_eq!(c.totals.parked_sessions_now, 0);
+        assert_eq!(c.totals.checkpoints, 1);
+        assert_eq!(c.totals.restores, 1);
     }
 
     #[test]
     fn discarded_checkpoints_drain_bytes_without_a_restore() {
-        let c = Counters::default();
+        let mut c = ShardStats::new(1);
         c.note_parked(500);
         c.note_checkpointed(500, 64);
         // Shed past its deadline: bytes leave, no restore billed.
-        c.note_checkpoint_discarded(64);
-        assert_eq!(c.checkpoint_bytes.load(Ordering::Relaxed), 0);
-        assert_eq!(c.restores.load(Ordering::Relaxed), 0);
-        assert_eq!(c.checkpoints.load(Ordering::Relaxed), 1);
+        c.settle(Tally {
+            checkpoint_bytes_consumed: 64,
+            ..Tally::default()
+        });
+        assert_eq!(c.totals.checkpoint_bytes_now, 0);
+        assert_eq!(c.totals.restores, 0);
+        assert_eq!(c.totals.checkpoints, 1);
+    }
+
+    /// Every numeric field of a serialized `ServingStats` but
+    /// `latency` (which `absorb` leaves alone), `cache`'s included, as
+    /// (path, value) pairs.
+    fn numeric_fields(v: &serde::Value) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for (name, field) in v.as_object().expect("a struct serializes to an object") {
+            match field {
+                serde::Value::Object(inner) if name != "latency" => {
+                    for (sub, x) in inner {
+                        out.push((format!("{name}.{sub}"), x.as_f64().expect("numeric")));
+                    }
+                }
+                serde::Value::Int(_) | serde::Value::Float(_) => {
+                    out.push((name.clone(), field.as_f64().expect("numeric")));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Set every numeric field `numeric_fields` finds to 1.
+    fn all_ones(v: &serde::Value) -> serde::Value {
+        let one = |x: &serde::Value| match x {
+            serde::Value::Int(_) => serde::Value::Int(1),
+            serde::Value::Float(_) => serde::Value::Float(1.0),
+            other => other.clone(),
+        };
+        let fields = v.as_object().expect("a struct serializes to an object");
+        serde::Value::Object(
+            fields
+                .iter()
+                .map(|(name, field)| {
+                    let field = match field {
+                        serde::Value::Object(inner) if name != "latency" => serde::Value::Object(
+                            inner.iter().map(|(k, x)| (k.clone(), one(x))).collect(),
+                        ),
+                        other => one(other),
+                    };
+                    (name.clone(), field)
+                })
+                .collect(),
+        )
+    }
+
+    /// A counter added to `ServingStats` but left out of `absorb` would
+    /// vanish on every multi-shard engine; here it reads 0 instead.
+    #[test]
+    fn absorb_loses_no_field() {
+        use serde::{Deserialize, Serialize};
+        let shape = ServingStats::default().to_value();
+        let ones = ServingStats::from_value(&all_ones(&shape)).expect("round trip");
+        assert!(numeric_fields(&ones.to_value())
+            .iter()
+            .all(|&(_, x)| x == 1.0));
+        let mut merged = ServingStats::default();
+        merged.absorb(ones);
+        let fields = numeric_fields(&merged.to_value());
+        let found = |name: &str| fields.iter().any(|(n, _)| n == name);
+        assert!(found("completed") && found("cache.hits"), "{fields:?}");
+        for (name, x) in fields {
+            assert!(x != 0.0, "absorb drops `{name}`");
+        }
     }
 }

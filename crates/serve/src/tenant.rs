@@ -1,6 +1,6 @@
 //! Multi-tenant admission: per-tenant sub-queues with deficit-round-
-//! robin dispatch, plus the per-tenant quota/occupancy accounting the
-//! engine's admission control reads.
+//! robin dispatch, plus the per-tenant occupancy accounting the
+//! engine's quota check reads.
 //!
 //! The PR-4 engine had one global FIFO: a tenant submitting 10k
 //! requests put every other tenant 10k places back in line. The
@@ -14,10 +14,10 @@
 //! that priority is itself rotated fairly across tenants.
 //!
 //! Occupancy ([`FairQueue::load`]) tracks, per tenant, how many
-//! requests are anywhere between admission and completion and how many
-//! of those are parked awaiting feedback. The engine's quota check
-//! rejects submissions past either bound ([`crate::SubmitError::QuotaExceeded`])
-//! — backpressure lands on the tenant causing it.
+//! requests are anywhere between admission and completion. The
+//! engine's quota check rejects submissions past the bound
+//! ([`crate::SubmitError::QuotaExceeded`]) — backpressure lands on the
+//! tenant causing it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -34,24 +34,15 @@ pub type TicketId = u64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantQuota {
     /// Max requests a tenant may have anywhere between admission and
-    /// completion (queued + running + parked).
+    /// completion (queued + running + parked), so a tenant that never
+    /// answers feedback also stops accumulating parked sessions.
     pub max_in_flight: usize,
-    /// Parked-occupancy bound *checked at admission*: a tenant with
-    /// this many sessions already parked awaiting feedback cannot
-    /// submit more until it answers (or times out) some of them, so a
-    /// tenant that never answers stops accumulating suspended sessions
-    /// instead of filling the engine. Note the enforcement point: a
-    /// burst admitted while nothing was parked may still *become* more
-    /// than `max_parked` parked sessions — use `max_in_flight` to
-    /// bound a tenant's instantaneous occupancy outright.
-    pub max_parked: usize,
 }
 
 /// A tenant's current occupancy, read by the quota check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantLoad {
     pub in_flight: usize,
-    pub parked: usize,
 }
 
 #[derive(Debug)]
@@ -63,7 +54,6 @@ struct TenantState {
     /// DRR quantum: requests handed per cycle (≥ 1).
     weight: u32,
     in_flight: usize,
-    parked: usize,
     in_flight_peak: usize,
 }
 
@@ -75,7 +65,6 @@ impl TenantState {
             deficit: 0,
             weight,
             in_flight: 0,
-            parked: 0,
             in_flight_peak: 0,
         }
     }
@@ -133,16 +122,9 @@ impl FairQueue {
 
     /// A tenant's occupancy (zero for tenants never seen).
     pub fn load(&self, t: TenantId) -> TenantLoad {
-        self.tenants.get(&t).map_or(
-            TenantLoad {
-                in_flight: 0,
-                parked: 0,
-            },
-            |s| TenantLoad {
-                in_flight: s.in_flight,
-                parked: s.parked,
-            },
-        )
+        TenantLoad {
+            in_flight: self.tenants.get(&t).map_or(0, |s| s.in_flight),
+        }
     }
 
     /// Distinct tenants that ever had a request admitted (a tenant
@@ -201,18 +183,6 @@ impl FairQueue {
         let s = self.tenant_mut(t);
         debug_assert!(s.in_flight > 0, "done without admission");
         s.in_flight = s.in_flight.saturating_sub(1);
-    }
-
-    /// One of `t`'s requests parked awaiting feedback.
-    pub fn note_parked(&mut self, t: TenantId) {
-        self.tenant_mut(t).parked += 1;
-    }
-
-    /// One of `t`'s parked requests was resolved (or timed out).
-    pub fn note_unparked(&mut self, t: TenantId) {
-        let s = self.tenant_mut(t);
-        debug_assert!(s.parked > 0, "unpark without park");
-        s.parked = s.parked.saturating_sub(1);
     }
 
     /// Drop the head-of-ring tenant if it ran out of queued work, or
@@ -382,27 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_tracks_in_flight_and_parked_peaks() {
+    fn occupancy_tracks_in_flight_and_its_peak() {
         let mut q = FairQueue::new(1);
         q.note_admitted(4);
         q.note_admitted(4);
-        q.note_parked(4);
-        assert_eq!(
-            q.load(4),
-            TenantLoad {
-                in_flight: 2,
-                parked: 1
-            }
-        );
-        q.note_unparked(4);
+        assert_eq!(q.load(4), TenantLoad { in_flight: 2 });
         q.note_done(4);
-        assert_eq!(
-            q.load(4),
-            TenantLoad {
-                in_flight: 1,
-                parked: 0
-            }
-        );
+        assert_eq!(q.load(4), TenantLoad { in_flight: 1 });
         assert_eq!(q.max_in_flight_peak(), 2, "peak survives the drain");
         assert_eq!(q.n_tenants(), 1);
         assert_eq!(q.load(99).in_flight, 0, "unknown tenants read as idle");

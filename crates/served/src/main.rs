@@ -29,13 +29,15 @@
 //!   past it parked checkpoints are encoded to bytes;
 //! * `RTS_THREADS` — engine worker threads in total (as everywhere).
 //!
-//! A millisecond knob that is negative, NaN, infinite or too large for
-//! a `Duration` reads as unset, like one that does not parse.
+//! Every knob follows one rule: unset gives the default, and a value
+//! that does not read — for a millisecond knob also one that is
+//! negative, NaN, infinite or too large for a `Duration` — exits 1,
+//! naming the variable, before anything binds.
 //!
 //! The daemon exits 0 after a client sends `Shutdown` and every
 //! connection has drained.
 
-use benchgen::profile::{env_scale, env_seed};
+use benchgen::profile::{env_scale, env_seed, env_var};
 use rts_core::abstention::RtsConfig;
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
@@ -48,13 +50,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The corpus scale when `RTS_SCALE` is unset.
 const DEFAULT_SCALE: f64 = 0.03;
 
@@ -62,21 +57,55 @@ const DEFAULT_SCALE: f64 = 0.03;
 /// experiments' `0xC0FFEE`.
 const DEFAULT_SEED: u64 = 0xC0FFEE;
 
-fn env_ms(key: &str) -> Option<Duration> {
-    parse_ms(std::env::var(key).ok().as_deref())
+/// Count knob `key` (`raw` its value, `None` when unset).
+fn parse_count(key: &str, raw: Option<&str>, default: usize) -> Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    raw.parse()
+        .map_err(|_| format!("{key}={raw:?} is not a non-negative integer"))
 }
 
-/// A millisecond budget, or `None` (off) for a value that is missing,
-/// unparsable, negative, NaN, infinite or too large for a `Duration`.
-fn parse_ms(value: Option<&str>) -> Option<Duration> {
-    let ms = value?.parse::<f64>().ok()?;
-    Duration::try_from_secs_f64(ms / 1e3).ok()
+/// Millisecond knob `key` (`raw` its value, `None` when unset, which
+/// reads as off).
+fn parse_ms(key: &str, raw: Option<&str>) -> Result<Option<Duration>, String> {
+    let Some(raw) = raw else {
+        return Ok(None);
+    };
+    raw.parse::<f64>()
+        .ok()
+        .and_then(|ms| Duration::try_from_secs_f64(ms / 1e3).ok())
+        .map(Some)
+        .ok_or_else(|| format!("{key}={raw:?} is not a millisecond budget"))
+}
+
+/// The engine configuration the knobs name, merge seed `seed`.
+fn serve_config(seed: u64) -> Result<ServeConfig, String> {
+    let count = |key: &str, default| parse_count(key, env_var(key)?.as_deref(), default);
+    let ms = |key: &str| parse_ms(key, env_var(key)?.as_deref());
+    Ok(ServeConfig {
+        shards: count("RTS_SERVED_SHARDS", 1)?,
+        queue_capacity: count("RTS_SERVE_QUEUE", 16)?,
+        cache_capacity: count("RTS_SERVE_CACHE", 8)?,
+        quota: TenantQuota {
+            max_in_flight: count("RTS_SERVE_QUOTA", 0)?,
+        },
+        deadline: ms("RTS_SERVE_DEADLINE_MS")?,
+        feedback_timeout: ms("RTS_SERVE_FEEDBACK_TIMEOUT_MS")?,
+        parked_bytes_budget: count("RTS_SERVE_PARKED_BUDGET", 0)?,
+        rts: RtsConfig { seed },
+        ..ServeConfig::default()
+    })
 }
 
 fn main() -> ExitCode {
-    let (scale, seed) = match (env_scale(DEFAULT_SCALE), env_seed(DEFAULT_SEED)) {
-        (Ok(scale), Ok(seed)) => (scale, seed),
-        (Err(e), _) | (_, Err(e)) => {
+    let knobs = env_scale(DEFAULT_SCALE).and_then(|scale| {
+        let seed = env_seed(DEFAULT_SEED)?;
+        Ok((scale, seed, serve_config(seed)?))
+    });
+    let (scale, seed, config) = match knobs {
+        Ok(knobs) => knobs,
+        Err(e) => {
             eprintln!("[rts-served] {e}");
             return ExitCode::FAILURE;
         }
@@ -115,21 +144,6 @@ fn main() -> ExitCode {
         "[rts-served] setup (benchmark + mBPPs) in {:.1}s",
         t0.elapsed().as_secs_f64()
     );
-
-    let config = ServeConfig {
-        shards: env_usize("RTS_SERVED_SHARDS", 1),
-        queue_capacity: env_usize("RTS_SERVE_QUEUE", 16),
-        cache_capacity: env_usize("RTS_SERVE_CACHE", 8),
-        quota: TenantQuota {
-            max_in_flight: env_usize("RTS_SERVE_QUOTA", 0),
-            max_parked: 0,
-        },
-        deadline: env_ms("RTS_SERVE_DEADLINE_MS"),
-        feedback_timeout: env_ms("RTS_SERVE_FEEDBACK_TIMEOUT_MS"),
-        parked_bytes_budget: env_usize("RTS_SERVE_PARKED_BUDGET", 0),
-        rts: RtsConfig { seed },
-        ..ServeConfig::default()
-    };
 
     let fingerprint = corpus_fingerprint("bird", scale, seed, linker.corpus());
     let engine = Arc::new(ServeEngine::with_artifacts(
@@ -179,7 +193,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_ms, DEFAULT_SCALE, DEFAULT_SEED};
+    use super::{parse_count, parse_ms, DEFAULT_SCALE, DEFAULT_SEED};
     use benchgen::profile::{parse_scale, parse_seed};
     use std::time::Duration;
 
@@ -190,12 +204,31 @@ mod tests {
     }
 
     #[test]
-    fn millisecond_budgets_parse_and_bad_values_read_as_unset() {
-        assert_eq!(parse_ms(Some("250")), Some(Duration::from_millis(250)));
-        assert_eq!(parse_ms(Some("0.5")), Some(Duration::from_micros(500)));
-        for bad in ["-5", "nan", "inf", "1e300", "soon"] {
-            assert_eq!(parse_ms(Some(bad)), None, "{bad}");
+    fn millisecond_budgets_parse_and_bad_values_are_refused() {
+        let key = "RTS_SERVE_DEADLINE_MS";
+        assert_eq!(
+            parse_ms(key, Some("250")),
+            Ok(Some(Duration::from_millis(250)))
+        );
+        assert_eq!(
+            parse_ms(key, Some("0.5")),
+            Ok(Some(Duration::from_micros(500)))
+        );
+        for bad in ["-5", "nan", "inf", "1e300", "soon", ""] {
+            let refusal = parse_ms(key, Some(bad)).expect_err(bad);
+            assert!(refusal.contains(key), "{bad}: {refusal}");
         }
-        assert_eq!(parse_ms(None), None);
+        assert_eq!(parse_ms(key, None), Ok(None), "unset reads as off");
+    }
+
+    #[test]
+    fn counts_parse_and_bad_values_are_refused() {
+        let key = "RTS_SERVE_QUEUE";
+        assert_eq!(parse_count(key, Some("32"), 16), Ok(32));
+        assert_eq!(parse_count(key, None, 16), Ok(16));
+        for bad in ["1O", "-1", "2.5", "", "99999999999999999999999"] {
+            let refusal = parse_count(key, Some(bad), 16).expect_err(bad);
+            assert!(refusal.contains(key), "{bad}: {refusal}");
+        }
     }
 }

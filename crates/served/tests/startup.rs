@@ -1,5 +1,6 @@
-//! Start-up refusals of the `rts-served` binary: a corpus variable that
-//! does not parse stops the daemon before it binds or trains.
+//! Start-up refusals of the `rts-served` binary: a corpus variable or
+//! serving knob that does not parse stops the daemon before it binds
+//! or trains.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -52,6 +53,9 @@ fn malformed_corpus_variables_exit_1_naming_the_variable() {
         ("RTS_SEED", "-1"),
         ("RTS_SCALE", "soon"),
         ("RTS_SCALE", "1.5"),
+        // Serving knobs follow the same rule.
+        ("RTS_SERVE_QUEUE", "1O"),
+        ("RTS_SERVE_DEADLINE_MS", "-5"),
     ] {
         let (code, stderr) = refusal(var, value);
         assert_eq!(code, Some(1), "{var}={value}: {stderr}");

@@ -41,10 +41,7 @@ fn main() {
         cache_capacity: 4,
         // Fairness: no tenant may hold more than 4 requests in flight;
         // beyond that *it* gets QuotaExceeded while others keep going.
-        quota: rts::serve::TenantQuota {
-            max_in_flight: 4,
-            max_parked: 0,
-        },
+        quota: rts::serve::TenantQuota { max_in_flight: 4 },
         rts: RtsConfig::default(),
         ..ServeConfig::default()
     };
